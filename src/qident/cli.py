@@ -37,7 +37,7 @@ from .series import (
     product_side,
     sum_side_glaisher,
 )
-from .verify import run_suite, verify_glaisher_family, SuiteSummary
+from .verify import CONJUGATE_MAX_WEIGHT, run_suite
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -82,22 +82,16 @@ def _format_vector(vector: Sequence[int]) -> str:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     catalog = _resolve_catalog(args)
-    if args.names and args.names[0] == "glaisher" and len(args.names) == 1:
+    names = args.names or ["all"]
+    if names == ["glaisher"]:
         if args.modulus is None:
             print("error: verify glaisher requires --modulus", file=sys.stderr)
             return EXIT_USAGE
-        reports = verify_glaisher_family(
-            args.modulus,
-            args.order,
-            args.max_weight,
-            modulus_min=args.modulus,
-            alpha_terms=10,
-        )
-        summary = SuiteSummary(tuple(reports))
-    else:
-        summary = run_suite(
-            args.names or ["all"], args.order, args.max_weight, catalog
-        )
+        names = [f"glaisher-{args.modulus}"]
+    elif args.modulus is not None:
+        print("error: --modulus applies only to 'verify glaisher'", file=sys.stderr)
+        return EXIT_USAGE
+    summary = run_suite(names, args.order, args.max_weight, catalog)
     if args.format == "machine":
         for line in summary.machine_lines():
             print(line)
@@ -303,8 +297,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run identity checks")
     p_verify.add_argument("names", nargs="*", help="identity names, or 'all'")
     p_verify.add_argument("--order", type=_positive_int, default=60)
-    p_verify.add_argument("--max-weight", type=_nonnegative_int, default=25)
-    p_verify.add_argument("--modulus", type=_positive_int, default=None)
+    p_verify.add_argument(
+        "--max-weight",
+        type=_nonnegative_int,
+        default=25,
+        help="largest weight for enumeration checks; the divide-by-M conjugate "
+        f"check stops at {CONJUGATE_MAX_WEIGHT}",
+    )
+    p_verify.add_argument(
+        "--modulus",
+        type=_positive_int,
+        default=None,
+        help="M for 'verify glaisher' (same as 'verify glaisher-M')",
+    )
     p_verify.add_argument("--format", choices=("text", "machine"), default="text")
     p_verify.set_defaults(func=cmd_verify)
 

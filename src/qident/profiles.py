@@ -212,6 +212,7 @@ class CatalogEntry:
     product: ResidueClass | None
     source: str
     aliases: tuple[str, ...] = ()
+    identity: str | None = None  # shared label; None means the entry's own name
 
     @property
     def name(self) -> str:
@@ -229,6 +230,13 @@ class Catalog:
                 if key in self._by_name:
                     raise ValueError(f"duplicate catalog name {key!r}")
                 self._by_name[key] = entry
+        for entry in self._entries:
+            owner = self._by_name.get(entry.identity)
+            if owner is not None and owner is not entry:
+                raise ValueError(
+                    f"identity {entry.identity!r} of {entry.name!r} is the name "
+                    f"or alias of entry {owner.name!r}"
+                )
 
     def entries(self) -> tuple[CatalogEntry, ...]:
         return self._entries
@@ -283,6 +291,9 @@ def _entry_from_json(data: dict) -> CatalogEntry:
             raise ValueError("two branches must be one 'even' and one 'odd'")
     else:
         raise ValueError("a profile has one or two branches")
+    identity = data.get("identity")
+    if identity is not None and not (isinstance(identity, str) and identity):
+        raise ValueError(f"identity of {data['name']!r} must be a nonempty string")
     product = None
     if data.get("modulus") is not None:
         product = ResidueClass(int(data["modulus"]), frozenset(data["residues"]))
@@ -291,6 +302,7 @@ def _entry_from_json(data: dict) -> CatalogEntry:
         product=product,
         source=data.get("source", ""),
         aliases=tuple(data.get("aliases", ())),
+        identity=identity,
     )
 
 
@@ -308,10 +320,12 @@ def dump_catalog(catalog: Catalog) -> str:
     byte-identical."""
     entries = []
     for entry in catalog.entries():
+        identity = {"identity": entry.identity} if entry.identity is not None else {}
         entries.append(
             {
                 "name": entry.name,
                 "aliases": list(entry.aliases),
+                **identity,
                 "source": entry.source,
                 "modulus": entry.product.modulus if entry.product else None,
                 "residues": (

@@ -17,8 +17,6 @@ __all__ = [
     "TruncatedSeries",
     "ResidueClass",
     "series_one",
-    "series_add",
-    "series_mul",
     "geometric_inverse_factor",
     "pochhammer",
     "pochhammer_base",
@@ -204,14 +202,6 @@ def series_one(order: int) -> TruncatedSeries:
     if order < 1:
         raise ValueError("truncation order must be at least 1")
     return TruncatedSeries((1,) + (0,) * (order - 1))
-
-
-def series_add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    return a + b
-
-
-def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    return a * b
 
 
 def geometric_inverse_factor(k: int, order: int) -> TruncatedSeries:

@@ -7,11 +7,17 @@ one sum side counted against each other and against the product side).  The
 divide-by-M family additionally gets its bijection certified, its conjugate
 chain characterization checked, and its term recurrence compared with the
 closed form.
+
+What gets checked is derived from the catalog alone: ``plan_checks`` turns
+names into a tuple of ``Check`` rows without running anything, and
+``run_suite`` runs that plan.
 """
 
 import json
+import re
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 from .bijections import certify_bijection, glaisher_forward, glaisher_inverse
 from .partitions import (
@@ -26,6 +32,7 @@ from .partitions import (
 )
 from .profiles import (
     Catalog,
+    CatalogEntry,
     default_catalog,
     profile_chain_counts,
     profile_series,
@@ -46,17 +53,16 @@ __all__ = [
     "IdentityDescriptor",
     "VerificationReport",
     "SuiteSummary",
-    "built_in_identities",
-    "equinumerous_groups",
+    "Check",
+    "CONJUGATE_MAX_WEIGHT",
     "verify_analytic",
     "verify_combinatorial",
     "verify_equinumerosity",
-    "glaisher_analytic_report",
     "glaisher_bijection_report",
     "glaisher_conjugate_report",
     "glaisher_alpha_report",
     "euler_forms_report",
-    "verify_glaisher_family",
+    "plan_checks",
     "run_suite",
 ]
 
@@ -306,26 +312,6 @@ def verify_equinumerosity(
     return _report(name, "equinumerosity", max_weight, started)
 
 
-def glaisher_analytic_report(modulus: int, order: int) -> VerificationReport:
-    name = f"glaisher-{modulus}"
-    started = time.perf_counter()
-    lhs = product_side(ResidueClass.nonzero(modulus), order)
-    rhs = sum_side_glaisher(modulus, order)
-    e = lhs.first_difference(rhs, order)
-    if e is None:
-        return _report(name, "analytic", order, started)
-    return _report(
-        name,
-        "analytic",
-        order,
-        started,
-        exponent=e,
-        lhs=lhs.coefficient(e),
-        rhs=rhs.coefficient(e),
-        note="product vs sum side",
-    )
-
-
 def euler_forms_report(order: int) -> VerificationReport:
     """At modulus 2, the odd-parts product equals three sum expressions: the
     divide-by-2 form, the triangular-exponent family, and the distinct-parts
@@ -442,138 +428,6 @@ def glaisher_alpha_report(modulus: int, n_max: int, order: int) -> VerificationR
     return _report(name, "alpha", order, started)
 
 
-def verify_glaisher_family(
-    modulus_max: int,
-    order: int,
-    max_weight: int,
-    *,
-    modulus_min: int = 2,
-    alpha_terms: int = 10,
-) -> list[VerificationReport]:
-    """The full battery for each modulus: analytic identity, bijection
-    certification, conjugate chain characterization, and term-recurrence
-    agreement; plus the extra sum forms at modulus 2."""
-    reports = []
-    for modulus in range(modulus_min, modulus_max + 1):
-        reports.append(glaisher_analytic_report(modulus, order))
-        reports.append(glaisher_bijection_report(modulus, max_weight))
-        reports.append(glaisher_conjugate_report(modulus, min(max_weight, 20)))
-        reports.append(glaisher_alpha_report(modulus, alpha_terms, order))
-        if modulus == 2:
-            reports.append(euler_forms_report(order))
-    return reports
-
-
-_APPENDIX_ALIASES = {
-    "capparelli-1-6": "appendix-b",
-    "capparelli-1-7": "appendix-c",
-    "hirschhorn-1": "appendix-d",
-    "hirschhorn-2": "appendix-e",
-    "hirschhorn-3": "appendix-f",
-    "hirschhorn-4": "appendix-g",
-    "subbarao-agarwal-1-4": "appendix-h",
-    "subbarao-agarwal-1-5": "appendix-i",
-    "subbarao-agarwal-1-6": "appendix-j",
-    "subbarao-2-1": "appendix-k",
-    "subbarao-2-2": "appendix-l",
-    "subbarao-2-3": "appendix-m",
-    "subbarao-2-4": "appendix-n",
-}
-
-_GLAISHER_RANGE = range(2, 8)
-
-# interpretations that share both the product side and the term family
-_GROUPS = (
-    ("rr2-interpretations", ("P2", "P3", "P4", "P5")),
-    ("euler-interpretations", ("euler-staircase", "euler-layers")),
-    (
-        "example-family-interpretations",
-        ("example-alternating", "example-exact-parts", "example-atmost-parts"),
-    ),
-    ("capparelli-1-6+subbarao-agarwal-1-4", ("capparelli-1-6", "subbarao-agarwal-1-4")),
-    ("hirschhorn-1+subbarao-2-2", ("hirschhorn-1", "subbarao-2-2")),
-    ("hirschhorn-2+subbarao-2-1", ("hirschhorn-2", "subbarao-2-1")),
-    ("hirschhorn-3+subbarao-2-4", ("hirschhorn-3", "subbarao-2-4")),
-    ("hirschhorn-4+subbarao-2-3", ("hirschhorn-4", "subbarao-2-3")),
-)
-
-
-def built_in_identities(catalog: Catalog | None = None) -> tuple[IdentityDescriptor, ...]:
-    """Identity descriptors derived from the catalog plus the divide-by-M
-    family.  Catalog entries not covered by a named group each become their
-    own identity."""
-    catalog = catalog or default_catalog()
-    out: list[IdentityDescriptor] = []
-    covered: set[str] = set()
-
-    def add(descriptor: IdentityDescriptor) -> None:
-        out.append(descriptor)
-        covered.update(descriptor.interpretations)
-
-    if all(name in catalog for name in ("P2", "P3", "P4", "P5")):
-        add(
-            IdentityDescriptor(
-                name="rr2",
-                product=catalog.lookup("P2").product,
-                sum_profile="P2",
-                interpretations=("P2", "P3", "P4", "P5"),
-            )
-        )
-    if all(name in catalog for name in ("euler-staircase", "euler-layers")):
-        add(
-            IdentityDescriptor(
-                name="euler",
-                product=catalog.lookup("euler-staircase").product,
-                sum_profile="euler-staircase",
-                interpretations=("euler-staircase", "euler-layers"),
-                aliases=("appendix-a",),
-            )
-        )
-    example = ("example-alternating", "example-exact-parts", "example-atmost-parts")
-    if all(name in catalog for name in example):
-        add(
-            IdentityDescriptor(
-                name="example-family",
-                product=None,
-                sum_profile="example-alternating",
-                interpretations=example,
-            )
-        )
-    for entry in catalog.entries():
-        if entry.name in covered:
-            continue
-        alias = _APPENDIX_ALIASES.get(entry.name)
-        add(
-            IdentityDescriptor(
-                name=entry.name,
-                product=entry.product,
-                sum_profile=entry.name,
-                interpretations=(entry.name,),
-                aliases=(alias,) if alias else (),
-            )
-        )
-    for modulus in _GLAISHER_RANGE:
-        out.append(
-            IdentityDescriptor(
-                name=f"glaisher-{modulus}",
-                product=ResidueClass.nonzero(modulus),
-                glaisher_modulus=modulus,
-            )
-        )
-    return tuple(out)
-
-
-def equinumerous_groups(
-    catalog: Catalog | None = None,
-) -> tuple[tuple[str, tuple[str, ...]], ...]:
-    catalog = catalog or default_catalog()
-    return tuple(
-        (name, members)
-        for name, members in _GROUPS
-        if all(member in catalog for member in members)
-    )
-
-
 @dataclass(frozen=True)
 class SuiteSummary:
     reports: tuple[VerificationReport, ...]
@@ -619,6 +473,179 @@ class SuiteSummary:
         return "\n".join(lines)
 
 
+
+
+# The divide-by-M identities that "all" selects.
+_GLAISHER_MODULI = range(2, 8)
+
+# Largest weight of the divide-by-M conjugate check, whatever --max-weight
+# says.  It is the bound in that check's report, so changing it changes the
+# machine output.
+CONJUGATE_MAX_WEIGHT = 20
+
+_GLAISHER_NAME = re.compile(r"glaisher-(\d+)")
+
+
+@dataclass(frozen=True)
+class Check:
+    """One planned check: the row its report fills, and ``call``, a
+    ``functools.partial`` of a check function that produces the report."""
+
+    identity: str
+    mode: str
+    subject: str
+    bound: int
+    call: partial = field(compare=False, repr=False)
+
+
+def _catalog_identities(catalog: Catalog) -> list[IdentityDescriptor]:
+    """One descriptor per identity label, in catalog order.  The first member
+    supplies the sum profile and the product side; the aliases are those of
+    every member."""
+    members: dict[str, list[CatalogEntry]] = {}
+    for entry in catalog.entries():
+        members.setdefault(entry.identity or entry.name, []).append(entry)
+    return [
+        IdentityDescriptor(
+            name=label,
+            product=group[0].product,
+            sum_profile=group[0].name,
+            interpretations=tuple(e.name for e in group),
+            aliases=tuple(a for e in group for a in e.aliases),
+        )
+        for label, group in members.items()
+    ]
+
+
+def _term_family_groups(catalog: Catalog) -> list[tuple[str, tuple[str, ...]]]:
+    """Equinumerosity groups: two or more entries sharing the product side and
+    the term rules of every branch.  A group inside one identity is named
+    ``<identity>-interpretations``, any other by its identities joined with
+    ``+``."""
+    families: dict[tuple, list[CatalogEntry]] = {}
+    for entry in catalog.entries():
+        rules = frozenset(
+            (b.parity_label, b.n_min, b.slots, b.min_weight)
+            for b in entry.profile.branches
+        )
+        families.setdefault((entry.product, rules), []).append(entry)
+    groups = []
+    for members in families.values():
+        if len(members) < 2:
+            continue
+        labels = list(dict.fromkeys(e.identity or e.name for e in members))
+        name = f"{labels[0]}-interpretations" if len(labels) == 1 else "+".join(labels)
+        groups.append((name, tuple(e.name for e in members)))
+    return groups
+
+
+def _glaisher_identity(modulus: int) -> IdentityDescriptor:
+    # ResidueClass rejects a modulus below 2 with ValueError
+    return IdentityDescriptor(
+        f"glaisher-{modulus}", ResidueClass.nonzero(modulus), glaisher_modulus=modulus
+    )
+
+
+def _check(
+    identity: str, mode: str, bound: int, fn, /, *args, subject: str = "", **kwargs
+) -> Check:
+    return Check(identity, mode, subject, bound, partial(fn, *args, **kwargs))
+
+
+def _identity_checks(
+    d: IdentityDescriptor,
+    order: int,
+    max_weight: int,
+    catalog: Catalog,
+    alpha_terms: int,
+) -> list[Check]:
+    """The analytic check, one combinatorial check per interpretation, and for
+    a divide-by-M identity the one divide-by-M battery."""
+    check = partial(_check, d.name)
+    checks = [
+        check("combinatorial", max_weight, verify_combinatorial, d, p, max_weight,
+              catalog, subject=p)
+        for p in d.interpretations
+    ]
+    if d.product is not None:
+        checks.append(check("analytic", order, verify_analytic, d, order, catalog))
+    modulus = d.glaisher_modulus
+    if modulus is not None:
+        conjugate_weight = min(max_weight, CONJUGATE_MAX_WEIGHT)
+        checks += [
+            check("bijection", max_weight, glaisher_bijection_report, modulus,
+                  max_weight),
+            check("conjugate", conjugate_weight, glaisher_conjugate_report, modulus,
+                  conjugate_weight),
+            check("alpha", order, glaisher_alpha_report, modulus, alpha_terms, order),
+        ]
+        if modulus == 2:
+            checks.append(check("forms", order, euler_forms_report, order))
+    return checks
+
+
+def plan_checks(
+    names: list[str] | None,
+    order: int,
+    max_weight: int,
+    catalog: Catalog,
+    *,
+    alpha_terms: int = 10,
+) -> tuple[Check, ...]:
+    """Every check the requested names select, sorted as the suite reports
+    them; nothing runs.
+
+    None or "all" selects every catalog identity, ``glaisher-<M>`` for
+    M = 2..7, and every equinumerosity group.  Otherwise a name is an identity
+    name or alias, ``glaisher-<M>`` for any M >= 2 (a smaller M raises
+    ValueError), or a group name; an identity also brings the groups made only
+    of its interpretations.  Unknown names become ``lookup`` error rows.
+    """
+    identities = _catalog_identities(catalog)
+    groups = _term_family_groups(catalog)
+    unknown: list[str] = []
+    if names is None or "all" in names:
+        selected = identities + [_glaisher_identity(m) for m in _GLAISHER_MODULI]
+        selected_groups = groups
+    else:
+        by_key: dict[str, IdentityDescriptor] = {}
+        for d in identities:
+            for key in (d.name, *d.aliases):
+                by_key.setdefault(key, d)
+        selected, selected_groups = [], []
+        for raw in names:
+            descriptor = by_key.get(raw)
+            if descriptor is None and (match := _GLAISHER_NAME.fullmatch(raw)):
+                descriptor = _glaisher_identity(int(match[1]))
+            if descriptor is not None:
+                selected.append(descriptor)
+                interpretations = set(descriptor.interpretations)
+                selected_groups += [g for g in groups if set(g[1]) <= interpretations]
+            elif picked := [g for g in groups if g[0] == raw]:
+                selected_groups += picked
+            else:
+                unknown.append(raw)
+        selected = list({d.name: d for d in selected}.values())
+        selected_groups = list(dict.fromkeys(selected_groups))
+
+    checks = [
+        check
+        for d in selected
+        for check in _identity_checks(d, order, max_weight, catalog, alpha_terms)
+    ]
+    checks += [
+        _check(name, "equinumerosity", max_weight, verify_equinumerosity, members,
+               max_weight, catalog=catalog, identity=name)
+        for name, members in selected_groups
+    ]
+    checks += [
+        _check(raw, "lookup", 0, VerificationReport, raw, "lookup", 0, "error",
+               note="unknown identity")
+        for raw in unknown
+    ]
+    return tuple(sorted(checks, key=lambda c: (c.identity, c.mode, c.subject)))
+
+
 def run_suite(
     names: list[str] | None = None,
     order: int = 60,
@@ -627,74 +654,12 @@ def run_suite(
     *,
     alpha_terms: int = 10,
 ) -> SuiteSummary:
-    """Run every applicable check for the requested identities (None or "all"
-    selects everything; an empty list selects nothing).  Unknown names become
-    error rows rather than aborting the rest of the suite."""
-    catalog = catalog or default_catalog()
-    identities = built_in_identities(catalog)
-    groups = equinumerous_groups(catalog)
-    by_key: dict[str, IdentityDescriptor] = {}
-    for descriptor in identities:
-        for key in (descriptor.name, *descriptor.aliases):
-            by_key.setdefault(key, descriptor)
-    group_by_name = dict(groups)
-
-    want_all = names is None or "all" in names
-    selected: list[IdentityDescriptor] = []
-    selected_groups: list[tuple[str, tuple[str, ...]]] = []
-    reports: list[VerificationReport] = []
-    if want_all:
-        selected = list(identities)
-        selected_groups = list(groups)
-    else:
-        seen: set[str] = set()
-        group_names: set[str] = set()
-        for raw in names or ():
-            if raw in by_key:
-                descriptor = by_key[raw]
-                if descriptor.name not in seen:
-                    seen.add(descriptor.name)
-                    selected.append(descriptor)
-                    # a group wholly made of this identity's interpretations
-                    # belongs to it
-                    for group_name, members in groups:
-                        if group_name not in group_names and set(members) <= set(
-                            descriptor.interpretations
-                        ):
-                            group_names.add(group_name)
-                            selected_groups.append((group_name, members))
-            elif raw in group_by_name:
-                if raw not in group_names:
-                    group_names.add(raw)
-                    selected_groups.append((raw, group_by_name[raw]))
-            else:
-                reports.append(
-                    VerificationReport(
-                        raw, "lookup", 0, "error", note="unknown identity"
-                    )
-                )
-
-    for descriptor in selected:
-        if descriptor.glaisher_modulus is not None:
-            modulus = descriptor.glaisher_modulus
-            reports.append(glaisher_analytic_report(modulus, order))
-            reports.append(glaisher_bijection_report(modulus, max_weight))
-            reports.append(glaisher_conjugate_report(modulus, min(max_weight, 20)))
-            reports.append(glaisher_alpha_report(modulus, alpha_terms, order))
-            if modulus == 2:
-                reports.append(euler_forms_report(order))
-            continue
-        if descriptor.product is not None:
-            reports.append(verify_analytic(descriptor, order, catalog))
-        for profile_name in descriptor.interpretations:
-            reports.append(
-                verify_combinatorial(descriptor, profile_name, max_weight, catalog)
-            )
-    for group_name, members in selected_groups:
-        reports.append(
-            verify_equinumerosity(
-                members, max_weight, catalog=catalog, identity=group_name
-            )
-        )
+    """Run every check ``plan_checks`` selects (None or "all" selects
+    everything; an empty list selects nothing).  Unknown names become error
+    rows rather than aborting the rest of the suite."""
+    plan = plan_checks(
+        names, order, max_weight, catalog or default_catalog(), alpha_terms=alpha_terms
+    )
+    reports = [check.call() for check in plan]
     reports.sort(key=lambda r: (r.identity, r.mode, r.subject, r.note))
     return SuiteSummary(tuple(reports))

@@ -2,11 +2,14 @@
 
 import json
 
+import pytest
+
 from qident.cli import (
     EXIT_DOMAIN,
     EXIT_MISMATCH,
     EXIT_OK,
     EXIT_UNKNOWN_NAME,
+    EXIT_USAGE,
     main,
 )
 from qident.profiles import default_catalog, dump_catalog
@@ -234,6 +237,37 @@ class TestVerifyCommand:
         assert code == EXIT_OK
         assert "glaisher-4" in out
 
+    def test_glaisher_any_modulus_sorted(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "verify",
+            "glaisher",
+            "--modulus",
+            "9",
+            "--order",
+            "30",
+            "--max-weight",
+            "8",
+            "--format",
+            "machine",
+        )
+        assert code == EXIT_OK
+        records = [json.loads(line) for line in out.splitlines()]
+        assert {r["identity"] for r in records} == {"glaisher-9"}
+        assert [r["mode"] for r in records] == ["alpha", "analytic", "bijection", "conjugate"]
+
+    def test_glaisher_modulus_below_two(self, capsys):
+        code, _, err = run(capsys, "verify", "glaisher", "--modulus", "1")
+        assert code == EXIT_DOMAIN
+        assert "modulus" in err
+
+    @pytest.mark.parametrize("names", [["rr2"], [], ["glaisher", "rr2"]])
+    def test_modulus_outside_glaisher_is_usage_error(self, capsys, names):
+        code, out, err = run(capsys, "verify", *names, "--modulus", "4")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "--modulus" in err
+
     def test_unknown_identity_exit_code(self, capsys):
         code, out, _ = run(capsys, "verify", "no-such-identity")
         assert code == EXIT_UNKNOWN_NAME
@@ -263,6 +297,7 @@ class TestVerifyCommand:
         broken = json.loads(json.dumps(broken))
         broken["name"] = "broken-rr2"
         broken["aliases"] = []
+        del broken["identity"]
         broken["residues"] = [2, 4]
         path = tmp_path / "catalog.json"
         path.write_text(json.dumps({"entries": [broken]}), encoding="utf-8")
@@ -279,6 +314,16 @@ class TestVerifyCommand:
         )
         assert code == EXIT_MISMATCH
         assert "mismatch" in out
+
+    @pytest.mark.parametrize("label", ["P3", "appendix-f", ""])
+    def test_identity_label_collision_rejected(self, capsys, tmp_path, label):
+        payload = json.loads(dump_catalog(default_catalog()))
+        payload["entries"][0]["identity"] = label
+        path = tmp_path / "catalog.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        code, out, err = run(capsys, "--catalog", str(path), "verify", "rr2")
+        assert code == EXIT_DOMAIN
+        assert out == "" and "identity" in err
 
     def test_env_var_catalog_override(self, capsys, tmp_path, monkeypatch):
         text = dump_catalog(default_catalog())

@@ -1,31 +1,46 @@
 """Verification pipelines and the suite driver."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+import qident.verify as verify_module
+from qident.profiles import default_catalog, dump_catalog, loads_catalog
 from qident.series import ResidueClass
 from qident.verify import (
     IdentityDescriptor,
-    built_in_identities,
-    equinumerous_groups,
     euler_forms_report,
     glaisher_alpha_report,
     glaisher_bijection_report,
     glaisher_conjugate_report,
+    plan_checks,
     run_suite,
     verify_analytic,
     verify_combinatorial,
     verify_equinumerosity,
-    verify_glaisher_family,
 )
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
 
 def descriptor_by_name(name):
-    for d in built_in_identities():
-        if d.name == name:
-            return d
+    """The descriptor the planner binds into the identity's own checks."""
+    for check in plan_checks([name], 10, 5, default_catalog()):
+        if check.call.func in (verify_analytic, verify_combinatorial):
+            return check.call.args[0]
     raise AssertionError(f"no descriptor {name}")
+
+
+def plan_rows(plan):
+    return [(c.identity, c.mode, c.subject, c.bound) for c in plan]
+
+
+def edited_catalog(edit):
+    """The shipped catalog with ``edit`` applied to its JSON entry list."""
+    payload = json.loads(dump_catalog(default_catalog()))
+    edit(payload["entries"])
+    return loads_catalog(json.dumps(payload))
 
 
 class TestAnalytic:
@@ -96,11 +111,25 @@ class TestEquinumerosity:
 
 class TestGlaisherFamily:
     def test_family_runs_clean(self):
-        reports = verify_glaisher_family(3, 40, 12, alpha_terms=6)
-        assert all(r.passed for r in reports)
-        modes = {(r.identity, r.mode) for r in reports}
+        summary = run_suite(["glaisher-2", "glaisher-3"], 40, 12, alpha_terms=6)
+        assert summary.passed
+        modes = {(r.identity, r.mode) for r in summary.reports}
         assert ("glaisher-2", "forms") in modes
         assert ("glaisher-3", "bijection") in modes
+
+    def test_battery_for_any_modulus(self):
+        plan = plan_checks(["glaisher-9"], 40, 30, default_catalog())
+        assert plan_rows(plan) == [
+            ("glaisher-9", "alpha", "", 40),
+            ("glaisher-9", "analytic", "", 40),
+            ("glaisher-9", "bijection", "", 30),
+            ("glaisher-9", "conjugate", "", verify_module.CONJUGATE_MAX_WEIGHT),
+        ]
+
+    @pytest.mark.parametrize("name", ["glaisher-1", "glaisher-0"])
+    def test_modulus_below_two_rejected(self, name):
+        with pytest.raises(ValueError):
+            plan_checks([name], 10, 5, default_catalog())
 
     def test_forms_report(self):
         assert euler_forms_report(80).passed
@@ -167,9 +196,112 @@ class TestSuite:
         assert a.render_table(with_time=False) == b.render_table(with_time=False)
 
     def test_groups_cover_catalog_pairs(self):
-        names = dict(equinumerous_groups())
-        assert names["rr2-interpretations"] == ("P2", "P3", "P4", "P5")
-        assert ("hirschhorn-3", "subbarao-2-4") == names["hirschhorn-3+subbarao-2-4"]
+        groups = {
+            c.identity: c.call.args[0]
+            for c in plan_checks(None, 10, 5, default_catalog())
+            if c.mode == "equinumerosity"
+        }
+        assert groups == {
+            "rr2-interpretations": ("P2", "P3", "P4", "P5"),
+            "euler-interpretations": ("euler-staircase", "euler-layers"),
+            "example-family-interpretations": (
+                "example-alternating",
+                "example-exact-parts",
+                "example-atmost-parts",
+            ),
+            "capparelli-1-6+subbarao-agarwal-1-4": (
+                "capparelli-1-6",
+                "subbarao-agarwal-1-4",
+            ),
+            "hirschhorn-1+subbarao-2-2": ("hirschhorn-1", "subbarao-2-2"),
+            "hirschhorn-2+subbarao-2-1": ("hirschhorn-2", "subbarao-2-1"),
+            "hirschhorn-3+subbarao-2-4": ("hirschhorn-3", "subbarao-2-4"),
+            "hirschhorn-4+subbarao-2-3": ("hirschhorn-4", "subbarao-2-3"),
+        }
+
+
+class TestPlan:
+    def test_full_plan_matches_reference_without_running(self, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("planning ran a check")
+
+        for name in (
+            "product_side",
+            "sum_side_glaisher",
+            "profile_series",
+            "profile_chain_counts",
+            "enumerate_chain",
+            "certify_bijection",
+        ):
+            monkeypatch.setattr(verify_module, name, must_not_run)
+        expected = []
+        for line in (REFERENCE / "verify-all.txt").read_text().splitlines():
+            record = json.loads(line)
+            expected.append(
+                (
+                    record["identity"],
+                    record["mode"],
+                    record.get("subject", ""),
+                    record["bound"],
+                )
+            )
+        assert len(expected) == 70
+        assert plan_rows(plan_checks(None, 60, 30, default_catalog())) == expected
+
+    def test_every_shipped_name_resolves(self):
+        plan = plan_checks(None, 10, 5, default_catalog())
+        identities = {c.identity for c in plan if c.mode != "equinumerosity"}
+        groups = {c.identity for c in plan if c.mode == "equinumerosity"}
+        aliases = [f"appendix-{letter}" for letter in "abcdefghijklmn"]
+        assert len(identities) == 22 and len(groups) == 8
+        for name in sorted(identities | groups) + aliases:
+            checks = plan_checks([name], 10, 5, default_catalog())
+            assert checks and all(c.mode != "lookup" for c in checks), name
+        assert {c.identity for c in plan_checks(["appendix-a"], 10, 5, default_catalog())} == {
+            "euler",
+            "euler-interpretations",
+        }
+
+    def test_unknown_names_are_planned_error_rows(self):
+        plan = plan_checks(["nope", "rr2", "nope"], 10, 5, default_catalog())
+        lookups = [c for c in plan if c.mode == "lookup"]
+        assert [(c.identity, c.bound) for c in lookups] == [("nope", 0), ("nope", 0)]
+        assert lookups[0].call().outcome == "error"
+
+    def test_term_family_clone_joins_group(self):
+        def add_clone(entries):
+            clone = dict(next(e for e in entries if e["name"] == "P2"))
+            clone.pop("identity")
+            entries.append({**clone, "name": "P2-clone"})
+
+        catalog = edited_catalog(add_clone)
+        groups = {
+            c.identity: c.call.args[0]
+            for c in plan_checks(None, 10, 5, catalog)
+            if c.mode == "equinumerosity"
+        }
+        assert groups["rr2+P2-clone"] == ("P2", "P3", "P4", "P5", "P2-clone")
+        assert "rr2-interpretations" not in groups
+        summary = run_suite(["rr2+P2-clone"], 20, 12, catalog)
+        assert summary.passed
+        assert [r.mode for r in summary.reports] == ["equinumerosity"]
+
+    def test_shared_label_makes_one_identity(self):
+        def label_pair(entries):
+            for entry in entries:
+                if entry["name"] in ("hirschhorn-3", "subbarao-2-4"):
+                    entry["identity"] = "h3-pair"
+
+        catalog = edited_catalog(label_pair)
+        plan = plan_checks(["appendix-n"], 30, 12, catalog)
+        assert plan_rows(plan) == [
+            ("h3-pair", "analytic", "", 30),
+            ("h3-pair", "combinatorial", "hirschhorn-3", 12),
+            ("h3-pair", "combinatorial", "subbarao-2-4", 12),
+            ("h3-pair-interpretations", "equinumerosity", "", 12),
+        ]
+        assert plan_rows(plan_checks(["appendix-f"], 30, 12, catalog)) == plan_rows(plan)
+        assert run_suite(["h3-pair"], 30, 12, catalog).passed
 
 
 class TestIndependenceOfPipelines:
