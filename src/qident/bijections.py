@@ -176,7 +176,7 @@ def glaisher_forward_steps(p: Partition, modulus: int) -> list[Partition]:
                 expanded.extend([part // modulus] * modulus)
             else:
                 expanded.append(part)
-        current = Partition(tuple(sorted(expanded, reverse=True)))
+        current = Partition._ordered(tuple(sorted(expanded, reverse=True)))
         steps.append(current)
     return steps
 
@@ -204,7 +204,7 @@ def glaisher_inverse_steps(p: Partition, modulus: int) -> list[Partition]:
             groups, rest = divmod(count, modulus)
             merged.extend([value * modulus] * groups)
             merged.extend([value] * rest)
-        current = Partition(tuple(sorted(merged, reverse=True)))
+        current = Partition._ordered(tuple(sorted(merged, reverse=True)))
         steps.append(current)
 
 
@@ -259,11 +259,14 @@ def certify_bijection(
     """Verify, pointwise over a finite domain, that ``forward`` maps into the
     target set, that ``inverse`` undoes it, and that it is injective; when the
     target set is supplied, also that the image is exactly the target.
-    Stops at the first counterexample."""
-    items = list(domain)
+    Stops checking at the first counterexample; the domain is iterated once,
+    and the rest of it is only counted."""
+    items = iter(domain)
+    domain_size = 0
     image: set[Any] = set()
     failure = None
     for x in items:
+        domain_size += 1
         y = forward(x)
         if not target_check(y):
             failure = f"image of {x} fails the target predicate: {y}"
@@ -276,6 +279,7 @@ def certify_bijection(
             failure = f"not injective: {y} reached twice"
             break
         image.add(y)
+    domain_size += sum(1 for _ in items)
     target_size = None
     if target is not None:
         target_set = set(target)
@@ -288,7 +292,7 @@ def certify_bijection(
                 f"missing {missed or '-'}, extraneous {extra or '-'}"
             )
     return CertificationReport(
-        domain_size=len(items),
+        domain_size=domain_size,
         image_size=len(image),
         target_size=target_size,
         failure=failure,

@@ -1,6 +1,12 @@
 """Integer partitions, gap-constrained chains, and the exhaustive enumerations
 used as independent counting oracles.
 
+Every enumerator generates its constrained set directly, by a depth-first
+search that only builds members, rather than listing all partitions and
+filtering them.  Its leaves are positive and weakly decreasing by
+construction, so they skip the validation that ``Partition(...)`` runs on
+outside input.
+
 Everything in this module counts by explicit construction.  None of it touches
 the series algebra (the only import from ``series`` is the ResidueClass data
 type), so agreement between chain enumeration and series coefficients is a
@@ -51,6 +57,15 @@ class Partition:
         object.__setattr__(self, "weight", sum(self.parts))
 
     @classmethod
+    def _ordered(cls, parts: tuple[int, ...]) -> "Partition":
+        """Build from parts already positive and weakly decreasing, skipping
+        the checks; only for callers whose output is ordered by construction."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "parts", parts)
+        object.__setattr__(p, "weight", sum(parts))
+        return p
+
+    @classmethod
     def of(cls, parts: Iterable[int]) -> "Partition":
         return cls(tuple(parts))
 
@@ -88,7 +103,7 @@ def conjugate(p: Partition) -> Partition:
     """Transpose of the Young diagram; an involution preserving weight."""
     if not p.parts:
         return p
-    return Partition(
+    return Partition._ordered(
         tuple(sum(1 for x in p.parts if x >= j) for j in range(1, p.parts[0] + 1))
     )
 
@@ -236,7 +251,7 @@ def enumerate_partitions(weight: int, max_part: int | None = None) -> list[Parti
 
     def grow(remaining: int, largest: int, prefix: tuple[int, ...]) -> None:
         if remaining == 0:
-            out.append(Partition(prefix))
+            out.append(Partition._ordered(prefix))
             return
         for part in range(min(largest, remaining), 0, -1):
             grow(remaining - part, part, prefix + (part,))
@@ -255,7 +270,7 @@ def enumerate_partitions_with_parts(rc: ResidueClass, weight: int) -> list[Parti
 
     def grow(remaining: int, start: int, prefix: tuple[int, ...]) -> None:
         if remaining == 0:
-            out.append(Partition(prefix))
+            out.append(Partition._ordered(prefix))
             return
         for i in range(start, len(allowed)):
             part = allowed[i]
@@ -281,8 +296,38 @@ def no_part_divisible(p: Partition, modulus: int) -> bool:
 
 
 def partitions_repetition_bounded(weight: int, modulus: int) -> list[Partition]:
-    return [p for p in enumerate_partitions(weight) if repetition_bounded(p, modulus)]
+    """All partitions of ``weight`` in which every part value occurs fewer than
+    ``modulus`` times, in lexicographically decreasing order.
+
+    Generated directly: each part value is picked from the largest down with
+    at most ``modulus - 1`` copies, largest count first, and a value is
+    abandoned once the smaller values cannot make up the remaining weight.
+    """
+    if modulus < 2:
+        raise ValueError("modulus must be at least 2")
+    if weight < 0:
+        return []
+    cap = modulus - 1
+    out: list[Partition] = []
+
+    def grow(remaining: int, largest: int, prefix: tuple[int, ...]) -> None:
+        if remaining == 0:
+            out.append(Partition._ordered(prefix))
+            return
+        for part in range(min(largest, remaining), 0, -1):
+            # values 1..part, each at most cap times, sum to at most this
+            if cap * part * (part + 1) // 2 < remaining:
+                break
+            for count in range(min(cap, remaining // part), 0, -1):
+                grow(remaining - part * count, part - 1, prefix + (part,) * count)
+
+    grow(weight, weight, ())
+    return out
 
 
 def partitions_no_part_divisible(weight: int, modulus: int) -> list[Partition]:
-    return [p for p in enumerate_partitions(weight) if no_part_divisible(p, modulus)]
+    """All partitions of ``weight`` with no part divisible by ``modulus``, in
+    lexicographically decreasing order, generated directly from the allowed
+    part sizes.  ``ResidueClass`` rejects a modulus below 2 whatever the
+    weight."""
+    return enumerate_partitions_with_parts(ResidueClass.nonzero(modulus), weight)

@@ -217,27 +217,30 @@ def geometric_inverse_factor(k: int, order: int) -> TruncatedSeries:
 
 
 def pochhammer(n: int, order: int) -> TruncatedSeries:
-    """(1-q)(1-q^2)...(1-q^n) truncated; the empty product 1 for n <= 0."""
+    """(1-q)(1-q^2)...(1-q^n) truncated; the empty product 1 for n <= 0.
+    Factors with exponent at least ``order`` are the identity and are skipped."""
     out = series_one(order)
-    for s in range(1, n + 1):
+    for s in range(1, min(n, order - 1) + 1):
         out = out.times_one_minus(s)
     return out
 
 
 def pochhammer_base(base_exponent: int, n: int, order: int) -> TruncatedSeries:
-    """(1-q^M)(1-q^{2M})...(1-q^{nM}) for M = ``base_exponent``; 1 for n <= 0."""
+    """(1-q^M)(1-q^{2M})...(1-q^{nM}) for M = ``base_exponent``; 1 for n <= 0.
+    Factors with exponent at least ``order`` are the identity and are skipped."""
     if base_exponent < 1:
         raise ValueError("base exponent must be positive")
     out = series_one(order)
-    for s in range(1, n + 1):
+    for s in range(1, min(n, (order - 1) // base_exponent) + 1):
         out = out.times_one_minus(s * base_exponent)
     return out
 
 
 def pochhammer_inverse(n: int, order: int) -> TruncatedSeries:
-    """1/((1-q)(1-q^2)...(1-q^n)), built from geometric factors; 1 for n <= 0."""
+    """1/((1-q)(1-q^2)...(1-q^n)), built from geometric factors; 1 for n <= 0.
+    Factors with exponent at least ``order`` are the identity and are skipped."""
     out = series_one(order)
-    for s in range(1, n + 1):
+    for s in range(1, min(n, order - 1) + 1):
         out = out.times_geometric(s)
     return out
 

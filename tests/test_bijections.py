@@ -225,13 +225,22 @@ class TestGlaisherMaps:
 
     @pytest.mark.parametrize("modulus", (2, 3, 4, 5))
     def test_weight_preserved_and_images_valid(self, modulus):
+        def assert_valid_steps(steps):
+            for step in steps:
+                assert Partition(step.parts) == step
+                assert step.weight == sum(step.parts)
+
         for weight in range(1, 21):
             for p in partitions_repetition_bounded(weight, modulus):
-                image = glaisher_forward(p, modulus)
+                steps = glaisher_forward_steps(p, modulus)
+                assert_valid_steps(steps)
+                image = steps[-1]
                 assert image.weight == p.weight
                 assert no_part_divisible(image, modulus)
             for p in partitions_no_part_divisible(weight, modulus):
-                back = glaisher_inverse(p, modulus)
+                steps = glaisher_inverse_steps(p, modulus)
+                assert_valid_steps(steps)
+                back = steps[-1]
                 assert back.weight == p.weight
                 assert all(
                     back.parts.count(v) < modulus for v in set(back.parts)
@@ -256,6 +265,40 @@ class TestCertify:
         )
         assert report.ok
         assert report.domain_size == report.image_size == report.target_size == 10
+
+    def test_one_shot_generator_domain_streams(self):
+        domain = partitions_repetition_bounded(12, 3)
+        pulled = []
+
+        def once():
+            for p in domain:
+                pulled.append(p)
+                yield p
+
+        def certify(items):
+            return certify_bijection(
+                items,
+                lambda p: glaisher_forward(p, 3),
+                lambda p: glaisher_inverse(p, 3),
+                lambda p: no_part_divisible(p, 3),
+                target=partitions_no_part_divisible(12, 3),
+            )
+
+        stream = once()
+        streamed = certify(stream)
+        assert streamed == certify(domain)
+        assert streamed.ok and streamed.domain_size == len(domain)
+        assert pulled == domain
+        assert next(stream, None) is None
+
+    def test_failure_still_counts_whole_domain(self):
+        listed = certify_bijection([1, 2, 3, 4], lambda x: 0, lambda y: y, lambda y: True)
+        streamed = certify_bijection(
+            iter([1, 2, 3, 4]), lambda x: 0, lambda y: y, lambda y: True
+        )
+        assert not streamed.ok
+        assert streamed == listed
+        assert streamed.domain_size == 4
 
     def test_empty_domain_passes_vacuously(self):
         report = certify_bijection([], lambda x: x, lambda x: x, lambda x: True)

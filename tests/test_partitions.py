@@ -25,6 +25,12 @@ RR2 = ResidueClass(5, frozenset({2, 3}))
 ODD = ResidueClass(2, frozenset({1}))
 
 
+def assert_valid(p: Partition) -> None:
+    """``p`` passes the public constructor's checks and carries its own sum."""
+    assert Partition(p.parts) == p
+    assert p.weight == sum(p.parts)
+
+
 class TestPartition:
     def test_weight_and_len(self):
         p = Partition.of([7, 6, 4, 2, 1])
@@ -73,6 +79,8 @@ class TestConjugate:
         for weight in range(26):
             for p in enumerate_partitions(weight):
                 q = conjugate(p)
+                assert_valid(p)
+                assert_valid(q)
                 assert q.weight == p.weight
                 assert conjugate(q) == p
 
@@ -227,6 +235,8 @@ class TestPartitionEnumeration:
     def test_deterministic_decreasing_order(self):
         listing = enumerate_partitions_with_parts(RR2, 14)
         assert listing == sorted(listing, key=lambda p: p.parts, reverse=True)
+        for p in listing:
+            assert_valid(p)
 
 
 class TestPredicates:
@@ -239,9 +249,30 @@ class TestPredicates:
         assert no_part_divisible(Partition.of([7, 3, 3, 1, 1, 1, 1, 1, 1, 1]), 2)
         assert not no_part_divisible(Partition.of([6, 1]), 3)
 
-    @pytest.mark.parametrize("modulus", (2, 3, 4, 5))
+    @pytest.mark.parametrize("modulus", (2, 3, 4, 5, 6, 7))
     def test_glaisher_equinumerosity(self, modulus):
+        # the direct generators must list exactly what filtering all
+        # partitions lists, in the same order
         for weight in range(26):
+            everything = enumerate_partitions(weight)
             bounded = partitions_repetition_bounded(weight, modulus)
             coprime = partitions_no_part_divisible(weight, modulus)
+            assert bounded == [
+                p for p in everything if repetition_bounded(p, modulus)
+            ], (modulus, weight)
+            assert coprime == [
+                p for p in everything if no_part_divisible(p, modulus)
+            ], (modulus, weight)
+            for p in bounded + coprime:
+                assert_valid(p)
             assert len(bounded) == len(coprime), (modulus, weight)
+
+    @pytest.mark.parametrize(
+        "generator", (partitions_repetition_bounded, partitions_no_part_divisible)
+    )
+    def test_generators_validate_modulus_before_weight(self, generator):
+        for weight in (-1, 0, 5):
+            with pytest.raises(ValueError, match="modulus must be at least 2"):
+                generator(weight, 1)
+        assert generator(-1, 2) == []
+        assert generator(0, 2) == [Partition(())]

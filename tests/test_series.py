@@ -1,6 +1,8 @@
 """Series arithmetic and builders, checked against hand expansions and the
 exhaustive partition-enumeration oracle."""
 
+import time
+
 import pytest
 
 from qident.partitions import enumerate_partitions, enumerate_partitions_with_parts
@@ -130,6 +132,30 @@ class TestFactors:
         for n in range(1, 21):
             prod = pochhammer(n, 50) * pochhammer_inverse(n, 50)
             assert prod == series_one(50)
+
+    def test_factors_at_or_beyond_order_are_skipped(self):
+        # reference: every factor applied, none skipped
+        def full(n, step, one_factor):
+            out = series_one(10)
+            for s in range(1, n + 1):
+                out = one_factor(out, s * step)
+            return out
+
+        for n in range(15):
+            assert pochhammer(n, 10) == full(n, 1, TruncatedSeries.times_one_minus)
+            assert pochhammer_inverse(n, 10) == full(
+                n, 1, TruncatedSeries.times_geometric
+            )
+            assert pochhammer_base(3, n, 10) == full(
+                n, 3, TruncatedSeries.times_one_minus
+            )
+
+    def test_huge_factor_count_is_bounded_by_order(self):
+        started = time.perf_counter()
+        assert pochhammer_inverse(10**7, 10) == pochhammer_inverse(9, 10)
+        assert pochhammer(10**7, 10) == pochhammer(9, 10)
+        assert pochhammer_base(3, 10**7, 10) == pochhammer_base(3, 9, 10)
+        assert time.perf_counter() - started < 1.0
 
 
 class TestProductSide:
