@@ -3,9 +3,9 @@ used as independent counting oracles.
 
 Every enumerator generates its constrained set directly, by a depth-first
 search that only builds members, rather than listing all partitions and
-filtering them.  Its leaves are positive and weakly decreasing by
-construction, so they skip the validation that ``Partition(...)`` runs on
-outside input.
+filtering them.  The partitions they return are positive and weakly
+decreasing by construction, so they skip the validation that
+``Partition(...)`` runs on outside input.
 
 Everything in this module counts by explicit construction.  None of it touches
 the series algebra (the only import from ``series`` is the ResidueClass data
