@@ -181,10 +181,28 @@ def glaisher_forward_steps(p: Partition, modulus: int) -> list[Partition]:
     return steps
 
 
+def _glaisher_divide(parts: tuple[int, ...], modulus: int) -> tuple[int, ...]:
+    """The fixed point of the divide-by-M expansion in one pass: each part
+    r*M^k with r not divisible by M becomes M^k copies of r.  ``modulus``
+    must be at least 2."""
+    out: list[int] = []
+    for part in parts:
+        copies = 1
+        while part % modulus == 0:
+            part //= modulus
+            copies *= modulus
+        out += [part] * copies
+    out.sort(reverse=True)
+    return tuple(out)
+
+
 def glaisher_forward(p: Partition, modulus: int) -> Partition:
     """Fixed point of the divide-by-M expansion; preserves weight and lands in
-    the no-part-divisible-by-M set."""
-    return glaisher_forward_steps(p, modulus)[-1]
+    the no-part-divisible-by-M set.  Equal to the last of
+    ``glaisher_forward_steps``, computed without the intermediate steps."""
+    if modulus < 2:
+        raise ValueError("modulus must be at least 2")
+    return Partition._ordered(_glaisher_divide(p.parts, modulus))
 
 
 def glaisher_inverse_steps(p: Partition, modulus: int) -> list[Partition]:
@@ -208,10 +226,46 @@ def glaisher_inverse_steps(p: Partition, modulus: int) -> list[Partition]:
         steps.append(current)
 
 
+def _glaisher_merge(parts: tuple[int, ...], modulus: int) -> tuple[int, ...]:
+    """The fixed point of the merge-M-copies contraction in one pass.
+
+    One run-length scan of the weakly decreasing parts: a run of c copies of
+    r*M^k (r not divisible by M) adds c*M^k to the total of r, and each
+    total, written in base M, gives the number of copies of r, r*M, r*M^2,
+    and so on.  On parts with no part divisible by M, the totals are the run
+    lengths themselves.  ``modulus`` must be at least 2.
+    """
+    totals: dict[int, int] = {}
+    n = len(parts)
+    i = 0
+    while i < n:
+        root = parts[i]
+        j = i + 1
+        while j < n and parts[j] == root:
+            j += 1
+        count = j - i
+        i = j
+        while root % modulus == 0:
+            root //= modulus
+            count *= modulus
+        totals[root] = totals.get(root, 0) + count
+    out: list[int] = []
+    for value, total in totals.items():
+        while total:
+            total, copies = divmod(total, modulus)
+            out += [value] * copies
+            value *= modulus
+    out.sort(reverse=True)
+    return tuple(out)
+
+
 def glaisher_inverse(p: Partition, modulus: int) -> Partition:
     """Fixed point of the merge-M-copies contraction; inverts the forward map
-    on partitions with no part divisible by M."""
-    return glaisher_inverse_steps(p, modulus)[-1]
+    on partitions with no part divisible by M.  Equal to the last of
+    ``glaisher_inverse_steps``, computed without the intermediate steps."""
+    if modulus < 2:
+        raise ValueError("modulus must be at least 2")
+    return Partition._ordered(_glaisher_merge(p.parts, modulus))
 
 
 @dataclass(frozen=True)

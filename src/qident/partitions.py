@@ -5,7 +5,9 @@ Every enumerator generates its constrained set directly, by a depth-first
 search that only builds members, rather than listing all partitions and
 filtering them.  The partitions they return are positive and weakly
 decreasing by construction, so they skip the validation that
-``Partition(...)`` runs on outside input.
+``Partition(...)`` runs on outside input.  The private generators behind them
+return bare part tuples, for callers that need no ``Partition`` objects, and
+the counting functions visit every member once without building it.
 
 Everything in this module counts by explicit construction.  None of it touches
 the series algebra (the only import from ``series`` is the ResidueClass data
@@ -31,6 +33,7 @@ __all__ = [
     "count_chain_by_weight",
     "enumerate_partitions",
     "enumerate_partitions_with_parts",
+    "count_partitions_with_parts",
     "repetition_bounded",
     "no_part_divisible",
     "partitions_repetition_bounded",
@@ -182,6 +185,20 @@ def satisfies_chain(vector: Sequence[int], chain: ChainConstraint) -> bool:
     return chain_violation(vector, chain) is None
 
 
+def _chain_minima(chain: ChainConstraint) -> tuple[list[int], list[int]]:
+    """Smallest feasible value at each slot, forced by the lower gaps and the
+    terminal, and the smallest sum of the slots from each position on."""
+    m = chain.slots
+    min_value = [0] * m
+    min_value[m - 1] = chain.terminal.lower
+    for s in range(m - 2, -1, -1):
+        min_value[s] = min_value[s + 1] + chain.gaps[s].lower
+    min_tail = [0] * (m + 1)
+    for s in range(m - 1, -1, -1):
+        min_tail[s] = min_tail[s + 1] + min_value[s]
+    return min_value, min_tail
+
+
 def enumerate_chain(chain: ChainConstraint, weight: int) -> list[tuple[int, ...]]:
     """All nonnegative vectors of length ``chain.slots`` satisfying the chain
     and summing to ``weight``, in lexicographically decreasing order.
@@ -194,14 +211,7 @@ def enumerate_chain(chain: ChainConstraint, weight: int) -> list[tuple[int, ...]
     m = chain.slots
     lows = [g.lower for g in chain.gaps]
     highs = [g.upper for g in chain.gaps]
-    # smallest feasible value at each slot, forced by lower gaps and terminal
-    min_value = [0] * m
-    min_value[m - 1] = chain.terminal.lower
-    for s in range(m - 2, -1, -1):
-        min_value[s] = min_value[s + 1] + lows[s]
-    min_tail = [0] * (m + 1)
-    for s in range(m - 1, -1, -1):
-        min_tail[s] = min_tail[s + 1] + min_value[s]
+    min_value, min_tail = _chain_minima(chain)
     out: list[tuple[int, ...]] = []
 
     def descend(s: int, prev: int, remaining: int, prefix: tuple[int, ...]) -> None:
@@ -237,8 +247,39 @@ def enumerate_chain(chain: ChainConstraint, weight: int) -> list[tuple[int, ...]
 
 
 def count_chain_by_weight(chain: ChainConstraint, max_weight: int) -> list[int]:
-    """Counts of chain vectors for every weight 0..max_weight."""
-    return [len(enumerate_chain(chain, w)) for w in range(max_weight + 1)]
+    """Counts of chain vectors for every weight 0..max_weight.
+
+    One depth-first search over every vector of weight at most
+    ``max_weight``; each vector is visited once and adds 1 to the count of its
+    weight, and none is built.
+    """
+    counts = [0] * (max_weight + 1)
+    if max_weight < 0:
+        return counts
+    last = chain.slots - 1
+    lows = [g.lower for g in chain.gaps]
+    highs = [g.upper for g in chain.gaps]
+    top = chain.terminal.upper
+    min_value, min_tail = _chain_minima(chain)
+
+    def descend(s: int, prev: int, used: int) -> None:
+        lo = min_value[s]
+        hi = max_weight - used - min_tail[s + 1]
+        if s > 0:
+            hi = min(hi, prev - lows[s - 1])
+            if highs[s - 1] is not None:
+                lo = max(lo, prev - highs[s - 1])
+        if s == last:
+            if top is not None:
+                hi = min(hi, top)
+            for weight in range(used + lo, used + hi + 1):
+                counts[weight] += 1
+            return
+        for v in range(lo, hi + 1):
+            descend(s + 1, v, used + v)
+
+    descend(0, 0, 0)
+    return counts
 
 
 def enumerate_partitions(weight: int, max_part: int | None = None) -> list[Partition]:
@@ -260,17 +301,17 @@ def enumerate_partitions(weight: int, max_part: int | None = None) -> list[Parti
     return out
 
 
-def enumerate_partitions_with_parts(rc: ResidueClass, weight: int) -> list[Partition]:
-    """All partitions of ``weight`` into parts allowed by ``rc``, in
+def _parts_with(rc: ResidueClass, weight: int) -> list[tuple[int, ...]]:
+    """Parts of every partition of ``weight`` into parts allowed by ``rc``, in
     lexicographically decreasing order."""
     if weight < 0:
         return []
     allowed = [k for k in range(weight, 0, -1) if rc.allows(k)]
-    out: list[Partition] = []
+    out: list[tuple[int, ...]] = []
 
     def grow(remaining: int, start: int, prefix: tuple[int, ...]) -> None:
         if remaining == 0:
-            out.append(Partition._ordered(prefix))
+            out.append(prefix)
             return
         for i in range(start, len(allowed)):
             part = allowed[i]
@@ -279,6 +320,38 @@ def enumerate_partitions_with_parts(rc: ResidueClass, weight: int) -> list[Parti
 
     grow(weight, 0, ())
     return out
+
+
+def enumerate_partitions_with_parts(rc: ResidueClass, weight: int) -> list[Partition]:
+    """All partitions of ``weight`` into parts allowed by ``rc``, in
+    lexicographically decreasing order."""
+    return [Partition._ordered(parts) for parts in _parts_with(rc, weight)]
+
+
+def count_partitions_with_parts(rc: ResidueClass, max_weight: int) -> list[int]:
+    """Counts of partitions into parts allowed by ``rc`` for every weight
+    0..max_weight.
+
+    One depth-first search over every such partition of weight at most
+    ``max_weight``, adding parts from the largest down; each partition is
+    visited once and adds 1 to the count of its weight, and none is built.
+    """
+    counts = [0] * (max_weight + 1)
+    if max_weight < 0:
+        return counts
+    allowed = [k for k in range(1, max_weight + 1) if rc.allows(k)]
+
+    def grow(used: int, limit: int) -> None:
+        counts[used] += 1
+        room = max_weight - used
+        for i in range(limit):
+            part = allowed[i]
+            if part > room:
+                break
+            grow(used + part, i + 1)
+
+    grow(0, len(allowed))
+    return counts
 
 
 def repetition_bounded(p: Partition, modulus: int) -> bool:
@@ -295,9 +368,9 @@ def no_part_divisible(p: Partition, modulus: int) -> bool:
     return all(part % modulus for part in p.parts)
 
 
-def partitions_repetition_bounded(weight: int, modulus: int) -> list[Partition]:
-    """All partitions of ``weight`` in which every part value occurs fewer than
-    ``modulus`` times, in lexicographically decreasing order.
+def _repetition_bounded_parts(weight: int, modulus: int) -> list[tuple[int, ...]]:
+    """Parts of every partition of ``weight`` in which each part value occurs
+    fewer than ``modulus`` times, in lexicographically decreasing order.
 
     Generated directly: each part value is picked from the largest down with
     at most ``modulus - 1`` copies, largest count first, and a value is
@@ -308,11 +381,11 @@ def partitions_repetition_bounded(weight: int, modulus: int) -> list[Partition]:
     if weight < 0:
         return []
     cap = modulus - 1
-    out: list[Partition] = []
+    out: list[tuple[int, ...]] = []
 
     def grow(remaining: int, largest: int, prefix: tuple[int, ...]) -> None:
         if remaining == 0:
-            out.append(Partition._ordered(prefix))
+            out.append(prefix)
             return
         for part in range(min(largest, remaining), 0, -1):
             # values 1..part, each at most cap times, sum to at most this
@@ -323,6 +396,13 @@ def partitions_repetition_bounded(weight: int, modulus: int) -> list[Partition]:
 
     grow(weight, weight, ())
     return out
+
+
+def partitions_repetition_bounded(weight: int, modulus: int) -> list[Partition]:
+    """All partitions of ``weight`` in which every part value occurs fewer than
+    ``modulus`` times, in lexicographically decreasing order, generated
+    directly rather than by filtering."""
+    return [Partition._ordered(p) for p in _repetition_bounded_parts(weight, modulus)]
 
 
 def partitions_no_part_divisible(weight: int, modulus: int) -> list[Partition]:

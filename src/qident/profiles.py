@@ -16,7 +16,7 @@ from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
-from .partitions import ChainConstraint, GapBound, enumerate_chain
+from .partitions import ChainConstraint, GapBound, count_chain_by_weight
 from .series import ResidueClass, SumTerminationError, TruncatedSeries, sum_side_standard
 
 __all__ = [
@@ -85,10 +85,47 @@ _ALLOWED_NODES = (
 )
 _ALLOWED_NAMES = frozenset({"n", "s", "parity"})
 
+# Largest exponent of ``**`` in a rule, and largest result of it in bits, so
+# that no rule (``2**2**n``, or nested powers) can demand unbounded work.
+_MAX_EXPONENT = 64
+_MAX_POWER_BITS = 4096
+
+
+def _bounded_pow(base: int, exponent: int, expr: str) -> int:
+    if not 0 <= exponent <= _MAX_EXPONENT:
+        raise ValueError(
+            f"rule {expr!r}: exponent {exponent} outside 0..{_MAX_EXPONENT}"
+        )
+    if abs(base).bit_length() * exponent > _MAX_POWER_BITS:
+        raise ValueError(
+            f"rule {expr!r}: a {abs(base).bit_length()}-bit base to the power "
+            f"{exponent} exceeds {_MAX_POWER_BITS} bits"
+        )
+    return base**exponent
+
+
+class _BoundPowers(ast.NodeTransformer):
+    """Rewrite ``a ** b`` into ``_bounded_pow(a, b, rule)``."""
+
+    def __init__(self, expr: str):
+        self.expr = expr
+
+    def visit_BinOp(self, node: ast.BinOp) -> ast.AST:
+        self.generic_visit(node)
+        if not isinstance(node.op, ast.Pow):
+            return node
+        call = ast.Call(
+            func=ast.Name("_bounded_pow", ast.Load()),
+            args=[node.left, node.right, ast.Constant(self.expr)],
+            keywords=[],
+        )
+        return ast.copy_location(call, node)
+
 
 @lru_cache(maxsize=None)
 def _compiled_rule(expr: str):
-    """Validate a rule against the whitelist and compile it once."""
+    """Validate a rule against the whitelist and compile it once, with every
+    ``**`` bounded by ``_bounded_pow``."""
     try:
         tree = ast.parse(expr, mode="eval")
     except SyntaxError as exc:
@@ -107,12 +144,16 @@ def _compiled_rule(expr: str):
                 raise ValueError(f"rule {expr!r}: parity() takes one argument")
         if isinstance(node, ast.Constant) and not isinstance(node.value, int):
             raise ValueError(f"rule {expr!r} uses a non-integer constant")
+    if "**" in expr:
+        tree = ast.fix_missing_locations(_BoundPowers(expr).visit(tree))
     return compile(tree, f"<rule {expr!r}>", "eval")
 
 
 def evaluate_rule(expr: str, **variables: int):
-    """Evaluate a whitelisted integer rule with the given variable bindings."""
-    env = {"parity": parity, **variables}
+    """Evaluate a whitelisted integer rule with the given variable bindings.
+    An exponent outside 0..64, or a power above 4096 bits, raises
+    ValueError."""
+    env = {"parity": parity, "_bounded_pow": _bounded_pow, **variables}
     return eval(_compiled_rule(expr), {"__builtins__": {}}, env)
 
 
@@ -436,8 +477,9 @@ def profile_chain_counts(family: ProfileFamily, max_weight: int) -> list[int]:
                     GapBound(offsets[s] - offsets[s + 1]) for s in range(u - 1)
                 )
                 chain = ChainConstraint(gaps, GapBound(offsets[-1]))
+                term_counts = count_chain_by_weight(chain, max_weight)
                 for weight in range(w, max_weight + 1):
-                    counts[weight] += len(enumerate_chain(chain, weight))
+                    counts[weight] += term_counts[weight]
             n += 1
             scanned += 1
     return counts

@@ -19,15 +19,16 @@ import time
 from dataclasses import dataclass, field
 from functools import partial
 
-from .bijections import certify_bijection, glaisher_forward, glaisher_inverse
+from .bijections import _glaisher_divide, _glaisher_merge, certify_bijection
 from .partitions import (
     ChainConstraint,
     GapBound,
+    Partition,
+    _parts_with,
+    _repetition_bounded_parts,
     conjugate,
+    count_partitions_with_parts,
     enumerate_chain,
-    enumerate_partitions_with_parts,
-    no_part_divisible,
-    partitions_no_part_divisible,
     partitions_repetition_bounded,
 )
 from .profiles import (
@@ -284,10 +285,7 @@ def verify_equinumerosity(
         sequences.append(
             (
                 "product enumeration",
-                [
-                    len(enumerate_partitions_with_parts(product, w))
-                    for w in range(max_weight + 1)
-                ],
+                count_partitions_with_parts(product, max_weight),
             )
         )
         series = product_side(product, max_weight + 1)
@@ -345,20 +343,37 @@ def euler_forms_report(order: int) -> VerificationReport:
 
 def glaisher_bijection_report(modulus: int, max_weight: int) -> VerificationReport:
     """Certify the divide-by-M map between bounded-repetition and
-    no-multiple-part partitions for every weight up to ``max_weight``."""
+    no-multiple-part partitions for every weight up to ``max_weight``.
+
+    Domain, target and both maps work on bare part tuples; only a failing
+    weight is certified again on ``Partition`` objects, so that the note names
+    partitions in their bracketed form.
+    """
     name = f"glaisher-{modulus}"
     started = time.perf_counter()
+
+    def forward(parts: tuple[int, ...]) -> tuple[int, ...]:
+        return _glaisher_divide(parts, modulus)
+
+    def inverse(parts: tuple[int, ...]) -> tuple[int, ...]:
+        return _glaisher_merge(parts, modulus)
+
+    def in_target(parts: tuple[int, ...]) -> bool:
+        return all(part % modulus for part in parts)
+
+    coprime = ResidueClass.nonzero(modulus)
     for weight in range(max_weight + 1):
-        domain = partitions_repetition_bounded(weight, modulus)
-        target = partitions_no_part_divisible(weight, modulus)
-        cert = certify_bijection(
-            domain,
-            lambda p: glaisher_forward(p, modulus),
-            lambda p: glaisher_inverse(p, modulus),
-            lambda p: no_part_divisible(p, modulus),
-            target=target,
-        )
+        domain = _repetition_bounded_parts(weight, modulus)
+        target = _parts_with(coprime, weight)
+        cert = certify_bijection(domain, forward, inverse, in_target, target=target)
         if not cert.ok:
+            cert = certify_bijection(
+                map(Partition._ordered, domain),
+                lambda p: Partition._ordered(forward(p.parts)),
+                lambda p: Partition._ordered(inverse(p.parts)),
+                lambda p: in_target(p.parts),
+                target=map(Partition._ordered, target),
+            )
             return _report(
                 name,
                 "bijection",

@@ -1,6 +1,8 @@
 """The three explicit maps and their exhaustive certification."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qident.bijections import (
     BijectionRecord,
@@ -25,6 +27,7 @@ from qident.partitions import (
     no_part_divisible,
     partitions_no_part_divisible,
     partitions_repetition_bounded,
+    repetition_bounded,
     satisfies_chain,
 )
 from qident.profiles import catalog_lookup, profile_to_chain
@@ -250,6 +253,42 @@ class TestGlaisherMaps:
     def test_modulus_validation(self):
         with pytest.raises(ValueError):
             glaisher_forward(Partition.of([2]), 1)
+
+
+random_partitions = st.lists(st.integers(1, 40), max_size=14).map(
+    lambda parts: Partition(tuple(sorted(parts, reverse=True)))
+)
+moduli = st.integers(2, 7)
+
+
+def assert_valid_partition(p: Partition) -> None:
+    assert Partition(p.parts) == p
+    assert p.weight == sum(p.parts)
+
+
+class TestGlaisherProperties:
+    @given(random_partitions, moduli)
+    def test_one_pass_maps_equal_last_step(self, p, modulus):
+        assert glaisher_forward(p, modulus) == glaisher_forward_steps(p, modulus)[-1]
+        assert glaisher_inverse(p, modulus) == glaisher_inverse_steps(p, modulus)[-1]
+
+    @given(random_partitions, moduli)
+    def test_round_trips(self, p, modulus):
+        forward = glaisher_forward(p, modulus)
+        inverse = glaisher_inverse(p, modulus)
+        for image in (forward, inverse):
+            assert image.weight == p.weight
+            assert_valid_partition(image)
+        assert no_part_divisible(forward, modulus)
+        assert repetition_bounded(inverse, modulus)
+        # both maps keep, for every root r not divisible by M, the total
+        # sum of M^k over the parts r*M^k, which fixes each image
+        assert glaisher_forward(inverse, modulus) == forward
+        assert glaisher_inverse(forward, modulus) == inverse
+        if repetition_bounded(p, modulus):
+            assert inverse == p
+        if no_part_divisible(p, modulus):
+            assert forward == p
 
 
 class TestCertify:

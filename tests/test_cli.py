@@ -1,6 +1,7 @@
 """Command-line behaviour: outputs, formats, exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -314,6 +315,19 @@ class TestVerifyCommand:
         )
         assert code == EXIT_MISMATCH
         assert "mismatch" in out
+
+    def test_unbounded_power_in_custom_catalog_exits_fast(self, capsys, tmp_path):
+        payload = json.loads(dump_catalog(default_catalog()))
+        entry = next(e for e in payload["entries"] if e["name"] == "P2")
+        entry["branches"][0]["slots"] = "2**2**(n + 7)"
+        path = tmp_path / "catalog.json"
+        path.write_text(json.dumps({"entries": [entry]}), encoding="utf-8")
+        started = time.perf_counter()
+        code, out, err = run(capsys, "--catalog", str(path), "verify", "rr2")
+        assert time.perf_counter() - started < 1.0
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert "2**2**(n + 7)" in err and "outside 0..64" in err
 
     @pytest.mark.parametrize("label", ["P3", "appendix-f", ""])
     def test_identity_label_collision_rejected(self, capsys, tmp_path, label):

@@ -1,6 +1,10 @@
 """Partition values, chains, and the enumeration oracles."""
 
+from itertools import product as cartesian
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qident.partitions import (
     ChainConstraint,
@@ -9,6 +13,7 @@ from qident.partitions import (
     chain_violation,
     conjugate,
     count_chain_by_weight,
+    count_partitions_with_parts,
     enumerate_chain,
     enumerate_partitions,
     enumerate_partitions_with_parts,
@@ -183,8 +188,6 @@ class TestEnumerateChain:
 
     def test_matches_brute_force_over_mixed_bound_chains(self):
         # differential oracle: filter the full vector space directly
-        from itertools import product as cartesian
-
         chains = []
         for gaps, terminal in [
             (((0, None), (2, 3)), (1, None)),
@@ -211,6 +214,46 @@ class TestEnumerateChain:
                     reverse=True,
                 )
                 assert enumerate_chain(chain, weight) == brute, (chain, weight)
+
+
+gap_bounds = st.integers(0, 3).flatmap(
+    lambda lower: st.builds(
+        GapBound, st.just(lower), st.none() | st.integers(lower, lower + 3)
+    )
+)
+chains = st.builds(
+    ChainConstraint, st.lists(gap_bounds, max_size=3).map(tuple), gap_bounds
+)
+residue_classes = st.integers(2, 8).flatmap(
+    lambda modulus: st.builds(
+        ResidueClass,
+        st.just(modulus),
+        st.frozensets(st.integers(1, modulus - 1), min_size=1),
+    )
+)
+
+
+class TestChainProperties:
+    @given(chains, st.integers(0, 9))
+    def test_enumeration_matches_brute_force(self, chain, max_weight):
+        by_weight = {w: [] for w in range(max_weight + 1)}
+        for v in cartesian(range(max_weight + 1), repeat=chain.slots):
+            if sum(v) <= max_weight and satisfies_chain(v, chain):
+                by_weight[sum(v)].append(v)
+        for weight, vectors in by_weight.items():
+            assert enumerate_chain(chain, weight) == sorted(vectors, reverse=True)
+
+    @given(chains, st.integers(-1, 25))
+    def test_counts_match_enumeration(self, chain, max_weight):
+        assert count_chain_by_weight(chain, max_weight) == [
+            len(enumerate_chain(chain, w)) for w in range(max_weight + 1)
+        ]
+
+    @given(residue_classes, st.integers(-1, 22))
+    def test_product_counts_match_enumeration(self, rc, max_weight):
+        assert count_partitions_with_parts(rc, max_weight) == [
+            len(enumerate_partitions_with_parts(rc, w)) for w in range(max_weight + 1)
+        ]
 
 
 class TestPartitionEnumeration:

@@ -54,6 +54,35 @@ class TestRules:
             evaluate_rule("'x'", n=2)
 
 
+    def test_powers_within_bounds(self):
+        assert evaluate_rule("2**n", n=64) == 2**64
+        assert evaluate_rule("2**2**n", n=6) == 2**64
+        assert evaluate_rule("-n**2 + s**0", n=3, s=5) == -8
+        assert evaluate_rule("n**64", n=10_000) == 10_000**64
+
+    @pytest.mark.parametrize(
+        "rule,n,message",
+        [
+            ("2**2**n", 7, "exponent 128 outside 0..64"),
+            ("2**(n - 1)", 0, "exponent -1 outside 0..64"),
+            ("((n**64)**64)**64", 2, "exceeds 4096 bits"),
+        ],
+    )
+    def test_power_out_of_bounds_names_the_rule(self, rule, n, message):
+        with pytest.raises(ValueError) as raised:
+            evaluate_rule(rule, n=n)
+        assert repr(rule) in str(raised.value)
+        assert message in str(raised.value)
+
+    def test_user_catalog_with_unbounded_power_fails_on_use(self):
+        entries = json.loads(dump_catalog(default_catalog()))["entries"]
+        entry = next(e for e in entries if e["name"] == "P2")
+        entry["branches"][0]["slots"] = "2**2**(n + 7)"
+        catalog = loads_catalog(json.dumps({"entries": [entry]}))
+        with pytest.raises(ValueError, match=r"2\*\*2\*\*\(n \+ 7\)"):
+            profile_chain_counts(catalog.lookup("P2").profile, 20)
+
+
 class TestShippedCatalog:
     def test_round_trip_is_byte_exact(self):
         text = CATALOG_PATH.read_text(encoding="utf-8")

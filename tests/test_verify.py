@@ -143,6 +143,35 @@ class TestGlaisherFamily:
     def test_conjugate_report_small(self):
         assert glaisher_conjugate_report(3, 12).passed
 
+    def test_bijection_failure_names_partitions(self, monkeypatch):
+        divide = verify_module._glaisher_divide
+
+        def drop_last_part(parts, modulus):
+            image = divide(parts, modulus)
+            return image[:-1] if len(image) > 1 else image
+
+        monkeypatch.setattr(verify_module, "_glaisher_divide", drop_last_part)
+        report = glaisher_bijection_report(3, 12)
+        assert (report.mode, report.outcome, report.bound) == ("bijection", "mismatch", 12)
+        # weight 2: [2] and [1,1] on both sides
+        assert (report.exponent, report.lhs, report.rhs) == (2, 2, 2)
+        assert report.note == "inverse round trip failed for [1,1]: got [1] via [1]"
+
+    def test_bijection_failure_reports_image_against_target(self, monkeypatch):
+        divide = verify_module._glaisher_divide
+
+        def ascending(parts, modulus):
+            return divide(parts, modulus)[::-1]
+
+        monkeypatch.setattr(verify_module, "_glaisher_divide", ascending)
+        report = glaisher_bijection_report(3, 12)
+        # weight 3: [3] and [2,1] map onto [1,1,1] and the unsorted (1, 2)
+        assert (report.exponent, report.lhs, report.rhs) == (3, 2, 2)
+        assert report.note == (
+            "image differs from target (2 vs 2); missing [Partition(parts=(2, 1))], "
+            "extraneous [Partition(parts=(1, 2))]"
+        )
+
 
 class TestSuite:
     def test_full_suite_at_default_bounds(self):
