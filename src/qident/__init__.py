@@ -1,86 +1,23 @@
 """Exact tools for partition identities: truncated q-series for both sides,
 chain-constrained enumeration as an independent counting oracle, offset
 profiles as data, explicit certified bijections, and end-to-end verification.
+
+The package exports exactly the ``__all__`` lists of its five library modules.
 """
 
-from .series import (
-    SumTerminationError,
-    TruncatedSeries,
-    ResidueClass,
-    series_one,
-    geometric_inverse_factor,
-    pochhammer,
-    pochhammer_base,
-    pochhammer_inverse,
-    product_side,
-    sum_side_standard,
-    sum_side_glaisher,
-    euler_distinct_sum,
-    alpha_closed_form,
-    alpha_recurrence,
-)
-from .partitions import (
-    Partition,
-    GapBound,
-    ChainConstraint,
-    parse_partition,
-    conjugate,
-    chain_violation,
-    satisfies_chain,
-    enumerate_chain,
-    count_chain_by_weight,
-    enumerate_partitions,
-    enumerate_partitions_with_parts,
-    count_partitions_with_parts,
-    repetition_bounded,
-    no_part_divisible,
-    partitions_repetition_bounded,
-    partitions_no_part_divisible,
-)
-from .profiles import (
-    UnknownNameError,
-    PiecewiseCase,
-    ProfileBranch,
-    ProfileFamily,
-    ProfileValidation,
-    CatalogEntry,
-    Catalog,
-    loads_catalog,
-    load_catalog,
-    dump_catalog,
-    default_catalog,
-    catalog_lookup,
-    catalog_list,
-    profile_to_chain,
-    profile_series,
-    profile_chain_counts,
-    validate_profile,
-)
-from .bijections import (
-    BijectionRecord,
-    CertificationReport,
-    profile_bijection,
-    rr2_step_c,
-    rr2_forward,
-    rr2_record,
-    rr2_inverse,
-    weight_relation_check,
-    glaisher_forward,
-    glaisher_forward_steps,
-    glaisher_inverse,
-    glaisher_inverse_steps,
-    certify_bijection,
-)
-from .verify import (
-    IdentityDescriptor,
-    VerificationReport,
-    SuiteSummary,
-    Check,
-    verify_analytic,
-    verify_combinatorial,
-    verify_equinumerosity,
-    plan_checks,
-    run_suite,
-)
+from . import bijections, partitions, profiles, series, verify
+from .bijections import *  # noqa: F403
+from .partitions import *  # noqa: F403
+from .profiles import *  # noqa: F403
+from .series import *  # noqa: F403
+from .verify import *  # noqa: F403
+
+__all__ = [
+    *series.__all__,
+    *partitions.__all__,
+    *profiles.__all__,
+    *bijections.__all__,
+    *verify.__all__,
+]
 
 __version__ = "0.1.0"

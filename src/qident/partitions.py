@@ -28,7 +28,6 @@ __all__ = [
     "parse_partition",
     "conjugate",
     "chain_violation",
-    "satisfies_chain",
     "enumerate_chain",
     "count_chain_by_weight",
     "enumerate_partitions",
@@ -37,7 +36,6 @@ __all__ = [
     "repetition_bounded",
     "no_part_divisible",
     "partitions_repetition_bounded",
-    "partitions_no_part_divisible",
 ]
 
 
@@ -181,10 +179,6 @@ def chain_violation(vector: Sequence[int], chain: ChainConstraint) -> str | None
     return None
 
 
-def satisfies_chain(vector: Sequence[int], chain: ChainConstraint) -> bool:
-    return chain_violation(vector, chain) is None
-
-
 def _chain_minima(chain: ChainConstraint) -> tuple[list[int], list[int]]:
     """Smallest feasible value at each slot, forced by the lower gaps and the
     terminal, and the smallest sum of the slots from each position on."""
@@ -282,31 +276,9 @@ def count_chain_by_weight(chain: ChainConstraint, max_weight: int) -> list[int]:
     return counts
 
 
-def enumerate_partitions(weight: int, max_part: int | None = None) -> list[Partition]:
-    """All partitions of ``weight`` (parts <= max_part when given), in
-    lexicographically decreasing order."""
-    if weight < 0:
-        return []
-    cap = weight if max_part is None else min(max_part, weight)
-    out: list[Partition] = []
-
-    def grow(remaining: int, largest: int, prefix: tuple[int, ...]) -> None:
-        if remaining == 0:
-            out.append(Partition._ordered(prefix))
-            return
-        for part in range(min(largest, remaining), 0, -1):
-            grow(remaining - part, part, prefix + (part,))
-
-    grow(weight, cap, ())
-    return out
-
-
-def _parts_with(rc: ResidueClass, weight: int) -> list[tuple[int, ...]]:
-    """Parts of every partition of ``weight`` into parts allowed by ``rc``, in
-    lexicographically decreasing order."""
-    if weight < 0:
-        return []
-    allowed = [k for k in range(weight, 0, -1) if rc.allows(k)]
+def _parts_with(allowed: Sequence[int], weight: int) -> list[tuple[int, ...]]:
+    """Parts of every partition of ``weight`` into part sizes from ``allowed``,
+    a strictly decreasing sequence, in lexicographically decreasing order."""
     out: list[tuple[int, ...]] = []
 
     def grow(remaining: int, start: int, prefix: tuple[int, ...]) -> None:
@@ -322,10 +294,18 @@ def _parts_with(rc: ResidueClass, weight: int) -> list[tuple[int, ...]]:
     return out
 
 
+def enumerate_partitions(weight: int, max_part: int | None = None) -> list[Partition]:
+    """All partitions of ``weight`` (parts <= max_part when given), in
+    lexicographically decreasing order."""
+    cap = weight if max_part is None else min(max_part, weight)
+    return [Partition._ordered(p) for p in _parts_with(range(cap, 0, -1), weight)]
+
+
 def enumerate_partitions_with_parts(rc: ResidueClass, weight: int) -> list[Partition]:
     """All partitions of ``weight`` into parts allowed by ``rc``, in
     lexicographically decreasing order."""
-    return [Partition._ordered(parts) for parts in _parts_with(rc, weight)]
+    allowed = [k for k in range(weight, 0, -1) if rc.allows(k)]
+    return [Partition._ordered(p) for p in _parts_with(allowed, weight)]
 
 
 def count_partitions_with_parts(rc: ResidueClass, max_weight: int) -> list[int]:
@@ -403,11 +383,3 @@ def partitions_repetition_bounded(weight: int, modulus: int) -> list[Partition]:
     ``modulus`` times, in lexicographically decreasing order, generated
     directly rather than by filtering."""
     return [Partition._ordered(p) for p in _repetition_bounded_parts(weight, modulus)]
-
-
-def partitions_no_part_divisible(weight: int, modulus: int) -> list[Partition]:
-    """All partitions of ``weight`` with no part divisible by ``modulus``, in
-    lexicographically decreasing order, generated directly from the allowed
-    part sizes.  ``ResidueClass`` rejects a modulus below 2 whatever the
-    weight."""
-    return enumerate_partitions_with_parts(ResidueClass.nonzero(modulus), weight)

@@ -33,8 +33,6 @@ __all__ = [
     "load_catalog",
     "dump_catalog",
     "default_catalog",
-    "catalog_lookup",
-    "catalog_list",
     "profile_to_chain",
     "profile_series",
     "profile_chain_counts",
@@ -282,9 +280,6 @@ class Catalog:
     def entries(self) -> tuple[CatalogEntry, ...]:
         return self._entries
 
-    def names(self) -> tuple[str, ...]:
-        return tuple(e.name for e in self._entries)
-
     def __len__(self) -> int:
         return len(self._entries)
 
@@ -395,38 +390,34 @@ def default_catalog() -> Catalog:
     return loads_catalog(text)
 
 
-def catalog_lookup(name: str, catalog: Catalog | None = None) -> CatalogEntry:
-    return (catalog or default_catalog()).lookup(name)
-
-
-def catalog_list(catalog: Catalog | None = None) -> tuple[CatalogEntry, ...]:
-    return (catalog or default_catalog()).entries()
-
-
-def profile_to_chain(family: ProfileFamily, index: int) -> ChainConstraint:
-    """Chain constraint induced by the offsets at one family index: lower gap
-    bounds are adjacent offset differences, the terminal bound is the last
-    offset.  Rejects offset rows that increase (negative gap) or go negative.
-    """
-    offsets = family.offsets_at(index)
-    if not offsets:
-        raise ValueError(f"profile {family.name} has no slots at index {index}")
+def _offsets_chain(name: str, index: int, offsets: tuple[int, ...]) -> ChainConstraint:
+    """Chain constraint of one nonempty offset row: lower gap bounds are
+    adjacent offset differences, the terminal bound is the last offset.
+    Rejects rows that go negative or increase, naming profile and position."""
     for s, value in enumerate(offsets, start=1):
         if value < 0:
             raise ValueError(
-                f"profile {family.name}: offset {value} at (index={index}, s={s}) "
+                f"profile {name}: offset {value} at (index={index}, s={s}) "
                 "is negative"
             )
     for s in range(len(offsets) - 1):
         if offsets[s] < offsets[s + 1]:
             raise ValueError(
-                f"profile {family.name}: offsets increase at (index={index}, "
+                f"profile {name}: offsets increase at (index={index}, "
                 f"s={s + 1} -> {s + 2})"
             )
     gaps = tuple(
         GapBound(offsets[s] - offsets[s + 1]) for s in range(len(offsets) - 1)
     )
     return ChainConstraint(gaps, GapBound(offsets[-1]))
+
+
+def profile_to_chain(family: ProfileFamily, index: int) -> ChainConstraint:
+    """Chain constraint induced by the offsets at one family index."""
+    offsets = family.offsets_at(index)
+    if not offsets:
+        raise ValueError(f"profile {family.name} has no slots at index {index}")
+    return _offsets_chain(family.name, index, offsets)
 
 
 def profile_series(family: ProfileFamily, order: int) -> TruncatedSeries:
@@ -472,11 +463,9 @@ def profile_chain_counts(family: ProfileFamily, max_weight: int) -> list[int]:
             if u == 0:
                 counts[w] += 1
             else:
-                offsets = branch.offsets_at(n)
-                gaps = tuple(
-                    GapBound(offsets[s] - offsets[s + 1]) for s in range(u - 1)
-                )
-                chain = ChainConstraint(gaps, GapBound(offsets[-1]))
+                # the family index of branch term n, inverting ProfileFamily.resolve
+                index = {"all": n, "even": 2 * n, "odd": 2 * n - 1}[branch.parity_label]
+                chain = _offsets_chain(family.name, index, branch.offsets_at(n))
                 term_counts = count_chain_by_weight(chain, max_weight)
                 for weight in range(w, max_weight + 1):
                     counts[weight] += term_counts[weight]

@@ -63,30 +63,12 @@ class TruncatedSeries:
     def to_list(self) -> list[int]:
         return list(self.coefficients)
 
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order < 1:
-            raise ValueError("truncation order must be at least 1")
-        if order > self.order:
-            raise ValueError(f"cannot extend order {self.order} series to {order}")
-        if order == self.order:
-            return self
-        return TruncatedSeries(self.coefficients[:order])
-
-    def agrees_to(self, other: "TruncatedSeries", order: int) -> bool:
-        """Coefficientwise equality for all exponents below ``order``.
+    def first_difference(self, other: "TruncatedSeries", order: int) -> int | None:
+        """Smallest exponent below ``order`` where the series differ, if any.
 
         Comparing beyond either operand's truncation order is refused rather
         than silently narrowed, so callers always state how far they checked.
         """
-        if order < 1 or order > self.order or order > other.order:
-            raise ValueError(
-                f"comparison order {order} exceeds operand orders "
-                f"{self.order} and {other.order}"
-            )
-        return self.coefficients[:order] == other.coefficients[:order]
-
-    def first_difference(self, other: "TruncatedSeries", order: int) -> int | None:
-        """Smallest exponent below ``order`` where the series differ, if any."""
         if order < 1 or order > self.order or order > other.order:
             raise ValueError(
                 f"comparison order {order} exceeds operand orders "

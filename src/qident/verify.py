@@ -185,7 +185,8 @@ def verify_analytic(
 ) -> VerificationReport:
     """Compare the product side and the sum side coefficientwise below
     ``order``; both sides are computed by series algebra alone."""
-    catalog = catalog or default_catalog()
+    if catalog is None:
+        catalog = default_catalog()
     started = time.perf_counter()
     if descriptor.product is None:
         return VerificationReport(
@@ -222,7 +223,8 @@ def verify_combinatorial(
     """Chain-enumeration counts of one interpretation against the sum-side
     series coefficients, and against the product-side series when the identity
     has one.  Enumeration and series are independent code paths."""
-    catalog = catalog or default_catalog()
+    if catalog is None:
+        catalog = default_catalog()
     started = time.perf_counter()
     if profile_name not in descriptor.interpretations:
         raise ValueError(
@@ -263,7 +265,8 @@ def verify_equinumerosity(
     """Count agreement across interpretations sharing one term family, checked
     against each other, against product-side enumeration, and against the
     series coefficients."""
-    catalog = catalog or default_catalog()
+    if catalog is None:
+        catalog = default_catalog()
     started = time.perf_counter()
     name = identity or "+".join(profile_names)
     entries = [catalog.lookup(p) for p in profile_names]
@@ -361,10 +364,10 @@ def glaisher_bijection_report(modulus: int, max_weight: int) -> VerificationRepo
     def in_target(parts: tuple[int, ...]) -> bool:
         return all(part % modulus for part in parts)
 
-    coprime = ResidueClass.nonzero(modulus)
     for weight in range(max_weight + 1):
         domain = _repetition_bounded_parts(weight, modulus)
-        target = _parts_with(coprime, weight)
+        allowed = [k for k in range(weight, 0, -1) if k % modulus]
+        target = _parts_with(allowed, weight)
         cert = certify_bijection(domain, forward, inverse, in_target, target=target)
         if not cert.ok:
             cert = certify_bijection(
@@ -672,9 +675,9 @@ def run_suite(
     """Run every check ``plan_checks`` selects (None or "all" selects
     everything; an empty list selects nothing).  Unknown names become error
     rows rather than aborting the rest of the suite."""
-    plan = plan_checks(
-        names, order, max_weight, catalog or default_catalog(), alpha_terms=alpha_terms
-    )
+    if catalog is None:
+        catalog = default_catalog()
+    plan = plan_checks(names, order, max_weight, catalog, alpha_terms=alpha_terms)
     reports = [check.call() for check in plan]
     reports.sort(key=lambda r: (r.identity, r.mode, r.subject, r.note))
     return SuiteSummary(tuple(reports))

@@ -20,15 +20,14 @@ from qident.partitions import (
     ChainConstraint,
     GapBound,
     Partition,
+    chain_violation,
     conjugate,
     enumerate_chain,
     enumerate_partitions_with_parts,
     no_part_divisible,
-    partitions_no_part_divisible,
     partitions_repetition_bounded,
-    satisfies_chain,
 )
-from qident.profiles import catalog_lookup, profile_chain_counts, validate_profile
+from qident.profiles import default_catalog, profile_chain_counts, validate_profile
 from qident.series import (
     ResidueClass,
     alpha_closed_form,
@@ -88,7 +87,7 @@ def test_criterion_3_five_way_equinumerosity_to_40():
     sequences = {"product-enumeration": product_counts}
     for name in ("P2", "P3", "P4", "P5"):
         sequences[name] = profile_chain_counts(
-            catalog_lookup(name).profile, max_weight
+            default_catalog().lookup(name).profile, max_weight
         )
     sequences["product-series"] = product_side(RR2, max_weight + 1).to_list()
     sequences["sum-series"] = sum_side_standard(
@@ -104,7 +103,7 @@ def test_criterion_4_appendix_suite():
     letters = "abcdefghijklmn"
     ok = True
     for letter in letters:
-        entry = catalog_lookup(f"appendix-{letter}")
+        entry = default_catalog().lookup(f"appendix-{letter}")
         validation = validate_profile(entry.profile, 12)
         ok = ok and validation.ok
         counts = profile_chain_counts(entry.profile, 25)
@@ -148,7 +147,12 @@ def test_criterion_6_glaisher_bijection_certified():
     for modulus in (2, 3, 4, 5):
         for weight in range(26):
             domain = partitions_repetition_bounded(weight, modulus)
-            target = {p for p in partitions_no_part_divisible(weight, modulus)}
+            target = {
+                p
+                for p in enumerate_partitions_with_parts(
+                    ResidueClass.nonzero(modulus), weight
+                )
+            }
             image = set()
             for p in domain:
                 mapped = glaisher_forward(p, modulus)
@@ -214,7 +218,7 @@ def test_criterion_8_rr2_bijection_certified_to_30():
             ok = ok and len(image) == n
             if n:
                 chain = ChainConstraint((GapBound(2),) * (n - 1), GapBound(2))
-                ok = ok and satisfies_chain(image, chain)
+                ok = ok and chain_violation(image, chain) is None
             ok = ok and rr2_inverse(image) == p
             ok = ok and weight_relation_check(rr2_record(p))
             for s, value in enumerate(image, start=1):

@@ -22,15 +22,14 @@ from qident.partitions import (
     ChainConstraint,
     GapBound,
     Partition,
+    chain_violation,
     enumerate_chain,
     enumerate_partitions_with_parts,
     no_part_divisible,
-    partitions_no_part_divisible,
     partitions_repetition_bounded,
     repetition_bounded,
-    satisfies_chain,
 )
-from qident.profiles import catalog_lookup, profile_to_chain
+from qident.profiles import default_catalog, profile_to_chain
 from qident.series import ResidueClass
 
 RR2 = ResidueClass(5, frozenset({2, 3}))
@@ -38,30 +37,30 @@ RR2 = ResidueClass(5, frozenset({2, 3}))
 
 class TestProfileBijection:
     def test_staircase_to_layers_worked_example(self):
-        staircase = catalog_lookup("euler-staircase").profile
-        layers = catalog_lookup("euler-layers").profile
+        staircase = default_catalog().lookup("euler-staircase").profile
+        layers = default_catalog().lookup("euler-layers").profile
         image = profile_bijection((7, 6, 4, 2, 1), staircase, layers, 5)
         assert image == (11, 7, 2, 0, 0)
 
     def test_identity_when_profiles_equal(self):
-        p2 = catalog_lookup("P2").profile
+        p2 = default_catalog().lookup("P2").profile
         assert profile_bijection((9, 5, 2), p2, p2, 3) == (9, 5, 2)
 
     def test_exact_to_atmost(self):
-        p3 = catalog_lookup("P3").profile
-        p4 = catalog_lookup("P4").profile
+        p3 = default_catalog().lookup("P3").profile
+        p4 = default_catalog().lookup("P4").profile
         assert profile_bijection((5, 1), p3, p4, 2) == (6, 0)
-        assert satisfies_chain((6, 0), profile_to_chain(p4, 2))
+        assert chain_violation((6, 0), profile_to_chain(p4, 2)) is None
 
     def test_rejects_chain_violation(self):
-        p3 = catalog_lookup("P3").profile
-        p4 = catalog_lookup("P4").profile
+        p3 = default_catalog().lookup("P3").profile
+        p4 = default_catalog().lookup("P4").profile
         with pytest.raises(ValueError):
             profile_bijection((3, 3), p3, p4, 2)
 
     def test_rejects_slot_mismatch(self):
-        p2 = catalog_lookup("P2").profile
-        alternating = catalog_lookup("example-alternating").profile
+        p2 = default_catalog().lookup("P2").profile
+        alternating = default_catalog().lookup("example-alternating").profile
         with pytest.raises(ValueError):
             profile_bijection((4, 2), p2, alternating, 2)
 
@@ -85,8 +84,8 @@ class TestProfileBijection:
         ],
     )
     def test_two_sided_inverse_over_chain_sets(self, source, target):
-        src = catalog_lookup(source).profile
-        tgt = catalog_lookup(target).profile
+        src = default_catalog().lookup(source).profile
+        tgt = default_catalog().lookup(target).profile
         for index in range(1, 7):
             src_chain = profile_to_chain(src, index)
             tgt_chain = profile_to_chain(tgt, index)
@@ -96,7 +95,7 @@ class TestProfileBijection:
             for weight in range(sum(src_offsets), 26):
                 for vector in enumerate_chain(src_chain, weight):
                     image = profile_bijection(vector, src, tgt, index)
-                    assert satisfies_chain(image, tgt_chain)
+                    assert chain_violation(image, tgt_chain) is None
                     assert sum(image) == weight + weight_shift
                     # base vector is preserved, so swapping back inverts
                     assert profile_bijection(image, tgt, src, index) == vector
@@ -157,7 +156,7 @@ class TestRR2Map:
                     (GapBound(n * n),) + (GapBound(0),) * (n - 2) if n > 1 else (),
                     GapBound(1),
                 )
-                assert satisfies_chain(c, chain), (p, c)
+                assert chain_violation(c, chain) is None, (p, c)
 
     def test_certified_to_weight_30(self):
         for weight in range(31):
@@ -167,7 +166,7 @@ class TestRR2Map:
                 assert len(image) == n
                 if n:
                     chain = ChainConstraint((GapBound(2),) * (n - 1), GapBound(2))
-                    assert satisfies_chain(image, chain)
+                    assert chain_violation(image, chain) is None
                 assert rr2_inverse(image) == p
                 assert weight_relation_check(rr2_record(p))
 
@@ -240,7 +239,8 @@ class TestGlaisherMaps:
                 image = steps[-1]
                 assert image.weight == p.weight
                 assert no_part_divisible(image, modulus)
-            for p in partitions_no_part_divisible(weight, modulus):
+            coprime = ResidueClass.nonzero(modulus)
+            for p in enumerate_partitions_with_parts(coprime, weight):
                 steps = glaisher_inverse_steps(p, modulus)
                 assert_valid_steps(steps)
                 back = steps[-1]
@@ -291,10 +291,23 @@ class TestGlaisherProperties:
             assert forward == p
 
 
+rr2_partitions = st.lists(
+    st.builds(lambda k, r: 5 * k + r, st.integers(0, 12), st.sampled_from((2, 3))),
+    max_size=12,
+).map(lambda parts: Partition(tuple(sorted(parts, reverse=True))))
+
+
+class TestRR2Properties:
+    @given(rr2_partitions)
+    def test_inverse_undoes_forward_and_weights_relate(self, p):
+        assert rr2_inverse(rr2_forward(p)) == p
+        assert weight_relation_check(rr2_record(p))
+
+
 class TestCertify:
     def test_distinct_vs_odd_at_weight_ten(self):
         domain = partitions_repetition_bounded(10, 2)
-        target = partitions_no_part_divisible(10, 2)
+        target = enumerate_partitions_with_parts(ResidueClass.nonzero(2), 10)
         report = certify_bijection(
             domain,
             lambda p: glaisher_forward(p, 2),
@@ -320,7 +333,7 @@ class TestCertify:
                 lambda p: glaisher_forward(p, 3),
                 lambda p: glaisher_inverse(p, 3),
                 lambda p: no_part_divisible(p, 3),
-                target=partitions_no_part_divisible(12, 3),
+                target=enumerate_partitions_with_parts(ResidueClass.nonzero(3), 12),
             )
 
         stream = once()

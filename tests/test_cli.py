@@ -339,6 +339,96 @@ class TestVerifyCommand:
         assert code == EXIT_DOMAIN
         assert out == "" and "identity" in err
 
+    def test_empty_custom_catalog_is_used_as_given(self, capsys, tmp_path):
+        path = tmp_path / "catalog.json"
+        path.write_text('{"entries": []}', encoding="utf-8")
+        code, out, _ = run(
+            capsys,
+            "--catalog",
+            str(path),
+            "verify",
+            "all",
+            "--order",
+            "20",
+            "--max-weight",
+            "8",
+            "--format",
+            "machine",
+        )
+        assert code == EXIT_OK
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert len(rows) == 25
+        assert all(row["identity"].startswith("glaisher-") for row in rows)
+        code, out, _ = run(
+            capsys, "--catalog", str(path), "verify", "rr2", "--format", "machine"
+        )
+        assert code == EXIT_UNKNOWN_NAME
+        assert json.loads(out) == {
+            "bound": 0,
+            "identity": "rr2",
+            "mode": "lookup",
+            "note": "unknown identity",
+            "outcome": "error",
+        }
+
+    @pytest.mark.parametrize(
+        "branches, index, message",
+        [
+            (
+                [("all", 0, "n", "n*(n+1)", [("otherwise", "2*s")])],
+                2,
+                "offsets increase at (index=2, s=1 -> 2)",
+            ),
+            (
+                [
+                    ("even", 0, "2*n", "n*n", [("otherwise", "0")]),
+                    (
+                        "odd",
+                        1,
+                        "2*n - 1",
+                        "n*n",
+                        [("s == 2", "-1"), ("otherwise", "0")],
+                    ),
+                ],
+                3,
+                "offset -1 at (index=3, s=2) is negative",
+            ),
+        ],
+        ids=["increasing", "negative-odd-branch"],
+    )
+    def test_bad_offsets_named_as_enumerate_names_them(
+        self, capsys, tmp_path, branches, index, message
+    ):
+        entry = {
+            "name": "bad",
+            "aliases": [],
+            "source": "",
+            "modulus": None,
+            "residues": None,
+            "branches": [
+                {
+                    "parity": parity,
+                    "n_min": n_min,
+                    "slots": slots,
+                    "min_weight": min_weight,
+                    "offsets": [{"when": w, "value": v} for w, v in cases],
+                }
+                for parity, n_min, slots, min_weight, cases in branches
+            ],
+        }
+        path = tmp_path / "catalog.json"
+        path.write_text(json.dumps({"entries": [entry]}), encoding="utf-8")
+        code, out, err = run(capsys, "--catalog", str(path), "verify", "bad")
+        assert code == EXIT_DOMAIN
+        assert out == ""
+        assert err == f"error: profile bad: {message}\n"
+        enumerate_args = ("enumerate", "bad", "--n", str(index), "--weight", "9")
+        assert run(capsys, "--catalog", str(path), *enumerate_args) == (
+            EXIT_DOMAIN,
+            "",
+            err,
+        )
+
     def test_env_var_catalog_override(self, capsys, tmp_path, monkeypatch):
         text = dump_catalog(default_catalog())
         path = tmp_path / "catalog.json"

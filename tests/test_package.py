@@ -1,0 +1,52 @@
+"""The public surface: ``qident`` exports exactly its modules' ``__all__``."""
+
+import inspect
+
+import pytest
+
+import qident
+from qident import bijections, partitions, profiles, series, verify
+
+MODULES = (series, partitions, profiles, bijections, verify)
+
+# Names that only renamed another public call, or had no caller; each must
+# stay gone from the package, its module and the class that held it.
+REMOVED = (
+    (partitions, "satisfies_chain"),
+    (partitions, "partitions_no_part_divisible"),
+    (profiles, "catalog_lookup"),
+    (profiles, "catalog_list"),
+    (series.TruncatedSeries, "agrees_to"),
+    (series.TruncatedSeries, "truncate"),
+    (profiles.Catalog, "names"),
+)
+
+
+def test_package_list_is_the_module_lists():
+    expected = [name for module in MODULES for name in module.__all__]
+    assert qident.__all__ == expected
+    assert len(set(expected)) == len(expected)
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_every_listed_name_resolves(module):
+    for name in module.__all__:
+        assert getattr(qident, name) is getattr(module, name), name
+
+
+@pytest.mark.parametrize("owner, name", REMOVED, ids=[n for _, n in REMOVED])
+def test_removed_names_stay_gone(owner, name):
+    assert not hasattr(owner, name)
+    assert not hasattr(qident, name)
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_every_public_definition_is_listed(module):
+    defined = {
+        name
+        for name, obj in vars(module).items()
+        if not name.startswith("_")
+        and (inspect.isfunction(obj) or inspect.isclass(obj))
+        and obj.__module__ == module.__name__
+    }
+    assert defined <= set(module.__all__), sorted(defined - set(module.__all__))

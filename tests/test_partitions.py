@@ -19,10 +19,8 @@ from qident.partitions import (
     enumerate_partitions_with_parts,
     no_part_divisible,
     parse_partition,
-    partitions_no_part_divisible,
     partitions_repetition_bounded,
     repetition_bounded,
-    satisfies_chain,
 )
 from qident.series import ResidueClass
 
@@ -93,19 +91,19 @@ class TestConjugate:
 class TestChains:
     def test_satisfies_worked_examples(self):
         chain = ChainConstraint.from_lower_gaps((1, 0, 1, 0, 1), 1)
-        assert satisfies_chain((7, 3, 3, 2, 2, 1), chain)
+        assert chain_violation((7, 3, 3, 2, 2, 1), chain) is None
         steep = ChainConstraint.from_lower_gaps((9, 0, 0, 0, 0), 1)
-        assert satisfies_chain((13, 1, 1, 1, 1, 1), steep)
+        assert chain_violation((13, 1, 1, 1, 1, 1), steep) is None
 
     def test_gap_violation(self):
         chain = ChainConstraint.from_lower_gaps((1,), 0)
-        assert not satisfies_chain((2, 2), chain)
+        assert chain_violation((2, 2), chain) is not None
         assert "slots 1 and 2" in chain_violation((2, 2), chain)
 
     def test_length_mismatch_is_error(self):
         chain = ChainConstraint.from_lower_gaps((1,), 0)
         with pytest.raises(ValueError):
-            satisfies_chain((1, 1, 1), chain)
+            chain_violation((1, 1, 1), chain)
 
     def test_gap_bound_validation(self):
         with pytest.raises(ValueError):
@@ -148,7 +146,7 @@ class TestEnumerateChain:
         for weight in range(30):
             seen = set()
             for vector in enumerate_chain(chain, weight):
-                assert satisfies_chain(vector, chain)
+                assert chain_violation(vector, chain) is None
                 assert sum(vector) == weight
                 assert vector not in seen
                 seen.add(vector)
@@ -209,7 +207,7 @@ class TestEnumerateChain:
                     (
                         v
                         for v in cartesian(range(weight + 1), repeat=m)
-                        if sum(v) == weight and satisfies_chain(v, chain)
+                        if sum(v) == weight and chain_violation(v, chain) is None
                     ),
                     reverse=True,
                 )
@@ -238,7 +236,7 @@ class TestChainProperties:
     def test_enumeration_matches_brute_force(self, chain, max_weight):
         by_weight = {w: [] for w in range(max_weight + 1)}
         for v in cartesian(range(max_weight + 1), repeat=chain.slots):
-            if sum(v) <= max_weight and satisfies_chain(v, chain):
+            if sum(v) <= max_weight and chain_violation(v, chain) is None:
                 by_weight[sum(v)].append(v)
         for weight, vectors in by_weight.items():
             assert enumerate_chain(chain, weight) == sorted(vectors, reverse=True)
@@ -299,7 +297,9 @@ class TestPredicates:
         for weight in range(26):
             everything = enumerate_partitions(weight)
             bounded = partitions_repetition_bounded(weight, modulus)
-            coprime = partitions_no_part_divisible(weight, modulus)
+            coprime = enumerate_partitions_with_parts(
+                ResidueClass.nonzero(modulus), weight
+            )
             assert bounded == [
                 p for p in everything if repetition_bounded(p, modulus)
             ], (modulus, weight)
@@ -311,7 +311,12 @@ class TestPredicates:
             assert len(bounded) == len(coprime), (modulus, weight)
 
     @pytest.mark.parametrize(
-        "generator", (partitions_repetition_bounded, partitions_no_part_divisible)
+        "generator",
+        (
+            partitions_repetition_bounded,
+            lambda w, m: enumerate_partitions_with_parts(ResidueClass.nonzero(m), w),
+        ),
+        ids=("partitions_repetition_bounded", "enumerate_partitions_with_parts"),
     )
     def test_generators_validate_modulus_before_weight(self, generator):
         for weight in (-1, 0, 5):

@@ -4,6 +4,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qident.partitions import GapBound
 from qident.profiles import (
@@ -11,8 +13,6 @@ from qident.profiles import (
     ProfileBranch,
     ProfileFamily,
     UnknownNameError,
-    catalog_list,
-    catalog_lookup,
     default_catalog,
     dump_catalog,
     evaluate_rule,
@@ -89,7 +89,7 @@ class TestShippedCatalog:
         assert dump_catalog(loads_catalog(text)) == text
 
     def test_expected_entry_count(self):
-        assert len(catalog_list()) >= 20
+        assert len(default_catalog().entries()) >= 20
 
     def test_required_names_present(self):
         catalog = default_catalog()
@@ -99,29 +99,29 @@ class TestShippedCatalog:
             assert f"appendix-{letter}" in catalog
 
     def test_alias_lookup(self):
-        entry = catalog_lookup("appendix-f")
+        entry = default_catalog().lookup("appendix-f")
         assert entry.name == "hirschhorn-3"
         assert entry.product.modulus == 16
         assert entry.product.residues == frozenset({1, 4, 6, 7, 9, 10, 12, 15})
 
     def test_p3_data(self):
-        entry = catalog_lookup("P3")
+        entry = default_catalog().lookup("P3")
         assert entry.product.modulus == 5
         assert entry.product.residues == frozenset({2, 3})
         assert entry.profile.offsets_at(3) == (10, 1, 1)
 
     def test_appendix_a_is_staircase(self):
-        entry = catalog_lookup("appendix-a")
+        entry = default_catalog().lookup("appendix-a")
         assert entry.name == "euler-staircase"
         assert entry.profile.offsets_at(4) == (4, 3, 2, 1)
         assert entry.product.modulus == 2
 
     def test_unknown_name(self):
         with pytest.raises(UnknownNameError):
-            catalog_lookup("no-such-profile")
+            default_catalog().lookup("no-such-profile")
 
     def test_every_profile_validates_to_12(self):
-        for entry in catalog_list():
+        for entry in default_catalog().entries():
             report = validate_profile(entry.profile, 12)
             assert report.ok, report.failures
 
@@ -145,7 +145,7 @@ class TestShippedCatalog:
 
     def test_branch_weights_spot_checked(self):
         for alias, branch_weights in self.BRANCH_WEIGHTS.items():
-            entry = catalog_lookup(alias)
+            entry = default_catalog().lookup(alias)
             for branch in entry.profile.branches:
                 expected = branch_weights[branch.parity_label]
                 got = (branch.declared_weight(1), branch.declared_weight(2))
@@ -153,13 +153,13 @@ class TestShippedCatalog:
 
     def test_branch_offsets_spot_checked(self):
         # hand-evaluated first offset rows of two even branches
-        even_b = catalog_lookup("appendix-b").profile.branches[0]
+        even_b = default_catalog().lookup("appendix-b").profile.branches[0]
         assert even_b.offsets_at(1) == (2, 2)
-        even_d = catalog_lookup("appendix-d").profile.branches[0]
+        even_d = default_catalog().lookup("appendix-d").profile.branches[0]
         assert even_d.offsets_at(1) == (2, 1)
 
     def test_every_chain_has_nonnegative_gaps_to_12(self):
-        for entry in catalog_list():
+        for entry in default_catalog().entries():
             for branch in entry.profile.branches:
                 for n in range(max(branch.n_min, 1), 13):
                     if branch.slot_count(n) == 0:
@@ -173,22 +173,22 @@ class TestShippedCatalog:
 
 class TestProfileToChain:
     def test_gap_two_family(self):
-        chain = profile_to_chain(catalog_lookup("P2").profile, 3)
+        chain = profile_to_chain(default_catalog().lookup("P2").profile, 3)
         assert chain.gaps == (GapBound(2), GapBound(2))
         assert chain.terminal == GapBound(2)
 
     def test_steep_family(self):
-        chain = profile_to_chain(catalog_lookup("P4").profile, 3)
+        chain = profile_to_chain(default_catalog().lookup("P4").profile, 3)
         assert chain.gaps == (GapBound(12), GapBound(0))
         assert chain.terminal == GapBound(0)
 
     def test_constant_family(self):
-        chain = profile_to_chain(catalog_lookup("P5").profile, 3)
+        chain = profile_to_chain(default_catalog().lookup("P5").profile, 3)
         assert chain.gaps == (GapBound(0), GapBound(0))
         assert chain.terminal == GapBound(4)
 
     def test_two_branch_indexing_by_part_count(self):
-        profile = catalog_lookup("capparelli-1-6").profile
+        profile = default_catalog().lookup("capparelli-1-6").profile
         assert len(profile.offsets_at(4)) == 4  # even index -> even branch
         assert len(profile.offsets_at(3)) == 3  # odd index -> odd branch
 
@@ -198,7 +198,7 @@ class TestProfileToChain:
             profile_to_chain(bad, 1)
 
     def test_index_below_domain_rejected(self):
-        profile = catalog_lookup("capparelli-1-6").profile
+        profile = default_catalog().lookup("capparelli-1-6").profile
         with pytest.raises(ValueError):
             profile.offsets_at(-1)
 
@@ -239,7 +239,7 @@ class TestProfileSeries:
             assert profile_series(catalog.lookup(name).profile, 30) == expected
 
     def test_staircase_series_is_triangular_family(self):
-        got = profile_series(catalog_lookup("euler-staircase").profile, 30)
+        got = profile_series(default_catalog().lookup("euler-staircase").profile, 30)
         expected = sum_side_standard(lambda n: (n * n + n) // 2, lambda n: n, 30)
         assert got == expected
 
@@ -249,20 +249,20 @@ class TestProfileSeries:
         from qident.series import pochhammer_inverse
 
         for name, index in (("P2", 3), ("P5", 4), ("euler-staircase", 5)):
-            profile = catalog_lookup(name).profile
+            profile = default_catalog().lookup(name).profile
             chain = profile_to_chain(profile, index)
             offsets = profile.offsets_at(index)
             term = pochhammer_inverse(len(offsets), 26).shift(sum(offsets))
             assert count_chain_by_weight(chain, 25) == term.to_list(), name
 
     def test_counts_match_series_for_all_entries(self):
-        for entry in catalog_list():
+        for entry in default_catalog().entries():
             counts = profile_chain_counts(entry.profile, 30)
             series = profile_series(entry.profile, 31)
             assert counts == series.to_list(), entry.name
 
     def test_counts_match_product_for_backed_entries(self):
-        for entry in catalog_list():
+        for entry in default_catalog().entries():
             if entry.product is None:
                 continue
             counts = profile_chain_counts(entry.profile, 30)
@@ -380,3 +380,78 @@ class TestCatalogFormat:
         }
         with pytest.raises(ValueError):
             loads_catalog(json.dumps(payload))
+
+
+linear_rules = st.builds(
+    lambda a, b, var: f"{a}*{var} + {b}",
+    st.integers(0, 3),
+    st.integers(0, 3),
+    st.sampled_from(("n", "s")),
+)
+term_rules = st.builds(lambda a, b: f"{a}*n + {b}", st.integers(0, 3), st.integers(0, 3))
+offset_cases = st.builds(
+    lambda cases, last: [{"when": f"s == {k}", "value": v} for k, v in cases]
+    + [{"when": "otherwise", "value": last}],
+    st.lists(st.tuples(st.integers(1, 4), linear_rules), max_size=2),
+    linear_rules,
+)
+
+
+def branch_json(parity):
+    return st.builds(
+        lambda n_min, slots, min_weight, offsets: {
+            "parity": parity,
+            "n_min": n_min,
+            "slots": slots,
+            "min_weight": min_weight,
+            "offsets": offsets,
+        },
+        st.integers(0, 3),
+        term_rules,
+        term_rules,
+        offset_cases,
+    )
+
+
+branch_lists = st.one_of(
+    st.tuples(branch_json("all")).map(list),
+    st.permutations([0, 1]).flatmap(
+        lambda order: st.tuples(branch_json("even"), branch_json("odd")).map(
+            lambda pair: [pair[i] for i in order]
+        )
+    ),
+)
+products = st.one_of(
+    st.just((None, None)),
+    st.integers(2, 8).flatmap(
+        lambda m: st.sets(st.integers(1, m - 1), min_size=1).map(
+            lambda residues: (m, sorted(residues))
+        )
+    ),
+)
+entry_bodies = st.tuples(
+    st.integers(0, 2),
+    st.sampled_from((None, "id-0", "id-1")),
+    st.text(max_size=8),
+    products,
+    branch_lists,
+)
+
+
+def entry_json(i, body):
+    """One entry in the key order the dumper writes, named ``p<i>``."""
+    aliases, identity, source, (modulus, residues), branches = body
+    entry = {"name": f"p{i}", "aliases": [f"p{i}-{j}" for j in range(aliases)]}
+    if identity is not None:
+        entry["identity"] = identity
+    entry.update(source=source, modulus=modulus, residues=residues, branches=branches)
+    return entry
+
+
+class TestCatalogProperties:
+    @given(st.lists(entry_bodies, max_size=4))
+    def test_generated_catalog_dumps_back_byte_identically(self, bodies):
+        payload = {"entries": [entry_json(i, body) for i, body in enumerate(bodies)]}
+        text = dump_catalog(loads_catalog(json.dumps(payload)))
+        assert json.loads(text) == payload
+        assert dump_catalog(loads_catalog(text)) == text

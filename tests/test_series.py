@@ -69,9 +69,9 @@ class TestBasics:
     def test_explicit_comparison_order_required(self):
         a = series_one(5)
         b = series_one(3)
-        assert a.agrees_to(b, 3)
+        assert a.first_difference(b, 3) is None
         with pytest.raises(ValueError):
-            a.agrees_to(b, 4)
+            a.first_difference(b, 4)
 
     def test_render_text(self):
         assert poly(1, 0, 2).render_text() == "1 + 0*q + 2*q^2 (mod q^3)"

@@ -6,7 +6,12 @@ from pathlib import Path
 import pytest
 
 import qident.verify as verify_module
-from qident.profiles import default_catalog, dump_catalog, loads_catalog
+from qident.profiles import (
+    UnknownNameError,
+    default_catalog,
+    dump_catalog,
+    loads_catalog,
+)
 from qident.series import ResidueClass
 from qident.verify import (
     IdentityDescriptor,
@@ -185,6 +190,24 @@ class TestSuite:
         summary = run_suite([], 10, 5)
         assert summary.reports == ()
         assert summary.passed
+
+    def test_empty_catalog_is_used_as_given(self):
+        empty = loads_catalog('{"entries": []}')
+        summary = run_suite(None, 20, 8, empty)
+        assert len(summary.reports) == 25
+        assert all(r.identity.startswith("glaisher-") for r in summary.reports)
+        assert summary.passed
+        missing = run_suite(["rr2"], 20, 8, empty)
+        assert [(r.identity, r.mode, r.outcome) for r in missing.reports] == [
+            ("rr2", "lookup", "error")
+        ]
+        rr2 = descriptor_by_name("rr2")
+        with pytest.raises(UnknownNameError):
+            verify_analytic(rr2, 20, empty)
+        with pytest.raises(UnknownNameError):
+            verify_combinatorial(rr2, "P2", 8, empty)
+        with pytest.raises(UnknownNameError):
+            verify_equinumerosity(["P2", "P3"], 8, catalog=empty)
 
     def test_unknown_name_listed_not_raised(self):
         summary = run_suite(["no-such-identity"], 10, 5)
