@@ -13,7 +13,7 @@ from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from typing import Any
 
-from .partitions import ChainConstraint, GapBound, Partition, chain_violation
+from .partitions import ChainConstraint, GapBound, Partition, _bracketed, chain_violation
 from .profiles import ProfileFamily, profile_to_chain
 
 __all__ = [
@@ -187,6 +187,9 @@ def _glaisher_divide(parts: tuple[int, ...], modulus: int) -> tuple[int, ...]:
     must be at least 2."""
     out: list[int] = []
     for part in parts:
+        if part % modulus:
+            out.append(part)
+            continue
         copies = 1
         while part % modulus == 0:
             part //= modulus
@@ -273,7 +276,6 @@ class CertificationReport:
     """Outcome of certifying a map over a finite domain."""
 
     domain_size: int
-    image_size: int
     target_size: int | None
     failure: str | None
 
@@ -284,16 +286,12 @@ class CertificationReport:
     def render_text(self) -> str:
         target = "-" if self.target_size is None else str(self.target_size)
         status = "pass" if self.ok else f"FAIL: {self.failure}"
-        return (
-            f"domain={self.domain_size} image={self.image_size} "
-            f"target={target} {status}"
-        )
+        return f"domain={self.domain_size} target={target} {status}"
 
     def machine(self) -> str:
         return json.dumps(
             {
                 "domain_size": self.domain_size,
-                "image_size": self.image_size,
                 "target_size": self.target_size,
                 "ok": self.ok,
                 "failure": self.failure,
@@ -308,46 +306,54 @@ def certify_bijection(
     forward: Callable[[Any], Any],
     inverse: Callable[[Any], Any],
     target_check: Callable[[Any], bool],
-    target: Iterable[Any] | None = None,
+    target_size: int | None = None,
 ) -> CertificationReport:
-    """Verify, pointwise over a finite domain, that ``forward`` maps into the
-    target set, that ``inverse`` undoes it, and that it is injective; when the
-    target set is supplied, also that the image is exactly the target.
-    Stops checking at the first counterexample; the domain is iterated once,
-    and the rest of it is only counted."""
+    """Certify that ``forward`` maps a finite domain bijectively onto a target
+    set known only by its membership test ``target_check`` and its size.
+
+    The domain must be listed in strictly decreasing order, which proves it
+    has no repeats.  Three facts then make the map a bijection onto the
+    target: ``inverse`` undoes it on every element, so it is injective; every
+    image passes ``target_check``, so it lands in the target; and the domain
+    has ``target_size`` elements.  Without ``target_size`` the certificate
+    stops at an injection into the target.  No image or target is stored, so
+    ``target_size`` must come from an independent count.
+
+    Checking stops at the first counterexample, which the failure names,
+    bare part tuples in the bracketed form of partitions; the domain is
+    iterated once, and the rest of it is only counted.  A count mismatch has
+    no witness, so its failure gives both counts.
+    """
+    def render(x: Any) -> str:
+        return _bracketed(x) if isinstance(x, tuple) else str(x)
+
     items = iter(domain)
     domain_size = 0
-    image: set[Any] = set()
+    previous = None
     failure = None
     for x in items:
         domain_size += 1
-        y = forward(x)
-        if not target_check(y):
-            failure = f"image of {x} fails the target predicate: {y}"
+        if domain_size > 1 and not x < previous:
+            failure = (
+                f"domain is not strictly decreasing: {render(x)} "
+                f"after {render(previous)}"
+            )
             break
+        previous = x
+        y = forward(x)
         back = inverse(y)
         if back != x:
-            failure = f"inverse round trip failed for {x}: got {back} via {y}"
-            break
-        if y in image:
-            failure = f"not injective: {y} reached twice"
-            break
-        image.add(y)
-    domain_size += sum(1 for _ in items)
-    target_size = None
-    if target is not None:
-        target_set = set(target)
-        target_size = len(target_set)
-        if failure is None and image != target_set:
-            missed = sorted(target_set - image, key=str)[:1]
-            extra = sorted(image - target_set, key=str)[:1]
             failure = (
-                f"image differs from target ({len(image)} vs {target_size}); "
-                f"missing {missed or '-'}, extraneous {extra or '-'}"
+                f"inverse round trip failed for {render(x)}: "
+                f"got {render(back)} via {render(y)}"
             )
+            break
+        if not target_check(y):
+            failure = f"image of {render(x)} fails the target predicate: {render(y)}"
+            break
+    domain_size += sum(1 for _ in items)
+    if failure is None and target_size is not None and domain_size != target_size:
+        failure = f"domain has {domain_size} elements, target has {target_size}"
     return CertificationReport(
-        domain_size=domain_size,
-        image_size=len(image),
-        target_size=target_size,
-        failure=failure,
+        domain_size=domain_size, target_size=target_size, failure=failure
     )

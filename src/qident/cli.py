@@ -20,7 +20,7 @@ from .bijections import (
     rr2_inverse,
     rr2_step_c,
 )
-from .partitions import Partition, enumerate_chain, parse_partition
+from .partitions import Partition, _bracketed, enumerate_chain, parse_partition
 from .profiles import (
     Catalog,
     UnknownNameError,
@@ -76,10 +76,6 @@ def _resolve_catalog(args: argparse.Namespace) -> Catalog:
     return default_catalog()
 
 
-def _format_vector(vector: Sequence[int]) -> str:
-    return "[" + ",".join(str(v) for v in vector) + "]"
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     catalog = _resolve_catalog(args)
     names = args.names or ["all"]
@@ -116,6 +112,9 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 def cmd_bijection(args: argparse.Namespace) -> int:
     catalog = _resolve_catalog(args)
     p = parse_partition(args.partition)
+    record: dict[str, object] = {"input": list(p.parts)}
+    lines = [f"input:  {p}"]
+    trailer: list[str] = []
     if args.map in ("glaisher", "glaisher-inv"):
         if args.modulus is None:
             print("error: glaisher maps require --modulus", file=sys.stderr)
@@ -124,64 +123,27 @@ def cmd_bijection(args: argparse.Namespace) -> int:
             glaisher_forward_steps if args.map == "glaisher" else glaisher_inverse_steps
         )
         steps = stepper(p, args.modulus)
-        if args.format == "machine":
-            print(
-                json.dumps(
-                    {
-                        "input": list(p.parts),
-                        "steps": [list(s.parts) for s in steps[1:-1]],
-                        "output": list(steps[-1].parts),
-                    },
-                    sort_keys=True,
-                    separators=(",", ":"),
-                )
-            )
-        else:
-            print(f"input:  {steps[0]}")
-            for step in steps[1:-1]:
-                print(f"step:   {step}")
-            print(f"output: {steps[-1]}")
+        record["steps"] = [list(s.parts) for s in steps[1:-1]]
+        output = steps[-1].parts
+        lines += [f"step:   {step}" for step in steps[1:-1]]
     elif args.map == "rr2":
         c = rr2_step_c(p)
-        b = rr2_forward(p)
-        record = rr2_record(p)
+        output = rr2_forward(p)
+        weights = rr2_record(p)
         shift = sum(3 * (x // 5) + 1 for x in p.parts)
-        if args.format == "machine":
-            print(
-                json.dumps(
-                    {
-                        "input": list(p.parts),
-                        "c": list(c),
-                        "output": list(b),
-                        "input_weight": record.source_weight,
-                        "output_weight": record.image_weight,
-                    },
-                    sort_keys=True,
-                    separators=(",", ":"),
-                )
-            )
-        else:
-            n = len(p.parts)
-            print(f"input:  {p}")
-            print(f"c:      {_format_vector(c)}")
-            print(f"output: {_format_vector(b)}")
-            print(
-                f"weight: {record.image_weight} = {record.source_weight} "
-                f"+ {n * n} - {shift}"
-            )
+        record.update(
+            c=list(c),
+            input_weight=weights.source_weight,
+            output_weight=weights.image_weight,
+        )
+        lines.append(f"c:      {_bracketed(c)}")
+        n = len(p.parts)
+        trailer.append(
+            f"weight: {weights.image_weight} = {weights.source_weight} "
+            f"+ {n * n} - {shift}"
+        )
     elif args.map == "rr2-inv":
-        a = rr2_inverse(p.parts)
-        if args.format == "machine":
-            print(
-                json.dumps(
-                    {"input": list(p.parts), "output": list(a.parts)},
-                    sort_keys=True,
-                    separators=(",", ":"),
-                )
-            )
-        else:
-            print(f"input:  {p}")
-            print(f"output: {a}")
+        output = rr2_inverse(p.parts).parts
     else:  # profile
         if args.source is None or args.target is None or args.n is None:
             print(
@@ -191,26 +153,16 @@ def cmd_bijection(args: argparse.Namespace) -> int:
             return EXIT_USAGE
         source = catalog.lookup(args.source).profile
         target = catalog.lookup(args.target).profile
-        image = profile_bijection(p.parts, source, target, args.n)
-        base = tuple(
-            a - off for a, off in zip(p.parts, source.offsets_at(args.n))
-        )
-        if args.format == "machine":
-            print(
-                json.dumps(
-                    {
-                        "input": list(p.parts),
-                        "base": list(base),
-                        "output": list(image),
-                    },
-                    sort_keys=True,
-                    separators=(",", ":"),
-                )
-            )
-        else:
-            print(f"input:  {p}")
-            print(f"base:   {_format_vector(base)}")
-            print(f"output: {_format_vector(image)}")
+        output = profile_bijection(p.parts, source, target, args.n)
+        base = tuple(a - off for a, off in zip(p.parts, source.offsets_at(args.n)))
+        record["base"] = list(base)
+        lines.append(f"base:   {_bracketed(base)}")
+    record["output"] = list(output)
+    lines += [f"output: {_bracketed(output)}", *trailer]
+    if args.format == "machine":
+        print(json.dumps(record, sort_keys=True, separators=(",", ":")))
+    else:
+        print("\n".join(lines))
     return EXIT_OK
 
 

@@ -39,9 +39,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Partition:
-    """Weakly decreasing tuple of positive parts; the weight is their sum."""
+    """Weakly decreasing tuple of positive parts; the weight is their sum.
+    Partitions order lexicographically by their parts, the order in which
+    the enumerators below list them (largest first)."""
 
     parts: tuple[int, ...]
     weight: int = field(init=False, compare=False, repr=False)
@@ -82,7 +84,12 @@ class Partition:
         return len(self.parts)
 
     def __str__(self) -> str:
-        return "[" + ",".join(str(p) for p in self.parts) + "]"
+        return _bracketed(self.parts)
+
+
+def _bracketed(vector: Sequence[int]) -> str:
+    """The bracketed form ``[7,6,4,2,1]`` that ``parse_partition`` reads."""
+    return "[" + ",".join(map(str, vector)) + "]"
 
 
 def parse_partition(text: str) -> Partition:
@@ -100,13 +107,23 @@ def parse_partition(text: str) -> Partition:
     return Partition(parts)
 
 
+def _conjugate_parts(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """Conjugate of positive, weakly decreasing parts in one scan from the
+    smallest part up: the columns from the previous part's value + 1 to this
+    part's value each hold one cell per part not smaller than it."""
+    out: list[int] = []
+    height = len(parts)
+    previous = 0
+    for part in reversed(parts):
+        out += [height] * (part - previous)
+        previous = part
+        height -= 1
+    return tuple(out)
+
+
 def conjugate(p: Partition) -> Partition:
     """Transpose of the Young diagram; an involution preserving weight."""
-    if not p.parts:
-        return p
-    return Partition._ordered(
-        tuple(sum(1 for x in p.parts if x >= j) for j in range(1, p.parts[0] + 1))
-    )
+    return Partition._ordered(_conjugate_parts(p.parts))
 
 
 @dataclass(frozen=True)

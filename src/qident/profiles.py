@@ -193,6 +193,11 @@ class ProfileBranch:
     def offsets_at(self, n: int) -> tuple[int, ...]:
         return tuple(self.offset(n, s) for s in range(1, self.slot_count(n) + 1))
 
+    def family_index(self, n: int) -> int:
+        """The family index of branch term n, inverting
+        ``ProfileFamily.resolve``."""
+        return {"all": n, "even": 2 * n, "odd": 2 * n - 1}[self.parity_label]
+
 
 @dataclass(frozen=True)
 class ProfileFamily:
@@ -463,9 +468,9 @@ def profile_chain_counts(family: ProfileFamily, max_weight: int) -> list[int]:
             if u == 0:
                 counts[w] += 1
             else:
-                # the family index of branch term n, inverting ProfileFamily.resolve
-                index = {"all": n, "even": 2 * n, "odd": 2 * n - 1}[branch.parity_label]
-                chain = _offsets_chain(family.name, index, branch.offsets_at(n))
+                chain = _offsets_chain(
+                    family.name, branch.family_index(n), branch.offsets_at(n)
+                )
                 term_counts = count_chain_by_weight(chain, max_weight)
                 for weight in range(w, max_weight + 1):
                     counts[weight] += term_counts[weight]
@@ -475,34 +480,27 @@ def profile_chain_counts(family: ProfileFamily, max_weight: int) -> list[int]:
 
 
 def validate_profile(family: ProfileFamily, n_max: int) -> ProfileValidation:
-    """Check nonnegativity, weak decrease in s, and that the offsets sum to the
-    declared weight, for every branch index up to ``n_max``."""
+    """Check, for every branch index up to ``n_max``, that the offsets pass
+    the nonnegativity and weak-decrease checks of ``_offsets_chain`` and sum
+    to the declared weight."""
     failures: list[str] = []
     for branch in family.branches:
         for n in range(branch.n_min, n_max + 1):
+            where = f"{family.name}[{branch.parity_label}] n={n}: "
             try:
                 offsets = branch.offsets_at(n)
             except ValueError as exc:
-                failures.append(f"{family.name}[{branch.parity_label}] n={n}: {exc}")
+                failures.append(where + str(exc))
                 continue
-            for s, value in enumerate(offsets, start=1):
-                if value < 0:
-                    failures.append(
-                        f"{family.name}[{branch.parity_label}] n={n} s={s}: "
-                        f"negative offset {value}"
-                    )
-                    break
-                if s > 1 and offsets[s - 2] < value:
-                    failures.append(
-                        f"{family.name}[{branch.parity_label}] n={n} s={s - 1}: "
-                        f"offsets increase from {offsets[s - 2]} to {value}"
-                    )
-                    break
+            if offsets:
+                try:
+                    _offsets_chain(family.name, branch.family_index(n), offsets)
+                except ValueError as exc:
+                    failures.append(where + str(exc))
             declared = branch.declared_weight(n)
             total = sum(offsets)
             if total != declared:
                 failures.append(
-                    f"{family.name}[{branch.parity_label}] n={n}: offsets sum to "
-                    f"{total}, declared weight is {declared}"
+                    f"{where}offsets sum to {total}, declared weight is {declared}"
                 )
     return ProfileValidation(family.name, n_max, tuple(failures))

@@ -313,10 +313,10 @@ class TestCertify:
             lambda p: glaisher_forward(p, 2),
             lambda p: glaisher_inverse(p, 2),
             lambda p: no_part_divisible(p, 2),
-            target=target,
+            target_size=len(target),
         )
         assert report.ok
-        assert report.domain_size == report.image_size == report.target_size == 10
+        assert report.domain_size == report.target_size == 10
 
     def test_one_shot_generator_domain_streams(self):
         domain = partitions_repetition_bounded(12, 3)
@@ -333,7 +333,9 @@ class TestCertify:
                 lambda p: glaisher_forward(p, 3),
                 lambda p: glaisher_inverse(p, 3),
                 lambda p: no_part_divisible(p, 3),
-                target=enumerate_partitions_with_parts(ResidueClass.nonzero(3), 12),
+                target_size=len(
+                    enumerate_partitions_with_parts(ResidueClass.nonzero(3), 12)
+                ),
             )
 
         stream = once()
@@ -344,9 +346,9 @@ class TestCertify:
         assert next(stream, None) is None
 
     def test_failure_still_counts_whole_domain(self):
-        listed = certify_bijection([1, 2, 3, 4], lambda x: 0, lambda y: y, lambda y: True)
+        listed = certify_bijection([4, 3, 2, 1], lambda x: 0, lambda y: y, lambda y: True)
         streamed = certify_bijection(
-            iter([1, 2, 3, 4]), lambda x: 0, lambda y: y, lambda y: True
+            iter([4, 3, 2, 1]), lambda x: 0, lambda y: y, lambda y: True
         )
         assert not streamed.ok
         assert streamed == listed
@@ -359,21 +361,57 @@ class TestCertify:
 
     def test_detects_non_injective(self):
         report = certify_bijection(
-            [1, 2], lambda x: 0, lambda y: 1, lambda y: True
+            [2, 1], lambda x: 0, lambda y: 1, lambda y: True
         )
         assert not report.ok
         assert "round trip" in report.failure or "injective" in report.failure
 
     def test_detects_wrong_target(self):
         report = certify_bijection(
-            [1, 2],
+            [2, 1],
             lambda x: x,
             lambda y: y,
             lambda y: True,
-            target=[1, 2, 3],
+            target_size=3,
         )
         assert not report.ok
-        assert "differs from target" in report.failure
+        assert (report.domain_size, report.target_size) == (2, 3)
+        # no element is at fault, so the note gives both counts and no witness
+        assert report.failure == "domain has 2 elements, target has 3"
+
+    def test_repeated_domain_element_is_named(self):
+        # a repeat keeps every round trip and the count of the duplicated
+        # domain [3, 2, 2] equal to a target of size 3
+        report = certify_bijection(
+            [3, 2, 2], lambda x: x, lambda y: y, lambda y: True, target_size=3
+        )
+        assert not report.ok
+        assert report.domain_size == 3
+        assert report.failure == "domain is not strictly decreasing: 2 after 2"
+
+    def test_ascending_domain_fails(self):
+        report = certify_bijection([1, 2], lambda x: x, lambda y: y, lambda y: True)
+        assert report.failure == "domain is not strictly decreasing: 2 after 1"
+
+    def test_weight_changing_map_fails_target_predicate(self):
+        # one more part of size 1 round-trips, keeps parts odd and leaves the
+        # count alone; only the weight in the target predicate catches it
+        domain = partitions_repetition_bounded(6, 2)
+        report = certify_bijection(
+            domain,
+            lambda p: Partition(glaisher_forward(p, 2).parts + (1,)),
+            lambda q: glaisher_inverse(Partition(q.parts[:-1]), 2),
+            lambda q: q.weight == 6 and no_part_divisible(q, 2),
+            target_size=len(enumerate_partitions_with_parts(ResidueClass.nonzero(2), 6)),
+        )
+        assert not report.ok
+        assert report.failure == "image of [6] fails the target predicate: [3,3,1]"
+
+    def test_part_tuples_are_named_in_bracketed_form(self):
+        report = certify_bijection(
+            [(2,), (1, 1)], lambda x: x[:1], lambda y: y, lambda y: True
+        )
+        assert report.failure == "inverse round trip failed for [1,1]: got [1] via [1]"
 
     def test_render_text(self):
         report = certify_bijection([1], lambda x: x, lambda y: y, lambda y: True)

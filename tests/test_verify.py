@@ -148,6 +148,11 @@ class TestGlaisherFamily:
     def test_conjugate_report_small(self):
         assert glaisher_conjugate_report(3, 12).passed
 
+    @pytest.mark.parametrize("report", [glaisher_bijection_report, glaisher_conjugate_report])
+    def test_weight_zero_bound_passes(self, report):
+        result = report(3, 0)
+        assert result.passed and result.bound == 0
+
     def test_bijection_failure_names_partitions(self, monkeypatch):
         divide = verify_module._glaisher_divide
 
@@ -170,12 +175,86 @@ class TestGlaisherFamily:
 
         monkeypatch.setattr(verify_module, "_glaisher_divide", ascending)
         report = glaisher_bijection_report(3, 12)
-        # weight 3: [3] and [2,1] map onto [1,1,1] and the unsorted (1, 2)
+        # weight 3: [3] and [2,1] map onto [1,1,1] and the unsorted (1, 2),
+        # which round-trips but is not a member of the target
         assert (report.exponent, report.lhs, report.rhs) == (3, 2, 2)
-        assert report.note == (
-            "image differs from target (2 vs 2); missing [Partition(parts=(2, 1))], "
-            "extraneous [Partition(parts=(1, 2))]"
+        assert report.note == "image of [2,1] fails the target predicate: [1,2]"
+
+    def test_bijection_failure_on_count_names_both_counts(self, monkeypatch):
+        count = verify_module.count_partitions_with_parts
+
+        def one_too_many_at_nine(rc, max_weight):
+            counts = count(rc, max_weight)
+            counts[9] += 1
+            return counts
+
+        monkeypatch.setattr(
+            verify_module, "count_partitions_with_parts", one_too_many_at_nine
         )
+        report = glaisher_bijection_report(3, 12)
+        assert (report.mode, report.outcome) == ("bijection", "mismatch")
+        # 16 partitions of 9 with no part repeated three times, and as many
+        # with no part divisible by 3
+        assert (report.exponent, report.lhs, report.rhs) == (9, 16, 17)
+        assert report.note == "domain has 16 elements, target has 17"
+
+    def test_bijection_failure_on_repeated_domain_element(self, monkeypatch):
+        generate = verify_module._repetition_bounded_parts
+
+        def first_twice(weight, modulus):
+            found = generate(weight, modulus)
+            return [found[0], *found[:-1]] if weight == 5 else found
+
+        monkeypatch.setattr(verify_module, "_repetition_bounded_parts", first_twice)
+        report = glaisher_bijection_report(3, 12)
+        assert (report.exponent, report.lhs, report.rhs) == (5, 5, 5)
+        assert report.note == "domain is not strictly decreasing: [5] after [5]"
+
+    def test_bijection_failure_on_weight_changing_map(self, monkeypatch):
+        divide = verify_module._glaisher_divide
+        merge = verify_module._glaisher_merge
+        # one extra part 1 on the way out, dropped on the way back: the round
+        # trip, the part sizes, the order and the count all still hold
+        monkeypatch.setattr(
+            verify_module,
+            "_glaisher_divide",
+            lambda parts, modulus: divide(parts, modulus) + (1,),
+        )
+        monkeypatch.setattr(
+            verify_module,
+            "_glaisher_merge",
+            lambda parts, modulus: merge(parts[:-1], modulus),
+        )
+        report = glaisher_bijection_report(3, 12)
+        assert (report.exponent, report.lhs, report.rhs) == (0, 1, 1)
+        assert report.note == "image of [] fails the target predicate: [1]"
+
+    def test_conjugate_failure_names_the_weight(self, monkeypatch):
+        conjugate = verify_module._conjugate_parts
+
+        def wrong_on_three_one(parts):
+            return (2, 2) if parts == (3, 1) else conjugate(parts)
+
+        monkeypatch.setattr(verify_module, "_conjugate_parts", wrong_on_three_one)
+        report = glaisher_conjugate_report(3, 12)
+        assert (report.mode, report.outcome, report.bound) == ("conjugate", "mismatch", 12)
+        # weight 4: [4], [3,1], [2,2], [2,1,1] against as many chain vectors
+        assert (report.exponent, report.lhs, report.rhs) == (4, 4, 4)
+        assert report.note == "inverse round trip failed for [3,1]: got [2,2] via [2,2]"
+
+    def test_conjugate_failure_on_chain_count(self, monkeypatch):
+        count = verify_module.count_chain_by_weight
+
+        def one_short_at_seven(chain, max_weight):
+            counts = count(chain, max_weight)
+            if chain.slots == 1:
+                counts[7] -= 1
+            return counts
+
+        monkeypatch.setattr(verify_module, "count_chain_by_weight", one_short_at_seven)
+        report = glaisher_conjugate_report(2, 12)
+        assert (report.exponent, report.lhs, report.rhs) == (7, 5, 4)
+        assert report.note == "domain has 5 elements, target has 4"
 
 
 class TestSuite:
@@ -282,7 +361,8 @@ class TestPlan:
             "sum_side_glaisher",
             "profile_series",
             "profile_chain_counts",
-            "enumerate_chain",
+            "count_chain_by_weight",
+            "count_partitions_with_parts",
             "certify_bijection",
         ):
             monkeypatch.setattr(verify_module, name, must_not_run)
