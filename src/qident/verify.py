@@ -520,10 +520,10 @@ _GLAISHER_MODULI = range(2, 8)
 # Largest weight of the divide-by-M conjugate check, whatever --max-weight
 # says.  It is the bound in that check's report, so changing it changes the
 # machine output.  The cap stays because, uncapped, the conjugate check still
-# costs more than the bijection check over M = 2..7: 0.29-0.32 s against
-# 0.20-0.29 s at weight 25, and 0.87-0.97 s against 0.75-0.85 s at weight 30
-# (2 CPUs, Python 3.11.7).  Counting the chain vectors of every slot count
-# takes about half of it.
+# costs more than the bijection check over M = 2..7, in each of five paired
+# runs: 0.29-0.44 s against 0.20-0.35 s at weight 25, and 0.87-1.42 s against
+# 0.75-1.00 s at weight 30 (2 CPUs, Python 3.11.7).  Counting the chain
+# vectors of every slot count takes about a third of it.
 CONJUGATE_MAX_WEIGHT = 20
 
 _GLAISHER_NAME = re.compile(r"glaisher-(\d+)")
