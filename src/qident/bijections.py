@@ -7,7 +7,6 @@ second Rogers-Ramanujan identity, and the divide-by-M / merge-M-copies pair
 behind Euler-Glaisher equinumerosity.
 """
 
-import json
 from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
@@ -282,23 +281,6 @@ class CertificationReport:
     @property
     def ok(self) -> bool:
         return self.failure is None
-
-    def render_text(self) -> str:
-        target = "-" if self.target_size is None else str(self.target_size)
-        status = "pass" if self.ok else f"FAIL: {self.failure}"
-        return f"domain={self.domain_size} target={target} {status}"
-
-    def machine(self) -> str:
-        return json.dumps(
-            {
-                "domain_size": self.domain_size,
-                "target_size": self.target_size,
-                "ok": self.ok,
-                "failure": self.failure,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
 
 
 def certify_bijection(

@@ -15,9 +15,8 @@ from .bijections import (
     glaisher_forward_steps,
     glaisher_inverse_steps,
     profile_bijection,
-    rr2_forward,
-    rr2_record,
     rr2_inverse,
+    rr2_record,
     rr2_step_c,
 )
 from .partitions import Partition, _bracketed, enumerate_chain, parse_partition
@@ -37,7 +36,7 @@ from .series import (
     product_side,
     sum_side_glaisher,
 )
-from .verify import CONJUGATE_MAX_WEIGHT, run_suite
+from .verify import CONJUGATE_MAX_WEIGHT, _table, run_suite
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -128,8 +127,8 @@ def cmd_bijection(args: argparse.Namespace) -> int:
         lines += [f"step:   {step}" for step in steps[1:-1]]
     elif args.map == "rr2":
         c = rr2_step_c(p)
-        output = rr2_forward(p)
         weights = rr2_record(p)
+        output = weights.image
         shift = sum(3 * (x // 5) + 1 for x in p.parts)
         record.update(
             c=list(c),
@@ -182,13 +181,7 @@ def cmd_catalog(args: argparse.Namespace) -> int:
             f"u={b.slots}, S={b.min_weight}" for b in entry.profile.branches
         )
         rows.append([name, product, terms, entry.source])
-    widths = [
-        max(len(headers[i]), *(len(row[i]) for row in rows)) for i in range(len(headers))
-    ]
-    print("  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)))
-    print("  ".join("-" * w for w in widths))
-    for row in rows:
-        print("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
+    print("\n".join(_table(headers, rows)))
     return EXIT_OK
 
 

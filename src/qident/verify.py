@@ -13,7 +13,10 @@ comes from an enumeration count, never from a listed set or a series.
 
 What gets checked is derived from the catalog alone: ``plan_checks`` turns
 names into a tuple of ``Check`` rows without running anything, and
-``run_suite`` runs that plan.
+``run_suite`` runs that plan.  A check function returns a ``Finding`` for a
+failure and None for a pass; it knows nothing of the row it fills.
+``run_suite`` times each check and builds its ``VerificationReport`` from
+the planned row (identity, mode, subject, bound) and the finding.
 """
 
 import json
@@ -56,6 +59,7 @@ from .series import (
 __all__ = [
     "IdentityDescriptor",
     "VerificationReport",
+    "Finding",
     "SuiteSummary",
     "Check",
     "CONJUGATE_MAX_WEIGHT",
@@ -143,31 +147,26 @@ class VerificationReport:
         return f"error: {self.note}"
 
 
-def _report(
-    identity: str,
-    mode: str,
-    bound: int,
-    started: float,
-    *,
-    subject: str = "",
-    exponent: int | None = None,
-    lhs: int | None = None,
-    rhs: int | None = None,
-    note: str = "",
-) -> VerificationReport:
-    outcome = "pass" if exponent is None and not note else "mismatch"
-    return VerificationReport(
-        identity=identity,
-        mode=mode,
-        bound=bound,
-        outcome=outcome,
-        subject=subject,
-        exponent=exponent,
-        lhs=lhs,
-        rhs=rhs,
-        note=note if outcome == "mismatch" else "",
-        elapsed=time.perf_counter() - started,
-    )
+@dataclass(frozen=True)
+class Finding:
+    """What a failed check found: the smallest offending exponent (or weight)
+    and both exact values, or, with ``error``, why it could not run.  A check
+    function returns None when it passes."""
+
+    note: str
+    exponent: int | None = None
+    lhs: int | None = None
+    rhs: int | None = None
+    error: bool = False
+
+
+def _first_difference(
+    lhs: TruncatedSeries, rhs: TruncatedSeries, order: int, note: str
+) -> Finding | None:
+    e = lhs.first_difference(rhs, order)
+    if e is None:
+        return None
+    return Finding(note, e, lhs.coefficient(e), rhs.coefficient(e))
 
 
 def _sum_series(
@@ -185,35 +184,19 @@ def verify_analytic(
     descriptor: IdentityDescriptor,
     order: int,
     catalog: Catalog | None = None,
-) -> VerificationReport:
+) -> Finding | None:
     """Compare the product side and the sum side coefficientwise below
-    ``order``; both sides are computed by series algebra alone."""
+    ``order``; both sides are computed by series algebra alone.  An identity
+    without a product side raises ValueError."""
     if catalog is None:
         catalog = default_catalog()
-    started = time.perf_counter()
     if descriptor.product is None:
-        return VerificationReport(
-            descriptor.name,
-            "analytic",
-            order,
-            "error",
-            note="identity has no product side",
-            elapsed=time.perf_counter() - started,
-        )
-    lhs = product_side(descriptor.product, order)
-    rhs = _sum_series(descriptor, order, catalog)
-    e = lhs.first_difference(rhs, order)
-    if e is None:
-        return _report(descriptor.name, "analytic", order, started)
-    return _report(
-        descriptor.name,
-        "analytic",
+        raise ValueError(f"identity {descriptor.name} has no product side")
+    return _first_difference(
+        product_side(descriptor.product, order),
+        _sum_series(descriptor, order, catalog),
         order,
-        started,
-        exponent=e,
-        lhs=lhs.coefficient(e),
-        rhs=rhs.coefficient(e),
-        note="product vs sum side",
+        "product vs sum side",
     )
 
 
@@ -222,13 +205,12 @@ def verify_combinatorial(
     profile_name: str,
     max_weight: int,
     catalog: Catalog | None = None,
-) -> VerificationReport:
+) -> Finding | None:
     """Chain-enumeration counts of one interpretation against the sum-side
     series coefficients, and against the product-side series when the identity
     has one.  Enumeration and series are independent code paths."""
     if catalog is None:
         catalog = default_catalog()
-    started = time.perf_counter()
     if profile_name not in descriptor.interpretations:
         raise ValueError(
             f"profile {profile_name!r} is not an interpretation of "
@@ -242,20 +224,13 @@ def verify_combinatorial(
     for label, s in series:
         for weight in range(max_weight + 1):
             if counts[weight] != s.coefficient(weight):
-                return _report(
-                    descriptor.name,
-                    "combinatorial",
-                    max_weight,
-                    started,
-                    subject=profile_name,
-                    exponent=weight,
-                    lhs=counts[weight],
-                    rhs=s.coefficient(weight),
-                    note=f"enumeration vs {label}",
+                return Finding(
+                    f"enumeration vs {label}",
+                    weight,
+                    counts[weight],
+                    s.coefficient(weight),
                 )
-    return _report(
-        descriptor.name, "combinatorial", max_weight, started, subject=profile_name
-    )
+    return None
 
 
 def verify_equinumerosity(
@@ -263,25 +238,17 @@ def verify_equinumerosity(
     max_weight: int,
     *,
     catalog: Catalog | None = None,
-    identity: str | None = None,
-) -> VerificationReport:
+) -> Finding | None:
     """Count agreement across interpretations sharing one term family, checked
     against each other, against product-side enumeration, and against the
-    series coefficients."""
+    series coefficients.  Interpretations of different product sides raise
+    ValueError."""
     if catalog is None:
         catalog = default_catalog()
-    started = time.perf_counter()
-    name = identity or "+".join(profile_names)
     entries = [catalog.lookup(p) for p in profile_names]
-    products = {e.product for e in entries}
-    if len(products) != 1:
-        return VerificationReport(
-            name,
-            "equinumerosity",
-            max_weight,
-            "error",
-            note="interpretations disagree on the product side",
-            elapsed=time.perf_counter() - started,
+    if len({e.product for e in entries}) != 1:
+        raise ValueError(
+            f"profiles {', '.join(profile_names)} disagree on the product side"
         )
     product = entries[0].product
     sequences: list[tuple[str, list[int]]] = [
@@ -303,25 +270,16 @@ def verify_equinumerosity(
     for other_name, other in sequences[1:]:
         for weight in range(max_weight + 1):
             if reference[weight] != other[weight]:
-                return _report(
-                    name,
-                    "equinumerosity",
-                    max_weight,
-                    started,
-                    exponent=weight,
-                    lhs=reference[weight],
-                    rhs=other[weight],
-                    note=f"{ref_name} vs {other_name}",
+                return Finding(
+                    f"{ref_name} vs {other_name}", weight, reference[weight], other[weight]
                 )
-    return _report(name, "equinumerosity", max_weight, started)
+    return None
 
 
-def euler_forms_report(order: int) -> VerificationReport:
+def euler_forms_report(order: int) -> Finding | None:
     """At modulus 2, the odd-parts product equals three sum expressions: the
     divide-by-2 form, the triangular-exponent family, and the distinct-parts
     product form.  All four are compared pairwise to the product."""
-    name = "glaisher-2"
-    started = time.perf_counter()
     prod = product_side(ResidueClass(2, frozenset({1})), order)
     forms = [
         ("divide-by-2 sum", sum_side_glaisher(2, order)),
@@ -332,37 +290,25 @@ def euler_forms_report(order: int) -> VerificationReport:
         ("distinct-parts sum", euler_distinct_sum(order)),
     ]
     for label, s in forms:
-        e = prod.first_difference(s, order)
-        if e is not None:
-            return _report(
-                name,
-                "forms",
-                order,
-                started,
-                exponent=e,
-                lhs=prod.coefficient(e),
-                rhs=s.coefficient(e),
-                note=f"odd-parts product vs {label}",
-            )
-    return _report(name, "forms", order, started)
+        finding = _first_difference(prod, s, order, f"odd-parts product vs {label}")
+        if finding is not None:
+            return finding
+    return None
 
 
 def _certify_bounded_repetition(
     modulus: int,
-    mode: str,
     first_weight: int,
     max_weight: int,
-    started: float,
     forward: Callable[[tuple[int, ...]], tuple[int, ...]],
     inverse: Callable[[tuple[int, ...]], tuple[int, ...]],
     in_target: Callable[[int, tuple[int, ...]], bool],
     target_sizes: list[int],
-) -> VerificationReport:
+) -> Finding | None:
     """Certify ``forward`` on the bounded-repetition partitions of every weight
     from ``first_weight`` to ``max_weight``; ``in_target(weight, image)`` is
     the target's membership test and ``target_sizes[weight]`` its size.  A
-    mismatch gives the first failing weight, both sizes and the failure."""
-    name = f"glaisher-{modulus}"
+    failure gives the first failing weight, both sizes and the reason."""
     for weight in range(first_weight, max_weight + 1):
         cert = certify_bijection(
             _repetition_bounded_parts(weight, modulus),
@@ -372,14 +318,11 @@ def _certify_bounded_repetition(
             target_sizes[weight],
         )
         if not cert.ok:
-            return _report(
-                name, mode, max_weight, started, exponent=weight,
-                lhs=cert.domain_size, rhs=cert.target_size, note=cert.failure or "",
-            )
-    return _report(name, mode, max_weight, started)
+            return Finding(cert.failure, weight, cert.domain_size, cert.target_size)
+    return None
 
 
-def glaisher_bijection_report(modulus: int, max_weight: int) -> VerificationReport:
+def glaisher_bijection_report(modulus: int, max_weight: int) -> Finding | None:
     """Certify the divide-by-M map from bounded-repetition partitions onto
     partitions with no part divisible by M, at every weight up to
     ``max_weight``.
@@ -389,7 +332,6 @@ def glaisher_bijection_report(modulus: int, max_weight: int) -> VerificationRepo
     weight comes from one count of partitions into parts not divisible by M,
     an enumeration oracle.
     """
-    started = time.perf_counter()
     target_sizes = count_partitions_with_parts(ResidueClass.nonzero(modulus), max_weight)
     # a member of weight w <= max_weight has only parts from this set
     allowed = frozenset(k for k in range(1, max_weight + 1) if k % modulus)
@@ -402,14 +344,14 @@ def glaisher_bijection_report(modulus: int, max_weight: int) -> VerificationRepo
         )
 
     return _certify_bounded_repetition(
-        modulus, "bijection", 0, max_weight, started,
+        modulus, 0, max_weight,
         partial(_glaisher_divide, modulus=modulus),
         partial(_glaisher_merge, modulus=modulus),
         in_target, target_sizes,
     )
 
 
-def glaisher_conjugate_report(modulus: int, max_weight: int) -> VerificationReport:
+def glaisher_conjugate_report(modulus: int, max_weight: int) -> Finding | None:
     """Conjugation must map the bounded-repetition partitions of every weight
     from 1 to ``max_weight`` onto the vectors whose adjacent differences lie
     in [0, M-1] and whose last entry lies in [1, M-1].
@@ -419,7 +361,6 @@ def glaisher_conjugate_report(modulus: int, max_weight: int) -> VerificationRepo
     and at every weight the chain vectors, counted over every slot count, are
     as many as the partitions.
     """
-    started = time.perf_counter()
     gap, last = GapBound(0, modulus - 1), GapBound(1, modulus - 1)
     chains = [
         ChainConstraint.uniform(slots, gap, last) for slots in range(1, max_weight + 1)
@@ -437,34 +378,37 @@ def glaisher_conjugate_report(modulus: int, max_weight: int) -> VerificationRepo
         )
 
     return _certify_bounded_repetition(
-        modulus, "conjugate", 1, max_weight, started,
+        modulus, 1, max_weight,
         _conjugate_parts, _conjugate_parts, in_target, target_sizes,
     )
 
 
-def glaisher_alpha_report(modulus: int, n_max: int, order: int) -> VerificationReport:
+def glaisher_alpha_report(modulus: int, n_max: int, order: int) -> Finding | None:
     """Recurrence-built terms must equal the closed form for every index up to
     ``n_max`` at the given order."""
-    name = f"glaisher-{modulus}"
-    started = time.perf_counter()
     terms = [series_one(order)]
     for n in range(1, n_max + 1):
         recurred = alpha_recurrence(modulus, n, terms, order)
-        closed = alpha_closed_form(modulus, n, order)
-        e = recurred.first_difference(closed, order)
-        if e is not None:
-            return _report(
-                name,
-                "alpha",
-                order,
-                started,
-                exponent=e,
-                lhs=recurred.coefficient(e),
-                rhs=closed.coefficient(e),
-                note=f"recurrence vs closed form at term {n}",
-            )
+        finding = _first_difference(
+            recurred,
+            alpha_closed_form(modulus, n, order),
+            order,
+            f"recurrence vs closed form at term {n}",
+        )
+        if finding is not None:
+            return finding
         terms.append(recurred)
-    return _report(name, "alpha", order, started)
+    return None
+
+
+def _table(headers: list[str], rows: list[list[str]]) -> list[str]:
+    """Left-aligned columns two spaces apart, under a header line and a rule
+    of dashes; a column is as wide as its widest cell or header."""
+    widths = [max([len(h), *(len(row[i]) for row in rows)]) for i, h in enumerate(headers)]
+    return [
+        "  ".join(cell.ljust(w) for cell, w in zip(row, widths))
+        for row in (headers, ["-" * w for w in widths], *rows)
+    ]
 
 
 @dataclass(frozen=True)
@@ -486,32 +430,17 @@ class SuiteSummary:
     def machine_lines(self) -> list[str]:
         return [r.machine() for r in self.reports]
 
-    def render_table(self, *, with_time: bool = True) -> str:
-        headers = ["identity", "mode", "subject", "bound", "result"]
-        if with_time:
-            headers.append("time")
-        rows = []
-        for r in self.reports:
-            row = [r.identity, r.mode, r.subject or "-", str(r.bound), r.describe()]
-            if with_time:
-                row.append(f"{r.elapsed:.2f}s")
-            rows.append(row)
-        widths = [
-            max(len(headers[i]), *(len(row[i]) for row in rows)) if rows else len(headers[i])
-            for i in range(len(headers))
+    def render_table(self) -> str:
+        rows = [
+            [r.identity, r.mode, r.subject or "-", str(r.bound), r.describe(),
+             f"{r.elapsed:.2f}s"]
+            for r in self.reports
         ]
-        lines = [
-            "  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)),
-            "  ".join("-" * w for w in widths),
-        ]
-        for row in rows:
-            lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
+        headers = ["identity", "mode", "subject", "bound", "result", "time"]
         good = sum(1 for r in self.reports if r.passed)
-        lines.append("")
-        lines.append(f"{good}/{len(self.reports)} checks passed")
-        return "\n".join(lines)
-
-
+        return "\n".join(
+            [*_table(headers, rows), "", f"{good}/{len(self.reports)} checks passed"]
+        )
 
 
 # The divide-by-M identities that "all" selects.
@@ -532,7 +461,8 @@ _GLAISHER_NAME = re.compile(r"glaisher-(\d+)")
 @dataclass(frozen=True)
 class Check:
     """One planned check: the row its report fills, and ``call``, a
-    ``functools.partial`` of a check function that produces the report."""
+    ``functools.partial`` of a check function that returns a ``Finding`` or
+    None for a pass."""
 
     identity: str
     mode: str
@@ -678,12 +608,11 @@ def plan_checks(
     ]
     checks += [
         _check(name, "equinumerosity", max_weight, verify_equinumerosity, members,
-               max_weight, catalog=catalog, identity=name)
+               max_weight, catalog=catalog)
         for name, members in selected_groups
     ]
     checks += [
-        _check(raw, "lookup", 0, VerificationReport, raw, "lookup", 0, "error",
-               note="unknown identity")
+        _check(raw, "lookup", 0, Finding, "unknown identity", error=True)
         for raw in unknown
     ]
     return tuple(sorted(checks, key=lambda c: (c.identity, c.mode, c.subject)))
@@ -698,11 +627,25 @@ def run_suite(
     alpha_terms: int = 10,
 ) -> SuiteSummary:
     """Run every check ``plan_checks`` selects (None or "all" selects
-    everything; an empty list selects nothing).  Unknown names become error
-    rows rather than aborting the rest of the suite."""
+    everything; an empty list selects nothing), one report per check in plan
+    order.  Unknown names become error rows rather than aborting the rest of
+    the suite."""
     if catalog is None:
         catalog = default_catalog()
+
+    def run(check: Check) -> VerificationReport:
+        """Time one check and fill its row from the plan and the finding."""
+        started = time.perf_counter()
+        finding = check.call()
+        elapsed = time.perf_counter() - started
+        if finding is None:
+            outcome, finding = "pass", Finding("")
+        else:
+            outcome = "error" if finding.error else "mismatch"
+        return VerificationReport(
+            check.identity, check.mode, check.bound, outcome, check.subject,
+            finding.exponent, finding.lhs, finding.rhs, finding.note, elapsed,
+        )
+
     plan = plan_checks(names, order, max_weight, catalog, alpha_terms=alpha_terms)
-    reports = [check.call() for check in plan]
-    reports.sort(key=lambda r: (r.identity, r.mode, r.subject, r.note))
-    return SuiteSummary(tuple(reports))
+    return SuiteSummary(tuple(map(run, plan)))

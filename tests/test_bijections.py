@@ -412,16 +412,3 @@ class TestCertify:
             [(2,), (1, 1)], lambda x: x[:1], lambda y: y, lambda y: True
         )
         assert report.failure == "inverse round trip failed for [1,1]: got [1] via [1]"
-
-    def test_render_text(self):
-        report = certify_bijection([1], lambda x: x, lambda y: y, lambda y: True)
-        assert "pass" in report.render_text()
-
-    def test_machine_record_round_trips(self):
-        import json
-
-        report = certify_bijection([1], lambda x: x, lambda y: y, lambda y: True)
-        line = report.machine()
-        payload = json.loads(line)
-        assert payload["ok"] is True
-        assert json.dumps(payload, sort_keys=True, separators=(",", ":")) == line

@@ -214,6 +214,13 @@ class TestCatalogCommand:
         assert code == EXIT_OK
         assert out == dump_catalog(default_catalog())
 
+    def test_empty_catalog_lists_only_the_headers(self, capsys, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text('{"entries": []}')
+        code, out, err = run(capsys, "--catalog", str(path), "catalog")
+        assert (code, err) == (EXIT_OK, "")
+        assert out == "name  product  terms  source\n----  -------  -----  ------\n"
+
 
 class TestVerifyCommand:
     def test_single_identity_passes(self, capsys):

@@ -1,11 +1,14 @@
-"""Mutant gate for the enumeration oracles and the Glaisher maps.
+"""Mutant gate for the series builders, the enumeration oracles and the
+Glaisher maps.
 
 Each case plants one deliberate fault, runs the whole suite at small bounds,
 and asserts two things: the fault turns every named row into a mismatch, and
-it leaves every row computed by series algebra alone (``analytic``,
-``alpha``, ``forms``) or by chain counting against it (``combinatorial``)
-passing.  A fault that no row reports, or that leaks into the series route,
-shows that a fast path has lost its check or that the two oracles share code.
+it leaves every row of the modes the other oracle decides passing.  A map or
+enumeration fault must not reach the rows computed by series algebra alone
+(``analytic``, ``alpha``, ``forms``); a series fault must not reach the
+``bijection``, ``conjugate`` or ``alpha`` rows.  A fault that no row reports,
+or that leaks across, shows that a fast path has lost its check or that the
+two oracles share code.
 """
 
 import sys
@@ -14,12 +17,17 @@ import pytest
 
 import qident.bijections as bijections
 import qident.partitions as partitions
+import qident.series as series
 from qident.partitions import Partition
-from qident.verify import run_suite
+from qident.profiles import default_catalog
+from qident.verify import plan_checks, run_suite
 
 ORDER, WEIGHT = 30, 13
 MODULI = range(2, 8)
-UNTOUCHED_MODES = {"analytic", "alpha", "forms", "combinatorial"}
+PLAN = plan_checks(None, ORDER, WEIGHT, default_catalog())
+
+# modes that a fault in the maps or in partition enumeration must leave passing
+SERIES_ROUTE = {"analytic", "alpha", "forms", "combinatorial"}
 
 
 def patch_everywhere(monkeypatch, module, names, make_fake):
@@ -72,13 +80,21 @@ def allows_m_copies(generate):
 
 
 def count_off_by_one(count):
-    def fake(rc, max_weight):
-        counts = count(rc, max_weight)
+    """Works for ``count_partitions_with_parts(rc, max_weight)`` and
+    ``count_chain_by_weight(chain, max_weight)`` alike."""
+
+    def fake(what, max_weight):
+        counts = count(what, max_weight)
         if max_weight >= 9:
             counts[9] += 1
         return counts
 
     return fake
+
+
+def one_factor_short(pochhammer):
+    # 1/((1-q)...(1-q^(n-1))) in place of 1/((1-q)...(1-q^n))
+    return lambda n, order: pochhammer(n - 1, order)
 
 
 SHAPE, WRONG_CONJUGATE = (3, 1), (2, 2)
@@ -97,46 +113,78 @@ def wrong_on_one_shape(conjugate):
 
 
 def glaisher_rows(*modes):
-    return {(f"glaisher-{m}", mode) for m in MODULI for mode in modes}
+    return {(f"glaisher-{m}", mode, "") for m in MODULI for mode in modes}
 
 
+def catalog_rows(*modes):
+    """Every planned row of ``modes`` outside the divide-by-M identities."""
+    return {
+        (c.identity, c.mode, c.subject)
+        for c in PLAN
+        if c.mode in modes and not c.identity.startswith("glaisher-")
+    }
+
+
+# fault -> (defining module, names it replaces, fake builder, rows that must
+# mismatch, modes whose rows must all keep passing)
 FAULTS = {
     "divide gives ascending images": (
         bijections, ("_glaisher_divide",), ascending_image,
-        glaisher_rows("bijection"),
+        glaisher_rows("bijection"), SERIES_ROUTE,
     ),
     "divide drops a part": (
         bijections, ("_glaisher_divide",), drops_a_part,
-        glaisher_rows("bijection"),
+        glaisher_rows("bijection"), SERIES_ROUTE,
     ),
     "merge uses a wrong power": (
         bijections, ("_glaisher_merge",), wrong_power,
-        glaisher_rows("bijection"),
+        glaisher_rows("bijection"), SERIES_ROUTE,
     ),
     "bounded-repetition domain repeats a partition": (
         partitions, ("_repetition_bounded_parts",), repeats_a_partition,
-        glaisher_rows("bijection", "conjugate"),
+        glaisher_rows("bijection", "conjugate"), SERIES_ROUTE,
     ),
     "bounded-repetition domain allows M copies": (
         partitions, ("_repetition_bounded_parts",), allows_m_copies,
-        glaisher_rows("bijection", "conjugate"),
+        glaisher_rows("bijection", "conjugate"), SERIES_ROUTE,
     ),
     "part-set count off by one at weight 9": (
         partitions, ("count_partitions_with_parts",), count_off_by_one,
-        {("euler-interpretations", "equinumerosity")},
+        {("euler-interpretations", "equinumerosity", "")} | glaisher_rows("bijection"),
+        SERIES_ROUTE,
+    ),
+    # chain counts size the conjugate target and every interpretation, so
+    # only the rows that never count chains stay passing
+    "chain count off by one at weight 9": (
+        partitions, ("count_chain_by_weight",), count_off_by_one,
+        catalog_rows("combinatorial", "equinumerosity") | glaisher_rows("conjugate"),
+        {"analytic", "alpha", "forms", "bijection"},
     ),
     # the public function and the tuple helper it wraps both compute
     # conjugates; the fault goes into each that exists
     "conjugate wrong on one shape": (
         partitions, ("conjugate", "_conjugate_parts"), wrong_on_one_shape,
-        glaisher_rows("conjugate"),
+        glaisher_rows("conjugate"), SERIES_ROUTE,
+    ),
+    # every catalog sum side is built from Pochhammer factors; the Glaisher
+    # sum side, the alpha terms and the enumeration oracles are not
+    "Pochhammer inverse one factor short": (
+        series, ("pochhammer_inverse",), one_factor_short,
+        catalog_rows("analytic", "combinatorial")
+        | {
+            ("glaisher-2", "forms", ""),
+            ("example-family-interpretations", "equinumerosity", ""),
+        },
+        {"bijection", "conjugate", "alpha"},
     ),
 }
 
 
 def mismatched_rows(summary):
     assert not summary.has_error
-    return {(r.identity, r.mode) for r in summary.reports if r.outcome == "mismatch"}
+    return {
+        (r.identity, r.mode, r.subject) for r in summary.reports if r.outcome == "mismatch"
+    }
 
 
 def test_unmutated_suite_passes():
@@ -145,9 +193,9 @@ def test_unmutated_suite_passes():
 
 @pytest.mark.parametrize("fault", list(FAULTS))
 def test_fault_is_caught_by_its_rows_only(monkeypatch, fault):
-    module, names, make_fake, expected = FAULTS[fault]
+    module, names, make_fake, expected, keep_passing = FAULTS[fault]
     patch_everywhere(monkeypatch, module, names, make_fake)
     mismatched = mismatched_rows(run_suite(None, ORDER, WEIGHT))
     assert expected <= mismatched, sorted(expected - mismatched)
-    leaked = {row for row in mismatched if row[1] in UNTOUCHED_MODES}
+    leaked = {row for row in mismatched if row[1] in keep_passing}
     assert not leaked, sorted(leaked)

@@ -1,6 +1,7 @@
 """Verification pipelines and the suite driver."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,9 @@ from qident.profiles import (
 )
 from qident.series import ResidueClass
 from qident.verify import (
+    Finding,
     IdentityDescriptor,
+    SuiteSummary,
     euler_forms_report,
     glaisher_alpha_report,
     glaisher_bijection_report,
@@ -41,6 +44,23 @@ def plan_rows(plan):
     return [(c.identity, c.mode, c.subject, c.bound) for c in plan]
 
 
+def suite_row(name, mode, order, max_weight):
+    """The one ``mode`` report of ``run_suite([name], ...)``."""
+    [report] = [r for r in run_suite([name], order, max_weight).reports if r.mode == mode]
+    return report
+
+
+def assert_row_carries(report, finding):
+    """A mismatch row holds the finding's exponent, values and note."""
+    assert report.outcome == "mismatch"
+    assert (report.exponent, report.lhs, report.rhs, report.note) == (
+        finding.exponent,
+        finding.lhs,
+        finding.rhs,
+        finding.note,
+    )
+
+
 def edited_catalog(edit):
     """The shipped catalog with ``edit`` applied to its JSON entry list."""
     payload = json.loads(dump_catalog(default_catalog()))
@@ -50,13 +70,11 @@ def edited_catalog(edit):
 
 class TestAnalytic:
     def test_rr2_passes_order_50(self):
-        report = verify_analytic(descriptor_by_name("rr2"), 50)
-        assert report.passed
-        assert report.bound == 50
+        assert verify_analytic(descriptor_by_name("rr2"), 50) is None
+        assert suite_row("rr2", "analytic", 50, 5).bound == 50
 
     def test_glaisher_modulus_3_passes_order_50(self):
-        report = verify_analytic(descriptor_by_name("glaisher-3"), 50)
-        assert report.passed
+        assert verify_analytic(descriptor_by_name("glaisher-3"), 50) is None
 
     def test_wrong_product_reports_first_mismatch(self):
         wrong = IdentityDescriptor(
@@ -65,31 +83,30 @@ class TestAnalytic:
             sum_profile="P2",
             interpretations=("P2",),
         )
-        report = verify_analytic(wrong, 10)
-        assert report.outcome == "mismatch"
-        assert report.exponent == 3
-        assert (report.lhs, report.rhs) == (0, 1)
+        finding = verify_analytic(wrong, 10)
+        assert not finding.error
+        assert finding.exponent == 3
+        assert (finding.lhs, finding.rhs) == (0, 1)
+        assert finding.note == "product vs sum side"
 
     def test_missing_product_is_error(self):
-        report = verify_analytic(descriptor_by_name("example-family"), 10)
-        assert report.outcome == "error"
+        with pytest.raises(ValueError, match="has no product side"):
+            verify_analytic(descriptor_by_name("example-family"), 10)
 
 
 class TestCombinatorial:
     def test_rr2_gap_interpretation(self):
-        report = verify_combinatorial(descriptor_by_name("rr2"), "P2", 25)
-        assert report.passed
+        assert verify_combinatorial(descriptor_by_name("rr2"), "P2", 25) is None
 
     def test_example_family_counts(self):
         d = descriptor_by_name("example-family")
         for profile in d.interpretations:
-            report = verify_combinatorial(d, profile, 20)
-            assert report.passed, report
+            finding = verify_combinatorial(d, profile, 20)
+            assert finding is None, finding
 
     def test_appendix_f_against_product(self):
         d = descriptor_by_name("hirschhorn-3")
-        report = verify_combinatorial(d, "hirschhorn-3", 25)
-        assert report.passed
+        assert verify_combinatorial(d, "hirschhorn-3", 25) is None
 
     def test_profile_must_be_an_interpretation(self):
         with pytest.raises(ValueError):
@@ -98,20 +115,17 @@ class TestCombinatorial:
 
 class TestEquinumerosity:
     def test_rr2_group(self):
-        report = verify_equinumerosity(("P2", "P3", "P4", "P5"), 30)
-        assert report.passed
+        assert verify_equinumerosity(("P2", "P3", "P4", "P5"), 30) is None
 
     def test_euler_pair(self):
-        report = verify_equinumerosity(("euler-staircase", "euler-layers"), 25)
-        assert report.passed
+        assert verify_equinumerosity(("euler-staircase", "euler-layers"), 25) is None
 
     def test_singleton_checked_against_product(self):
-        report = verify_equinumerosity(("P2",), 20)
-        assert report.passed
+        assert verify_equinumerosity(("P2",), 20) is None
 
     def test_mixed_products_rejected(self):
-        report = verify_equinumerosity(("P2", "euler-staircase"), 10)
-        assert report.outcome == "error"
+        with pytest.raises(ValueError, match="disagree on the product side"):
+            verify_equinumerosity(("P2", "euler-staircase"), 10)
 
 
 class TestGlaisherFamily:
@@ -137,21 +151,28 @@ class TestGlaisherFamily:
             plan_checks([name], 10, 5, default_catalog())
 
     def test_forms_report(self):
-        assert euler_forms_report(80).passed
+        assert euler_forms_report(80) is None
 
     def test_alpha_report(self):
-        assert glaisher_alpha_report(4, 8, 60).passed
+        assert glaisher_alpha_report(4, 8, 60) is None
 
     def test_bijection_report_small(self):
-        assert glaisher_bijection_report(3, 12).passed
+        assert glaisher_bijection_report(3, 12) is None
 
     def test_conjugate_report_small(self):
-        assert glaisher_conjugate_report(3, 12).passed
+        assert glaisher_conjugate_report(3, 12) is None
 
-    @pytest.mark.parametrize("report", [glaisher_bijection_report, glaisher_conjugate_report])
-    def test_weight_zero_bound_passes(self, report):
-        result = report(3, 0)
-        assert result.passed and result.bound == 0
+    @pytest.mark.parametrize(
+        "report, mode",
+        [
+            pytest.param(glaisher_bijection_report, "bijection", id="glaisher_bijection_report"),
+            pytest.param(glaisher_conjugate_report, "conjugate", id="glaisher_conjugate_report"),
+        ],
+    )
+    def test_weight_zero_bound_passes(self, report, mode):
+        assert report(3, 0) is None
+        row = suite_row("glaisher-3", mode, 10, 0)
+        assert row.passed and row.bound == 0
 
     def test_bijection_failure_names_partitions(self, monkeypatch):
         divide = verify_module._glaisher_divide
@@ -161,11 +182,13 @@ class TestGlaisherFamily:
             return image[:-1] if len(image) > 1 else image
 
         monkeypatch.setattr(verify_module, "_glaisher_divide", drop_last_part)
-        report = glaisher_bijection_report(3, 12)
-        assert (report.mode, report.outcome, report.bound) == ("bijection", "mismatch", 12)
+        finding = glaisher_bijection_report(3, 12)
         # weight 2: [2] and [1,1] on both sides
-        assert (report.exponent, report.lhs, report.rhs) == (2, 2, 2)
-        assert report.note == "inverse round trip failed for [1,1]: got [1] via [1]"
+        assert (finding.exponent, finding.lhs, finding.rhs) == (2, 2, 2)
+        assert finding.note == "inverse round trip failed for [1,1]: got [1] via [1]"
+        row = suite_row("glaisher-3", "bijection", 20, 12)
+        assert row.bound == 12
+        assert_row_carries(row, finding)
 
     def test_bijection_failure_reports_image_against_target(self, monkeypatch):
         divide = verify_module._glaisher_divide
@@ -174,11 +197,11 @@ class TestGlaisherFamily:
             return divide(parts, modulus)[::-1]
 
         monkeypatch.setattr(verify_module, "_glaisher_divide", ascending)
-        report = glaisher_bijection_report(3, 12)
+        finding = glaisher_bijection_report(3, 12)
         # weight 3: [3] and [2,1] map onto [1,1,1] and the unsorted (1, 2),
         # which round-trips but is not a member of the target
-        assert (report.exponent, report.lhs, report.rhs) == (3, 2, 2)
-        assert report.note == "image of [2,1] fails the target predicate: [1,2]"
+        assert (finding.exponent, finding.lhs, finding.rhs) == (3, 2, 2)
+        assert finding.note == "image of [2,1] fails the target predicate: [1,2]"
 
     def test_bijection_failure_on_count_names_both_counts(self, monkeypatch):
         count = verify_module.count_partitions_with_parts
@@ -191,12 +214,12 @@ class TestGlaisherFamily:
         monkeypatch.setattr(
             verify_module, "count_partitions_with_parts", one_too_many_at_nine
         )
-        report = glaisher_bijection_report(3, 12)
-        assert (report.mode, report.outcome) == ("bijection", "mismatch")
+        finding = glaisher_bijection_report(3, 12)
         # 16 partitions of 9 with no part repeated three times, and as many
         # with no part divisible by 3
-        assert (report.exponent, report.lhs, report.rhs) == (9, 16, 17)
-        assert report.note == "domain has 16 elements, target has 17"
+        assert (finding.exponent, finding.lhs, finding.rhs) == (9, 16, 17)
+        assert finding.note == "domain has 16 elements, target has 17"
+        assert_row_carries(suite_row("glaisher-3", "bijection", 20, 12), finding)
 
     def test_bijection_failure_on_repeated_domain_element(self, monkeypatch):
         generate = verify_module._repetition_bounded_parts
@@ -206,9 +229,9 @@ class TestGlaisherFamily:
             return [found[0], *found[:-1]] if weight == 5 else found
 
         monkeypatch.setattr(verify_module, "_repetition_bounded_parts", first_twice)
-        report = glaisher_bijection_report(3, 12)
-        assert (report.exponent, report.lhs, report.rhs) == (5, 5, 5)
-        assert report.note == "domain is not strictly decreasing: [5] after [5]"
+        finding = glaisher_bijection_report(3, 12)
+        assert (finding.exponent, finding.lhs, finding.rhs) == (5, 5, 5)
+        assert finding.note == "domain is not strictly decreasing: [5] after [5]"
 
     def test_bijection_failure_on_weight_changing_map(self, monkeypatch):
         divide = verify_module._glaisher_divide
@@ -225,9 +248,9 @@ class TestGlaisherFamily:
             "_glaisher_merge",
             lambda parts, modulus: merge(parts[:-1], modulus),
         )
-        report = glaisher_bijection_report(3, 12)
-        assert (report.exponent, report.lhs, report.rhs) == (0, 1, 1)
-        assert report.note == "image of [] fails the target predicate: [1]"
+        finding = glaisher_bijection_report(3, 12)
+        assert (finding.exponent, finding.lhs, finding.rhs) == (0, 1, 1)
+        assert finding.note == "image of [] fails the target predicate: [1]"
 
     def test_conjugate_failure_names_the_weight(self, monkeypatch):
         conjugate = verify_module._conjugate_parts
@@ -236,11 +259,13 @@ class TestGlaisherFamily:
             return (2, 2) if parts == (3, 1) else conjugate(parts)
 
         monkeypatch.setattr(verify_module, "_conjugate_parts", wrong_on_three_one)
-        report = glaisher_conjugate_report(3, 12)
-        assert (report.mode, report.outcome, report.bound) == ("conjugate", "mismatch", 12)
+        finding = glaisher_conjugate_report(3, 12)
         # weight 4: [4], [3,1], [2,2], [2,1,1] against as many chain vectors
-        assert (report.exponent, report.lhs, report.rhs) == (4, 4, 4)
-        assert report.note == "inverse round trip failed for [3,1]: got [2,2] via [2,2]"
+        assert (finding.exponent, finding.lhs, finding.rhs) == (4, 4, 4)
+        assert finding.note == "inverse round trip failed for [3,1]: got [2,2] via [2,2]"
+        row = suite_row("glaisher-3", "conjugate", 20, 12)
+        assert row.bound == 12
+        assert_row_carries(row, finding)
 
     def test_conjugate_failure_on_chain_count(self, monkeypatch):
         count = verify_module.count_chain_by_weight
@@ -252,9 +277,9 @@ class TestGlaisherFamily:
             return counts
 
         monkeypatch.setattr(verify_module, "count_chain_by_weight", one_short_at_seven)
-        report = glaisher_conjugate_report(2, 12)
-        assert (report.exponent, report.lhs, report.rhs) == (7, 5, 4)
-        assert report.note == "domain has 5 elements, target has 4"
+        finding = glaisher_conjugate_report(2, 12)
+        assert (finding.exponent, finding.lhs, finding.rhs) == (7, 5, 4)
+        assert finding.note == "domain has 5 elements, target has 4"
 
 
 class TestSuite:
@@ -287,6 +312,13 @@ class TestSuite:
             verify_combinatorial(rr2, "P2", 8, empty)
         with pytest.raises(UnknownNameError):
             verify_equinumerosity(["P2", "P3"], 8, catalog=empty)
+
+    def test_rows_come_from_the_plan_in_order(self):
+        summary = run_suite(None, 60, 8)
+        assert [(r.identity, r.mode, r.subject, r.bound) for r in summary.reports] == (
+            plan_rows(plan_checks(None, 60, 8, default_catalog()))
+        )
+        assert summary.passed
 
     def test_unknown_name_listed_not_raised(self):
         summary = run_suite(["no-such-identity"], 10, 5)
@@ -324,7 +356,11 @@ class TestSuite:
         a = run_suite(["euler", "rr2"], 30, 10)
         b = run_suite(["rr2", "euler"], 30, 10)
         assert a.machine_lines() == b.machine_lines()
-        assert a.render_table(with_time=False) == b.render_table(with_time=False)
+
+        def untimed(summary):
+            return SuiteSummary(tuple(replace(r, elapsed=0.0) for r in summary.reports))
+
+        assert untimed(a).render_table() == untimed(b).render_table()
 
     def test_groups_cover_catalog_pairs(self):
         groups = {
@@ -398,7 +434,7 @@ class TestPlan:
         plan = plan_checks(["nope", "rr2", "nope"], 10, 5, default_catalog())
         lookups = [c for c in plan if c.mode == "lookup"]
         assert [(c.identity, c.bound) for c in lookups] == [("nope", 0), ("nope", 0)]
-        assert lookups[0].call().outcome == "error"
+        assert lookups[0].call() == Finding("unknown identity", error=True)
 
     def test_term_family_clone_joins_group(self):
         def add_clone(entries):
