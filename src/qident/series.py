@@ -7,10 +7,21 @@ truncates to the shorter operand.  There is no general series division:
 reciprocals such as 1/((1-q)(1-q^2)...(1-q^n)) are assembled by multiplying
 geometric expansions of 1/(1-q^k), and ratios like (q^n - q^{nM})/(1-q^n) are
 expanded symbolically as polynomials.
+
+Every multiplication by one factor runs in place on a list of coefficients
+through two kernels, ``_geometric`` for 1/(1-q^k) and ``_one_minus`` for
+(1-q^k), and every shifted addition is one slice assignment such as
+``total[n:] = map(add, total[n:], run)``.  So a factor costs a few C-level
+slice operations rather than a Python statement per coefficient.  The sum
+sides carry one running factor across their terms and trim it to
+``order - n`` before term n, since nothing beyond that index reaches the
+result.
 """
 
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import add, sub
 
 __all__ = [
     "SumTerminationError",
@@ -74,22 +85,17 @@ class TruncatedSeries:
                 f"comparison order {order} exceeds operand orders "
                 f"{self.order} and {other.order}"
             )
-        for e in range(order):
-            if self.coefficients[e] != other.coefficients[e]:
-                return e
-        return None
+        mine, theirs = self.coefficients[:order], other.coefficients[:order]
+        if mine == theirs:
+            return None
+        return next(e for e, (a, b) in enumerate(zip(mine, theirs)) if a != b)
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        order = min(self.order, other.order)
-        return TruncatedSeries(
-            tuple(a + b for a, b in zip(self.coefficients, other.coefficients))[:order]
-        )
+        # map stops at the shorter operand, which is the mixed-order truncation
+        return TruncatedSeries(tuple(map(add, self.coefficients, other.coefficients)))
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        order = min(self.order, other.order)
-        return TruncatedSeries(
-            tuple(a - b for a, b in zip(self.coefficients, other.coefficients))[:order]
-        )
+        return TruncatedSeries(tuple(map(sub, self.coefficients, other.coefficients)))
 
     def __neg__(self) -> "TruncatedSeries":
         return TruncatedSeries(tuple(-c for c in self.coefficients))
@@ -117,25 +123,21 @@ class TruncatedSeries:
         return TruncatedSeries((0,) * k + self.coefficients[: self.order - k])
 
     def times_geometric(self, k: int) -> "TruncatedSeries":
-        """Multiply by 1/(1 - q^k) exactly, in a single O(order) pass."""
-        if k < 1:
-            raise ValueError("factor exponent must be positive")
-        if k >= self.order:
-            return self
-        out = list(self.coefficients)
-        for i in range(k, self.order):
-            out[i] += out[i - k]
-        return TruncatedSeries(tuple(out))
+        """Multiply by 1/(1 - q^k) exactly."""
+        return self._times(_geometric, k)
 
     def times_one_minus(self, k: int) -> "TruncatedSeries":
-        """Multiply by (1 - q^k) exactly, in a single O(order) pass."""
+        """Multiply by (1 - q^k) exactly."""
+        return self._times(_one_minus, k)
+
+    def _times(self, kernel, k: int) -> "TruncatedSeries":
+        """Apply an in-place kernel to a copy of the coefficients."""
         if k < 1:
             raise ValueError("factor exponent must be positive")
         if k >= self.order:
             return self
         out = list(self.coefficients)
-        for i in range(self.order - 1, k - 1, -1):
-            out[i] -= out[i - k]
+        kernel(out, k)
         return TruncatedSeries(tuple(out))
 
     def render_text(self) -> str:
@@ -145,6 +147,36 @@ class TruncatedSeries:
             c = self.coefficients[e]
             parts.append(f"{c}*q" if e == 1 else f"{c}*q^{e}")
         return " + ".join(parts) + f" (mod q^{self.order})"
+
+
+def _geometric(c: list[int], k: int) -> None:
+    """Multiply the coefficients ``c`` by 1/(1 - q^k) in place, k >= 1.
+
+    Each coefficient gains the one k below it once that one is final.  For
+    k*k <= len(c) that is a running sum along each of the k residue strides;
+    otherwise each block of k coefficients adds the finished block before it.
+    Either way a factor costs at most sqrt(len(c)) slice operations.
+    """
+    n = len(c)
+    if k * k <= n:
+        for r in range(k):
+            c[r::k] = accumulate(c[r::k])
+    else:
+        for i in range(k, n, k):
+            c[i : i + k] = map(add, c[i : i + k], c[i - k : i])
+
+
+def _one_minus(c: list[int], k: int) -> None:
+    """Multiply the coefficients ``c`` by (1 - q^k) in place, k >= 1."""
+    c[k:] = map(sub, c[k:], c[:-k])
+
+
+def _pochhammer_inverse_from(c: list[int], done: int, n: int) -> None:
+    """Multiply ``c`` in place by 1/((1-q^{done+1})...(1-q^n)), which turns
+    1/(q)_done into 1/(q)_n.  Factors with exponent at least len(c) are the
+    identity and are skipped."""
+    for s in range(done + 1, min(n, len(c) - 1) + 1):
+        _geometric(c, s)
 
 
 @dataclass(frozen=True)
@@ -201,10 +233,10 @@ def geometric_inverse_factor(k: int, order: int) -> TruncatedSeries:
 def pochhammer(n: int, order: int) -> TruncatedSeries:
     """(1-q)(1-q^2)...(1-q^n) truncated; the empty product 1 for n <= 0.
     Factors with exponent at least ``order`` are the identity and are skipped."""
-    out = series_one(order)
+    c = list(series_one(order).coefficients)
     for s in range(1, min(n, order - 1) + 1):
-        out = out.times_one_minus(s)
-    return out
+        _one_minus(c, s)
+    return TruncatedSeries(tuple(c))
 
 
 def pochhammer_base(base_exponent: int, n: int, order: int) -> TruncatedSeries:
@@ -212,19 +244,18 @@ def pochhammer_base(base_exponent: int, n: int, order: int) -> TruncatedSeries:
     Factors with exponent at least ``order`` are the identity and are skipped."""
     if base_exponent < 1:
         raise ValueError("base exponent must be positive")
-    out = series_one(order)
+    c = list(series_one(order).coefficients)
     for s in range(1, min(n, (order - 1) // base_exponent) + 1):
-        out = out.times_one_minus(s * base_exponent)
-    return out
+        _one_minus(c, s * base_exponent)
+    return TruncatedSeries(tuple(c))
 
 
 def pochhammer_inverse(n: int, order: int) -> TruncatedSeries:
     """1/((1-q)(1-q^2)...(1-q^n)), built from geometric factors; 1 for n <= 0.
     Factors with exponent at least ``order`` are the identity and are skipped."""
-    out = series_one(order)
-    for s in range(1, min(n, order - 1) + 1):
-        out = out.times_geometric(s)
-    return out
+    c = list(series_one(order).coefficients)
+    _pochhammer_inverse_from(c, 0, n)
+    return TruncatedSeries(tuple(c))
 
 
 def product_side(rc: ResidueClass, order: int) -> TruncatedSeries:
@@ -233,15 +264,11 @@ def product_side(rc: ResidueClass, order: int) -> TruncatedSeries:
     The q^N coefficient counts partitions of N into parts whose residue
     mod ``rc.modulus`` lies in ``rc.residues``.
     """
-    if order < 1:
-        raise ValueError("truncation order must be at least 1")
-    coeffs = [0] * order
-    coeffs[0] = 1
+    c = list(series_one(order).coefficients)
     for k in range(1, order):
         if rc.allows(k):
-            for i in range(k, order):
-                coeffs[i] += coeffs[i - k]
-    return TruncatedSeries(tuple(coeffs))
+            _geometric(c, k)
+    return TruncatedSeries(tuple(c))
 
 
 def sum_side_standard(
@@ -259,10 +286,17 @@ def sum_side_standard(
     scanned range (a decrease raises ValueError), and a scan that stays below
     the order for more than ``max_terms`` values of n raises
     SumTerminationError instead of looping forever.
+
+    One running 1/(q)_u is carried across the terms.  A term of exponent w
+    needs it only below ``order - w``, and w never decreases, so it is trimmed
+    to that length and extended by the factors the new slot count adds.  When
+    the slot count drops it restarts from 1 and is rebuilt the same way.
     """
     if order < 1:
         raise ValueError("truncation order must be at least 1")
     total = [0] * order
+    run = list(series_one(order).coefficients)  # 1/(q)_have, exact below len(run)
+    have = 0
     previous = None
     n = start
     scanned = 0
@@ -284,10 +318,12 @@ def sum_side_standard(
         if w >= order:
             break
         previous = w
-        inv = pochhammer_inverse(u, order - w)
-        for i, c in enumerate(inv.coefficients):
-            if c:
-                total[w + i] += c
+        del run[order - w :]
+        if u < have:
+            run, have = [1] + [0] * (order - w - 1), 0
+        _pochhammer_inverse_from(run, have, u)
+        have = u
+        total[w:] = map(add, total[w:], run)
         n += 1
         scanned += 1
     return TruncatedSeries(tuple(total))
@@ -296,50 +332,38 @@ def sum_side_standard(
 def sum_side_glaisher(modulus: int, order: int) -> TruncatedSeries:
     """1 + sum over n >= 1 of (q^n - q^{nM}) (q^M)_{n-1} / (q)_n for M = modulus.
 
-    Here (q)_n = (1-q)...(1-q^n) and (q^M)_{n-1} = (1-q^M)...(1-q^{(n-1)M});
-    the running factor (q^M)_{n-1}/(q)_n is updated incrementally so the whole
-    expansion costs O(order^2).
+    Here (q)_n = (1-q)...(1-q^n) and (q^M)_{n-1} = (1-q^M)...(1-q^{(n-1)M}).
+    The running factor (q^M)_{n-1}/(q)_n is updated in place by one
+    ``_one_minus`` and one ``_geometric`` per term, and it is trimmed to
+    ``order - n`` before term n, since the term adds it from q^n upwards.  Its
+    two shifted copies enter the total as two slice assignments.
     """
     if modulus < 2:
         raise ValueError("modulus must be at least 2")
-    if order < 1:
-        raise ValueError("truncation order must be at least 1")
-    total = [0] * order
-    total[0] = 1
-    run = [0] * order
-    run[0] = 1
+    total = list(series_one(order).coefficients)
+    run = total[:]  # (q^M)_{n-1}/(q)_n, exact below len(run)
     for n in range(1, order):
+        del run[order - n :]
         if n >= 2:
-            k = (n - 1) * modulus
-            if k < order:
-                for i in range(order - 1, k - 1, -1):
-                    run[i] -= run[i - k]
-        for i in range(n, order):
-            run[i] += run[i - n]
-        hi = n * modulus
-        for i in range(order - n):
-            c = run[i]
-            if c:
-                total[i + n] += c
-                if i + hi < order:
-                    total[i + hi] -= c
+            _one_minus(run, (n - 1) * modulus)
+        _geometric(run, n)
+        # map stops at the shorter operand: q^{nM} run is cut at the order
+        total[n:] = map(add, total[n:], run)
+        total[n * modulus :] = map(sub, total[n * modulus :], run)
     return TruncatedSeries(tuple(total))
 
 
 def euler_distinct_sum(order: int) -> TruncatedSeries:
-    """1 + sum over n >= 1 of q^n (1+q)(1+q^2)...(1+q^{n-1})."""
-    if order < 1:
-        raise ValueError("truncation order must be at least 1")
-    total = [0] * order
-    total[0] = 1
-    prod = [0] * order
-    prod[0] = 1
+    """1 + sum over n >= 1 of q^n (1+q)(1+q^2)...(1+q^{n-1}).
+
+    The running product is trimmed to ``order - n`` before term n, as in
+    ``sum_side_glaisher``; each factor (1 + q^n) is one shifted addition."""
+    total = list(series_one(order).coefficients)
+    prod = total[:]  # (1+q)...(1+q^{n-1}), exact below len(prod)
     for n in range(1, order):
-        for i in range(order - n):
-            if prod[i]:
-                total[i + n] += prod[i]
-        for i in range(order - 1, n - 1, -1):
-            prod[i] += prod[i - n]
+        del prod[order - n :]
+        total[n:] = map(add, total[n:], prod)
+        prod[n:] = map(add, prod[n:], prod[:-n])
     return TruncatedSeries(tuple(total))
 
 
@@ -362,10 +386,10 @@ def alpha_closed_form(modulus: int, n: int, order: int) -> TruncatedSeries:
         e = j * n
         if e < order:
             coeffs[e] = 1
-    out = TruncatedSeries(tuple(coeffs))
     for j in range(1, n):
-        out = out.times_one_minus(j * modulus).times_geometric(j)
-    return out
+        _one_minus(coeffs, j * modulus)
+        _geometric(coeffs, j)
+    return TruncatedSeries(tuple(coeffs))
 
 
 def alpha_recurrence(
@@ -391,14 +415,9 @@ def alpha_recurrence(
     for t in terms:
         if t.order < order:
             raise ValueError("all lower terms must be supplied at the target order")
-        for i in range(order):
-            acc[i] += t.coefficients[i]
+        acc = list(map(add, acc, t.coefficients))
     out = [0] * order
     for j in range(1, modulus):
         e = j * n
-        if e >= order:
-            break
-        for i in range(order - e):
-            if acc[i]:
-                out[i + e] += acc[i]
+        out[e:] = map(add, out[e:], acc)
     return TruncatedSeries(tuple(out))

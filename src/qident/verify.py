@@ -494,7 +494,9 @@ def _term_family_groups(catalog: Catalog) -> list[tuple[str, tuple[str, ...]]]:
     """Equinumerosity groups: two or more entries sharing the product side and
     the term rules of every branch.  A group inside one identity is named
     ``<identity>-interpretations``, any other by its identities joined with
-    ``+``."""
+    ``+``.  Where that gives two groups one name, as for an identity whose
+    members form two term families, each of them gets ``-1``, ``-2``, ...
+    appended in catalog order."""
     families: dict[tuple, list[CatalogEntry]] = {}
     for entry in catalog.entries():
         rules = frozenset(
@@ -509,7 +511,12 @@ def _term_family_groups(catalog: Catalog) -> list[tuple[str, tuple[str, ...]]]:
         labels = list(dict.fromkeys(e.identity or e.name for e in members))
         name = f"{labels[0]}-interpretations" if len(labels) == 1 else "+".join(labels)
         groups.append((name, tuple(e.name for e in members)))
-    return groups
+    names = [name for name, _ in groups]
+    return [
+        (f"{name}-{names[:i].count(name) + 1}" if names.count(name) > 1 else name,
+         members)
+        for i, (name, members) in enumerate(groups)
+    ]
 
 
 def _glaisher_identity(modulus: int) -> IdentityDescriptor:

@@ -6,7 +6,8 @@ and asserts two things: the fault turns every named row into a mismatch, and
 it leaves every row of the modes the other oracle decides passing.  A map or
 enumeration fault must not reach the rows computed by series algebra alone
 (``analytic``, ``alpha``, ``forms``); a series fault must not reach the
-``bijection``, ``conjugate`` or ``alpha`` rows.  A fault that no row reports,
+``bijection`` or ``conjugate`` rows, and one in the sum-side Pochhammer
+factors not the ``alpha`` rows either.  A fault that no row reports,
 or that leaks across, shows that a fast path has lost its check or that the
 two oracles share code.
 """
@@ -92,9 +93,23 @@ def count_off_by_one(count):
     return fake
 
 
-def one_factor_short(pochhammer):
-    # 1/((1-q)...(1-q^(n-1))) in place of 1/((1-q)...(1-q^n))
-    return lambda n, order: pochhammer(n - 1, order)
+def one_factor_short(extend):
+    # each extension of 1/(q)_done stops at 1/(q)_(n-1) in place of 1/(q)_n
+    return lambda c, done, n: extend(c, done, n - 1)
+
+
+def skips_last_block(geometric):
+    """The block branch of the 1/(1-q^k) kernel (k*k > len(c)) leaves its
+    last block as it was."""
+
+    def fake(c, k):
+        last = (len(c) - 1) // k * k
+        before = c[last:]
+        geometric(c, k)
+        if k * k > len(c) and last >= k:
+            c[last:] = before
+
+    return fake
 
 
 SHAPE, WRONG_CONJUGATE = (3, 1), (2, 2)
@@ -114,6 +129,11 @@ def wrong_on_one_shape(conjugate):
 
 def glaisher_rows(*modes):
     return {(f"glaisher-{m}", mode, "") for m in MODULI for mode in modes}
+
+
+def plan_rows(*modes):
+    """Every planned row of ``modes``."""
+    return {(c.identity, c.mode, c.subject) for c in PLAN if c.mode in modes}
 
 
 def catalog_rows(*modes):
@@ -166,16 +186,24 @@ FAULTS = {
         partitions, ("conjugate", "_conjugate_parts"), wrong_on_one_shape,
         glaisher_rows("conjugate"), SERIES_ROUTE,
     ),
-    # every catalog sum side is built from Pochhammer factors; the Glaisher
-    # sum side, the alpha terms and the enumeration oracles are not
+    # every catalog sum side carries a running 1/(q)_u built here; the
+    # Glaisher sum side, the alpha terms and the enumeration oracles do not
     "Pochhammer inverse one factor short": (
-        series, ("pochhammer_inverse",), one_factor_short,
+        series, ("_pochhammer_inverse_from",), one_factor_short,
         catalog_rows("analytic", "combinatorial")
         | {
             ("glaisher-2", "forms", ""),
             ("example-family-interpretations", "equinumerosity", ""),
         },
         {"bijection", "conjugate", "alpha"},
+    ),
+    # every series builder except the alpha recurrence multiplies through
+    # the 1/(1-q^k) kernel, and at this order every k >= 6 takes the block
+    # branch, so each row with a series side fails (measured)
+    "geometric kernel skips its last block": (
+        series, ("_geometric",), skips_last_block,
+        plan_rows("analytic", "alpha", "forms", "combinatorial", "equinumerosity"),
+        {"bijection", "conjugate"},
     ),
 }
 

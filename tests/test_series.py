@@ -2,8 +2,12 @@
 exhaustive partition-enumeration oracle."""
 
 import time
+from itertools import accumulate
+from math import isqrt
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from qident.partitions import enumerate_partitions, enumerate_partitions_with_parts
 from qident.series import (
@@ -280,3 +284,109 @@ class TestAlpha:
     def test_recurrence_requires_all_lower_terms(self):
         with pytest.raises(ValueError):
             alpha_recurrence(3, 2, [series_one(10)], 10)
+
+
+int_series = st.lists(st.integers(-(10**9), 10**9), min_size=3, max_size=80).map(
+    lambda c: TruncatedSeries(tuple(c))
+)
+
+
+def exponent_range(regime: str, order: int) -> tuple[int, int]:
+    """Factor exponents for which the 1/(1-q^k) kernel takes the running-sum
+    branch (k*k <= order), the block branch, or none (k >= order)."""
+    root = isqrt(order)
+    return {
+        "stride": (1, root),
+        "block": (root + 1, order - 1),
+        "beyond": (order, 2 * order),
+    }[regime]
+
+
+def naive_times_geometric(c: list[int], k: int) -> None:
+    for i in range(k, len(c)):
+        c[i] += c[i - k]
+
+
+def naive_times_one_minus(c: list[int], k: int) -> None:
+    for i in range(len(c) - 1, k - 1, -1):
+        c[i] -= c[i - k]
+
+
+def naive_glaisher_sum(modulus: int, order: int) -> list[int]:
+    """1 + sum of (q^n - q^{nM}) (q^M)_{n-1}/(q)_n, every term built from 1
+    one coefficient at a time."""
+    total = [1] + [0] * (order - 1)
+    for n in range(1, order):
+        term = [1] + [0] * (order - 1)
+        for j in range(1, n):
+            naive_times_one_minus(term, j * modulus)
+        for j in range(1, n + 1):
+            naive_times_geometric(term, j)
+        for i, c in enumerate(term):
+            if i + n < order:
+                total[i + n] += c
+            if i + n * modulus < order:
+                total[i + n * modulus] -= c
+    return total
+
+
+def naive_euler_sum(order: int) -> list[int]:
+    """1 + sum of q^n (1+q)...(1+q^{n-1}), every term built from 1."""
+    total = [1] + [0] * (order - 1)
+    for n in range(1, order):
+        term = [1] + [0] * (order - 1)
+        for j in range(1, n):
+            for i in range(order - 1, j - 1, -1):
+                term[i] += term[i - j]
+        for i in range(order - n):
+            total[i + n] += term[i]
+    return total
+
+
+class TestKernels:
+    @pytest.mark.parametrize("regime", ["stride", "block", "beyond"])
+    @given(series=int_series, data=st.data())
+    def test_factor_methods_equal_multiplication(self, regime, series, data):
+        order = series.order
+        k = data.draw(st.integers(*exponent_range(regime, order)), label="k")
+        one_minus = [1] + [0] * (order - 1)
+        if k < order:
+            one_minus[k] = -1
+        assert series.times_geometric(k) == series * geometric_inverse_factor(k, order)
+        assert series.times_one_minus(k) == series * TruncatedSeries(tuple(one_minus))
+
+    @given(
+        order=st.integers(1, 40),
+        start=st.integers(0, 3),
+        steps=st.lists(st.integers(0, 6), min_size=1, max_size=25),
+        slots=st.lists(st.integers(0, 15), min_size=1, max_size=25),
+    )
+    # slot counts that drop, twice to zero, with the scan starting at 2
+    @example(order=30, start=2, steps=[0, 1, 0, 2, 3, 1, 4], slots=[5, 2, 7, 0, 9, 0, 3])
+    def test_sum_side_standard_is_the_sum_of_its_terms(self, order, start, steps, slots):
+        weights = list(accumulate(steps))  # nondecreasing
+
+        def min_weight(n):
+            i = n - start
+            return weights[i] if i < len(weights) else order
+
+        def slot_count(n):
+            return slots[(n - start) % len(slots)]
+
+        expected = TruncatedSeries((0,) * order)
+        for i, w in enumerate(weights):
+            if w >= order:
+                break
+            expected = expected + pochhammer_inverse(slot_count(start + i), order).shift(w)
+        assert sum_side_standard(min_weight, slot_count, order, start=start) == expected
+
+    @pytest.mark.parametrize("modulus", range(2, 8))
+    def test_glaisher_sum_matches_naive_expansion_at_every_order(self, modulus):
+        reference = naive_glaisher_sum(modulus, 60)
+        for order in range(1, 61):
+            assert sum_side_glaisher(modulus, order).to_list() == reference[:order]
+
+    def test_euler_sum_matches_naive_expansion_at_every_order(self):
+        reference = naive_euler_sum(60)
+        for order in range(1, 61):
+            assert euler_distinct_sum(order).to_list() == reference[:order]

@@ -471,6 +471,31 @@ class TestPlan:
         assert plan_rows(plan_checks(["appendix-f"], 30, 12, catalog)) == plan_rows(plan)
         assert run_suite(["h3-pair"], 30, 12, catalog).passed
 
+    def test_two_term_families_in_one_identity_get_distinct_names(self):
+        def label_pair(entries):
+            for entry in entries:
+                if entry["name"] in (
+                    "hirschhorn-3", "subbarao-2-4", "hirschhorn-4", "subbarao-2-3"
+                ):
+                    entry["identity"] = "pair"
+
+        catalog = edited_catalog(label_pair)
+        groups = {
+            c.identity: c.call.args[0]
+            for c in plan_checks(["pair"], 30, 12, catalog)
+            if c.mode == "equinumerosity"
+        }
+        assert groups == {
+            "pair-interpretations-1": ("hirschhorn-3", "subbarao-2-4"),
+            "pair-interpretations-2": ("hirschhorn-4", "subbarao-2-3"),
+        }
+        for name, members in groups.items():
+            plan = plan_checks([name], 30, 12, catalog)
+            assert [(c.identity, c.mode, c.call.args[0]) for c in plan] == [
+                (name, "equinumerosity", members)
+            ]
+            assert run_suite([name], 30, 12, catalog).passed
+
 
 class TestIndependenceOfPipelines:
     """The analytic route (series algebra) and the combinatorial route
