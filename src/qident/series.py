@@ -85,10 +85,10 @@ class TruncatedSeries:
                 f"comparison order {order} exceeds operand orders "
                 f"{self.order} and {other.order}"
             )
-        mine, theirs = self.coefficients[:order], other.coefficients[:order]
-        if mine == theirs:
-            return None
-        return next(e for e, (a, b) in enumerate(zip(mine, theirs)) if a != b)
+        for e in range(order):
+            if self.coefficients[e] != other.coefficients[e]:
+                return e
+        return None
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         # map stops at the shorter operand, which is the mixed-order truncation
@@ -121,24 +121,6 @@ class TruncatedSeries:
         if k >= self.order:
             return TruncatedSeries((0,) * self.order)
         return TruncatedSeries((0,) * k + self.coefficients[: self.order - k])
-
-    def times_geometric(self, k: int) -> "TruncatedSeries":
-        """Multiply by 1/(1 - q^k) exactly."""
-        return self._times(_geometric, k)
-
-    def times_one_minus(self, k: int) -> "TruncatedSeries":
-        """Multiply by (1 - q^k) exactly."""
-        return self._times(_one_minus, k)
-
-    def _times(self, kernel, k: int) -> "TruncatedSeries":
-        """Apply an in-place kernel to a copy of the coefficients."""
-        if k < 1:
-            raise ValueError("factor exponent must be positive")
-        if k >= self.order:
-            return self
-        out = list(self.coefficients)
-        kernel(out, k)
-        return TruncatedSeries(tuple(out))
 
     def render_text(self) -> str:
         """Canonical text form ``c0 + c1*q + c2*q^2 + ... (mod q^ORDER)``."""

@@ -14,6 +14,8 @@ from qident.series import (
     ResidueClass,
     SumTerminationError,
     TruncatedSeries,
+    _geometric,
+    _one_minus,
     alpha_closed_form,
     alpha_recurrence,
     euler_distinct_sum,
@@ -33,6 +35,21 @@ ODD = ResidueClass(2, frozenset({1}))
 
 def poly(*coeffs: int) -> TruncatedSeries:
     return TruncatedSeries(tuple(coeffs))
+
+
+def one_minus_factor(k: int, order: int) -> TruncatedSeries:
+    """1 - q^k truncated at ``order``: just 1 when k >= order."""
+    coeffs = [1] + [0] * (order - 1)
+    if k < order:
+        coeffs[k] = -1
+    return TruncatedSeries(tuple(coeffs))
+
+
+def kernel_applied(kernel, series: TruncatedSeries, k: int) -> TruncatedSeries:
+    """``series`` with an in-place coefficient kernel applied to a copy."""
+    c = series.to_list()
+    kernel(c, k)
+    return TruncatedSeries(tuple(c))
 
 
 class TestBasics:
@@ -110,7 +127,8 @@ class TestFactors:
 
     def test_geometric_inverts_one_minus(self):
         for k in range(1, 12):
-            assert geometric_inverse_factor(k, 40).times_one_minus(k) == series_one(40)
+            restored = kernel_applied(_one_minus, geometric_inverse_factor(k, 40), k)
+            assert restored == series_one(40)
 
     def test_bounded_parts_coefficient(self):
         prod = series_one(5)
@@ -138,21 +156,17 @@ class TestFactors:
             assert prod == series_one(50)
 
     def test_factors_at_or_beyond_order_are_skipped(self):
-        # reference: every factor applied, none skipped
-        def full(n, step, one_factor):
+        # reference: every factor multiplied in, none skipped
+        def full(n, step, factor):
             out = series_one(10)
             for s in range(1, n + 1):
-                out = one_factor(out, s * step)
+                out = out * factor(s * step, 10)
             return out
 
         for n in range(15):
-            assert pochhammer(n, 10) == full(n, 1, TruncatedSeries.times_one_minus)
-            assert pochhammer_inverse(n, 10) == full(
-                n, 1, TruncatedSeries.times_geometric
-            )
-            assert pochhammer_base(3, n, 10) == full(
-                n, 3, TruncatedSeries.times_one_minus
-            )
+            assert pochhammer(n, 10) == full(n, 1, one_minus_factor)
+            assert pochhammer_inverse(n, 10) == full(n, 1, geometric_inverse_factor)
+            assert pochhammer_base(3, n, 10) == full(n, 3, one_minus_factor)
 
     def test_huge_factor_count_is_bounded_by_order(self):
         started = time.perf_counter()
@@ -302,12 +316,12 @@ def exponent_range(regime: str, order: int) -> tuple[int, int]:
     }[regime]
 
 
-def naive_times_geometric(c: list[int], k: int) -> None:
+def naive_geometric(c: list[int], k: int) -> None:
     for i in range(k, len(c)):
         c[i] += c[i - k]
 
 
-def naive_times_one_minus(c: list[int], k: int) -> None:
+def naive_one_minus(c: list[int], k: int) -> None:
     for i in range(len(c) - 1, k - 1, -1):
         c[i] -= c[i - k]
 
@@ -319,9 +333,9 @@ def naive_glaisher_sum(modulus: int, order: int) -> list[int]:
     for n in range(1, order):
         term = [1] + [0] * (order - 1)
         for j in range(1, n):
-            naive_times_one_minus(term, j * modulus)
+            naive_one_minus(term, j * modulus)
         for j in range(1, n + 1):
-            naive_times_geometric(term, j)
+            naive_geometric(term, j)
         for i, c in enumerate(term):
             if i + n < order:
                 total[i + n] += c
@@ -346,14 +360,12 @@ def naive_euler_sum(order: int) -> list[int]:
 class TestKernels:
     @pytest.mark.parametrize("regime", ["stride", "block", "beyond"])
     @given(series=int_series, data=st.data())
-    def test_factor_methods_equal_multiplication(self, regime, series, data):
+    def test_kernels_equal_multiplication(self, regime, series, data):
         order = series.order
         k = data.draw(st.integers(*exponent_range(regime, order)), label="k")
-        one_minus = [1] + [0] * (order - 1)
-        if k < order:
-            one_minus[k] = -1
-        assert series.times_geometric(k) == series * geometric_inverse_factor(k, order)
-        assert series.times_one_minus(k) == series * TruncatedSeries(tuple(one_minus))
+        geometric = geometric_inverse_factor(k, order)
+        assert kernel_applied(_geometric, series, k) == series * geometric
+        assert kernel_applied(_one_minus, series, k) == series * one_minus_factor(k, order)
 
     @given(
         order=st.integers(1, 40),
