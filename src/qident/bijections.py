@@ -7,7 +7,7 @@ second Rogers-Ramanujan identity, and the divide-by-M / merge-M-copies pair
 behind Euler-Glaisher equinumerosity.
 """
 
-from collections import Counter
+from collections import Counter, defaultdict
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from typing import Any
@@ -272,11 +272,13 @@ def glaisher_inverse(p: Partition, modulus: int) -> Partition:
 
 @dataclass(frozen=True)
 class CertificationReport:
-    """Outcome of certifying a map over a finite domain."""
+    """Outcome of certifying a map: with a failure, the lowest failing weight
+    and both sizes at it; without one, both sizes over every weight."""
 
     domain_size: int
     target_size: int | None
     failure: str | None
+    weight: int | None = None
 
     @property
     def ok(self) -> bool:
@@ -284,58 +286,72 @@ class CertificationReport:
 
 
 def certify_bijection(
-    domain: Iterable[Any],
+    domain: Iterable[tuple[int, Any]],
     forward: Callable[[Any], Any],
     inverse: Callable[[Any], Any],
-    target_check: Callable[[Any], bool],
-    target_size: int | None = None,
+    target_check: Callable[[int, Any], bool],
+    target_sizes: Sequence[int] | None = None,
 ) -> CertificationReport:
-    """Certify that ``forward`` maps a finite domain bijectively onto a target
-    set known only by its membership test ``target_check`` and its size.
+    """Certify that ``forward`` maps the domain's elements of each weight
+    bijectively onto the target's elements of that weight, a target known
+    only by its membership test ``target_check(w, y)`` and its sizes
+    ``target_sizes[w]``.
 
-    The domain must be listed in strictly decreasing order, which proves it
-    has no repeats.  Three facts then make the map a bijection onto the
-    target: ``inverse`` undoes it on every element, so it is injective; every
-    image passes ``target_check``, so it lands in the target; and the domain
-    has ``target_size`` elements.  Without ``target_size`` the certificate
-    stops at an injection into the target.  No image or target is stored, so
-    ``target_size`` must come from an independent count.
+    ``domain`` yields ``(w, x)`` pairs, x an element of weight w, in one pass
+    over every weight.  Weights may interleave, but the elements of each
+    weight must come in strictly decreasing order, which proves they have no
+    repeats.  Three facts then make the map a bijection at weight w:
+    ``inverse`` undoes it on every element, so it is injective; every image
+    passes ``target_check(w, y)``, so it lands in the target at weight w; and
+    there are ``target_sizes[w]`` elements of weight w (0 past the end of
+    ``target_sizes``).  Without ``target_sizes`` the certificate stops at an
+    injection into the target.  No image or target is stored, so the sizes
+    must come from an independent count.
 
-    Checking stops at the first counterexample, which the failure names,
-    bare part tuples in the bracketed form of partitions; the domain is
-    iterated once, and the rest of it is only counted.  A count mismatch has
-    no witness, so its failure gives both counts.
+    For each weight the certifier keeps only the previous element, the count
+    and the first failure; after that failure the weight's elements are only
+    counted.  The report names the lowest failing weight with its full
+    domain size and its failure: the counterexample, bare part tuples in the
+    bracketed form of partitions, or for a count mismatch, which has no
+    witness, both counts.
     """
     def render(x: Any) -> str:
         return _bracketed(x) if isinstance(x, tuple) else str(x)
 
-    items = iter(domain)
-    domain_size = 0
-    previous = None
-    failure = None
-    for x in items:
-        domain_size += 1
-        if domain_size > 1 and not x < previous:
-            failure = (
+    counts: defaultdict[int, int] = defaultdict(int)
+    previous: dict[int, Any] = {}
+    failures: dict[int, str] = {}
+    for w, x in domain:
+        counts[w] += 1
+        if w in failures:
+            continue
+        if w in previous and not x < previous[w]:
+            failures[w] = (
                 f"domain is not strictly decreasing: {render(x)} "
-                f"after {render(previous)}"
+                f"after {render(previous[w])}"
             )
-            break
-        previous = x
+            continue
+        previous[w] = x
         y = forward(x)
         back = inverse(y)
         if back != x:
-            failure = (
+            failures[w] = (
                 f"inverse round trip failed for {render(x)}: "
                 f"got {render(back)} via {render(y)}"
             )
-            break
-        if not target_check(y):
-            failure = f"image of {render(x)} fails the target predicate: {render(y)}"
-            break
-    domain_size += sum(1 for _ in items)
-    if failure is None and target_size is not None and domain_size != target_size:
-        failure = f"domain has {domain_size} elements, target has {target_size}"
+        elif not target_check(w, y):
+            failures[w] = f"image of {render(x)} fails the target predicate: {render(y)}"
+    sizes = None
+    if target_sizes is not None:
+        sizes = defaultdict(int, enumerate(target_sizes))
+        for w in (counts.keys() | sizes.keys()) - failures.keys():
+            if counts[w] != sizes[w]:
+                failures[w] = f"domain has {counts[w]} elements, target has {sizes[w]}"
+    if failures:
+        w = min(failures)
+        return CertificationReport(
+            counts[w], None if sizes is None else sizes[w], failures[w], w
+        )
     return CertificationReport(
-        domain_size=domain_size, target_size=target_size, failure=failure
+        sum(counts.values()), None if sizes is None else sum(sizes.values()), None
     )

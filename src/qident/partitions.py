@@ -16,7 +16,7 @@ genuine two-route cross-check.
 """
 
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 from .series import ResidueClass
@@ -365,38 +365,39 @@ def no_part_divisible(p: Partition, modulus: int) -> bool:
     return all(part % modulus for part in p.parts)
 
 
-def _repetition_bounded_parts(weight: int, modulus: int) -> list[tuple[int, ...]]:
-    """Parts of every partition of ``weight`` in which each part value occurs
-    fewer than ``modulus`` times, in lexicographically decreasing order.
+def _repetition_bounded_walk(
+    max_weight: int, modulus: int
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Every partition of weight at most ``max_weight`` in which each part
+    value occurs fewer than ``modulus`` times, as ``(weight, parts)`` pairs.
 
-    Generated directly: each part value is picked from the largest down with
-    at most ``modulus - 1`` copies, largest count first, and a value is
-    abandoned once the smaller values cannot make up the remaining weight.
+    One depth-first walk in pre-order: a node is a partition, and its children
+    append a run of a smaller part value, at most ``modulus - 1`` copies,
+    largest value first and largest count first.  Each partition is visited
+    once, so every weight's partitions come in lexicographically decreasing
+    order, interleaved with those of the other weights.
     """
     if modulus < 2:
         raise ValueError("modulus must be at least 2")
-    if weight < 0:
-        return []
     cap = modulus - 1
-    out: list[tuple[int, ...]] = []
-
-    def grow(remaining: int, largest: int, prefix: tuple[int, ...]) -> None:
-        if remaining == 0:
-            out.append(prefix)
-            return
-        for part in range(min(largest, remaining), 0, -1):
-            # values 1..part, each at most cap times, sum to at most this
-            if cap * part * (part + 1) // 2 < remaining:
-                break
-            for count in range(min(cap, remaining // part), 0, -1):
-                grow(remaining - part * count, part - 1, prefix + (part,) * count)
-
-    grow(weight, weight, ())
-    return out
+    # children go on the stack smallest first, so the largest comes off first
+    stack = [((), 0, max_weight)] if max_weight >= 0 else []
+    while stack:
+        parts, weight, largest = stack.pop()
+        yield weight, parts
+        room = max_weight - weight
+        for part in range(1, min(largest, room) + 1):
+            for count in range(1, min(cap, room // part) + 1):
+                stack.append((parts + (part,) * count, weight + part * count, part - 1))
 
 
 def partitions_repetition_bounded(weight: int, modulus: int) -> list[Partition]:
     """All partitions of ``weight`` in which every part value occurs fewer than
-    ``modulus`` times, in lexicographically decreasing order, generated
-    directly rather than by filtering."""
-    return [Partition._ordered(p) for p in _repetition_bounded_parts(weight, modulus)]
+    ``modulus`` times, in lexicographically decreasing order: the members of
+    that weight on the bounded-repetition walk, generated directly rather than
+    by filtering all partitions."""
+    return [
+        Partition._ordered(parts)
+        for w, parts in _repetition_bounded_walk(weight, modulus)
+        if w == weight
+    ]

@@ -6,10 +6,11 @@ against series coefficients), and equinumerosity (several interpretations of
 one sum side counted against each other and against the product side).  The
 divide-by-M family additionally gets its bijection certified, its conjugate
 chain characterization checked, and its term recurrence compared with the
-closed form.  The bijection and the conjugate characterization are both
-certified by ``certify_bijection`` on bare part tuples, against a target
-known only by its membership test and its size at each weight; the size
-comes from an enumeration count, never from a listed set or a series.
+closed form.  The bijection and the conjugate characterization are each
+certified by one ``certify_bijection`` pass over one walk that visits every
+bounded-repetition partition up to the weight bound once, as bare part
+tuples, against a target known only by its membership test and its size at
+each weight, an enumeration count, never a listed set or a series.
 
 What gets checked is derived from the catalog alone: ``plan_checks`` turns
 names into a tuple of ``Check`` rows without running anything, and
@@ -22,17 +23,21 @@ the planned row (identity, mode, subject, bound) and the finding.
 import json
 import re
 import time
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
 from operator import ge
 
-from .bijections import _glaisher_divide, _glaisher_merge, certify_bijection
+from .bijections import (
+    CertificationReport,
+    _glaisher_divide,
+    _glaisher_merge,
+    certify_bijection,
+)
 from .partitions import (
     ChainConstraint,
     GapBound,
     _conjugate_parts,
-    _repetition_bounded_parts,
+    _repetition_bounded_walk,
     chain_violation,
     count_chain_by_weight,
     count_partitions_with_parts,
@@ -296,36 +301,17 @@ def euler_forms_report(order: int) -> Finding | None:
     return None
 
 
-def _certify_bounded_repetition(
-    modulus: int,
-    first_weight: int,
-    max_weight: int,
-    forward: Callable[[tuple[int, ...]], tuple[int, ...]],
-    inverse: Callable[[tuple[int, ...]], tuple[int, ...]],
-    in_target: Callable[[int, tuple[int, ...]], bool],
-    target_sizes: list[int],
-) -> Finding | None:
-    """Certify ``forward`` on the bounded-repetition partitions of every weight
-    from ``first_weight`` to ``max_weight``; ``in_target(weight, image)`` is
-    the target's membership test and ``target_sizes[weight]`` its size.  A
-    failure gives the first failing weight, both sizes and the reason."""
-    for weight in range(first_weight, max_weight + 1):
-        cert = certify_bijection(
-            _repetition_bounded_parts(weight, modulus),
-            forward,
-            inverse,
-            partial(in_target, weight),
-            target_sizes[weight],
-        )
-        if not cert.ok:
-            return Finding(cert.failure, weight, cert.domain_size, cert.target_size)
-    return None
+def _finding(cert: CertificationReport) -> Finding | None:
+    """The lowest failing weight of a certificate, with both sizes there."""
+    if cert.ok:
+        return None
+    return Finding(cert.failure, cert.weight, cert.domain_size, cert.target_size)
 
 
 def glaisher_bijection_report(modulus: int, max_weight: int) -> Finding | None:
     """Certify the divide-by-M map from bounded-repetition partitions onto
     partitions with no part divisible by M, at every weight up to
-    ``max_weight``.
+    ``max_weight``, in one walk over the domain.
 
     The target is never listed: each image must be a partition of the weight
     with no part divisible by M, and the number of such partitions at every
@@ -343,12 +329,13 @@ def glaisher_bijection_report(modulus: int, max_weight: int) -> Finding | None:
             and all(map(ge, parts, parts[1:]))
         )
 
-    return _certify_bounded_repetition(
-        modulus, 0, max_weight,
-        partial(_glaisher_divide, modulus=modulus),
-        partial(_glaisher_merge, modulus=modulus),
-        in_target, target_sizes,
-    )
+    return _finding(certify_bijection(
+        _repetition_bounded_walk(max_weight, modulus),
+        lambda parts: _glaisher_divide(parts, modulus),
+        lambda parts: _glaisher_merge(parts, modulus),
+        in_target,
+        target_sizes,
+    ))
 
 
 def glaisher_conjugate_report(modulus: int, max_weight: int) -> Finding | None:
@@ -356,10 +343,11 @@ def glaisher_conjugate_report(modulus: int, max_weight: int) -> Finding | None:
     from 1 to ``max_weight`` onto the vectors whose adjacent differences lie
     in [0, M-1] and whose last entry lies in [1, M-1].
 
-    Certified like the divide-by-M map: conjugating twice gives the partition
-    back, each conjugate has the weight and satisfies the chain of its length,
-    and at every weight the chain vectors, counted over every slot count, are
-    as many as the partitions.
+    Certified like the divide-by-M map, on the same walk less its weight-0
+    partition: conjugating twice gives the partition back, each conjugate has
+    the weight and satisfies the chain of its length, and at every weight the
+    chain vectors, counted over every slot count, are as many as the
+    partitions.
     """
     gap, last = GapBound(0, modulus - 1), GapBound(1, modulus - 1)
     chains = [
@@ -377,10 +365,13 @@ def glaisher_conjugate_report(modulus: int, max_weight: int) -> Finding | None:
             and chain_violation(vector, chains[len(vector) - 1]) is None
         )
 
-    return _certify_bounded_repetition(
-        modulus, 1, max_weight,
-        _conjugate_parts, _conjugate_parts, in_target, target_sizes,
-    )
+    return _finding(certify_bijection(
+        ((w, parts) for w, parts in _repetition_bounded_walk(max_weight, modulus) if w),
+        _conjugate_parts,
+        _conjugate_parts,
+        in_target,
+        target_sizes,
+    ))
 
 
 def glaisher_alpha_report(modulus: int, n_max: int, order: int) -> Finding | None:
@@ -449,10 +440,11 @@ _GLAISHER_MODULI = range(2, 8)
 # Largest weight of the divide-by-M conjugate check, whatever --max-weight
 # says.  It is the bound in that check's report, so changing it changes the
 # machine output.  The cap stays because, uncapped, the conjugate check still
-# costs more than the bijection check over M = 2..7, in each of five paired
-# runs: 0.29-0.44 s against 0.20-0.35 s at weight 25, and 0.87-1.42 s against
-# 0.75-1.00 s at weight 30 (2 CPUs, Python 3.11.7).  Counting the chain
-# vectors of every slot count takes about a third of it.
+# costs more than the bijection check over M = 2..7, with both on the one
+# walk, in each of five paired in-process runs: 0.32-0.41 s against
+# 0.19-0.25 s at weight 25, and 0.93-1.41 s against 0.60-0.79 s at weight 30
+# (2 CPUs, Python 3.11.7).  Counting the chain vectors of every slot count
+# takes about a third of it (0.14 s at weight 25, 0.31-0.44 s at 30).
 CONJUGATE_MAX_WEIGHT = 20
 
 _GLAISHER_NAME = re.compile(r"glaisher-(\d+)")

@@ -304,16 +304,21 @@ class TestRR2Properties:
         assert weight_relation_check(rr2_record(p))
 
 
+def one_class(domain):
+    """Every element of ``domain`` in class 0."""
+    return [(0, x) for x in domain]
+
+
 class TestCertify:
     def test_distinct_vs_odd_at_weight_ten(self):
         domain = partitions_repetition_bounded(10, 2)
         target = enumerate_partitions_with_parts(ResidueClass.nonzero(2), 10)
         report = certify_bijection(
-            domain,
+            one_class(domain),
             lambda p: glaisher_forward(p, 2),
             lambda p: glaisher_inverse(p, 2),
-            lambda p: no_part_divisible(p, 2),
-            target_size=len(target),
+            lambda k, p: no_part_divisible(p, 2),
+            target_sizes=[len(target)],
         )
         assert report.ok
         assert report.domain_size == report.target_size == 10
@@ -325,54 +330,56 @@ class TestCertify:
         def once():
             for p in domain:
                 pulled.append(p)
-                yield p
+                yield 0, p
 
         def certify(items):
             return certify_bijection(
                 items,
                 lambda p: glaisher_forward(p, 3),
                 lambda p: glaisher_inverse(p, 3),
-                lambda p: no_part_divisible(p, 3),
-                target_size=len(
-                    enumerate_partitions_with_parts(ResidueClass.nonzero(3), 12)
-                ),
+                lambda k, p: no_part_divisible(p, 3),
+                target_sizes=[
+                    len(enumerate_partitions_with_parts(ResidueClass.nonzero(3), 12))
+                ],
             )
 
         stream = once()
         streamed = certify(stream)
-        assert streamed == certify(domain)
+        assert streamed == certify(one_class(domain))
         assert streamed.ok and streamed.domain_size == len(domain)
         assert pulled == domain
         assert next(stream, None) is None
 
     def test_failure_still_counts_whole_domain(self):
-        listed = certify_bijection([4, 3, 2, 1], lambda x: 0, lambda y: y, lambda y: True)
+        listed = certify_bijection(
+            one_class([4, 3, 2, 1]), lambda x: 0, lambda y: y, lambda k, y: True
+        )
         streamed = certify_bijection(
-            iter([4, 3, 2, 1]), lambda x: 0, lambda y: y, lambda y: True
+            iter(one_class([4, 3, 2, 1])), lambda x: 0, lambda y: y, lambda k, y: True
         )
         assert not streamed.ok
         assert streamed == listed
         assert streamed.domain_size == 4
 
     def test_empty_domain_passes_vacuously(self):
-        report = certify_bijection([], lambda x: x, lambda x: x, lambda x: True)
+        report = certify_bijection([], lambda x: x, lambda x: x, lambda k, x: True)
         assert report.ok
         assert report.domain_size == 0
 
     def test_detects_non_injective(self):
         report = certify_bijection(
-            [2, 1], lambda x: 0, lambda y: 1, lambda y: True
+            one_class([2, 1]), lambda x: 0, lambda y: 1, lambda k, y: True
         )
         assert not report.ok
         assert "round trip" in report.failure or "injective" in report.failure
 
     def test_detects_wrong_target(self):
         report = certify_bijection(
-            [2, 1],
+            one_class([2, 1]),
             lambda x: x,
             lambda y: y,
-            lambda y: True,
-            target_size=3,
+            lambda k, y: True,
+            target_sizes=[3],
         )
         assert not report.ok
         assert (report.domain_size, report.target_size) == (2, 3)
@@ -383,14 +390,17 @@ class TestCertify:
         # a repeat keeps every round trip and the count of the duplicated
         # domain [3, 2, 2] equal to a target of size 3
         report = certify_bijection(
-            [3, 2, 2], lambda x: x, lambda y: y, lambda y: True, target_size=3
+            one_class([3, 2, 2]), lambda x: x, lambda y: y, lambda k, y: True,
+            target_sizes=[3],
         )
         assert not report.ok
         assert report.domain_size == 3
         assert report.failure == "domain is not strictly decreasing: 2 after 2"
 
     def test_ascending_domain_fails(self):
-        report = certify_bijection([1, 2], lambda x: x, lambda y: y, lambda y: True)
+        report = certify_bijection(
+            one_class([1, 2]), lambda x: x, lambda y: y, lambda k, y: True
+        )
         assert report.failure == "domain is not strictly decreasing: 2 after 1"
 
     def test_weight_changing_map_fails_target_predicate(self):
@@ -398,17 +408,19 @@ class TestCertify:
         # count alone; only the weight in the target predicate catches it
         domain = partitions_repetition_bounded(6, 2)
         report = certify_bijection(
-            domain,
+            one_class(domain),
             lambda p: Partition(glaisher_forward(p, 2).parts + (1,)),
             lambda q: glaisher_inverse(Partition(q.parts[:-1]), 2),
-            lambda q: q.weight == 6 and no_part_divisible(q, 2),
-            target_size=len(enumerate_partitions_with_parts(ResidueClass.nonzero(2), 6)),
+            lambda k, q: q.weight == 6 and no_part_divisible(q, 2),
+            target_sizes=[
+                len(enumerate_partitions_with_parts(ResidueClass.nonzero(2), 6))
+            ],
         )
         assert not report.ok
         assert report.failure == "image of [6] fails the target predicate: [3,3,1]"
 
     def test_part_tuples_are_named_in_bracketed_form(self):
         report = certify_bijection(
-            [(2,), (1, 1)], lambda x: x[:1], lambda y: y, lambda y: True
+            one_class([(2,), (1, 1)]), lambda x: x[:1], lambda y: y, lambda k, y: True
         )
         assert report.failure == "inverse round trip failed for [1,1]: got [1] via [1]"

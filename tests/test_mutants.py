@@ -64,20 +64,21 @@ def wrong_power(merge):
     return lambda parts, modulus: merge(parts, modulus + 1)
 
 
-def repeats_a_partition(generate):
+def repeats_a_partition(walk):
     # weight 6 lists its first partition twice and loses its second:
     # the same number of partitions, one of them repeated
-    def fake(weight, modulus):
-        found = list(generate(weight, modulus))
-        if weight == 6:
-            found[1] = found[0]
+    def fake(max_weight, modulus):
+        found = list(walk(max_weight, modulus))
+        sixes = [i for i, (weight, _) in enumerate(found) if weight == 6]
+        if len(sixes) > 1:
+            found[sixes[1]] = found[sixes[0]]
         return found
 
     return fake
 
 
-def allows_m_copies(generate):
-    return lambda weight, modulus: generate(weight, modulus + 1)
+def allows_m_copies(walk):
+    return lambda max_weight, modulus: walk(max_weight, modulus + 1)
 
 
 def count_off_by_one(count):
@@ -161,11 +162,11 @@ FAULTS = {
         glaisher_rows("bijection"), SERIES_ROUTE,
     ),
     "bounded-repetition domain repeats a partition": (
-        partitions, ("_repetition_bounded_parts",), repeats_a_partition,
+        partitions, ("_repetition_bounded_walk",), repeats_a_partition,
         glaisher_rows("bijection", "conjugate"), SERIES_ROUTE,
     ),
     "bounded-repetition domain allows M copies": (
-        partitions, ("_repetition_bounded_parts",), allows_m_copies,
+        partitions, ("_repetition_bounded_walk",), allows_m_copies,
         glaisher_rows("bijection", "conjugate"), SERIES_ROUTE,
     ),
     "part-set count off by one at weight 9": (

@@ -10,6 +10,7 @@ from qident.partitions import (
     ChainConstraint,
     GapBound,
     Partition,
+    _repetition_bounded_walk,
     chain_violation,
     conjugate,
     count_chain_by_weight,
@@ -309,6 +310,20 @@ class TestPredicates:
             for p in bounded + coprime:
                 assert_valid(p)
             assert len(bounded) == len(coprime), (modulus, weight)
+
+    @pytest.mark.parametrize("modulus", (2, 3, 4, 5, 6, 7))
+    def test_walk_lists_each_weight_as_filtering_does(self, modulus):
+        # one walk over every weight up to 16 gives, weight by weight, what
+        # filtering all partitions of that weight gives, in the same order
+        by_weight = {w: [] for w in range(17)}
+        for weight, parts in _repetition_bounded_walk(16, modulus):
+            by_weight[weight].append(parts)
+        for weight, walked in by_weight.items():
+            assert walked == [
+                p.parts
+                for p in enumerate_partitions(weight)
+                if repetition_bounded(p, modulus)
+            ], (modulus, weight)
 
     @pytest.mark.parametrize(
         "generator",

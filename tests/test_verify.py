@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import qident.verify as verify_module
+from qident.partitions import enumerate_partitions, repetition_bounded
 from qident.profiles import (
     UnknownNameError,
     default_catalog,
@@ -222,13 +223,17 @@ class TestGlaisherFamily:
         assert_row_carries(suite_row("glaisher-3", "bijection", 20, 12), finding)
 
     def test_bijection_failure_on_repeated_domain_element(self, monkeypatch):
-        generate = verify_module._repetition_bounded_parts
+        walk = verify_module._repetition_bounded_walk
 
-        def first_twice(weight, modulus):
-            found = generate(weight, modulus)
-            return [found[0], *found[:-1]] if weight == 5 else found
+        def first_twice(max_weight, modulus):
+            # weight 5 lists its first partition twice and loses its last
+            found = list(walk(max_weight, modulus))
+            fives = [i for i, (weight, _) in enumerate(found) if weight == 5]
+            del found[fives[-1]]
+            found.insert(fives[0], found[fives[0]])
+            return found
 
-        monkeypatch.setattr(verify_module, "_repetition_bounded_parts", first_twice)
+        monkeypatch.setattr(verify_module, "_repetition_bounded_walk", first_twice)
         finding = glaisher_bijection_report(3, 12)
         assert (finding.exponent, finding.lhs, finding.rhs) == (5, 5, 5)
         assert finding.note == "domain is not strictly decreasing: [5] after [5]"
@@ -280,6 +285,64 @@ class TestGlaisherFamily:
         finding = glaisher_conjugate_report(2, 12)
         assert (finding.exponent, finding.lhs, finding.rhs) == (7, 5, 4)
         assert finding.note == "domain has 5 elements, target has 4"
+
+
+class TestOneWalkBookkeeping:
+    """One walk certifies every weight at once, so a finding must still name
+    the lowest failing weight with that weight's full domain size."""
+
+    @staticmethod
+    def ascending_at_eleven(monkeypatch):
+        divide = verify_module._glaisher_divide
+
+        def fake(parts, modulus):
+            image = divide(parts, modulus)
+            return image[::-1] if sum(parts) == 11 else image
+
+        monkeypatch.setattr(verify_module, "_glaisher_divide", fake)
+
+    @staticmethod
+    def bounded(weight, modulus):
+        return sum(1 for p in enumerate_partitions(weight) if repetition_bounded(p, modulus))
+
+    def test_lowest_failing_weight_wins(self, monkeypatch):
+        self.ascending_at_eleven(monkeypatch)
+        count = verify_module.count_partitions_with_parts
+
+        def one_too_many_at_seven(rc, max_weight):
+            counts = count(rc, max_weight)
+            counts[7] += 1
+            return counts
+
+        monkeypatch.setattr(
+            verify_module, "count_partitions_with_parts", one_too_many_at_seven
+        )
+        finding = glaisher_bijection_report(3, 12)
+        size = self.bounded(7, 3)
+        assert (finding.exponent, finding.lhs, finding.rhs) == (7, size, size + 1)
+        assert finding.note == f"domain has {size} elements, target has {size + 1}"
+
+    def test_failing_weight_is_counted_in_full(self, monkeypatch):
+        self.ascending_at_eleven(monkeypatch)
+        finding = glaisher_bijection_report(3, 12)
+        size = self.bounded(11, 3)
+        # [11] is its own reversal; [10,1] is the first image out of order
+        assert (finding.exponent, finding.lhs, finding.rhs) == (11, size, size)
+        assert finding.note == "image of [10,1] fails the target predicate: [1,10]"
+
+    def test_conjugate_skips_weight_zero(self, monkeypatch):
+        conjugate = verify_module._conjugate_parts
+        seen = []
+
+        def recording(parts):
+            seen.append(parts)
+            return conjugate(parts)
+
+        monkeypatch.setattr(verify_module, "_conjugate_parts", recording)
+        assert glaisher_conjugate_report(3, 8) is None
+        assert () not in seen
+        # every other partition of weight 1..8 is conjugated there and back
+        assert len(seen) == 2 * sum(self.bounded(w, 3) for w in range(1, 9))
 
 
 class TestSuite:
