@@ -35,7 +35,6 @@ __all__ = [
     "count_partitions_with_parts",
     "repetition_bounded",
     "no_part_divisible",
-    "partitions_repetition_bounded",
 ]
 
 
@@ -390,14 +389,3 @@ def _repetition_bounded_walk(
             for count in range(1, min(cap, room // part) + 1):
                 stack.append((parts + (part,) * count, weight + part * count, part - 1))
 
-
-def partitions_repetition_bounded(weight: int, modulus: int) -> list[Partition]:
-    """All partitions of ``weight`` in which every part value occurs fewer than
-    ``modulus`` times, in lexicographically decreasing order: the members of
-    that weight on the bounded-repetition walk, generated directly rather than
-    by filtering all partitions."""
-    return [
-        Partition._ordered(parts)
-        for w, parts in _repetition_bounded_walk(weight, modulus)
-        if w == weight
-    ]

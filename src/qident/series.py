@@ -16,6 +16,13 @@ slice operations rather than a Python statement per coefficient.  The sum
 sides carry one running factor across their terms and trim it to
 ``order - n`` before term n, since nothing beyond that index reaches the
 result.
+
+``product_side`` multiplies one 1/(1-q^k) per allowed part size.  A private
+route, ``_product_side_by_complement``, starts instead from the all-parts
+series 1/((1-q)...(1-q^{order-1})) and multiplies one (1-q^k) per excluded
+part size, exact mod q^order.  For a class that allows most part sizes that
+is fewer factors, and when several classes share one all-parts series, as
+``qident.verify`` arranges within a run, it is the cheaper build.
 """
 
 from collections.abc import Callable, Iterable
@@ -250,6 +257,34 @@ def product_side(rc: ResidueClass, order: int) -> TruncatedSeries:
     for k in range(1, order):
         if rc.allows(k):
             _geometric(c, k)
+    return TruncatedSeries(tuple(c))
+
+
+def _all_parts(order: int) -> TruncatedSeries:
+    """1/((1-q)(1-q^2)...(1-q^{order-1})): partitions into parts of any size."""
+    c = list(series_one(order).coefficients)
+    for k in range(1, order):
+        _geometric(c, k)
+    return TruncatedSeries(tuple(c))
+
+
+def _complement_pays(rc: ResidueClass, order: int) -> bool:
+    """True when ``rc`` allows more part sizes below ``order`` than it
+    excludes, so that ``_product_side_by_complement`` multiplies fewer
+    factors than ``product_side``."""
+    return 2 * sum(map(rc.allows, range(1, order))) > order - 1
+
+
+def _product_side_by_complement(
+    rc: ResidueClass, all_parts: TruncatedSeries
+) -> TruncatedSeries:
+    """``product_side(rc, all_parts.order)`` from ``all_parts = _all_parts(order)``:
+    the all-parts series times (1 - q^k) for every excluded part size k,
+    which cancels its factor 1/(1 - q^k) exactly below the order."""
+    c = list(all_parts.coefficients)
+    for k in range(1, len(c)):
+        if not rc.allows(k):
+            _one_minus(c, k)
     return TruncatedSeries(tuple(c))
 
 

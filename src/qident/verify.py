@@ -18,11 +18,22 @@ names into a tuple of ``Check`` rows without running anything, and
 failure and None for a pass; it knows nothing of the row it fills.
 ``run_suite`` times each check and builds its ``VerificationReport`` from
 the planned row (identity, mode, subject, bound) and the finding.
+
+Many identities share a product side, so within one ``run_suite`` call each
+product side and each divide-by-M sum side is built once, on first use, and
+handed to every later row that needs it.  The product side of a class that
+allows more part sizes below the order than it excludes is built there from
+one all-parts series per order, shared in the same way.  The builds live in
+a context variable that ``run_suite`` sets and resets, so nothing outlives
+the call, and a check function called directly builds its sides afresh with
+``product_side`` and ``sum_side_glaisher``.
 """
 
 import json
 import re
 import time
+from collections.abc import Callable
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import partial
 from operator import ge
@@ -52,6 +63,9 @@ from .profiles import (
 from .series import (
     ResidueClass,
     TruncatedSeries,
+    _all_parts,
+    _complement_pays,
+    _product_side_by_complement,
     alpha_closed_form,
     alpha_recurrence,
     euler_distinct_sum,
@@ -174,11 +188,51 @@ def _first_difference(
     return Finding(note, e, lhs.coefficient(e), rhs.coefficient(e))
 
 
+# The series sides built so far by the ``run_suite`` call in progress, by
+# key; None outside one, so a check function called directly builds afresh.
+_RUN_SERIES: ContextVar[dict | None] = ContextVar("run_series", default=None)
+
+
+def _once(key: tuple, build: Callable[[], TruncatedSeries]) -> TruncatedSeries:
+    """``build()``, made once per ``run_suite`` call for each key, and every
+    time outside one."""
+    memo = _RUN_SERIES.get()
+    if memo is None:
+        return build()
+    if key not in memo:
+        memo[key] = build()
+    return memo[key]
+
+
+def _product(rc: ResidueClass, order: int) -> TruncatedSeries:
+    """``product_side(rc, order)``, built once per run.  Within a run, a class
+    that allows more part sizes below ``order`` than it excludes is built
+    from the run's one all-parts series of that order instead, one (1-q^k)
+    per excluded k in place of one 1/(1-q^k) per allowed k."""
+    if _RUN_SERIES.get() is None:
+        return product_side(rc, order)
+
+    def build() -> TruncatedSeries:
+        if not _complement_pays(rc, order):
+            return product_side(rc, order)
+        all_parts = _once(("all parts", order), lambda: _all_parts(order))
+        return _product_side_by_complement(rc, all_parts)
+
+    return _once(("product", rc, order), build)
+
+
+def _glaisher_sum(modulus: int, order: int) -> TruncatedSeries:
+    """``sum_side_glaisher(modulus, order)``, built once per run."""
+    return _once(
+        ("glaisher", modulus, order), lambda: sum_side_glaisher(modulus, order)
+    )
+
+
 def _sum_series(
     descriptor: IdentityDescriptor, order: int, catalog: Catalog
 ) -> TruncatedSeries:
     if descriptor.glaisher_modulus is not None:
-        return sum_side_glaisher(descriptor.glaisher_modulus, order)
+        return _glaisher_sum(descriptor.glaisher_modulus, order)
     if descriptor.sum_profile is None:
         raise ValueError(f"identity {descriptor.name} has no sum side")
     entry = catalog.lookup(descriptor.sum_profile)
@@ -198,7 +252,7 @@ def verify_analytic(
     if descriptor.product is None:
         raise ValueError(f"identity {descriptor.name} has no product side")
     return _first_difference(
-        product_side(descriptor.product, order),
+        _product(descriptor.product, order),
         _sum_series(descriptor, order, catalog),
         order,
         "product vs sum side",
@@ -225,7 +279,7 @@ def verify_combinatorial(
     counts = profile_chain_counts(entry.profile, max_weight)
     series = [("sum side", _sum_series(descriptor, max_weight + 1, catalog))]
     if descriptor.product is not None:
-        series.append(("product side", product_side(descriptor.product, max_weight + 1)))
+        series.append(("product side", _product(descriptor.product, max_weight + 1)))
     for label, s in series:
         for weight in range(max_weight + 1):
             if counts[weight] != s.coefficient(weight):
@@ -266,7 +320,7 @@ def verify_equinumerosity(
                 count_partitions_with_parts(product, max_weight),
             )
         )
-        series = product_side(product, max_weight + 1)
+        series = _product(product, max_weight + 1)
         sequences.append(("product series", series.to_list()))
     else:
         series = profile_series(entries[0].profile, max_weight + 1)
@@ -285,9 +339,9 @@ def euler_forms_report(order: int) -> Finding | None:
     """At modulus 2, the odd-parts product equals three sum expressions: the
     divide-by-2 form, the triangular-exponent family, and the distinct-parts
     product form.  All four are compared pairwise to the product."""
-    prod = product_side(ResidueClass(2, frozenset({1})), order)
+    prod = _product(ResidueClass(2, frozenset({1})), order)
     forms = [
-        ("divide-by-2 sum", sum_side_glaisher(2, order)),
+        ("divide-by-2 sum", _glaisher_sum(2, order)),
         (
             "triangular sum",
             sum_side_standard(lambda n: (n * n + n) // 2, lambda n: n, order),
@@ -647,4 +701,8 @@ def run_suite(
         )
 
     plan = plan_checks(names, order, max_weight, catalog, alpha_terms=alpha_terms)
-    return SuiteSummary(tuple(map(run, plan)))
+    token = _RUN_SERIES.set({})
+    try:
+        return SuiteSummary(tuple(map(run, plan)))
+    finally:
+        _RUN_SERIES.reset(token)

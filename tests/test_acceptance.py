@@ -25,7 +25,6 @@ from qident.partitions import (
     enumerate_chain,
     enumerate_partitions_with_parts,
     no_part_divisible,
-    partitions_repetition_bounded,
 )
 from qident.profiles import default_catalog, profile_chain_counts, validate_profile
 from qident.series import (
@@ -39,6 +38,8 @@ from qident.series import (
     sum_side_glaisher,
     sum_side_standard,
 )
+
+from bounded_walk import partitions_repetition_bounded
 
 RR2 = ResidueClass(5, frozenset({2, 3}))
 

@@ -26,11 +26,12 @@ from qident.partitions import (
     enumerate_chain,
     enumerate_partitions_with_parts,
     no_part_divisible,
-    partitions_repetition_bounded,
     repetition_bounded,
 )
 from qident.profiles import default_catalog, profile_to_chain
 from qident.series import ResidueClass
+
+from bounded_walk import partitions_repetition_bounded
 
 RR2 = ResidueClass(5, frozenset({2, 3}))
 

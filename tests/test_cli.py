@@ -2,6 +2,7 @@
 
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,8 @@ from qident.cli import (
     main,
 )
 from qident.profiles import default_catalog, dump_catalog
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
 
 def run(capsys, *argv):
@@ -296,6 +299,18 @@ class TestVerifyCommand:
         for line in out.splitlines():
             payload = json.loads(line)
             assert json.dumps(payload, sort_keys=True, separators=(",", ":")) == line
+
+    def test_series_deep_output_matches_reference(self, capsys):
+        # every row at order 1000, where one run shares each series side
+        # among the rows that need it, is the recorded row
+        code, out, err = run(
+            capsys, "verify", "all", "--order", "1000", "--max-weight", "8",
+            "--format", "machine",
+        )
+        assert (code, err) == (EXIT_OK, "")
+        expected = (REFERENCE / "series-deep.txt").read_text().splitlines()
+        assert len(expected) == 70
+        assert out.splitlines() == expected
 
     def test_mismatch_exit_code_with_custom_catalog(self, capsys, tmp_path):
         # a deliberately wrong product side must fail with the mismatch code

@@ -20,10 +20,11 @@ from qident.partitions import (
     enumerate_partitions_with_parts,
     no_part_divisible,
     parse_partition,
-    partitions_repetition_bounded,
     repetition_bounded,
 )
 from qident.series import ResidueClass
+
+from bounded_walk import partitions_repetition_bounded
 
 RR2 = ResidueClass(5, frozenset({2, 3}))
 ODD = ResidueClass(2, frozenset({1}))

@@ -14,8 +14,11 @@ from qident.series import (
     ResidueClass,
     SumTerminationError,
     TruncatedSeries,
+    _all_parts,
+    _complement_pays,
     _geometric,
     _one_minus,
+    _product_side_by_complement,
     alpha_closed_form,
     alpha_recurrence,
     euler_distinct_sum,
@@ -214,6 +217,36 @@ class TestProductSide:
             ResidueClass(5, frozenset({0, 2}))
         with pytest.raises(ValueError):
             ResidueClass(5, frozenset({5}))
+
+
+residue_classes = st.integers(2, 20).flatmap(
+    lambda m: st.sets(st.integers(1, m - 1), min_size=1).map(
+        lambda residues: ResidueClass(m, frozenset(residues))
+    )
+)
+
+
+class TestComplementBuild:
+    @given(rc=residue_classes, order=st.integers(1, 120))
+    @example(rc=RR2, order=1)
+    @example(rc=ODD, order=2)
+    @example(rc=ResidueClass(20, frozenset({7})), order=120)
+    @example(rc=ResidueClass.nonzero(20), order=120)
+    @example(rc=ResidueClass(13, frozenset(range(2, 13))), order=97)
+    def test_equals_direct_product(self, rc, order):
+        built = _product_side_by_complement(rc, _all_parts(order))
+        assert built == product_side(rc, order)
+
+    @pytest.mark.parametrize("order", (1, 2, 3, 50))
+    def test_all_parts_is_the_full_pochhammer_inverse(self, order):
+        assert _all_parts(order) == pochhammer_inverse(order - 1, order)
+
+    def test_pays_when_most_part_sizes_are_allowed(self):
+        # allowed part sizes below the order, of all of them
+        assert _complement_pays(ResidueClass(5, frozenset({1, 2, 3})), 11)  # 6 of 10
+        assert not _complement_pays(ODD, 11)  # 5 of 10
+        assert _complement_pays(ODD, 1000)  # 500 of 999
+        assert not _complement_pays(RR2, 1000)  # 400 of 999
 
 
 class TestSumSideStandard:

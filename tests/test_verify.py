@@ -1,6 +1,7 @@
 """Verification pipelines and the suite driver."""
 
 import json
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -343,6 +344,76 @@ class TestOneWalkBookkeeping:
         assert () not in seen
         # every other partition of weight 1..8 is conjugated there and back
         assert len(seen) == 2 * sum(self.bounded(w, 3) for w in range(1, 9))
+
+
+class TestRunScopedSeries:
+    """Within one ``run_suite`` call each product side and each divide-by-M
+    sum side is built once, and nothing built outlives the call."""
+
+    ORDER, WEIGHT = 30, 13
+
+    @staticmethod
+    def count_builds(monkeypatch):
+        """Wrap the series builders that ``qident.verify`` calls, counting
+        builds by what they build.  A product side counts alike whether it is
+        built directly or from the all-parts series."""
+        builds = Counter()
+
+        def count(name, key):
+            original = getattr(verify_module, name)
+
+            def counted(*args):
+                builds[key(*args)] += 1
+                return original(*args)
+
+            monkeypatch.setattr(verify_module, name, counted)
+
+        count("product_side", lambda rc, order: ("product", rc, order))
+        count(
+            "_product_side_by_complement",
+            lambda rc, all_parts: ("product", rc, all_parts.order),
+        )
+        count("_all_parts", lambda order: ("all parts", order))
+        count("sum_side_glaisher", lambda modulus, order: ("glaisher", modulus, order))
+        return builds
+
+    def expected_builds(self):
+        """Catalog classes at the analytic order and at the counting bound.
+        The divide-by-M identities have no interpretations to count, so their
+        sides are needed only at the analytic order."""
+        catalog = {e.product for e in default_catalog().entries()} - {None}
+        moduli = range(2, 8)
+        orders = (self.ORDER, self.WEIGHT + 1)
+        return (
+            {("product", rc, order) for rc in catalog for order in orders}
+            | {("product", ResidueClass.nonzero(m), self.ORDER) for m in moduli}
+            | {("all parts", order) for order in orders}
+            | {("glaisher", m, self.ORDER) for m in moduli}
+        )
+
+    def test_each_side_is_built_once_per_run(self, monkeypatch):
+        builds = self.count_builds(monkeypatch)
+        assert run_suite(None, self.ORDER, self.WEIGHT).passed
+        assert set(builds) == self.expected_builds()
+        assert set(builds.values()) == {1}
+
+    def test_a_second_run_builds_everything_again(self, monkeypatch):
+        builds = self.count_builds(monkeypatch)
+        run_suite(None, self.ORDER, self.WEIGHT)
+        run_suite(None, self.ORDER, self.WEIGHT)
+        assert set(builds) == self.expected_builds()
+        assert set(builds.values()) == {2}
+
+    def test_a_check_called_directly_builds_afresh(self, monkeypatch):
+        builds = self.count_builds(monkeypatch)
+        descriptor = descriptor_by_name("glaisher-3")
+        assert verify_analytic(descriptor, self.ORDER) is None
+        assert verify_analytic(descriptor, self.ORDER) is None
+        # the direct builder both times, not the all-parts route
+        assert builds == {
+            ("product", ResidueClass.nonzero(3), self.ORDER): 2,
+            ("glaisher", 3, self.ORDER): 2,
+        }
 
 
 class TestSuite:
