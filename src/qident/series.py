@@ -12,10 +12,17 @@ Every multiplication by one factor runs in place on a list of coefficients
 through two kernels, ``_geometric`` for 1/(1-q^k) and ``_one_minus`` for
 (1-q^k), and every shifted addition is one slice assignment such as
 ``total[n:] = map(add, total[n:], run)``.  So a factor costs a few C-level
-slice operations rather than a Python statement per coefficient.  The sum
-sides carry one running factor across their terms and trim it to
-``order - n`` before term n, since nothing beyond that index reaches the
-result.
+slice operations rather than a Python statement per coefficient.
+
+``sum_side_standard`` carries one running factor across its terms and trims
+it to ``order - w`` before a term of exponent w, since nothing beyond that
+index reaches the result.  ``sum_side_glaisher`` and ``euler_distinct_sum``
+instead nest their sums from the top (Horner form): working from the last
+term down, each step shifts the inner sum by q, adds the new term's leading
+monomials in O(1), and multiplies by the step's factors in place.  The inner
+sum after step n is needed only below ``order - n``, so it starts empty and
+grows by one coefficient per step, and no step adds a long slice into a
+total.
 
 ``product_side`` multiplies one 1/(1-q^k) per allowed part size.  A private
 route, ``_product_side_by_complement``, starts instead from the all-parts
@@ -92,6 +99,8 @@ class TruncatedSeries:
                 f"comparison order {order} exceeds operand orders "
                 f"{self.order} and {other.order}"
             )
+        if self.coefficients[:order] == other.coefficients[:order]:
+            return None
         for e in range(order):
             if self.coefficients[e] != other.coefficients[e]:
                 return e
@@ -350,38 +359,45 @@ def sum_side_glaisher(modulus: int, order: int) -> TruncatedSeries:
     """1 + sum over n >= 1 of (q^n - q^{nM}) (q^M)_{n-1} / (q)_n for M = modulus.
 
     Here (q)_n = (1-q)...(1-q^n) and (q^M)_{n-1} = (1-q^M)...(1-q^{(n-1)M}).
-    The running factor (q^M)_{n-1}/(q)_n is updated in place by one
-    ``_one_minus`` and one ``_geometric`` per term, and it is trimmed to
-    ``order - n`` before term n, since the term adds it from q^n upwards.  Its
-    two shifted copies enter the total as two slice assignments.
+    With g_1 = 1/(1-q) and g_n = (1-q^{(n-1)M})/(1-q^n), the term n is
+    q^n (1 - q^{n(M-1)}) g_1...g_n, so the sum nests as 1 + q V_1 with
+
+        V_n = g_n (1 - q^{n(M-1)} + q V_{n+1}),
+
+    and V_n is needed only below ``order - n``.  From n = order-1 down to 1,
+    1 + q V_{n+1} is one shift with 1 at q^0, -q^{n(M-1)} one O(1) update,
+    and g_n one ``_one_minus`` and one ``_geometric``.
     """
     if modulus < 2:
         raise ValueError("modulus must be at least 2")
-    total = list(series_one(order).coefficients)
-    run = total[:]  # (q^M)_{n-1}/(q)_n, exact below len(run)
-    for n in range(1, order):
-        del run[order - n :]
-        if n >= 2:
-            _one_minus(run, (n - 1) * modulus)
-        _geometric(run, n)
-        # map stops at the shorter operand: q^{nM} run is cut at the order
-        total[n:] = map(add, total[n:], run)
-        total[n * modulus :] = map(sub, total[n * modulus :], run)
-    return TruncatedSeries(tuple(total))
+    if order < 1:
+        raise ValueError("truncation order must be at least 1")
+    v: list[int] = []  # V_{n+1}, exact below order - n - 1
+    for n in range(order - 1, 0, -1):
+        v.insert(0, 1)
+        if n * (modulus - 1) < len(v):
+            v[n * (modulus - 1)] -= 1
+        if n >= 2 and (n - 1) * modulus < len(v):
+            _one_minus(v, (n - 1) * modulus)
+        _geometric(v, n)
+    return TruncatedSeries((1, *v))
 
 
 def euler_distinct_sum(order: int) -> TruncatedSeries:
     """1 + sum over n >= 1 of q^n (1+q)(1+q^2)...(1+q^{n-1}).
 
-    The running product is trimmed to ``order - n`` before term n, as in
-    ``sum_side_glaisher``; each factor (1 + q^n) is one shifted addition."""
-    total = list(series_one(order).coefficients)
-    prod = total[:]  # (1+q)...(1+q^{n-1}), exact below len(prod)
-    for n in range(1, order):
-        del prod[order - n :]
-        total[n:] = map(add, total[n:], prod)
-        prod[n:] = map(add, prod[n:], prod[:-n])
-    return TruncatedSeries(tuple(total))
+    Nested from the top as in ``sum_side_glaisher``: the sum is 1 + q U_1
+    with U_n = 1 + q (1+q^n) U_{n+1}, needed only below ``order - n``, so
+    each step is one shift, one shifted addition for (1+q^n) and +1 at q^0.
+    """
+    if order < 1:
+        raise ValueError("truncation order must be at least 1")
+    u: list[int] = []  # U_{n+1}, exact below order - n - 1
+    for n in range(order - 1, 0, -1):
+        u.insert(0, 0)
+        u[n:] = map(add, u[n:], u[:-n])
+        u[0] += 1
+    return TruncatedSeries((1, *u))
 
 
 def alpha_closed_form(modulus: int, n: int, order: int) -> TruncatedSeries:

@@ -96,6 +96,15 @@ class TestBasics:
         assert a.first_difference(b, 3) is None
         with pytest.raises(ValueError):
             a.first_difference(b, 4)
+        with pytest.raises(ValueError):
+            a.first_difference(b, 0)
+
+    def test_first_difference_is_the_lowest_differing_exponent(self):
+        a = poly(1, 2, 3, 4, 5)
+        assert a.first_difference(poly(1, 2, 0, 4, 0), 5) == 2
+        assert a.first_difference(poly(1, 2, 0, 4, 0), 2) is None
+        assert a.first_difference(poly(1, 2, 3, 4, 0), 5) == 4
+        assert a.first_difference(poly(0, 2, 3, 4, 5), 1) == 0
 
     def test_render_text(self):
         assert poly(1, 0, 2).render_text() == "1 + 0*q + 2*q^2 (mod q^3)"
@@ -300,6 +309,21 @@ class TestSumSideGlaisher:
     def test_euler_distinct_sum_matches(self):
         assert euler_distinct_sum(60) == product_side(ODD, 60)
 
+    @pytest.mark.parametrize("modulus", range(2, 8))
+    def test_order_and_modulus_checked(self, modulus):
+        for order in (0, -1):
+            with pytest.raises(ValueError):
+                sum_side_glaisher(modulus, order)
+        assert sum_side_glaisher(modulus, 1).to_list() == [1]
+        with pytest.raises(ValueError):
+            sum_side_glaisher(1, 10)
+
+    def test_euler_distinct_sum_order_checked(self):
+        for order in (0, -1):
+            with pytest.raises(ValueError):
+                euler_distinct_sum(order)
+        assert euler_distinct_sum(1).to_list() == [1]
+
 
 class TestAlpha:
     def test_alpha_zero_is_one(self):
@@ -427,11 +451,11 @@ class TestKernels:
 
     @pytest.mark.parametrize("modulus", range(2, 8))
     def test_glaisher_sum_matches_naive_expansion_at_every_order(self, modulus):
-        reference = naive_glaisher_sum(modulus, 60)
-        for order in range(1, 61):
+        reference = naive_glaisher_sum(modulus, 120)
+        for order in range(1, 121):
             assert sum_side_glaisher(modulus, order).to_list() == reference[:order]
 
     def test_euler_sum_matches_naive_expansion_at_every_order(self):
-        reference = naive_euler_sum(60)
-        for order in range(1, 61):
+        reference = naive_euler_sum(120)
+        for order in range(1, 121):
             assert euler_distinct_sum(order).to_list() == reference[:order]
