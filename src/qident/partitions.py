@@ -30,6 +30,7 @@ __all__ = [
     "chain_violation",
     "enumerate_chain",
     "count_chain_by_weight",
+    "count_bounded_gap_vectors",
     "enumerate_partitions",
     "enumerate_partitions_with_parts",
     "count_partitions_with_parts",
@@ -292,6 +293,34 @@ def count_chain_by_weight(chain: ChainConstraint, max_weight: int) -> list[int]:
     return counts
 
 
+def count_bounded_gap_vectors(modulus: int, max_weight: int) -> list[int]:
+    """Counts, for every weight 0..max_weight, of the nonempty vectors whose
+    adjacent differences a_s - a_{s+1} lie in [0, M-1] and whose last entry
+    lies in [1, M-1], over every length at once.
+
+    One depth-first search that reads each vector from its last entry up: a
+    node is a vector, and its children put one more entry in front of it, the
+    current first entry plus d for d in [0, M-1].  Every node is a vector of
+    its own length, so each adds 1 to the count of its weight, and none is
+    built.  The counts equal those of ``count_chain_by_weight`` on the
+    uniform chain of each slot count, summed over the slot counts.
+    """
+    if modulus < 2:
+        raise ValueError("modulus must be at least 2")
+    counts = [0] * (max_weight + 1)
+
+    def grow(first: int, used: int) -> None:
+        counts[used] += 1
+        for value in range(first, first + modulus):
+            if used + value > max_weight:
+                break
+            grow(value, used + value)
+
+    for last in range(1, min(modulus - 1, max_weight) + 1):
+        grow(last, last)
+    return counts
+
+
 def _parts_with(allowed: Sequence[int], weight: int) -> list[tuple[int, ...]]:
     """Parts of every partition of ``weight`` into part sizes from ``allowed``,
     a strictly decreasing sequence, in lexicographically decreasing order."""
@@ -331,16 +360,24 @@ def count_partitions_with_parts(rc: ResidueClass, max_weight: int) -> list[int]:
     One depth-first search over every such partition of weight at most
     ``max_weight``, adding parts from the largest down; each partition is
     visited once and adds 1 to the count of its weight, and none is built.
+    The partitions that extend a node by copies of the smallest allowed part
+    alone form one run with no other branch, counted in one loop.
     """
     counts = [0] * (max_weight + 1)
     if max_weight < 0:
         return counts
     allowed = [k for k in range(1, max_weight + 1) if rc.allows(k)]
+    if not allowed:
+        counts[0] = 1
+        return counts
+    smallest = allowed[0]
 
     def grow(used: int, limit: int) -> None:
         counts[used] += 1
+        for weight in range(used + smallest, max_weight + 1, smallest):
+            counts[weight] += 1
         room = max_weight - used
-        for i in range(limit):
+        for i in range(1, limit):
             part = allowed[i]
             if part > room:
                 break

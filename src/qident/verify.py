@@ -10,7 +10,8 @@ closed form.  The bijection and the conjugate characterization are each
 certified by one ``certify_bijection`` pass over one walk that visits every
 bounded-repetition partition up to the weight bound once, as bare part
 tuples, against a target known only by its membership test and its size at
-each weight, an enumeration count, never a listed set or a series.
+each weight, an enumeration count, never a listed set or a series.  The
+conjugate target is counted by one search over its vectors of every length.
 
 What gets checked is derived from the catalog alone: ``plan_checks`` turns
 names into a tuple of ``Check`` rows without running anything, and
@@ -19,24 +20,27 @@ failure and None for a pass; it knows nothing of the row it fills.
 ``run_suite`` times each check and builds its ``VerificationReport`` from
 the planned row (identity, mode, subject, bound) and the finding.
 
-Many identities share a product side, so within one ``run_suite`` call each
-product side and each divide-by-M sum side is built once, on first use, and
-handed to every later row that needs it.  The product side of a class that
-allows more part sizes below the order than it excludes is built there from
-one all-parts series per order, shared in the same way.  The builds live in
-a context variable that ``run_suite`` sets and resets, so nothing outlives
-the call, and a check function called directly builds its sides afresh with
-``product_side`` and ``sum_side_glaisher``.
+Many identities share a product side, and many interpretations share their
+term rules, so within one ``run_suite`` call each product side, each
+divide-by-M sum side, each profile sum side (keyed by the term rules of its
+branches) and each profile's chain counts at a weight bound are made once,
+on first use, and handed to every later row that needs them.  The product
+side of a class that allows more part sizes below the order than it
+excludes is built there from one all-parts series per order, shared in the
+same way.  What a run makes lives in a context variable that ``run_suite``
+sets and resets, so nothing outlives the call, and a check function called
+directly builds and counts afresh.
 """
 
 import json
 import re
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import partial
-from operator import ge
+from operator import ge, sub
+from typing import TypeVar
 
 from .bijections import (
     CertificationReport,
@@ -45,17 +49,15 @@ from .bijections import (
     certify_bijection,
 )
 from .partitions import (
-    ChainConstraint,
-    GapBound,
     _conjugate_parts,
     _repetition_bounded_walk,
-    chain_violation,
-    count_chain_by_weight,
+    count_bounded_gap_vectors,
     count_partitions_with_parts,
 )
 from .profiles import (
     Catalog,
     CatalogEntry,
+    ProfileFamily,
     default_catalog,
     profile_chain_counts,
     profile_series,
@@ -188,14 +190,17 @@ def _first_difference(
     return Finding(note, e, lhs.coefficient(e), rhs.coefficient(e))
 
 
-# The series sides built so far by the ``run_suite`` call in progress, by
-# key; None outside one, so a check function called directly builds afresh.
+# The series sides and chain counts made so far by the ``run_suite`` call in
+# progress, by key; None outside one, so a check function called directly
+# makes them afresh.
 _RUN_SERIES: ContextVar[dict | None] = ContextVar("run_series", default=None)
 
+_T = TypeVar("_T")
 
-def _once(key: tuple, build: Callable[[], TruncatedSeries]) -> TruncatedSeries:
+
+def _once(key: tuple, build: Callable[[], _T]) -> _T:
     """``build()``, made once per ``run_suite`` call for each key, and every
-    time outside one."""
+    time outside one.  What it makes is shared, so it must be immutable."""
     memo = _RUN_SERIES.get()
     if memo is None:
         return build()
@@ -228,6 +233,22 @@ def _glaisher_sum(modulus: int, order: int) -> TruncatedSeries:
     )
 
 
+def _profile_sum(profile: ProfileFamily, order: int) -> TruncatedSeries:
+    """``profile_series(profile, order)``, built once per run for each set of
+    branch term rules; the offsets do not enter a profile's sum side."""
+    rules = tuple((b.n_min, b.slots, b.min_weight) for b in profile.branches)
+    return _once(("profile sum", rules, order), lambda: profile_series(profile, order))
+
+
+def _chain_counts(profile: ProfileFamily, max_weight: int) -> tuple[int, ...]:
+    """``profile_chain_counts(profile, max_weight)`` as a tuple, counted once
+    per run."""
+    return _once(
+        ("chain counts", profile, max_weight),
+        lambda: tuple(profile_chain_counts(profile, max_weight)),
+    )
+
+
 def _sum_series(
     descriptor: IdentityDescriptor, order: int, catalog: Catalog
 ) -> TruncatedSeries:
@@ -236,7 +257,7 @@ def _sum_series(
     if descriptor.sum_profile is None:
         raise ValueError(f"identity {descriptor.name} has no sum side")
     entry = catalog.lookup(descriptor.sum_profile)
-    return profile_series(entry.profile, order)
+    return _profile_sum(entry.profile, order)
 
 
 def verify_analytic(
@@ -276,7 +297,7 @@ def verify_combinatorial(
             f"{descriptor.name}"
         )
     entry = catalog.lookup(profile_name)
-    counts = profile_chain_counts(entry.profile, max_weight)
+    counts = _chain_counts(entry.profile, max_weight)
     series = [("sum side", _sum_series(descriptor, max_weight + 1, catalog))]
     if descriptor.product is not None:
         series.append(("product side", _product(descriptor.product, max_weight + 1)))
@@ -310,8 +331,8 @@ def verify_equinumerosity(
             f"profiles {', '.join(profile_names)} disagree on the product side"
         )
     product = entries[0].product
-    sequences: list[tuple[str, list[int]]] = [
-        (e.name, profile_chain_counts(e.profile, max_weight)) for e in entries
+    sequences: list[tuple[str, Sequence[int]]] = [
+        (e.name, _chain_counts(e.profile, max_weight)) for e in entries
     ]
     if product is not None:
         sequences.append(
@@ -323,7 +344,7 @@ def verify_equinumerosity(
         series = _product(product, max_weight + 1)
         sequences.append(("product series", series.to_list()))
     else:
-        series = profile_series(entries[0].profile, max_weight + 1)
+        series = _profile_sum(entries[0].profile, max_weight + 1)
         sequences.append(("sum series", series.to_list()))
     ref_name, reference = sequences[0]
     for other_name, other in sequences[1:]:
@@ -399,24 +420,20 @@ def glaisher_conjugate_report(modulus: int, max_weight: int) -> Finding | None:
 
     Certified like the divide-by-M map, on the same walk less its weight-0
     partition: conjugating twice gives the partition back, each conjugate has
-    the weight and satisfies the chain of its length, and at every weight the
-    chain vectors, counted over every slot count, are as many as the
+    the weight, a length from 1 to the weight, every adjacent difference in
+    [0, M-1] and its last entry in [1, M-1], and at every weight the target
+    vectors, counted over every length in one search, are as many as the
     partitions.
     """
-    gap, last = GapBound(0, modulus - 1), GapBound(1, modulus - 1)
-    chains = [
-        ChainConstraint.uniform(slots, gap, last) for slots in range(1, max_weight + 1)
-    ]
-    target_sizes = [0] * (max_weight + 1)
-    for chain in chains:
-        for weight, count in enumerate(count_chain_by_weight(chain, max_weight)):
-            target_sizes[weight] += count
+    target_sizes = count_bounded_gap_vectors(modulus, max_weight)
+    gaps = frozenset(range(modulus))
 
     def in_target(weight: int, vector: tuple[int, ...]) -> bool:
         return (
             sum(vector) == weight
             and 0 < len(vector) <= weight
-            and chain_violation(vector, chains[len(vector) - 1]) is None
+            and 0 < vector[-1] < modulus
+            and gaps.issuperset(map(sub, vector, vector[1:]))
         )
 
     return _finding(certify_bijection(
@@ -493,12 +510,13 @@ _GLAISHER_MODULI = range(2, 8)
 
 # Largest weight of the divide-by-M conjugate check, whatever --max-weight
 # says.  It is the bound in that check's report, so changing it changes the
-# machine output.  The cap stays because, uncapped, the conjugate check still
-# costs more than the bijection check over M = 2..7, with both on the one
-# walk, in each of five paired in-process runs: 0.32-0.41 s against
-# 0.19-0.25 s at weight 25, and 0.93-1.41 s against 0.60-0.79 s at weight 30
-# (2 CPUs, Python 3.11.7).  Counting the chain vectors of every slot count
-# takes about a third of it (0.14 s at weight 25, 0.31-0.44 s at 30).
+# machine output.  Since the target is counted in one search, the uncapped
+# conjugate check costs about as much as the bijection check over M = 2..7,
+# in five paired in-process runs each: 0.20-0.27 s against 0.25-0.29 s at
+# weight 25, and 0.57-0.68 s against 0.56-0.87 s at weight 30 (2 CPUs,
+# Python 3.11.7), of which the count is 0.013-0.017 s and 0.023-0.033 s.
+# By that measure the cap may go; lifting it changes the recorded output of
+# ``verify all``, so it is left for a change that re-records it.
 CONJUGATE_MAX_WEIGHT = 20
 
 _GLAISHER_NAME = re.compile(r"glaisher-(\d+)")

@@ -312,6 +312,17 @@ class TestVerifyCommand:
         assert len(expected) == 70
         assert out.splitlines() == expected
 
+    def test_verify_all_output_matches_reference(self, capsys):
+        # every row at weight 30, where one run shares each profile's chain
+        # counts and the conjugate rows stop at their cap, is the recorded row
+        code, out, err = run(
+            capsys, "verify", "all", "--max-weight", "30", "--format", "machine"
+        )
+        assert (code, err) == (EXIT_OK, "")
+        expected = (REFERENCE / "verify-all.txt").read_text().splitlines()
+        assert len(expected) == 70
+        assert out.splitlines() == expected
+
     def test_mismatch_exit_code_with_custom_catalog(self, capsys, tmp_path):
         # a deliberately wrong product side must fail with the mismatch code
         text = dump_catalog(default_catalog())

@@ -13,6 +13,7 @@ from qident.partitions import (
     _repetition_bounded_walk,
     chain_violation,
     conjugate,
+    count_bounded_gap_vectors,
     count_chain_by_weight,
     count_partitions_with_parts,
     enumerate_chain,
@@ -253,6 +254,42 @@ class TestChainProperties:
     def test_product_counts_match_enumeration(self, rc, max_weight):
         assert count_partitions_with_parts(rc, max_weight) == [
             len(enumerate_partitions_with_parts(rc, w)) for w in range(max_weight + 1)
+        ]
+
+
+class TestOneSearchCounts:
+    @pytest.mark.parametrize("modulus", range(2, 8))
+    def test_bounded_gap_vectors_match_per_slot_chain_counts(self, modulus):
+        # one search over every length against one chain search per slot count
+        gap, last = GapBound(0, modulus - 1), GapBound(1, modulus - 1)
+        for max_weight in range(26):
+            per_slot = [0] * (max_weight + 1)
+            for slots in range(1, max_weight + 1):
+                chain = ChainConstraint.uniform(slots, gap, last)
+                for weight, count in enumerate(count_chain_by_weight(chain, max_weight)):
+                    per_slot[weight] += count
+            assert count_bounded_gap_vectors(modulus, max_weight) == per_slot, max_weight
+
+    def test_bounded_gap_vector_edges(self):
+        assert count_bounded_gap_vectors(2, -1) == []
+        assert count_bounded_gap_vectors(2, 0) == [0]
+        assert count_bounded_gap_vectors(3, 1) == [0, 1]
+        # modulus 2: last entry 1 and every gap 0 or 1, the conjugates of the
+        # partitions into distinct parts, none of them of weight 0
+        assert count_bounded_gap_vectors(2, 7) == [0, 1, 1, 2, 2, 3, 4, 5]
+        with pytest.raises(ValueError, match="modulus must be at least 2"):
+            count_bounded_gap_vectors(1, 5)
+
+    @pytest.mark.parametrize(
+        "rc",
+        [RR2] + [ResidueClass(m, frozenset({m - 1})) for m in range(3, 9)],
+        ids=lambda rc: f"{sorted(rc.residues)}mod{rc.modulus}",
+    )
+    def test_counts_without_part_one_match_enumeration(self, rc):
+        # the smallest allowed part exceeds 1, so its run in one loop steps
+        # over weights that no partition of the run reaches
+        assert count_partitions_with_parts(rc, 30) == [
+            len(enumerate_partitions_with_parts(rc, w)) for w in range(31)
         ]
 
 

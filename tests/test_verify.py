@@ -274,15 +274,14 @@ class TestGlaisherFamily:
         assert_row_carries(row, finding)
 
     def test_conjugate_failure_on_chain_count(self, monkeypatch):
-        count = verify_module.count_chain_by_weight
+        count = verify_module.count_bounded_gap_vectors
 
-        def one_short_at_seven(chain, max_weight):
-            counts = count(chain, max_weight)
-            if chain.slots == 1:
-                counts[7] -= 1
+        def one_short_at_seven(modulus, max_weight):
+            counts = count(modulus, max_weight)
+            counts[7] -= 1
             return counts
 
-        monkeypatch.setattr(verify_module, "count_chain_by_weight", one_short_at_seven)
+        monkeypatch.setattr(verify_module, "count_bounded_gap_vectors", one_short_at_seven)
         finding = glaisher_conjugate_report(2, 12)
         assert (finding.exponent, finding.lhs, finding.rhs) == (7, 5, 4)
         assert finding.note == "domain has 5 elements, target has 4"
@@ -416,6 +415,85 @@ class TestRunScopedSeries:
         }
 
 
+class TestRunScopedCounts:
+    """Within one ``run_suite`` call each profile's chain counts at a weight
+    bound are counted once, and each profile sum side is built once for its
+    branch term rules."""
+
+    ORDER, WEIGHT = 30, 13
+
+    @staticmethod
+    def rules(profile):
+        return tuple((b.n_min, b.slots, b.min_weight) for b in profile.branches)
+
+    def count_calls(self, monkeypatch):
+        """Wrap ``profile_chain_counts`` by (profile, weight) and
+        ``profile_series`` by (term rules, order) where ``qident.verify``
+        calls them."""
+        counted, summed = Counter(), Counter()
+        chain_counts = verify_module.profile_chain_counts
+        series = verify_module.profile_series
+
+        def counting(profile, max_weight):
+            counted[profile, max_weight] += 1
+            return chain_counts(profile, max_weight)
+
+        def summing(profile, order):
+            summed[self.rules(profile), order] += 1
+            return series(profile, order)
+
+        monkeypatch.setattr(verify_module, "profile_chain_counts", counting)
+        monkeypatch.setattr(verify_module, "profile_series", summing)
+        return counted, summed
+
+    def test_each_profile_is_counted_and_summed_once_per_run(self, monkeypatch):
+        counted, summed = self.count_calls(monkeypatch)
+        assert run_suite(None, self.ORDER, self.WEIGHT).passed
+        entries = default_catalog().entries()
+        # every entry is an interpretation, counted in its combinatorial row
+        # and again in its equinumerosity group, if any, from one count
+        assert counted == {(e.profile, self.WEIGHT): 1 for e in entries}
+        assert set(summed.values()) == {1}
+        # entries that share their term rules share one sum side
+        rules = {self.rules(e.profile) for e in entries}
+        assert len(rules) < len(entries)
+        assert {key for key, _ in summed} <= rules
+        assert {order for _, order in summed} == {self.ORDER, self.WEIGHT + 1}
+
+    def test_shared_counts_are_immutable(self):
+        token = verify_module._RUN_SERIES.set({})
+        try:
+            entry = default_catalog().lookup("P2")
+            counts = verify_module._chain_counts(entry.profile, self.WEIGHT)
+            assert isinstance(counts, tuple)
+            assert verify_module._chain_counts(entry.profile, self.WEIGHT) is counts
+        finally:
+            verify_module._RUN_SERIES.reset(token)
+
+    def test_a_check_called_directly_counts_afresh(self, monkeypatch):
+        counted, summed = self.count_calls(monkeypatch)
+        descriptor = descriptor_by_name("rr2")
+        for _ in range(2):
+            assert verify_combinatorial(descriptor, "P2", self.WEIGHT) is None
+        profile = default_catalog().lookup("P2").profile
+        assert counted == {(profile, self.WEIGHT): 2}
+        assert summed == {(self.rules(profile), self.WEIGHT + 1): 2}
+
+    def test_conjugate_rows_count_no_chain(self, monkeypatch):
+        import qident.partitions as partitions_module
+        import qident.profiles as profiles_module
+
+        def must_not_run(*args):
+            raise AssertionError("a conjugate row counted a chain")
+
+        for module in (verify_module, profiles_module, partitions_module):
+            monkeypatch.setattr(module, "count_chain_by_weight", must_not_run, raising=False)
+        names = [f"glaisher-{m}" for m in range(2, 8)]
+        summary = run_suite(names, self.ORDER, self.WEIGHT)
+        assert summary.passed
+        assert sum(r.mode == "conjugate" for r in summary.reports) == 6
+
+
 class TestSuite:
     def test_full_suite_at_default_bounds(self):
         summary = run_suite()
@@ -531,7 +609,7 @@ class TestPlan:
             "sum_side_glaisher",
             "profile_series",
             "profile_chain_counts",
-            "count_chain_by_weight",
+            "count_bounded_gap_vectors",
             "count_partitions_with_parts",
             "certify_bijection",
         ):
