@@ -1,13 +1,13 @@
 """Integer partitions, gap-constrained chains, and the exhaustive enumerations
 used as independent counting oracles.
 
-Every enumerator generates its constrained set directly, by a depth-first
-search that only builds members, rather than listing all partitions and
-filtering them.  The partitions they return are positive and weakly
-decreasing by construction, so they skip the validation that
-``Partition(...)`` runs on outside input.  The private generators behind them
-return bare part tuples, for callers that need no ``Partition`` objects, and
-the counting functions visit every member once without building it.
+Every search generates its constrained set directly, depth first, visiting
+only members rather than listing all partitions and filtering them.
+``enumerate_chain`` lists the chain vectors of one weight.  The counting
+functions visit every member up to a weight bound once and add 1 to its
+weight's count without building it.  The bounded-repetition walk yields each
+partition as a bare part tuple with its weight, for callers that need no
+``Partition`` objects.
 
 Everything in this module counts by explicit construction.  None of it touches
 the series algebra (the only import from ``series`` is the ResidueClass data
@@ -15,7 +15,6 @@ type), so agreement between chain enumeration and series coefficients is a
 genuine two-route cross-check.
 """
 
-from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
@@ -31,19 +30,14 @@ __all__ = [
     "enumerate_chain",
     "count_chain_by_weight",
     "count_bounded_gap_vectors",
-    "enumerate_partitions",
-    "enumerate_partitions_with_parts",
     "count_partitions_with_parts",
-    "repetition_bounded",
-    "no_part_divisible",
 ]
 
 
 @dataclass(frozen=True, order=True)
 class Partition:
     """Weakly decreasing tuple of positive parts; the weight is their sum.
-    Partitions order lexicographically by their parts, the order in which
-    the enumerators below list them (largest first)."""
+    Partitions order lexicographically by their parts."""
 
     parts: tuple[int, ...]
     weight: int = field(init=False, compare=False, repr=False)
@@ -160,16 +154,6 @@ class ChainConstraint:
     @property
     def slots(self) -> int:
         return len(self.gaps) + 1
-
-    @classmethod
-    def from_lower_gaps(cls, lowers: Sequence[int], terminal: int) -> "ChainConstraint":
-        return cls(tuple(GapBound(g) for g in lowers), GapBound(terminal))
-
-    @classmethod
-    def uniform(cls, slots: int, gap: GapBound, terminal: GapBound) -> "ChainConstraint":
-        if slots < 1:
-            raise ValueError("a chain needs at least one slot")
-        return cls((gap,) * (slots - 1), terminal)
 
 
 def chain_violation(vector: Sequence[int], chain: ChainConstraint) -> str | None:
@@ -321,38 +305,6 @@ def count_bounded_gap_vectors(modulus: int, max_weight: int) -> list[int]:
     return counts
 
 
-def _parts_with(allowed: Sequence[int], weight: int) -> list[tuple[int, ...]]:
-    """Parts of every partition of ``weight`` into part sizes from ``allowed``,
-    a strictly decreasing sequence, in lexicographically decreasing order."""
-    out: list[tuple[int, ...]] = []
-
-    def grow(remaining: int, start: int, prefix: tuple[int, ...]) -> None:
-        if remaining == 0:
-            out.append(prefix)
-            return
-        for i in range(start, len(allowed)):
-            part = allowed[i]
-            if part <= remaining:
-                grow(remaining - part, i, prefix + (part,))
-
-    grow(weight, 0, ())
-    return out
-
-
-def enumerate_partitions(weight: int, max_part: int | None = None) -> list[Partition]:
-    """All partitions of ``weight`` (parts <= max_part when given), in
-    lexicographically decreasing order."""
-    cap = weight if max_part is None else min(max_part, weight)
-    return [Partition._ordered(p) for p in _parts_with(range(cap, 0, -1), weight)]
-
-
-def enumerate_partitions_with_parts(rc: ResidueClass, weight: int) -> list[Partition]:
-    """All partitions of ``weight`` into parts allowed by ``rc``, in
-    lexicographically decreasing order."""
-    allowed = [k for k in range(weight, 0, -1) if rc.allows(k)]
-    return [Partition._ordered(p) for p in _parts_with(allowed, weight)]
-
-
 def count_partitions_with_parts(rc: ResidueClass, max_weight: int) -> list[int]:
     """Counts of partitions into parts allowed by ``rc`` for every weight
     0..max_weight.
@@ -385,20 +337,6 @@ def count_partitions_with_parts(rc: ResidueClass, max_weight: int) -> list[int]:
 
     grow(0, len(allowed))
     return counts
-
-
-def repetition_bounded(p: Partition, modulus: int) -> bool:
-    """True when every part value occurs strictly fewer than ``modulus`` times."""
-    if modulus < 2:
-        raise ValueError("modulus must be at least 2")
-    return all(count < modulus for count in Counter(p.parts).values())
-
-
-def no_part_divisible(p: Partition, modulus: int) -> bool:
-    """True when no part is divisible by ``modulus``."""
-    if modulus < 2:
-        raise ValueError("modulus must be at least 2")
-    return all(part % modulus for part in p.parts)
 
 
 def _repetition_bounded_walk(

@@ -149,10 +149,14 @@ def _compiled_rule(expr: str):
 
 def evaluate_rule(expr: str, **variables: int):
     """Evaluate a whitelisted integer rule with the given variable bindings.
-    An exponent outside 0..64, or a power above 4096 bits, raises
-    ValueError."""
+    An exponent outside 0..64, a power above 4096 bits, or a division by
+    zero raises ValueError."""
     env = {"parity": parity, "_bounded_pow": _bounded_pow, **variables}
-    return eval(_compiled_rule(expr), {"__builtins__": {}}, env)
+    try:
+        return eval(_compiled_rule(expr), {"__builtins__": {}}, env)
+    except ZeroDivisionError:
+        bindings = ", ".join(f"{k}={v}" for k, v in variables.items())
+        raise ValueError(f"rule {expr!r} divides by zero at {bindings}") from None
 
 
 @dataclass(frozen=True)
@@ -285,15 +289,6 @@ class Catalog:
     def entries(self) -> tuple[CatalogEntry, ...]:
         return self._entries
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __iter__(self):
-        return iter(self._entries)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._by_name
-
     def lookup(self, name: str) -> CatalogEntry:
         try:
             return self._by_name[name]
@@ -348,12 +343,33 @@ def _entry_from_json(data: dict) -> CatalogEntry:
 
 
 def loads_catalog(text: str) -> Catalog:
+    """Parse a catalog.  A payload that is not an object with an ``entries``
+    list, or an entry with a missing key or a value of the wrong type, raises
+    ValueError naming the entry (by position when it has no name)."""
     payload = json.loads(text)
-    return Catalog(_entry_from_json(e) for e in payload["entries"])
+    if not isinstance(payload, dict) or not isinstance(payload.get("entries"), list):
+        raise ValueError("a catalog must be a JSON object with an 'entries' list")
+    entries = []
+    for position, data in enumerate(payload["entries"], start=1):
+        try:
+            entries.append(_entry_from_json(data))
+        except (KeyError, TypeError) as exc:
+            name = data.get("name") if isinstance(data, dict) else None
+            label = repr(name) if name is not None else f"#{position}"
+            problem = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+            raise ValueError(f"catalog entry {label}: {problem}") from None
+    return Catalog(entries)
 
 
 def load_catalog(path: str | Path) -> Catalog:
-    return loads_catalog(Path(path).read_text(encoding="utf-8"))
+    """Read and parse a catalog file; one that cannot be read raises
+    ValueError naming the path."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        reason = exc.strerror or exc
+        raise ValueError(f"cannot read catalog {str(path)!r}: {reason}") from None
+    return loads_catalog(text)
 
 
 def dump_catalog(catalog: Catalog) -> str:

@@ -42,10 +42,6 @@ __all__ = [
     "TruncatedSeries",
     "ResidueClass",
     "series_one",
-    "geometric_inverse_factor",
-    "pochhammer",
-    "pochhammer_base",
-    "pochhammer_inverse",
     "product_side",
     "sum_side_standard",
     "sum_side_glaisher",
@@ -110,12 +106,6 @@ class TruncatedSeries:
         # map stops at the shorter operand, which is the mixed-order truncation
         return TruncatedSeries(tuple(map(add, self.coefficients, other.coefficients)))
 
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return TruncatedSeries(tuple(map(sub, self.coefficients, other.coefficients)))
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(tuple(-c for c in self.coefficients))
-
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         order = min(self.order, other.order)
         out = [0] * order
@@ -127,24 +117,6 @@ class TruncatedSeries:
                     if b:
                         out[i + j] += a * b
         return TruncatedSeries(tuple(out))
-
-    def shift(self, k: int) -> "TruncatedSeries":
-        """Multiply by q^k, keeping the truncation order."""
-        if k < 0:
-            raise ValueError("shift must be nonnegative")
-        if k == 0:
-            return self
-        if k >= self.order:
-            return TruncatedSeries((0,) * self.order)
-        return TruncatedSeries((0,) * k + self.coefficients[: self.order - k])
-
-    def render_text(self) -> str:
-        """Canonical text form ``c0 + c1*q + c2*q^2 + ... (mod q^ORDER)``."""
-        parts = [str(self.coefficients[0])]
-        for e in range(1, self.order):
-            c = self.coefficients[e]
-            parts.append(f"{c}*q" if e == 1 else f"{c}*q^{e}")
-        return " + ".join(parts) + f" (mod q^{self.order})"
 
 
 def _geometric(c: list[int], k: int) -> None:
@@ -216,46 +188,6 @@ def series_one(order: int) -> TruncatedSeries:
     return TruncatedSeries((1,) + (0,) * (order - 1))
 
 
-def geometric_inverse_factor(k: int, order: int) -> TruncatedSeries:
-    """1/(1 - q^k) = 1 + q^k + q^{2k} + ..., truncated at ``order``."""
-    if k < 1:
-        raise ValueError("exponent must be positive")
-    if order < 1:
-        raise ValueError("truncation order must be at least 1")
-    coeffs = [0] * order
-    for e in range(0, order, k):
-        coeffs[e] = 1
-    return TruncatedSeries(tuple(coeffs))
-
-
-def pochhammer(n: int, order: int) -> TruncatedSeries:
-    """(1-q)(1-q^2)...(1-q^n) truncated; the empty product 1 for n <= 0.
-    Factors with exponent at least ``order`` are the identity and are skipped."""
-    c = list(series_one(order).coefficients)
-    for s in range(1, min(n, order - 1) + 1):
-        _one_minus(c, s)
-    return TruncatedSeries(tuple(c))
-
-
-def pochhammer_base(base_exponent: int, n: int, order: int) -> TruncatedSeries:
-    """(1-q^M)(1-q^{2M})...(1-q^{nM}) for M = ``base_exponent``; 1 for n <= 0.
-    Factors with exponent at least ``order`` are the identity and are skipped."""
-    if base_exponent < 1:
-        raise ValueError("base exponent must be positive")
-    c = list(series_one(order).coefficients)
-    for s in range(1, min(n, (order - 1) // base_exponent) + 1):
-        _one_minus(c, s * base_exponent)
-    return TruncatedSeries(tuple(c))
-
-
-def pochhammer_inverse(n: int, order: int) -> TruncatedSeries:
-    """1/((1-q)(1-q^2)...(1-q^n)), built from geometric factors; 1 for n <= 0.
-    Factors with exponent at least ``order`` are the identity and are skipped."""
-    c = list(series_one(order).coefficients)
-    _pochhammer_inverse_from(c, 0, n)
-    return TruncatedSeries(tuple(c))
-
-
 def product_side(rc: ResidueClass, order: int) -> TruncatedSeries:
     """Product of 1/(1-q^k) over allowed part sizes k.
 
@@ -297,20 +229,22 @@ def _product_side_by_complement(
     return TruncatedSeries(tuple(c))
 
 
+_MAX_TERMS = 10_000
+
+
 def sum_side_standard(
     min_weight: Callable[[int], int],
     slots: Callable[[int], int],
     order: int,
     *,
     start: int = 0,
-    max_terms: int = 10_000,
 ) -> TruncatedSeries:
     """Sum over n of q^{min_weight(n)} / ((1-q)...(1-q^{slots(n)})).
 
     The scan starts at ``start`` and stops at the first n whose exponent
     reaches the truncation order.  Exponents must be nondecreasing over the
     scanned range (a decrease raises ValueError), and a scan that stays below
-    the order for more than ``max_terms`` values of n raises
+    the order for more than 10,000 values of n raises
     SumTerminationError instead of looping forever.
 
     One running 1/(q)_u is carried across the terms.  A term of exponent w
@@ -327,10 +261,10 @@ def sum_side_standard(
     n = start
     scanned = 0
     while True:
-        if scanned > max_terms:
+        if scanned > _MAX_TERMS:
             raise SumTerminationError(
                 f"exponent stayed below order {order} for more than "
-                f"{max_terms} terms (last n={n - 1})"
+                f"{_MAX_TERMS} terms (last n={n - 1})"
             )
         w = int(min_weight(n))
         u = int(slots(n))

@@ -1,0 +1,81 @@
+"""Naive reference oracles that tests compare the package against.
+
+Nothing in the package calls these.  Each is written for plainness rather
+than speed, and shares no code with the kernel it checks:
+``pochhammer_inverse`` multiplies whole geometric series through
+``TruncatedSeries.__mul__``, where the package multiplies in place with
+``_geometric`` (``_pochhammer_inverse_from``), and the partition listings
+recurse on the remaining weight, where the package counts without building.
+``partitions_repetition_bounded`` alone reads the package's bounded-repetition
+walk, one weight of it, for tests of what is built on that walk.
+"""
+
+from qident.partitions import Partition, _repetition_bounded_walk
+from qident.series import TruncatedSeries, series_one
+
+
+def geometric_inverse_factor(k, order):
+    """1/(1 - q^k) = 1 + q^k + q^{2k} + ..., truncated at ``order``."""
+    return TruncatedSeries(tuple(int(e % k == 0) for e in range(order)))
+
+
+def pochhammer_inverse(n, order):
+    """1/((1-q)(1-q^2)...(1-q^n)) as a product of n geometric factors; 1 for
+    n <= 0.  Every factor is multiplied in, none skipped."""
+    out = series_one(order)
+    for k in range(1, n + 1):
+        out = out * geometric_inverse_factor(k, order)
+    return out
+
+
+def shift(series, k):
+    """``series`` times q^k, at the same truncation order."""
+    return TruncatedSeries(((0,) * k + series.coefficients)[: series.order])
+
+
+def _parts(weight, largest, allowed):
+    """Parts of every partition of ``weight`` into parts of at most
+    ``largest`` that ``allowed`` accepts, in lexicographically decreasing
+    order; none for a negative weight."""
+    if weight == 0:
+        return [()]
+    return [
+        (part,) + rest
+        for part in range(min(largest, weight), 0, -1)
+        if allowed(part)
+        for rest in _parts(weight - part, part, allowed)
+    ]
+
+
+def enumerate_partitions(weight, max_part=None):
+    """All partitions of ``weight`` (parts at most ``max_part`` when given),
+    in lexicographically decreasing order."""
+    largest = weight if max_part is None else max_part
+    return [Partition(p) for p in _parts(weight, largest, lambda part: True)]
+
+
+def enumerate_partitions_with_parts(rc, weight):
+    """All partitions of ``weight`` into parts allowed by ``rc``, in
+    lexicographically decreasing order."""
+    return [Partition(p) for p in _parts(weight, weight, rc.allows)]
+
+
+def repetition_bounded(p, modulus):
+    """True when every part value occurs fewer than ``modulus`` times."""
+    return all(p.parts.count(part) < modulus for part in p.parts)
+
+
+def no_part_divisible(p, modulus):
+    """True when no part is divisible by ``modulus``."""
+    return all(part % modulus for part in p.parts)
+
+
+def partitions_repetition_bounded(weight, modulus):
+    """Every partition of ``weight`` in which each part value occurs fewer
+    than ``modulus`` times, in lexicographically decreasing order: the
+    members of that weight on the bounded-repetition walk."""
+    return [
+        Partition(parts)
+        for w, parts in _repetition_bounded_walk(weight, modulus)
+        if w == weight
+    ]

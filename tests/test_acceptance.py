@@ -23,8 +23,6 @@ from qident.partitions import (
     chain_violation,
     conjugate,
     enumerate_chain,
-    enumerate_partitions_with_parts,
-    no_part_divisible,
 )
 from qident.profiles import default_catalog, profile_chain_counts, validate_profile
 from qident.series import (
@@ -32,14 +30,17 @@ from qident.series import (
     alpha_closed_form,
     alpha_recurrence,
     euler_distinct_sum,
-    pochhammer_inverse,
     product_side,
     series_one,
     sum_side_glaisher,
     sum_side_standard,
 )
 
-from bounded_walk import partitions_repetition_bounded
+from oracles import (
+    enumerate_partitions_with_parts,
+    no_part_divisible,
+    partitions_repetition_bounded,
+)
 
 RR2 = ResidueClass(5, frozenset({2, 3}))
 
@@ -61,7 +62,7 @@ def test_criterion_1_rr2_analytic_order_300():
 def test_criterion_2_worked_example(capsys):
     started = time.perf_counter()
     # the third term of the family (exponent 15, six slots) contributes 3 at q^18
-    term = pochhammer_inverse(6, 19).shift(15)
+    term = sum_side_standard(lambda n: 15 if n == 0 else 19, lambda n: 6, 19)
     ok = term.coefficient(18) == 3
 
     expected_listings = {
@@ -252,8 +253,8 @@ def test_criterion_9_conjugate_chain_characterization():
             }
             chain_vectors = set()
             for slots in range(1, weight + 1):
-                chain = ChainConstraint.uniform(
-                    slots, GapBound(0, modulus - 1), GapBound(1, modulus - 1)
+                chain = ChainConstraint(
+                    (GapBound(0, modulus - 1),) * (slots - 1), GapBound(1, modulus - 1)
                 )
                 chain_vectors.update(enumerate_chain(chain, weight))
             ok = ok and conjugates == chain_vectors

@@ -24,14 +24,16 @@ from qident.partitions import (
     Partition,
     chain_violation,
     enumerate_chain,
-    enumerate_partitions_with_parts,
-    no_part_divisible,
-    repetition_bounded,
 )
 from qident.profiles import default_catalog, profile_to_chain
 from qident.series import ResidueClass
 
-from bounded_walk import partitions_repetition_bounded
+from oracles import (
+    enumerate_partitions_with_parts,
+    no_part_divisible,
+    partitions_repetition_bounded,
+    repetition_bounded,
+)
 
 RR2 = ResidueClass(5, frozenset({2, 3}))
 

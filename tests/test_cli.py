@@ -470,3 +470,55 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "catalog", "--format", "machine")
         assert code == EXIT_OK
         assert out == text
+
+
+def custom_entry(**branch):
+    """P2 as a catalog entry of its own named ``custom``, with ``branch``
+    overriding its branch's fields (a None value removes the field)."""
+    entry = next(
+        e for e in json.loads(dump_catalog(default_catalog()))["entries"]
+        if e["name"] == "P2"
+    )
+    entry.update(name="custom", aliases=[])
+    del entry["identity"]
+    for key, value in branch.items():
+        if value is None:
+            del entry["branches"][0][key]
+        else:
+            entry["branches"][0][key] = value
+    return json.dumps({"entries": [entry]})
+
+
+class TestMalformedCatalog:
+    @pytest.mark.parametrize(
+        "command",
+        [("verify", "custom"), ("series", "profile-sum", "--profile", "custom")],
+        ids=["verify", "profile-sum"],
+    )
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("{}", "a catalog must be a JSON object with an 'entries' list"),
+            ("[1]", "a catalog must be a JSON object with an 'entries' list"),
+            (
+                custom_entry(min_weight=None),
+                "catalog entry 'custom': missing key 'min_weight'",
+            ),
+            (None, "cannot read catalog"),
+            (
+                custom_entry(min_weight="n*n + n + n // (n - 1)"),
+                "rule 'n*n + n + n // (n - 1)' divides by zero at n=1",
+            ),
+        ],
+        ids=["no-entries", "list", "no-min-weight", "no-file", "zero-division"],
+    )
+    def test_is_a_domain_error_on_one_line(
+        self, capsys, tmp_path, text, message, command
+    ):
+        path = tmp_path / "catalog.json"
+        if text is not None:
+            path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "--catalog", str(path), *command)
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err

@@ -9,8 +9,9 @@ from qident import bijections, partitions, profiles, series, verify
 
 MODULES = (series, partitions, profiles, bijections, verify)
 
-# Names that only renamed another public call, or had no caller; each must
-# stay gone from the package, its module and the class that held it.
+# Names that only renamed another public call, or had no caller outside the
+# tests; each must stay gone from the package, its module and the class that
+# held it.
 REMOVED = (
     (partitions, "satisfies_chain"),
     (partitions, "partitions_no_part_divisible"),
@@ -19,6 +20,24 @@ REMOVED = (
     (series.TruncatedSeries, "agrees_to"),
     (series.TruncatedSeries, "truncate"),
     (profiles.Catalog, "names"),
+    (series, "geometric_inverse_factor"),
+    (series, "pochhammer"),
+    (series, "pochhammer_base"),
+    (series, "pochhammer_inverse"),
+    (series.TruncatedSeries, "render_text"),
+    (series.TruncatedSeries, "__sub__"),
+    (series.TruncatedSeries, "__neg__"),
+    (series.TruncatedSeries, "shift"),
+    (partitions, "enumerate_partitions"),
+    (partitions, "enumerate_partitions_with_parts"),
+    (partitions, "_parts_with"),
+    (partitions, "repetition_bounded"),
+    (partitions, "no_part_divisible"),
+    (partitions.ChainConstraint, "from_lower_gaps"),
+    (partitions.ChainConstraint, "uniform"),
+    (profiles.Catalog, "__len__"),
+    (profiles.Catalog, "__iter__"),
+    (profiles.Catalog, "__contains__"),
 )
 
 

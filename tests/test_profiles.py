@@ -24,6 +24,8 @@ from qident.profiles import (
 )
 from qident.series import product_side, sum_side_standard
 
+from oracles import pochhammer_inverse, shift
+
 CATALOG_PATH = Path(__file__).resolve().parents[1] / "src" / "qident" / "catalog.json"
 
 
@@ -53,6 +55,15 @@ class TestRules:
         with pytest.raises(ValueError):
             evaluate_rule("'x'", n=2)
 
+
+    def test_division_by_zero_names_the_rule_and_bindings(self):
+        with pytest.raises(ValueError) as raised:
+            evaluate_rule("n*n + n + n // (n - 1)", n=1)
+        assert str(raised.value) == (
+            "rule 'n*n + n + n // (n - 1)' divides by zero at n=1"
+        )
+        with pytest.raises(ValueError, match="divides by zero at n=3, s=2"):
+            evaluate_rule("n % (s - 2)", n=3, s=2)
 
     def test_powers_within_bounds(self):
         assert evaluate_rule("2**n", n=64) == 2**64
@@ -94,9 +105,10 @@ class TestShippedCatalog:
     def test_required_names_present(self):
         catalog = default_catalog()
         for name in ("P2", "P3", "P4", "P5", "euler-staircase", "euler-layers"):
-            assert name in catalog
+            assert catalog.lookup(name).name == name
         for letter in "abcdefghijklmn":
-            assert f"appendix-{letter}" in catalog
+            alias = f"appendix-{letter}"
+            assert alias in catalog.lookup(alias).aliases
 
     def test_alias_lookup(self):
         entry = default_catalog().lookup("appendix-f")
@@ -246,13 +258,12 @@ class TestProfileSeries:
     def test_single_term_counts_match_term_series(self):
         # one fixed index: chain counts equal q^(offset sum)/((1-q)...(1-q^u))
         from qident.partitions import count_chain_by_weight
-        from qident.series import pochhammer_inverse
 
         for name, index in (("P2", 3), ("P5", 4), ("euler-staircase", 5)):
             profile = default_catalog().lookup(name).profile
             chain = profile_to_chain(profile, index)
             offsets = profile.offsets_at(index)
-            term = pochhammer_inverse(len(offsets), 26).shift(sum(offsets))
+            term = shift(pochhammer_inverse(len(offsets), 26), sum(offsets))
             assert count_chain_by_weight(chain, 25) == term.to_list(), name
 
     def test_counts_match_series_for_all_entries(self):

@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 import qident.verify as verify_module
-from qident.partitions import enumerate_partitions, repetition_bounded
 from qident.profiles import (
     UnknownNameError,
     default_catalog,
@@ -30,6 +29,8 @@ from qident.verify import (
     verify_combinatorial,
     verify_equinumerosity,
 )
+
+from oracles import enumerate_partitions, repetition_bounded
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
