@@ -55,7 +55,6 @@ class TestRules:
         with pytest.raises(ValueError):
             evaluate_rule("'x'", n=2)
 
-
     def test_division_by_zero_names_the_rule_and_bindings(self):
         with pytest.raises(ValueError) as raised:
             evaluate_rule("n*n + n + n // (n - 1)", n=1)
@@ -64,6 +63,7 @@ class TestRules:
         )
         with pytest.raises(ValueError, match="divides by zero at n=3, s=2"):
             evaluate_rule("n % (s - 2)", n=3, s=2)
+
 
     def test_powers_within_bounds(self):
         assert evaluate_rule("2**n", n=64) == 2**64
