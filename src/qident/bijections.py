@@ -231,15 +231,23 @@ def glaisher_inverse_steps(p: Partition, modulus: int) -> list[Partition]:
 def _glaisher_merge(parts: tuple[int, ...], modulus: int) -> tuple[int, ...]:
     """The fixed point of the merge-M-copies contraction in one pass.
 
-    One run-length scan of the weakly decreasing parts: a run of c copies of
-    r*M^k (r not divisible by M) adds c*M^k to the total of r, and each
-    total, written in base M, gives the number of copies of r, r*M, r*M^2,
-    and so on.  On parts with no part divisible by M, the totals are the run
-    lengths themselves.  ``modulus`` must be at least 2.
+    One run-length scan of the parts: a run of c copies of r*M^k (r not
+    divisible by M) adds c*M^k to the total of r, and each total, written in
+    base M, gives the number of copies of r, r*M, r*M^2, and so on.  On parts
+    with no part divisible by M, the totals are the run lengths themselves.
+
+    The same scan tests whether the parts are already a fixed point: weakly
+    decreasing, so that its runs are contiguous with strictly decreasing
+    values, with no part divisible by M and no run of M or more copies.  Such
+    parts come back as the very tuple passed in, with no expansion, sort or
+    new tuple.  Parts out of order never take that exit, so they merge as
+    any other.  ``modulus`` must be at least 2.
     """
     totals: dict[int, int] = {}
+    fixed = True
     n = len(parts)
     i = 0
+    above = parts[0] + 1 if parts else 0
     while i < n:
         root = parts[i]
         j = i + 1
@@ -247,10 +255,18 @@ def _glaisher_merge(parts: tuple[int, ...], modulus: int) -> tuple[int, ...]:
             j += 1
         count = j - i
         i = j
-        while root % modulus == 0:
-            root //= modulus
-            count *= modulus
+        if root % modulus:
+            if count >= modulus or root >= above:
+                fixed = False
+            above = root
+        else:
+            fixed = False
+            while root % modulus == 0:
+                root //= modulus
+                count *= modulus
         totals[root] = totals.get(root, 0) + count
+    if fixed:
+        return parts
     out: list[int] = []
     for value, total in totals.items():
         while total:

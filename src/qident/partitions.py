@@ -104,13 +104,15 @@ def parse_partition(text: str) -> Partition:
 def _conjugate_parts(parts: tuple[int, ...]) -> tuple[int, ...]:
     """Conjugate of positive, weakly decreasing parts in one scan from the
     smallest part up: the columns from the previous part's value + 1 to this
-    part's value each hold one cell per part not smaller than it."""
+    part's value each hold one cell per part not smaller than it.  A part
+    equal to the previous one adds no column, only lowers the height."""
     out: list[int] = []
     height = len(parts)
     previous = 0
     for part in reversed(parts):
-        out += [height] * (part - previous)
-        previous = part
+        if part != previous:
+            out += [height] * (part - previous)
+            previous = part
         height -= 1
     return tuple(out)
 

@@ -329,7 +329,7 @@ def _entry_from_json(data: dict) -> CatalogEntry:
         raise ValueError("a profile has one or two branches")
     identity = data.get("identity")
     if identity is not None and not (isinstance(identity, str) and identity):
-        raise ValueError(f"identity of {data['name']!r} must be a nonempty string")
+        raise ValueError("identity must be a nonempty string")
     product = None
     if data.get("modulus") is not None:
         product = ResidueClass(int(data["modulus"]), frozenset(data["residues"]))
@@ -344,8 +344,9 @@ def _entry_from_json(data: dict) -> CatalogEntry:
 
 def loads_catalog(text: str) -> Catalog:
     """Parse a catalog.  A payload that is not an object with an ``entries``
-    list, or an entry with a missing key or a value of the wrong type, raises
-    ValueError naming the entry (by position when it has no name)."""
+    list raises ValueError; so does an entry with a missing key, a value of
+    the wrong type or an invalid field, and the error names the entry (by
+    position when it has no name)."""
     payload = json.loads(text)
     if not isinstance(payload, dict) or not isinstance(payload.get("entries"), list):
         raise ValueError("a catalog must be a JSON object with an 'entries' list")
@@ -353,7 +354,7 @@ def loads_catalog(text: str) -> Catalog:
     for position, data in enumerate(payload["entries"], start=1):
         try:
             entries.append(_entry_from_json(data))
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             name = data.get("name") if isinstance(data, dict) else None
             label = repr(name) if name is not None else f"#{position}"
             problem = f"missing key {exc}" if isinstance(exc, KeyError) else exc

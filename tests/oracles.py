@@ -8,6 +8,8 @@ than speed, and shares no code with the kernel it checks:
 recurse on the remaining weight, where the package counts without building.
 ``partitions_repetition_bounded`` alone reads the package's bounded-repetition
 walk, one weight of it, for tests of what is built on that walk.
+``glaisher_merge`` is the package's merge as it was before it learned to
+return its fixed points unchanged: it rebuilds every image.
 """
 
 from qident.partitions import Partition, _repetition_bounded_walk
@@ -79,3 +81,32 @@ def partitions_repetition_bounded(weight, modulus):
         for w, parts in _repetition_bounded_walk(weight, modulus)
         if w == weight
     ]
+
+
+def glaisher_merge(parts, modulus):
+    """Merge-M-copies to its fixed point: a run of c copies of r*M^k (r not
+    divisible by M) adds c*M^k to the total of r, and each total, written in
+    base M, gives the copies of r, r*M, r*M^2, ...; always a new, sorted
+    tuple, whatever the order of ``parts``."""
+    totals = {}
+    n = len(parts)
+    i = 0
+    while i < n:
+        root = parts[i]
+        j = i + 1
+        while j < n and parts[j] == root:
+            j += 1
+        count = j - i
+        i = j
+        while root % modulus == 0:
+            root //= modulus
+            count *= modulus
+        totals[root] = totals.get(root, 0) + count
+    out = []
+    for value, total in totals.items():
+        while total:
+            total, copies = divmod(total, modulus)
+            out += [value] * copies
+            value *= modulus
+    out.sort(reverse=True)
+    return tuple(out)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from qident.bijections import (
     BijectionRecord,
+    _glaisher_merge,
     certify_bijection,
     glaisher_forward,
     glaisher_forward_steps,
@@ -30,6 +31,7 @@ from qident.series import ResidueClass
 
 from oracles import (
     enumerate_partitions_with_parts,
+    glaisher_merge,
     no_part_divisible,
     partitions_repetition_bounded,
     repetition_bounded,
@@ -262,6 +264,7 @@ random_partitions = st.lists(st.integers(1, 40), max_size=14).map(
     lambda parts: Partition(tuple(sorted(parts, reverse=True)))
 )
 moduli = st.integers(2, 7)
+MODULI = range(2, 8)
 
 
 def assert_valid_partition(p: Partition) -> None:
@@ -292,6 +295,56 @@ class TestGlaisherProperties:
             assert inverse == p
         if no_part_divisible(p, modulus):
             assert forward == p
+
+
+@st.composite
+def merge_inputs(draw):
+    """A modulus and a part tuple for the merge.  Its runs are those of a
+    fixed point (distinct values not divisible by M, each fewer than M
+    times) or arbitrary ones, whose lengths include exactly M-1 and M and
+    whose values may be divisible by M.  The parts come in decreasing order,
+    shuffled, or decreasing but for one swapped pair of unequal neighbours."""
+    modulus = draw(moduli)
+    if draw(st.booleans()):
+        values = st.integers(1, 40).filter(lambda v: v % modulus)
+        counts = st.integers(1, modulus - 1)
+        runs = draw(st.dictionaries(values, counts, max_size=8)).items()
+    else:
+        lengths = st.integers(1, 2 * modulus) | st.sampled_from((modulus - 1, modulus))
+        runs = draw(st.lists(st.tuples(st.integers(1, 40), lengths), max_size=8))
+    parts = sorted((v for v, c in runs for _ in range(c)), reverse=True)
+    order = draw(st.sampled_from(("decreasing", "shuffled", "swapped")))
+    if order == "shuffled":
+        parts = draw(st.permutations(parts))
+    elif order == "swapped":
+        steps = [i for i in range(len(parts) - 1) if parts[i] != parts[i + 1]]
+        if steps:
+            i = draw(st.sampled_from(steps))
+            parts[i], parts[i + 1] = parts[i + 1], parts[i]
+    return tuple(parts), modulus
+
+
+class TestGlaisherMerge:
+    """The merge returns a fixed point unchanged; on every tuple, sorted or
+    not, it must give exactly what a merge that always rebuilds gives."""
+
+    @given(merge_inputs())
+    def test_equals_the_rebuilding_merge(self, case):
+        parts, modulus = case
+        assert _glaisher_merge(parts, modulus) == glaisher_merge(parts, modulus)
+
+    @pytest.mark.parametrize("modulus", MODULI)
+    def test_pinned_cases(self, modulus):
+        assert _glaisher_merge((1, 2), modulus) == (2, 1)
+        assert _glaisher_merge((1,) * modulus, modulus) == (modulus,)
+        assert _glaisher_merge((1,) * (modulus - 1), modulus) == (1,) * (modulus - 1)
+
+    @pytest.mark.parametrize("modulus", MODULI)
+    def test_fixed_points_come_back_as_given(self, modulus):
+        for weight in range(13):
+            for p in partitions_repetition_bounded(weight, modulus):
+                if no_part_divisible(p, modulus):
+                    assert _glaisher_merge(p.parts, modulus) is p.parts
 
 
 rr2_partitions = st.lists(

@@ -509,8 +509,16 @@ class TestMalformedCatalog:
                 custom_entry(min_weight="n*n + n + n // (n - 1)"),
                 "rule 'n*n + n + n // (n - 1)' divides by zero at n=1",
             ),
+            (
+                json.dumps({"entries": [{"name": "named", "branches": []}]}),
+                "catalog entry 'named': a profile has one or two branches",
+            ),
+            (custom_entry(n_min=-1), "catalog entry 'custom': n_min must be nonnegative"),
         ],
-        ids=["no-entries", "list", "no-min-weight", "no-file", "zero-division"],
+        ids=[
+            "no-entries", "list", "no-min-weight", "no-file", "zero-division",
+            "no-branches", "negative-n-min",
+        ],
     )
     def test_is_a_domain_error_on_one_line(
         self, capsys, tmp_path, text, message, command

@@ -64,6 +64,17 @@ def wrong_power(merge):
     return lambda parts, modulus: merge(parts, modulus + 1)
 
 
+def exit_ignores_runs(merge):
+    # the fixed-point exit tests divisibility alone, so M copies of r come
+    # back unmerged
+    def fake(parts, modulus):
+        if all(part % modulus for part in parts):
+            return parts
+        return merge(parts, modulus)
+
+    return fake
+
+
 def repeats_a_partition(walk):
     # weight 6 lists its first partition twice and loses its second:
     # the same number of partitions, one of them repeated
@@ -160,6 +171,10 @@ FAULTS = {
     ),
     "merge uses a wrong power": (
         bijections, ("_glaisher_merge",), wrong_power,
+        glaisher_rows("bijection"), SERIES_ROUTE,
+    ),
+    "merge exit ignores runs of M copies": (
+        bijections, ("_glaisher_merge",), exit_ignores_runs,
         glaisher_rows("bijection"), SERIES_ROUTE,
     ),
     "bounded-repetition domain repeats a partition": (

@@ -1,6 +1,9 @@
-"""The public surface: ``qident`` exports exactly its modules' ``__all__``."""
+"""The public surface: ``qident`` exports exactly its modules' ``__all__``,
+and its source keeps to the oldest Python it declares."""
 
+import ast
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -69,3 +72,11 @@ def test_every_public_definition_is_listed(module):
         and obj.__module__ == module.__name__
     }
     assert defined <= set(module.__all__), sorted(defined - set(module.__all__))
+
+
+def test_sources_parse_as_python_3_10():
+    # pyproject.toml declares requires-python = ">=3.10"
+    sources = sorted((Path(__file__).resolve().parents[1] / "src" / "qident").glob("*.py"))
+    assert {path.stem for path in sources} >= {m.__name__[len("qident."):] for m in MODULES}
+    for path in sources:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
