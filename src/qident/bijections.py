@@ -88,14 +88,12 @@ def _require_rr2_parts(parts: tuple[int, ...]) -> None:
             )
 
 
-def rr2_step_c(a: Partition, n: int | None = None) -> tuple[int, ...]:
+def rr2_step_c(a: Partition) -> tuple[int, ...]:
     """First step of the map: c_s = a_s - 3*floor(a_s/5) - 1, plus n^2 on the
-    first slot.  The image satisfies c_1 >= c_2 + n^2 >= ... >= c_n >= 1."""
+    first slot, n the number of parts.  The image satisfies
+    c_1 >= c_2 + n^2 >= ... >= c_n >= 1."""
     parts = a.parts
-    if n is None:
-        n = len(parts)
-    elif n != len(parts):
-        raise ValueError(f"term index {n} does not match {len(parts)} parts")
+    n = len(parts)
     _require_rr2_parts(parts)
     return tuple(
         p - 3 * (p // 5) - 1 + (n * n if s == 1 else 0)
@@ -128,15 +126,13 @@ def rr2_record(a: Partition) -> BijectionRecord:
     )
 
 
-def rr2_inverse(b: Sequence[int], n: int | None = None) -> Partition:
+def rr2_inverse(b: Sequence[int]) -> Partition:
     """Invert the map: k_s = floor((b_s - 1 - n^2*d(1,s) - pi_c(s) + pi_1(s))/2)
     recovers floor(a_s/5), then a_s = b_s + 3k_s + 1 - n^2*d(1,s) - pi_c(s)
-    + pi_1(s).  Input must satisfy the classical gap-2 chain."""
+    + pi_1(s), n the number of slots.  Input must satisfy the classical gap-2
+    chain."""
     v = tuple(b)
-    if n is None:
-        n = len(v)
-    elif n != len(v):
-        raise ValueError(f"term index {n} does not match {len(v)} slots")
+    n = len(v)
     if n:
         chain = ChainConstraint((GapBound(2),) * (n - 1), GapBound(2))
         violation = chain_violation(v, chain)
@@ -152,10 +148,16 @@ def rr2_inverse(b: Sequence[int], n: int | None = None) -> Partition:
     return Partition(tuple(parts))
 
 
+def _rr2_shift(parts: Sequence[int]) -> int:
+    """sum(3*floor(a_s/5) + 1): the weight the first step takes from the
+    parts a_s before it adds n^2."""
+    return sum(3 * (p // 5) + 1 for p in parts)
+
+
 def weight_relation_check(record: BijectionRecord) -> bool:
     """Exact check of N_out = N_in + n^2 - sum(3*floor(a_s/5) + 1) for a
     record produced by rr2_record."""
-    shift = sum(3 * (p // 5) + 1 for p in record.source)
+    shift = _rr2_shift(record.source)
     return record.image_weight == record.source_weight + record.term_index**2 - shift
 
 

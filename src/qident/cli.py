@@ -12,6 +12,7 @@ import sys
 from collections.abc import Sequence
 
 from .bijections import (
+    _rr2_shift,
     glaisher_forward_steps,
     glaisher_inverse_steps,
     profile_bijection,
@@ -129,7 +130,7 @@ def cmd_bijection(args: argparse.Namespace) -> int:
         c = rr2_step_c(p)
         weights = rr2_record(p)
         output = weights.image
-        shift = sum(3 * (x // 5) + 1 for x in p.parts)
+        shift = _rr2_shift(p.parts)
         record.update(
             c=list(c),
             input_weight=weights.source_weight,

@@ -238,10 +238,6 @@ class ProfileFamily:
         branch, n = self.resolve(index)
         return branch.offsets_at(n)
 
-    def slot_count(self, index: int) -> int:
-        branch, n = self.resolve(index)
-        return branch.slot_count(n)
-
 
 @dataclass(frozen=True)
 class ProfileValidation:
@@ -317,8 +313,21 @@ def _branch_from_json(data: dict) -> ProfileBranch:
     return ProfileBranch(label, n_min, data["slots"], data["min_weight"], cases)
 
 
+def _list_of(values, kind: type) -> bool:
+    """Whether ``values`` is a JSON array of ``kind`` values, a bool counting
+    as no int."""
+    return isinstance(values, list) and all(
+        isinstance(v, kind) and not isinstance(v, bool) for v in values
+    )
+
+
 def _entry_from_json(data: dict) -> CatalogEntry:
     branches = tuple(_branch_from_json(b) for b in data["branches"])
+    for key in ("name", "source"):
+        if not isinstance(data.get(key, ""), str):
+            raise ValueError(f"{key} must be a string")
+    if not _list_of(data.get("aliases", []), str):
+        raise ValueError("aliases must be a list of strings")
     if len(branches) == 1:
         if branches[0].parity_label != "all":
             raise ValueError("a single branch must have parity 'all'")
@@ -332,6 +341,8 @@ def _entry_from_json(data: dict) -> CatalogEntry:
         raise ValueError("identity must be a nonempty string")
     product = None
     if data.get("modulus") is not None:
+        if not _list_of(data["residues"], int):
+            raise ValueError("residues must be a list of integers")
         product = ResidueClass(int(data["modulus"]), frozenset(data["residues"]))
     return CatalogEntry(
         profile=ProfileFamily(data["name"], branches),
@@ -346,7 +357,7 @@ def loads_catalog(text: str) -> Catalog:
     """Parse a catalog.  A payload that is not an object with an ``entries``
     list raises ValueError; so does an entry with a missing key, a value of
     the wrong type or an invalid field, and the error names the entry (by
-    position when it has no name)."""
+    position when it has no string name)."""
     payload = json.loads(text)
     if not isinstance(payload, dict) or not isinstance(payload.get("entries"), list):
         raise ValueError("a catalog must be a JSON object with an 'entries' list")
@@ -356,7 +367,7 @@ def loads_catalog(text: str) -> Catalog:
             entries.append(_entry_from_json(data))
         except (KeyError, TypeError, ValueError) as exc:
             name = data.get("name") if isinstance(data, dict) else None
-            label = repr(name) if name is not None else f"#{position}"
+            label = repr(name) if isinstance(name, str) else f"#{position}"
             problem = f"missing key {exc}" if isinstance(exc, KeyError) else exc
             raise ValueError(f"catalog entry {label}: {problem}") from None
     return Catalog(entries)

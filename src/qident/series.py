@@ -106,18 +106,6 @@ class TruncatedSeries:
         # map stops at the shorter operand, which is the mixed-order truncation
         return TruncatedSeries(tuple(map(add, self.coefficients, other.coefficients)))
 
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        order = min(self.order, other.order)
-        out = [0] * order
-        for i in range(order):
-            a = self.coefficients[i]
-            if a:
-                for j in range(min(order - i, other.order)):
-                    b = other.coefficients[j]
-                    if b:
-                        out[i + j] += a * b
-        return TruncatedSeries(tuple(out))
-
 
 def _geometric(c: list[int], k: int) -> None:
     """Multiply the coefficients ``c`` by 1/(1 - q^k) in place, k >= 1.

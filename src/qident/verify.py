@@ -15,8 +15,11 @@ conjugate target is counted by one search over its vectors of every length.
 
 What gets checked is derived from the catalog alone: ``plan_checks`` turns
 names into a tuple of ``Check`` rows without running anything, and
-``run_suite`` runs that plan.  A check function returns a ``Finding`` for a
-failure and None for a pass; it knows nothing of the row it fills.
+``run_suite`` runs that plan.  The planner is the one place where names are
+looked up: each row binds the catalog entries it checks, so a check function
+takes entries, never a name or a catalog.  A check function returns a
+``Finding`` for a failure and None for a pass; it knows nothing of the row it
+fills.
 ``run_suite`` times each check and builds its ``VerificationReport`` from
 the planned row (identity, mode, subject, bound) and the finding.
 
@@ -98,17 +101,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class IdentityDescriptor:
-    """A product side paired with a sum side and its interpretations.
+    """A product side paired with a sum side and its interpretations, the
+    catalog entries that count it.
 
-    The sum side is either the term family of a cataloged profile or the
-    divide-by-M form selected by ``glaisher_modulus``.
+    The sum side is either the divide-by-M form selected by
+    ``glaisher_modulus`` or the term family of the first interpretation.
     """
 
     name: str
     product: ResidueClass | None
-    sum_profile: str | None = None
     glaisher_modulus: int | None = None
-    interpretations: tuple[str, ...] = ()
+    interpretations: tuple[CatalogEntry, ...] = ()
     aliases: tuple[str, ...] = ()
 
 
@@ -249,56 +252,41 @@ def _chain_counts(profile: ProfileFamily, max_weight: int) -> tuple[int, ...]:
     )
 
 
-def _sum_series(
-    descriptor: IdentityDescriptor, order: int, catalog: Catalog
-) -> TruncatedSeries:
+def _sum_series(descriptor: IdentityDescriptor, order: int) -> TruncatedSeries:
     if descriptor.glaisher_modulus is not None:
         return _glaisher_sum(descriptor.glaisher_modulus, order)
-    if descriptor.sum_profile is None:
+    if not descriptor.interpretations:
         raise ValueError(f"identity {descriptor.name} has no sum side")
-    entry = catalog.lookup(descriptor.sum_profile)
-    return _profile_sum(entry.profile, order)
+    return _profile_sum(descriptor.interpretations[0].profile, order)
 
 
-def verify_analytic(
-    descriptor: IdentityDescriptor,
-    order: int,
-    catalog: Catalog | None = None,
-) -> Finding | None:
+def verify_analytic(descriptor: IdentityDescriptor, order: int) -> Finding | None:
     """Compare the product side and the sum side coefficientwise below
     ``order``; both sides are computed by series algebra alone.  An identity
     without a product side raises ValueError."""
-    if catalog is None:
-        catalog = default_catalog()
     if descriptor.product is None:
         raise ValueError(f"identity {descriptor.name} has no product side")
     return _first_difference(
         _product(descriptor.product, order),
-        _sum_series(descriptor, order, catalog),
+        _sum_series(descriptor, order),
         order,
         "product vs sum side",
     )
 
 
 def verify_combinatorial(
-    descriptor: IdentityDescriptor,
-    profile_name: str,
-    max_weight: int,
-    catalog: Catalog | None = None,
+    descriptor: IdentityDescriptor, entry: CatalogEntry, max_weight: int
 ) -> Finding | None:
     """Chain-enumeration counts of one interpretation against the sum-side
     series coefficients, and against the product-side series when the identity
-    has one.  Enumeration and series are independent code paths."""
-    if catalog is None:
-        catalog = default_catalog()
-    if profile_name not in descriptor.interpretations:
+    has one.  Enumeration and series are independent code paths.  An entry
+    that is not an interpretation of the identity raises ValueError."""
+    if entry not in descriptor.interpretations:
         raise ValueError(
-            f"profile {profile_name!r} is not an interpretation of "
-            f"{descriptor.name}"
+            f"profile {entry.name!r} is not an interpretation of {descriptor.name}"
         )
-    entry = catalog.lookup(profile_name)
     counts = _chain_counts(entry.profile, max_weight)
-    series = [("sum side", _sum_series(descriptor, max_weight + 1, catalog))]
+    series = [("sum side", _sum_series(descriptor, max_weight + 1))]
     if descriptor.product is not None:
         series.append(("product side", _product(descriptor.product, max_weight + 1)))
     for label, s in series:
@@ -314,22 +302,15 @@ def verify_combinatorial(
 
 
 def verify_equinumerosity(
-    profile_names: tuple[str, ...] | list[str],
-    max_weight: int,
-    *,
-    catalog: Catalog | None = None,
+    entries: Sequence[CatalogEntry], max_weight: int
 ) -> Finding | None:
     """Count agreement across interpretations sharing one term family, checked
     against each other, against product-side enumeration, and against the
     series coefficients.  Interpretations of different product sides raise
     ValueError."""
-    if catalog is None:
-        catalog = default_catalog()
-    entries = [catalog.lookup(p) for p in profile_names]
     if len({e.product for e in entries}) != 1:
-        raise ValueError(
-            f"profiles {', '.join(profile_names)} disagree on the product side"
-        )
+        names = ", ".join(e.name for e in entries)
+        raise ValueError(f"profiles {names} disagree on the product side")
     product = entries[0].product
     sequences: list[tuple[str, Sequence[int]]] = [
         (e.name, _chain_counts(e.profile, max_weight)) for e in entries
@@ -521,6 +502,10 @@ CONJUGATE_MAX_WEIGHT = 20
 
 _GLAISHER_NAME = re.compile(r"glaisher-(\d+)")
 
+# Recurrence terms the divide-by-M ``alpha`` check compares with the closed
+# form.
+_ALPHA_TERMS = 10
+
 
 @dataclass(frozen=True)
 class Check:
@@ -536,9 +521,9 @@ class Check:
 
 
 def _catalog_identities(catalog: Catalog) -> list[IdentityDescriptor]:
-    """One descriptor per identity label, in catalog order.  The first member
-    supplies the sum profile and the product side; the aliases are those of
-    every member."""
+    """One descriptor per identity label, in catalog order, whose
+    interpretations are its members.  The first member supplies the sum side
+    and the product side; the aliases are those of every member."""
     members: dict[str, list[CatalogEntry]] = {}
     for entry in catalog.entries():
         members.setdefault(entry.identity or entry.name, []).append(entry)
@@ -546,15 +531,14 @@ def _catalog_identities(catalog: Catalog) -> list[IdentityDescriptor]:
         IdentityDescriptor(
             name=label,
             product=group[0].product,
-            sum_profile=group[0].name,
-            interpretations=tuple(e.name for e in group),
+            interpretations=tuple(group),
             aliases=tuple(a for e in group for a in e.aliases),
         )
         for label, group in members.items()
     ]
 
 
-def _term_family_groups(catalog: Catalog) -> list[tuple[str, tuple[str, ...]]]:
+def _term_family_groups(catalog: Catalog) -> list[tuple[str, tuple[CatalogEntry, ...]]]:
     """Equinumerosity groups: two or more entries sharing the product side and
     the term rules of every branch.  A group inside one identity is named
     ``<identity>-interpretations``, any other by its identities joined with
@@ -574,7 +558,7 @@ def _term_family_groups(catalog: Catalog) -> list[tuple[str, tuple[str, ...]]]:
             continue
         labels = list(dict.fromkeys(e.identity or e.name for e in members))
         name = f"{labels[0]}-interpretations" if len(labels) == 1 else "+".join(labels)
-        groups.append((name, tuple(e.name for e in members)))
+        groups.append((name, tuple(members)))
     names = [name for name, _ in groups]
     return [
         (f"{name}-{names[:i].count(name) + 1}" if names.count(name) > 1 else name,
@@ -596,23 +580,17 @@ def _check(
     return Check(identity, mode, subject, bound, partial(fn, *args, **kwargs))
 
 
-def _identity_checks(
-    d: IdentityDescriptor,
-    order: int,
-    max_weight: int,
-    catalog: Catalog,
-    alpha_terms: int,
-) -> list[Check]:
+def _identity_checks(d: IdentityDescriptor, order: int, max_weight: int) -> list[Check]:
     """The analytic check, one combinatorial check per interpretation, and for
     a divide-by-M identity the one divide-by-M battery."""
     check = partial(_check, d.name)
     checks = [
-        check("combinatorial", max_weight, verify_combinatorial, d, p, max_weight,
-              catalog, subject=p)
-        for p in d.interpretations
+        check("combinatorial", max_weight, verify_combinatorial, d, entry, max_weight,
+              subject=entry.name)
+        for entry in d.interpretations
     ]
     if d.product is not None:
-        checks.append(check("analytic", order, verify_analytic, d, order, catalog))
+        checks.append(check("analytic", order, verify_analytic, d, order))
     modulus = d.glaisher_modulus
     if modulus is not None:
         conjugate_weight = min(max_weight, CONJUGATE_MAX_WEIGHT)
@@ -621,7 +599,7 @@ def _identity_checks(
                   max_weight),
             check("conjugate", conjugate_weight, glaisher_conjugate_report, modulus,
                   conjugate_weight),
-            check("alpha", order, glaisher_alpha_report, modulus, alpha_terms, order),
+            check("alpha", order, glaisher_alpha_report, modulus, _ALPHA_TERMS, order),
         ]
         if modulus == 2:
             checks.append(check("forms", order, euler_forms_report, order))
@@ -629,15 +607,11 @@ def _identity_checks(
 
 
 def plan_checks(
-    names: list[str] | None,
-    order: int,
-    max_weight: int,
-    catalog: Catalog,
-    *,
-    alpha_terms: int = 10,
+    names: list[str] | None, order: int, max_weight: int, catalog: Catalog
 ) -> tuple[Check, ...]:
     """Every check the requested names select, sorted as the suite reports
-    them; nothing runs.
+    them; nothing runs.  Each check is bound to the catalog entries it
+    checks, so nothing is looked up by name after planning.
 
     None or "all" selects every catalog identity, ``glaisher-<M>`` for
     M = 2..7, and every equinumerosity group.  Otherwise a name is an identity
@@ -675,11 +649,11 @@ def plan_checks(
     checks = [
         check
         for d in selected
-        for check in _identity_checks(d, order, max_weight, catalog, alpha_terms)
+        for check in _identity_checks(d, order, max_weight)
     ]
     checks += [
         _check(name, "equinumerosity", max_weight, verify_equinumerosity, members,
-               max_weight, catalog=catalog)
+               max_weight)
         for name, members in selected_groups
     ]
     checks += [
@@ -694,13 +668,11 @@ def run_suite(
     order: int = 60,
     max_weight: int = 25,
     catalog: Catalog | None = None,
-    *,
-    alpha_terms: int = 10,
 ) -> SuiteSummary:
-    """Run every check ``plan_checks`` selects (None or "all" selects
-    everything; an empty list selects nothing), one report per check in plan
-    order.  Unknown names become error rows rather than aborting the rest of
-    the suite."""
+    """Run every check ``plan_checks`` selects from ``catalog``, the shipped
+    one by default (None or "all" selects everything; an empty list selects
+    nothing), one report per check in plan order.  Unknown names become
+    error rows rather than aborting the rest of the suite."""
     if catalog is None:
         catalog = default_catalog()
 
@@ -718,7 +690,7 @@ def run_suite(
             finding.exponent, finding.lhs, finding.rhs, finding.note, elapsed,
         )
 
-    plan = plan_checks(names, order, max_weight, catalog, alpha_terms=alpha_terms)
+    plan = plan_checks(names, order, max_weight, catalog)
     token = _RUN_SERIES.set({})
     try:
         return SuiteSummary(tuple(map(run, plan)))

@@ -2,8 +2,8 @@
 
 Nothing in the package calls these.  Each is written for plainness rather
 than speed, and shares no code with the kernel it checks:
-``pochhammer_inverse`` multiplies whole geometric series through
-``TruncatedSeries.__mul__``, where the package multiplies in place with
+``pochhammer_inverse`` multiplies whole geometric series through the
+schoolbook ``multiply``, where the package multiplies in place with
 ``_geometric`` (``_pochhammer_inverse_from``), and the partition listings
 recurse on the remaining weight, where the package counts without building.
 ``partitions_repetition_bounded`` alone reads the package's bounded-repetition
@@ -16,6 +16,21 @@ from qident.partitions import Partition, _repetition_bounded_walk
 from qident.series import TruncatedSeries, series_one
 
 
+def multiply(a, b):
+    """The product of two series, truncated at the smaller of their orders,
+    one coefficient product at a time."""
+    order = min(a.order, b.order)
+    out = [0] * order
+    for i in range(order):
+        x = a.coefficients[i]
+        if x:
+            for j in range(order - i):
+                y = b.coefficients[j]
+                if y:
+                    out[i + j] += x * y
+    return TruncatedSeries(tuple(out))
+
+
 def geometric_inverse_factor(k, order):
     """1/(1 - q^k) = 1 + q^k + q^{2k} + ..., truncated at ``order``."""
     return TruncatedSeries(tuple(int(e % k == 0) for e in range(order)))
@@ -26,7 +41,7 @@ def pochhammer_inverse(n, order):
     n <= 0.  Every factor is multiplied in, none skipped."""
     out = series_one(order)
     for k in range(1, n + 1):
-        out = out * geometric_inverse_factor(k, order)
+        out = multiply(out, geometric_inverse_factor(k, order))
     return out
 
 

@@ -489,6 +489,13 @@ def custom_entry(**branch):
     return json.dumps({"entries": [entry]})
 
 
+def custom_fields(**fields):
+    """``custom_entry()`` with the entry's own ``fields`` replaced."""
+    payload = json.loads(custom_entry())
+    payload["entries"][0].update(fields)
+    return json.dumps(payload)
+
+
 class TestMalformedCatalog:
     @pytest.mark.parametrize(
         "command",
@@ -514,10 +521,23 @@ class TestMalformedCatalog:
                 "catalog entry 'named': a profile has one or two branches",
             ),
             (custom_entry(n_min=-1), "catalog entry 'custom': n_min must be nonnegative"),
+            (custom_fields(name=5), "catalog entry #1: name must be a string"),
+            (custom_fields(source=["a"]), "catalog entry 'custom': source must be a string"),
+            (custom_fields(aliases=[7]), "'custom': aliases must be a list of strings"),
+            (custom_fields(aliases="zq"), "'custom': aliases must be a list of strings"),
+            (
+                custom_fields(residues=["2", "3"]),
+                "catalog entry 'custom': residues must be a list of integers",
+            ),
+            (
+                custom_fields(residues=[2.7, 3]),
+                "catalog entry 'custom': residues must be a list of integers",
+            ),
         ],
         ids=[
             "no-entries", "list", "no-min-weight", "no-file", "zero-division",
-            "no-branches", "negative-n-min",
+            "no-branches", "negative-n-min", "int-name", "list-source", "int-alias",
+            "string-aliases", "string-residues", "float-residue",
         ],
     )
     def test_is_a_domain_error_on_one_line(
