@@ -104,6 +104,11 @@ class TestAnalytic:
         with pytest.raises(ValueError, match="has no product side"):
             verify_analytic(descriptor_by_name("example-family"), 10)
 
+    def test_missing_sum_side_is_error(self):
+        bare = IdentityDescriptor(name="bare", product=ResidueClass(5, frozenset({2, 3})))
+        with pytest.raises(ValueError, match="has no sum side"):
+            verify_analytic(bare, 10)
+
 
 class TestCombinatorial:
     def test_rr2_gap_interpretation(self):
