@@ -296,7 +296,9 @@ def _branch_from_json(data: dict) -> ProfileBranch:
     label = data["parity"]
     if label not in ("all", "even", "odd"):
         raise ValueError(f"invalid branch parity {label!r}")
-    n_min = int(data["n_min"])
+    n_min = data["n_min"]
+    if not _list_of([n_min], int):
+        raise ValueError("n_min must be an integer")
     if n_min < 0:
         raise ValueError("n_min must be nonnegative")
     cases = tuple(PiecewiseCase(c["when"], c["value"]) for c in data["offsets"])
@@ -341,9 +343,11 @@ def _entry_from_json(data: dict) -> CatalogEntry:
         raise ValueError("identity must be a nonempty string")
     product = None
     if data.get("modulus") is not None:
+        if not _list_of([data["modulus"]], int):
+            raise ValueError("modulus must be an integer")
         if not _list_of(data["residues"], int):
             raise ValueError("residues must be a list of integers")
-        product = ResidueClass(int(data["modulus"]), frozenset(data["residues"]))
+        product = ResidueClass(data["modulus"], frozenset(data["residues"]))
     return CatalogEntry(
         profile=ProfileFamily(data["name"], branches),
         product=product,

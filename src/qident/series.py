@@ -200,8 +200,11 @@ def _all_parts(order: int) -> TruncatedSeries:
 def _complement_pays(rc: ResidueClass, order: int) -> bool:
     """True when ``rc`` allows more part sizes below ``order`` than it
     excludes, so that ``_product_side_by_complement`` multiplies fewer
-    factors than ``product_side``."""
-    return 2 * sum(map(rc.allows, range(1, order))) > order - 1
+    factors than ``product_side``.  Each whole period of the modulus allows
+    one part size per residue; only the sizes after the last are tested."""
+    periods, rest = divmod(order - 1, rc.modulus)
+    allowed = periods * len(rc.residues) + sum(map(rc.allows, range(1, rest + 1)))
+    return 2 * allowed > order - 1
 
 
 def _product_side_by_complement(

@@ -17,33 +17,31 @@ What gets checked is derived from the catalog alone: ``plan_checks`` turns
 names into a tuple of ``Check`` rows without running anything, and
 ``run_suite`` runs that plan.  The planner is the one place where names are
 looked up: each row binds the catalog entries it checks, so a check function
-takes entries, never a name or a catalog.  A check function returns a
-``Finding`` for a failure and None for a pass; it knows nothing of the row it
-fills.
-``run_suite`` times each check and builds its ``VerificationReport`` from
-the planned row (identity, mode, subject, bound) and the finding.
+takes entries or values, never a name or a catalog.  A check function
+returns a ``Finding`` for a failure and None for a pass; it knows nothing of
+the row it fills.  ``run_suite`` times each check and builds its
+``VerificationReport`` from the planned row (identity, mode, subject, bound)
+and the finding.
 
 Many identities share a product side, and many interpretations share their
-term rules, so within one ``run_suite`` call each product side, each
-divide-by-M sum side, each profile sum side (keyed by the term rules of its
-branches) and each profile's chain counts at a weight bound are made once,
-on first use, and handed to every later row that needs them.  The product
-side of a class that allows more part sizes below the order than it
-excludes is built there from one all-parts series per order, shared in the
-same way.  What a run makes lives in a context variable that ``run_suite``
-sets and resets, so nothing outlives the call, and a check function called
-directly builds and counts afresh.
+term rules, so each row also declares the shared inputs it reads: product
+sides, divide-by-M sum sides, profile sum sides (keyed by the term rules of
+their branches) and profiles' chain counts at a weight bound.  The product
+side of a class that allows more part sizes below the order than it excludes
+reads the all-parts series of that order in turn.  ``run_suite`` builds each
+input once, as its own timed step, just before its first reader, hands it
+to every reader and drops it after the last; a check function is handed the
+values it compares and builds none of them.
 """
 
 import json
 import re
 import time
+from collections import Counter
 from collections.abc import Callable, Sequence
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import partial
 from operator import ge, sub
-from typing import TypeVar
 
 from .bijections import (
     CertificationReport,
@@ -193,143 +191,54 @@ def _first_difference(
     return Finding(note, e, lhs.coefficient(e), rhs.coefficient(e))
 
 
-# The series sides and chain counts made so far by the ``run_suite`` call in
-# progress, by key; None outside one, so a check function called directly
-# makes them afresh.
-_RUN_SERIES: ContextVar[dict | None] = ContextVar("run_series", default=None)
-
-_T = TypeVar("_T")
-
-
-def _once(key: tuple, build: Callable[[], _T]) -> _T:
-    """``build()``, made once per ``run_suite`` call for each key, and every
-    time outside one.  What it makes is shared, so it must be immutable."""
-    memo = _RUN_SERIES.get()
-    if memo is None:
-        return build()
-    if key not in memo:
-        memo[key] = build()
-    return memo[key]
-
-
-def _product(rc: ResidueClass, order: int) -> TruncatedSeries:
-    """``product_side(rc, order)``, built once per run.  Within a run, a class
-    that allows more part sizes below ``order`` than it excludes is built
-    from the run's one all-parts series of that order instead, one (1-q^k)
-    per excluded k in place of one 1/(1-q^k) per allowed k."""
-    if _RUN_SERIES.get() is None:
-        return product_side(rc, order)
-
-    def build() -> TruncatedSeries:
-        if not _complement_pays(rc, order):
-            return product_side(rc, order)
-        all_parts = _once(("all parts", order), lambda: _all_parts(order))
-        return _product_side_by_complement(rc, all_parts)
-
-    return _once(("product", rc, order), build)
-
-
-def _glaisher_sum(modulus: int, order: int) -> TruncatedSeries:
-    """``sum_side_glaisher(modulus, order)``, built once per run."""
-    return _once(
-        ("glaisher", modulus, order), lambda: sum_side_glaisher(modulus, order)
-    )
-
-
-def _profile_sum(profile: ProfileFamily, order: int) -> TruncatedSeries:
-    """``profile_series(profile, order)``, built once per run for each set of
-    branch term rules; the offsets do not enter a profile's sum side."""
-    rules = tuple((b.n_min, b.slots, b.min_weight) for b in profile.branches)
-    return _once(("profile sum", rules, order), lambda: profile_series(profile, order))
-
-
-def _chain_counts(profile: ProfileFamily, max_weight: int) -> tuple[int, ...]:
-    """``profile_chain_counts(profile, max_weight)`` as a tuple, counted once
-    per run."""
-    return _once(
-        ("chain counts", profile, max_weight),
-        lambda: tuple(profile_chain_counts(profile, max_weight)),
-    )
-
-
-def _sum_series(descriptor: IdentityDescriptor, order: int) -> TruncatedSeries:
-    if descriptor.glaisher_modulus is not None:
-        return _glaisher_sum(descriptor.glaisher_modulus, order)
-    if not descriptor.interpretations:
-        raise ValueError(f"identity {descriptor.name} has no sum side")
-    return _profile_sum(descriptor.interpretations[0].profile, order)
-
-
-def verify_analytic(descriptor: IdentityDescriptor, order: int) -> Finding | None:
-    """Compare the product side and the sum side coefficientwise below
-    ``order``; both sides are computed by series algebra alone.  An identity
-    without a product side raises ValueError."""
-    if descriptor.product is None:
-        raise ValueError(f"identity {descriptor.name} has no product side")
-    return _first_difference(
-        _product(descriptor.product, order),
-        _sum_series(descriptor, order),
-        order,
-        "product vs sum side",
-    )
+def verify_analytic(product: TruncatedSeries, sum_side: TruncatedSeries) -> Finding | None:
+    """Compare a product side and a sum side, both computed by series algebra
+    alone, coefficientwise below the product side's order; a sum side of
+    lower order raises ValueError."""
+    return _first_difference(product, sum_side, product.order, "product vs sum side")
 
 
 def verify_combinatorial(
-    descriptor: IdentityDescriptor, entry: CatalogEntry, max_weight: int
+    counts: Sequence[int], sum_side: TruncatedSeries, product: TruncatedSeries | None = None
 ) -> Finding | None:
-    """Chain-enumeration counts of one interpretation against the sum-side
-    series coefficients, and against the product-side series when the identity
-    has one.  Enumeration and series are independent code paths.  An entry
-    that is not an interpretation of the identity raises ValueError."""
-    if entry not in descriptor.interpretations:
-        raise ValueError(
-            f"profile {entry.name!r} is not an interpretation of {descriptor.name}"
-        )
-    counts = _chain_counts(entry.profile, max_weight)
-    series = [("sum side", _sum_series(descriptor, max_weight + 1))]
-    if descriptor.product is not None:
-        series.append(("product side", _product(descriptor.product, max_weight + 1)))
+    """Chain-enumeration counts of one interpretation, at every weight from 0
+    to ``len(counts) - 1``, against the sum-side series coefficients, and
+    against the product-side series when the identity has one.  Enumeration
+    and series are independent code paths."""
+    series = [("sum side", sum_side)]
+    if product is not None:
+        series.append(("product side", product))
     for label, s in series:
-        for weight in range(max_weight + 1):
-            if counts[weight] != s.coefficient(weight):
-                return Finding(
-                    f"enumeration vs {label}",
-                    weight,
-                    counts[weight],
-                    s.coefficient(weight),
-                )
+        for weight, count in enumerate(counts):
+            if count != s.coefficient(weight):
+                return Finding(f"enumeration vs {label}", weight, count, s.coefficient(weight))
     return None
 
 
 def verify_equinumerosity(
-    entries: Sequence[CatalogEntry], max_weight: int
+    entries: Sequence[CatalogEntry], series: TruncatedSeries, *counts: Sequence[int]
 ) -> Finding | None:
-    """Count agreement across interpretations sharing one term family, checked
-    against each other, against product-side enumeration, and against the
-    series coefficients.  Interpretations of different product sides raise
-    ValueError."""
+    """Count agreement across interpretations sharing one term family: the
+    chain counts of each entry, in order, checked against each other, against
+    product-side enumeration and against ``series``, the product side or,
+    without one, the sum side, at every weight below its order.
+    Interpretations of different product sides raise ValueError, and so does
+    a count sequence too many or too few."""
     if len({e.product for e in entries}) != 1:
         names = ", ".join(e.name for e in entries)
         raise ValueError(f"profiles {names} disagree on the product side")
     product = entries[0].product
-    sequences: list[tuple[str, Sequence[int]]] = [
-        (e.name, _chain_counts(e.profile, max_weight)) for e in entries
-    ]
+    sequences = list(zip((e.name for e in entries), counts, strict=True))
     if product is not None:
-        sequences.append(
-            (
-                "product enumeration",
-                count_partitions_with_parts(product, max_weight),
-            )
-        )
-        series = _product(product, max_weight + 1)
-        sequences.append(("product series", series.to_list()))
+        sequences += [
+            ("product enumeration", count_partitions_with_parts(product, series.order - 1)),
+            ("product series", series.coefficients),
+        ]
     else:
-        series = _profile_sum(entries[0].profile, max_weight + 1)
-        sequences.append(("sum series", series.to_list()))
+        sequences.append(("sum series", series.coefficients))
     ref_name, reference = sequences[0]
     for other_name, other in sequences[1:]:
-        for weight in range(max_weight + 1):
+        for weight in range(series.order):
             if reference[weight] != other[weight]:
                 return Finding(
                     f"{ref_name} vs {other_name}", weight, reference[weight], other[weight]
@@ -337,21 +246,20 @@ def verify_equinumerosity(
     return None
 
 
-def euler_forms_report(order: int) -> Finding | None:
+def euler_forms_report(
+    odd_parts: TruncatedSeries, divide_by_2: TruncatedSeries
+) -> Finding | None:
     """At modulus 2, the odd-parts product equals three sum expressions: the
     divide-by-2 form, the triangular-exponent family, and the distinct-parts
-    product form.  All four are compared pairwise to the product."""
-    prod = _product(ResidueClass(2, frozenset({1})), order)
+    product form.  All three are compared to the product below its order."""
+    order = odd_parts.order
     forms = [
-        ("divide-by-2 sum", _glaisher_sum(2, order)),
-        (
-            "triangular sum",
-            sum_side_standard(lambda n: (n * n + n) // 2, lambda n: n, order),
-        ),
+        ("divide-by-2 sum", divide_by_2),
+        ("triangular sum", sum_side_standard(lambda n: (n * n + n) // 2, lambda n: n, order)),
         ("distinct-parts sum", euler_distinct_sum(order)),
     ]
     for label, s in forms:
-        finding = _first_difference(prod, s, order, f"odd-parts product vs {label}")
+        finding = _first_difference(odd_parts, s, order, f"odd-parts product vs {label}")
         if finding is not None:
             return finding
     return None
@@ -456,7 +364,11 @@ def _table(headers: list[str], rows: list[list[str]]) -> list[str]:
 
 @dataclass(frozen=True)
 class SuiteSummary:
+    """The reports of one run, in plan order, and the build time of each
+    shared input it made."""
+
     reports: tuple[VerificationReport, ...]
+    build_times: tuple[float, ...] = field(default=(), compare=False)
 
     @property
     def passed(self) -> bool:
@@ -481,8 +393,9 @@ class SuiteSummary:
         ]
         headers = ["identity", "mode", "subject", "bound", "result", "time"]
         good = sum(1 for r in self.reports if r.passed)
+        built = f"{len(self.build_times)} shared inputs built in {sum(self.build_times):.2f}s"
         return "\n".join(
-            [*_table(headers, rows), "", f"{good}/{len(self.reports)} checks passed"]
+            [*_table(headers, rows), "", f"{good}/{len(self.reports)} checks passed", built]
         )
 
 
@@ -508,16 +421,63 @@ _ALPHA_TERMS = 10
 
 
 @dataclass(frozen=True)
+class _Input:
+    """A shared input of planned checks, named by ``key``.  ``run_suite``
+    makes it as ``build(*values)``, ``values`` being those of the inputs it
+    ``needs``; planning builds nothing."""
+
+    key: tuple
+    build: Callable = field(compare=False, repr=False)
+    needs: tuple["_Input", ...] = field(default=(), compare=False, repr=False)
+
+
+def _product_input(rc: ResidueClass, order: int) -> _Input:
+    """The product side of ``rc`` below ``order``.  A class that allows more
+    part sizes below the order than it excludes is built from the all-parts
+    series of that order, one (1-q^k) per excluded k in place of one
+    1/(1-q^k) per allowed k."""
+    key = ("product", rc, order)
+    if not _complement_pays(rc, order):
+        return _Input(key, lambda: product_side(rc, order))
+    all_parts = _Input(("all parts", order), lambda: _all_parts(order))
+    return _Input(key, lambda s: _product_side_by_complement(rc, s), (all_parts,))
+
+
+def _profile_sum_input(profile: ProfileFamily, order: int) -> _Input:
+    """``profile_series(profile, order)``, one per set of branch term rules:
+    the offsets do not enter a profile's sum side."""
+    rules = tuple((b.n_min, b.slots, b.min_weight) for b in profile.branches)
+    return _Input(("profile sum", rules, order), lambda: profile_series(profile, order))
+
+
+def _sum_input(d: IdentityDescriptor, order: int) -> _Input:
+    """The divide-by-M sum side, or that of the first interpretation."""
+    if (m := d.glaisher_modulus) is not None:
+        return _Input(("glaisher", m, order), lambda: sum_side_glaisher(m, order))
+    if not d.interpretations:
+        raise ValueError(f"identity {d.name} has no sum side")
+    return _profile_sum_input(d.interpretations[0].profile, order)
+
+
+def _counts_input(profile: ProfileFamily, max_weight: int) -> _Input:
+    # a profile's name is unique within the one catalog a plan is made from
+    key = ("chain counts", profile.name, max_weight)
+    return _Input(key, lambda: profile_chain_counts(profile, max_weight))
+
+
+@dataclass(frozen=True)
 class Check:
-    """One planned check: the row its report fills, and ``call``, a
+    """One planned check: the row its report fills, ``call``, a
     ``functools.partial`` of a check function that returns a ``Finding`` or
-    None for a pass."""
+    None for a pass, and ``inputs``, the shared inputs whose values ``call``
+    takes, in order."""
 
     identity: str
     mode: str
     subject: str
     bound: int
     call: partial = field(compare=False, repr=False)
+    inputs: tuple[_Input, ...] = field(default=(), compare=False, repr=False)
 
 
 def _catalog_identities(catalog: Catalog) -> list[IdentityDescriptor]:
@@ -575,22 +535,28 @@ def _glaisher_identity(modulus: int) -> IdentityDescriptor:
 
 
 def _check(
-    identity: str, mode: str, bound: int, fn, /, *args, subject: str = "", **kwargs
+    identity: str, mode: str, bound: int, fn, /, *args, subject: str = "",
+    inputs: tuple[_Input, ...] = (), **kwargs
 ) -> Check:
-    return Check(identity, mode, subject, bound, partial(fn, *args, **kwargs))
+    return Check(identity, mode, subject, bound, partial(fn, *args, **kwargs), inputs)
 
 
 def _identity_checks(d: IdentityDescriptor, order: int, max_weight: int) -> list[Check]:
     """The analytic check, one combinatorial check per interpretation, and for
-    a divide-by-M identity the one divide-by-M battery."""
+    a divide-by-M identity the one divide-by-M battery; a descriptor without
+    a sum side raises ValueError."""
     check = partial(_check, d.name)
+    sides = (_sum_input(d, max_weight + 1),)
+    if d.product is not None:
+        sides += (_product_input(d.product, max_weight + 1),)
     checks = [
-        check("combinatorial", max_weight, verify_combinatorial, d, entry, max_weight,
-              subject=entry.name)
+        check("combinatorial", max_weight, verify_combinatorial, subject=entry.name,
+              inputs=(_counts_input(entry.profile, max_weight), *sides))
         for entry in d.interpretations
     ]
     if d.product is not None:
-        checks.append(check("analytic", order, verify_analytic, d, order))
+        analytic = (_product_input(d.product, order), _sum_input(d, order))
+        checks.append(check("analytic", order, verify_analytic, inputs=analytic))
     modulus = d.glaisher_modulus
     if modulus is not None:
         conjugate_weight = min(max_weight, CONJUGATE_MAX_WEIGHT)
@@ -602,8 +568,17 @@ def _identity_checks(d: IdentityDescriptor, order: int, max_weight: int) -> list
             check("alpha", order, glaisher_alpha_report, modulus, _ALPHA_TERMS, order),
         ]
         if modulus == 2:
-            checks.append(check("forms", order, euler_forms_report, order))
+            # the odd-parts product and the divide-by-2 sum are the analytic sides
+            checks.append(check("forms", order, euler_forms_report, inputs=analytic))
     return checks
+
+
+def _group_series_input(members: tuple[CatalogEntry, ...], order: int) -> _Input:
+    """The product side the members share, or without one their sum side."""
+    product = members[0].product
+    if product is None:
+        return _profile_sum_input(members[0].profile, order)
+    return _product_input(product, order)
 
 
 def plan_checks(
@@ -611,7 +586,8 @@ def plan_checks(
 ) -> tuple[Check, ...]:
     """Every check the requested names select, sorted as the suite reports
     them; nothing runs.  Each check is bound to the catalog entries it
-    checks, so nothing is looked up by name after planning.
+    checks, so nothing is looked up by name after planning, and declares the
+    shared inputs it reads.
 
     None or "all" selects every catalog identity, ``glaisher-<M>`` for
     M = 2..7, and every equinumerosity group.  Otherwise a name is an identity
@@ -646,14 +622,11 @@ def plan_checks(
         selected = list({d.name: d for d in selected}.values())
         selected_groups = list(dict.fromkeys(selected_groups))
 
-    checks = [
-        check
-        for d in selected
-        for check in _identity_checks(d, order, max_weight)
-    ]
+    checks = [c for d in selected for c in _identity_checks(d, order, max_weight)]
     checks += [
         _check(name, "equinumerosity", max_weight, verify_equinumerosity, members,
-               max_weight)
+               inputs=(_group_series_input(members, max_weight + 1),
+                       *(_counts_input(e.profile, max_weight) for e in members)))
         for name, members in selected_groups
     ]
     checks += [
@@ -672,15 +645,39 @@ def run_suite(
     """Run every check ``plan_checks`` selects from ``catalog``, the shipped
     one by default (None or "all" selects everything; an empty list selects
     nothing), one report per check in plan order.  Unknown names become
-    error rows rather than aborting the rest of the suite."""
+    error rows rather than aborting the rest of the suite.  Each shared input
+    is built once, timed apart from the rows, just before its first reader
+    (a row, or a product side built from it) and dropped after its last."""
     if catalog is None:
         catalog = default_catalog()
+    plan = plan_checks(names, order, max_weight, catalog)
+    readers = Counter(shared for check in plan for shared in check.inputs)
+    readers.update(need for shared in list(readers) for need in shared.needs)
+    live: dict[_Input, object] = {}
+    build_times: list[float] = []
+
+    def fetch(shared: _Input) -> object:
+        if shared not in live:
+            values = [fetch(need) for need in shared.needs]
+            started = time.perf_counter()
+            live[shared] = shared.build(*values)
+            build_times.append(time.perf_counter() - started)
+            release(shared.needs)
+        return live[shared]
+
+    def release(inputs: tuple[_Input, ...]) -> None:
+        for shared in inputs:
+            readers[shared] -= 1
+            if not readers[shared]:
+                del live[shared]
 
     def run(check: Check) -> VerificationReport:
-        """Time one check and fill its row from the plan and the finding."""
+        """Time one check on its inputs; fill its row from plan and finding."""
+        values = [fetch(shared) for shared in check.inputs]
         started = time.perf_counter()
-        finding = check.call()
+        finding = check.call(*values)
         elapsed = time.perf_counter() - started
+        release(check.inputs)
         if finding is None:
             outcome, finding = "pass", Finding("")
         else:
@@ -690,9 +687,5 @@ def run_suite(
             finding.exponent, finding.lhs, finding.rhs, finding.note, elapsed,
         )
 
-    plan = plan_checks(names, order, max_weight, catalog)
-    token = _RUN_SERIES.set({})
-    try:
-        return SuiteSummary(tuple(map(run, plan)))
-    finally:
-        _RUN_SERIES.reset(token)
+    reports = tuple(map(run, plan))
+    return SuiteSummary(reports, tuple(build_times))

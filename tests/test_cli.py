@@ -533,11 +533,17 @@ class TestMalformedCatalog:
                 custom_fields(residues=[2.7, 3]),
                 "catalog entry 'custom': residues must be a list of integers",
             ),
+            (custom_entry(n_min=1.5), "catalog entry 'custom': n_min must be an integer"),
+            (custom_entry(n_min="2"), "catalog entry 'custom': n_min must be an integer"),
+            (custom_entry(n_min=True), "catalog entry 'custom': n_min must be an integer"),
+            (custom_fields(modulus=5.9), "catalog entry 'custom': modulus must be an integer"),
+            (custom_fields(modulus="5"), "catalog entry 'custom': modulus must be an integer"),
         ],
         ids=[
             "no-entries", "list", "no-min-weight", "no-file", "zero-division",
             "no-branches", "negative-n-min", "int-name", "list-source", "int-alias",
-            "string-aliases", "string-residues", "float-residue",
+            "string-aliases", "string-residues", "float-residue", "float-n-min",
+            "string-n-min", "bool-n-min", "float-modulus", "string-modulus",
         ],
     )
     def test_is_a_domain_error_on_one_line(

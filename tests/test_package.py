@@ -12,9 +12,10 @@ from qident import bijections, partitions, profiles, series, verify
 
 MODULES = (series, partitions, profiles, bijections, verify)
 
-# Names that only renamed another public call, or had no caller outside the
-# tests; each must stay gone from the package, its module and the class that
-# held it.
+# Names that only renamed another public call, had no caller outside the
+# tests, or made up the run-scoped memo that the plan's declared inputs
+# replaced; each must stay gone from the package, its module and the class
+# that held it.
 REMOVED = (
     (partitions, "satisfies_chain"),
     (partitions, "partitions_no_part_divisible"),
@@ -43,6 +44,8 @@ REMOVED = (
     (profiles.Catalog, "__contains__"),
     (profiles.ProfileFamily, "slot_count"),
     (series.TruncatedSeries, "__mul__"),
+    (verify, "_RUN_SERIES"),
+    (verify, "_once"),
 )
 
 # Parameters that only a test ever set; each must stay gone from the call or

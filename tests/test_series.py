@@ -243,6 +243,11 @@ class TestComplementBuild:
         assert _complement_pays(ODD, 1000)  # 500 of 999
         assert not _complement_pays(RR2, 1000)  # 400 of 999
 
+    @given(rc=residue_classes, order=st.integers(1, 120))
+    def test_pays_exactly_when_allowed_sizes_are_the_majority(self, rc, order):
+        allowed = sum(1 for k in range(1, order) if rc.allows(k))
+        assert _complement_pays(rc, order) == (2 * allowed > order - 1)
+
 
 class TestSumSideStandard:
     def test_single_term_contribution(self):

@@ -1,15 +1,23 @@
 """Verification pipelines and the suite driver."""
 
 import json
+import weakref
 from collections import Counter
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import pytest
 
 import qident.verify as verify_module
-from qident.profiles import default_catalog, dump_catalog, loads_catalog
-from qident.series import ResidueClass
+from qident.profiles import (
+    default_catalog,
+    dump_catalog,
+    loads_catalog,
+    profile_chain_counts,
+    profile_series,
+)
+from qident.series import ResidueClass, product_side, sum_side_glaisher
 from qident.verify import (
     Finding,
     IdentityDescriptor,
@@ -30,12 +38,9 @@ from oracles import enumerate_partitions, repetition_bounded
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
 
-def descriptor_by_name(name):
-    """The descriptor the planner binds into the identity's own checks."""
-    for check in plan_checks([name], 10, 5, default_catalog()):
-        if check.call.func in (verify_analytic, verify_combinatorial):
-            return check.call.args[0]
-    raise AssertionError(f"no descriptor {name}")
+def built(shared):
+    """A planned shared input, built outside ``run_suite``."""
+    return shared.build(*map(built, shared.needs))
 
 
 def entry(name):
@@ -45,6 +50,17 @@ def entry(name):
 
 def entries(*names):
     return tuple(map(entry, names))
+
+
+def equinumerosity(names, max_weight):
+    """``verify_equinumerosity`` on the named entries, against the product
+    side of the first."""
+    members = entries(*names)
+    return verify_equinumerosity(
+        members,
+        product_side(members[0].product, max_weight + 1),
+        *(profile_chain_counts(e.profile, max_weight) for e in members),
+    )
 
 
 def member_names(check):
@@ -82,66 +98,92 @@ def edited_catalog(edit):
 
 class TestAnalytic:
     def test_rr2_passes_order_50(self):
-        assert verify_analytic(descriptor_by_name("rr2"), 50) is None
+        p2 = entry("P2")
+        assert verify_analytic(product_side(p2.product, 50), profile_series(p2.profile, 50)) is None
         assert suite_row("rr2", "analytic", 50, 5).bound == 50
 
     def test_glaisher_modulus_3_passes_order_50(self):
-        assert verify_analytic(descriptor_by_name("glaisher-3"), 50) is None
+        product = product_side(ResidueClass.nonzero(3), 50)
+        assert verify_analytic(product, sum_side_glaisher(3, 50)) is None
 
     def test_wrong_product_reports_first_mismatch(self):
-        wrong = IdentityDescriptor(
-            name="wrong-rr2",
-            product=ResidueClass(5, frozenset({2, 4})),
-            interpretations=(entry("P2"),),
-        )
-        finding = verify_analytic(wrong, 10)
+        wrong = product_side(ResidueClass(5, frozenset({2, 4})), 10)
+        finding = verify_analytic(wrong, profile_series(entry("P2").profile, 10))
         assert not finding.error
         assert finding.exponent == 3
         assert (finding.lhs, finding.rhs) == (0, 1)
         assert finding.note == "product vs sum side"
 
-    def test_missing_product_is_error(self):
-        with pytest.raises(ValueError, match="has no product side"):
-            verify_analytic(descriptor_by_name("example-family"), 10)
+    def test_sum_side_below_the_product_order_is_refused(self):
+        p2 = entry("P2")
+        with pytest.raises(ValueError, match="exceeds operand orders"):
+            verify_analytic(product_side(p2.product, 20), profile_series(p2.profile, 10))
+
+    def test_missing_product_plans_no_analytic_row(self):
+        plan = plan_checks(["example-family"], 10, 5, default_catalog())
+        assert plan and "analytic" not in {c.mode for c in plan}
 
     def test_missing_sum_side_is_error(self):
         bare = IdentityDescriptor(name="bare", product=ResidueClass(5, frozenset({2, 3})))
         with pytest.raises(ValueError, match="has no sum side"):
-            verify_analytic(bare, 10)
+            verify_module._identity_checks(bare, 10, 5)
 
 
 class TestCombinatorial:
     def test_rr2_gap_interpretation(self):
-        assert verify_combinatorial(descriptor_by_name("rr2"), entry("P2"), 25) is None
+        p2 = entry("P2")
+        counts = profile_chain_counts(p2.profile, 25)
+        sum_side = profile_series(p2.profile, 26)
+        assert verify_combinatorial(counts, sum_side, product_side(p2.product, 26)) is None
 
     def test_example_family_counts(self):
-        d = descriptor_by_name("example-family")
-        for profile in d.interpretations:
-            finding = verify_combinatorial(d, profile, 20)
+        plan = plan_checks(["example-family"], 10, 20, default_catalog())
+        rows = [c for c in plan if c.mode == "combinatorial"]
+        assert len(rows) == 3
+        for check in rows:
+            # no product side: the chain counts and the sum side
+            assert len(check.inputs) == 2
+            finding = check.call(*map(built, check.inputs))
             assert finding is None, finding
 
     def test_appendix_f_against_product(self):
-        d = descriptor_by_name("hirschhorn-3")
-        assert verify_combinatorial(d, entry("hirschhorn-3"), 25) is None
+        h3 = entry("hirschhorn-3")
+        counts = profile_chain_counts(h3.profile, 25)
+        sum_side = profile_series(h3.profile, 26)
+        assert verify_combinatorial(counts, sum_side, product_side(h3.product, 26)) is None
+        # the sum side agrees, so a wrong product side is what is reported
+        wrong = product_side(ResidueClass.nonzero(2), 26)
+        assert verify_combinatorial(counts, sum_side, wrong).note == "enumeration vs product side"
 
     def test_profile_must_be_an_interpretation(self):
-        with pytest.raises(ValueError):
-            verify_combinatorial(descriptor_by_name("rr2"), entry("euler-layers"), 10)
+        # the planner counts each row's own entry, one of its identity's
+        # interpretations, against that identity's sides
+        for check in plan_checks(None, 10, 5, default_catalog()):
+            if check.mode == "combinatorial":
+                subject = entry(check.subject)
+                assert (subject.identity or subject.name) == check.identity
+                assert check.inputs[0].key == ("chain counts", subject.name, 5)
 
 
 class TestEquinumerosity:
     def test_rr2_group(self):
-        assert verify_equinumerosity(entries("P2", "P3", "P4", "P5"), 30) is None
+        assert equinumerosity(("P2", "P3", "P4", "P5"), 30) is None
 
     def test_euler_pair(self):
-        assert verify_equinumerosity(entries("euler-staircase", "euler-layers"), 25) is None
+        assert equinumerosity(("euler-staircase", "euler-layers"), 25) is None
 
     def test_singleton_checked_against_product(self):
-        assert verify_equinumerosity(entries("P2"), 20) is None
+        assert equinumerosity(("P2",), 20) is None
 
     def test_mixed_products_rejected(self):
         with pytest.raises(ValueError, match="disagree on the product side"):
-            verify_equinumerosity(entries("P2", "euler-staircase"), 10)
+            equinumerosity(("P2", "euler-staircase"), 10)
+
+    def test_one_count_sequence_per_entry(self):
+        members = entries("P2", "P3")
+        counts = profile_chain_counts(members[0].profile, 10)
+        with pytest.raises(ValueError):
+            verify_equinumerosity(members, product_side(members[0].product, 11), counts)
 
 
 class TestGlaisherFamily:
@@ -167,7 +209,8 @@ class TestGlaisherFamily:
             plan_checks([name], 10, 5, default_catalog())
 
     def test_forms_report(self):
-        assert euler_forms_report(80) is None
+        odd_parts = product_side(ResidueClass.nonzero(2), 80)
+        assert euler_forms_report(odd_parts, sum_side_glaisher(2, 80)) is None
 
     def test_alpha_report(self):
         assert glaisher_alpha_report(4, 8, 60) is None
@@ -361,7 +404,8 @@ class TestOneWalkBookkeeping:
 
 class TestRunScopedSeries:
     """Within one ``run_suite`` call each product side and each divide-by-M
-    sum side is built once, and nothing built outlives the call."""
+    sum side the plan declares is built once, and dropped after the last row
+    that reads it."""
 
     ORDER, WEIGHT = 30, 13
 
@@ -417,16 +461,72 @@ class TestRunScopedSeries:
         assert set(builds) == self.expected_builds()
         assert set(builds.values()) == {2}
 
-    def test_a_check_called_directly_builds_afresh(self, monkeypatch):
-        builds = self.count_builds(monkeypatch)
-        descriptor = descriptor_by_name("glaisher-3")
-        assert verify_analytic(descriptor, self.ORDER) is None
-        assert verify_analytic(descriptor, self.ORDER) is None
-        # the direct builder both times, not the all-parts route
-        assert builds == {
-            ("product", ResidueClass.nonzero(3), self.ORDER): 2,
-            ("glaisher", 3, self.ORDER): 2,
-        }
+    def test_no_input_outlives_its_last_reader(self, monkeypatch):
+        """Record the shared inputs still alive as each row starts.  An input
+        a row reads is alive from its first reader to its last; an all-parts
+        series, from just before the first product side built from it until
+        the last one is built."""
+        alive = {}
+
+        class Counts(list):
+            """Chain counts that a weak reference can follow."""
+
+        def track(name, key, wrap=lambda value: value):
+            original = getattr(verify_module, name)
+
+            def tracked(*args):
+                value = wrap(original(*args))
+                alive[key(*args)] = weakref.ref(value)
+                return value
+
+            monkeypatch.setattr(verify_module, name, tracked)
+
+        track("product_side", lambda rc, order: ("product", rc, order))
+        track(
+            "_product_side_by_complement",
+            lambda rc, all_parts: ("product", rc, all_parts.order),
+        )
+        track("_all_parts", lambda order: ("all parts", order))
+        track("sum_side_glaisher", lambda modulus, order: ("glaisher", modulus, order))
+        track(
+            "profile_series",
+            lambda profile, order: ("profile sum", TestRunScopedCounts.rules(profile), order),
+        )
+        track(
+            "profile_chain_counts",
+            lambda profile, weight: ("chain counts", profile.name, weight),
+            Counts,
+        )
+        live_at_rows = []
+
+        def recording(check, *values):
+            live_at_rows.append({key for key, ref in alive.items() if ref() is not None})
+            return check.call(*values)
+
+        monkeypatch.setattr(
+            verify_module,
+            "plan_checks",
+            lambda *args: tuple(
+                replace(c, call=partial(recording, c)) for c in plan_checks(*args)
+            ),
+        )
+        assert run_suite(None, self.ORDER, self.WEIGHT).passed
+
+        plan = plan_checks(None, self.ORDER, self.WEIGHT, default_catalog())
+        readers, builders = {}, {}
+        for row, check in enumerate(plan):
+            for shared in check.inputs:
+                readers.setdefault(shared.key, []).append(row)
+                for need in shared.needs:
+                    builders.setdefault(need.key, []).append(readers[shared.key][0])
+        assert len(live_at_rows) == len(plan)
+        for row, live in enumerate(live_at_rows):
+            assert live == (
+                {key for key, rows in readers.items() if rows[0] <= row <= rows[-1]}
+                | {key for key, rows in builders.items() if min(rows) <= row < max(rows)}
+            ), plan[row]
+        # and nothing is held once the run is over
+        assert all(ref() is None for ref in alive.values())
 
 
 class TestRunScopedCounts:
@@ -473,25 +573,6 @@ class TestRunScopedCounts:
         assert len(rules) < len(entries)
         assert {key for key, _ in summed} <= rules
         assert {order for _, order in summed} == {self.ORDER, self.WEIGHT + 1}
-
-    def test_shared_counts_are_immutable(self):
-        token = verify_module._RUN_SERIES.set({})
-        try:
-            entry = default_catalog().lookup("P2")
-            counts = verify_module._chain_counts(entry.profile, self.WEIGHT)
-            assert isinstance(counts, tuple)
-            assert verify_module._chain_counts(entry.profile, self.WEIGHT) is counts
-        finally:
-            verify_module._RUN_SERIES.reset(token)
-
-    def test_a_check_called_directly_counts_afresh(self, monkeypatch):
-        counted, summed = self.count_calls(monkeypatch)
-        descriptor = descriptor_by_name("rr2")
-        for _ in range(2):
-            assert verify_combinatorial(descriptor, entry("P2"), self.WEIGHT) is None
-        profile = entry("P2").profile
-        assert counted == {(profile, self.WEIGHT): 2}
-        assert summed == {(self.rules(profile), self.WEIGHT + 1): 2}
 
     def test_conjugate_rows_count_no_chain(self, monkeypatch):
         import qident.partitions as partitions_module
@@ -581,6 +662,16 @@ class TestSuite:
 
         assert untimed(a).render_table() == untimed(b).render_table()
 
+    def test_table_ends_with_the_shared_build_time(self):
+        plan = plan_checks(["rr2"], 30, 10, default_catalog())
+        shared = {x for c in plan for x in c.inputs}
+        shared |= {need for x in shared for need in x.needs}
+        summary = run_suite(["rr2"], 30, 10)
+        assert len(summary.build_times) == len(shared)
+        *_, passed, built = summary.render_table().splitlines()
+        assert passed == f"{len(plan)}/{len(plan)} checks passed"
+        assert built == f"{len(shared)} shared inputs built in {sum(summary.build_times):.2f}s"
+
     def test_groups_cover_catalog_pairs(self):
         groups = {
             c.identity: member_names(c)
@@ -613,6 +704,8 @@ class TestPlan:
 
         for name in (
             "product_side",
+            "_all_parts",
+            "_product_side_by_complement",
             "sum_side_glaisher",
             "profile_series",
             "profile_chain_counts",
