@@ -184,18 +184,28 @@ def glaisher_forward_steps(p: Partition, modulus: int) -> list[Partition]:
 
 def _glaisher_divide(parts: tuple[int, ...], modulus: int) -> tuple[int, ...]:
     """The fixed point of the divide-by-M expansion in one pass: each part
-    r*M^k with r not divisible by M becomes M^k copies of r.  ``modulus``
-    must be at least 2."""
+    r*M^k with r not divisible by M becomes M^k copies of r.  Parts that are
+    already a fixed point, weakly decreasing with no part divisible by M,
+    come back as the very tuple passed in; parts out of order come back
+    sorted.  ``modulus`` must be at least 2."""
     out: list[int] = []
+    fixed = True
+    above = parts[0] if parts else 0
     for part in parts:
         if part % modulus:
+            if part > above:
+                fixed = False
+            above = part
             out.append(part)
             continue
+        fixed = False
         copies = 1
         while part % modulus == 0:
             part //= modulus
             copies *= modulus
         out += [part] * copies
+    if fixed:
+        return parts
     out.sort(reverse=True)
     return tuple(out)
 

@@ -292,7 +292,23 @@ class Catalog:
             raise UnknownNameError(f"unknown catalog entry {name!r}") from None
 
 
+# the keys of each JSON object of a catalog, as ``dump_catalog`` writes them
+_ENTRY_KEYS = frozenset(
+    {"name", "aliases", "identity", "source", "modulus", "residues", "branches"}
+)
+_BRANCH_KEYS = frozenset({"parity", "n_min", "slots", "min_weight", "offsets"})
+_CASE_KEYS = frozenset({"when", "value"})
+
+
+def _known_keys(data: dict, known: frozenset[str], what: str) -> None:
+    """Reject a key of ``data`` outside ``known``: a misspelt key would
+    otherwise be ignored, and its field would silently keep its default."""
+    if unknown := sorted(set(data) - known):
+        raise ValueError(f"unknown {what} {unknown[0]!r}")
+
+
 def _branch_from_json(data: dict) -> ProfileBranch:
+    _known_keys(data, _BRANCH_KEYS, "branch key")
     label = data["parity"]
     if label not in ("all", "even", "odd"):
         raise ValueError(f"invalid branch parity {label!r}")
@@ -301,6 +317,8 @@ def _branch_from_json(data: dict) -> ProfileBranch:
         raise ValueError("n_min must be an integer")
     if n_min < 0:
         raise ValueError("n_min must be nonnegative")
+    for case in data["offsets"]:
+        _known_keys(case, _CASE_KEYS, "offset case key")
     cases = tuple(PiecewiseCase(c["when"], c["value"]) for c in data["offsets"])
     if not cases or cases[-1].when != "otherwise":
         raise ValueError("the last offset case must be 'otherwise'")
@@ -325,6 +343,7 @@ def _list_of(values, kind: type) -> bool:
 
 def _entry_from_json(data: dict) -> CatalogEntry:
     branches = tuple(_branch_from_json(b) for b in data["branches"])
+    _known_keys(data, _ENTRY_KEYS, "key")
     for key in ("name", "source"):
         if not isinstance(data.get(key, ""), str):
             raise ValueError(f"{key} must be a string")
@@ -359,9 +378,9 @@ def _entry_from_json(data: dict) -> CatalogEntry:
 
 def loads_catalog(text: str) -> Catalog:
     """Parse a catalog.  A payload that is not an object with an ``entries``
-    list raises ValueError; so does an entry with a missing key, a value of
-    the wrong type or an invalid field, and the error names the entry (by
-    position when it has no string name)."""
+    list raises ValueError; so does an entry with a missing or unknown key, a
+    value of the wrong type or an invalid field, and the error names the
+    entry (by position when it has no string name)."""
     payload = json.loads(text)
     if not isinstance(payload, dict) or not isinstance(payload.get("entries"), list):
         raise ValueError("a catalog must be a JSON object with an 'entries' list")

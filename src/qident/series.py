@@ -25,16 +25,28 @@ grows by one coefficient per step, and no step adds a long slice into a
 total.
 
 ``product_side`` multiplies one 1/(1-q^k) per allowed part size.  A private
-route, ``_product_side_by_complement``, starts instead from the all-parts
-series 1/((1-q)...(1-q^{order-1})) and multiplies one (1-q^k) per excluded
-part size, exact mod q^order.  For a class that allows most part sizes that
-is fewer factors, and when several classes share one all-parts series, as
-``qident.verify`` arranges within a run, it is the cheaper build.
+route, ``_product_side_by_complement``, starts instead from the product side
+of a base class that allows every size the class allows below the order,
+the all-parts series 1/((1-q)...(1-q^{order-1})) being the base that allows
+every size, and multiplies one (1-q^k) per size the base allows and the
+class does not, exact mod q^order.  ``_product_bases`` picks for a set of
+classes at one order the base of each, among the all-parts series, the
+other classes and the classes of parts not divisible by some d, by counting
+the coefficient updates each route makes.  Its costs are sums of
+arithmetic progressions, one per residue, and its superset tests compare
+bit masks of one common period of the moduli, built by arithmetic: neither
+scans the part sizes up to the order.  ``qident.verify`` builds each base
+once per run and shares it.
+
+The n-th term polynomial of the divide-by-M family has degree
+(M-1)n(n+1)/2, so ``alpha_closed_form`` works on no more coefficients than
+that and pads with zeros.
 """
 
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from itertools import accumulate
+from math import isqrt, lcm
 from operator import add, sub
 
 __all__ = [
@@ -197,27 +209,119 @@ def _all_parts(order: int) -> TruncatedSeries:
     return TruncatedSeries(tuple(c))
 
 
-def _complement_pays(rc: ResidueClass, order: int) -> bool:
-    """True when ``rc`` allows more part sizes below ``order`` than it
-    excludes, so that ``_product_side_by_complement`` multiplies fewer
-    factors than ``product_side``.  Each whole period of the modulus allows
-    one part size per residue; only the sizes after the last are tested."""
-    periods, rest = divmod(order - 1, rc.modulus)
-    allowed = periods * len(rc.residues) + sum(map(rc.allows, range(1, rest + 1)))
-    return 2 * allowed > order - 1
-
-
 def _product_side_by_complement(
-    rc: ResidueClass, all_parts: TruncatedSeries
+    rc: ResidueClass, series: TruncatedSeries, base: ResidueClass | None = None
 ) -> TruncatedSeries:
-    """``product_side(rc, all_parts.order)`` from ``all_parts = _all_parts(order)``:
-    the all-parts series times (1 - q^k) for every excluded part size k,
-    which cancels its factor 1/(1 - q^k) exactly below the order."""
-    c = list(all_parts.coefficients)
+    """``product_side(rc, series.order)`` from ``series``, the product side of
+    ``base`` at that order (the all-parts series ``_all_parts(order)`` for
+    None), when ``base`` allows every part size below the order that ``rc``
+    allows: ``series`` times (1 - q^k) for every size k that ``base`` allows
+    and ``rc`` does not, which cancels its factor 1/(1 - q^k) exactly below
+    the order."""
+    c = list(series.coefficients)
     for k in range(1, len(c)):
-        if not rc.allows(k):
+        if (base is None or base.allows(k)) and not rc.allows(k):
             _one_minus(c, k)
     return TruncatedSeries(tuple(c))
+
+
+def _cost_terms(
+    rc: ResidueClass | None, order: int, small: int, period: int
+) -> tuple[int, int, int]:
+    """Cost terms of the sizes ``rc`` allows (None allows every size): the
+    sum of ``order - k`` over the allowed sizes k below ``order``, the sum of
+    those up to ``small``, and the allowed sizes below ``period`` as the bits
+    of an int.  Each residue's sizes form an arithmetic progression, and the
+    bits are one period of residue bits times the repunit that repeats it."""
+    if rc is None:
+        low = small * (small + 1) // 2
+        return order * (order - 1) // 2, low, (1 << period) - 2
+    m = rc.modulus
+    weight = low = bits = 0
+    for r in rc.residues:
+        bits |= 1 << r
+        if r < order:
+            c = (order - 1 - r) // m + 1
+            weight += c * (order - r) - m * c * (c - 1) // 2
+        if r <= small:
+            c = (small - r) // m + 1
+            low += c * r + m * c * (c - 1) // 2
+    repunit = ((1 << m * -(-period // m)) - 1) // ((1 << m) - 1)
+    return weight, low, bits * repunit & ((1 << period) - 1)
+
+
+def _product_bases(
+    classes: Iterable[ResidueClass], order: int
+) -> dict[ResidueClass, ResidueClass | None]:
+    """The base series each product side of ``classes`` at ``order`` is
+    cheapest to build from, counting coefficient updates.
+
+    ``product_side`` costs, per allowed size k, ``order`` updates when
+    k*k <= order and ``order - k`` otherwise (``_geometric``'s two branches).
+    ``_product_side_by_complement`` from a base that covers the class costs
+    ``order - k`` per size k the base allows and the class does not, which
+    is the difference of the two classes' sums of ``order - k`` over their
+    allowed sizes.  A base is another of the classes or an extra series: the
+    all-parts series, or the product side of ``ResidueClass.nonzero(d)`` for
+    a d below the order dividing one of the moduli.  Each extra, the
+    all-parts series first and then by rising d, is kept when it lowers the
+    total cost.
+
+    Returns the base of each class built from one, None for the all-parts
+    series; a kept extra is a key or a base too.  What is no key, the
+    all-parts series included, is built directly.  A base allows every size
+    its class allows, and is the first of any that allow the same sizes, so
+    no class is built from itself.
+    """
+    classes = dict.fromkeys(classes)
+    moduli = {rc.modulus for rc in classes}
+    # nonzero(d) for d >= order allows every size below it, as all parts does
+    extras = [None] + [
+        nz
+        for d in range(2, min(max(moduli, default=1) + 1, order))
+        if any(m % d == 0 for m in moduli)
+        and (nz := ResidueClass.nonzero(d)) not in classes
+    ]
+    nodes = [*extras, *classes]
+    small = min(isqrt(order), order - 1)
+    # every class repeats with this period, so the sizes below it decide
+    period = min(order, lcm(*moduli))
+    terms = [_cost_terms(rc, order, small, period) for rc in nodes]
+    weight = [w for w, _, _ in terms]
+    # A base allows every size of what it builds, so it weighs more, or as
+    # much when the two allow the same sizes; of those, the first in this
+    # rank, the all-parts series first, is the base of the others.
+    rank = sorted(range(len(nodes)), key=weight.__getitem__, reverse=True)
+    direct, options, users = {}, {}, {}
+    for at, i in enumerate(rank):
+        w, low, mask = terms[i]
+        direct[i] = w + low
+        # the bases that build node i for less than directly, cheapest first
+        options[i] = sorted(
+            (weight[j] - w, j)
+            for j in rank[:at]
+            if weight[j] - w < w + low and not mask & ~terms[j][2]
+        )
+        for c, j in options[i]:
+            users.setdefault(j, []).append((c, i))
+
+    built = set(range(len(extras), len(nodes)))
+
+    def cheapest(i: int) -> tuple[int, int | None]:
+        return next(((c, j) for c, j in options[i] if j in built), (direct[i], None))
+
+    cost = {i: cheapest(i)[0] for i in built}
+    for x in range(len(extras)):
+        saved = sum(cost[i] - c for c, i in users.get(x, ()) if i in built and c < cost[i])
+        if (own := cheapest(x)[0]) < saved:
+            built.add(x)
+            cost[x] = own
+            for c, i in users.get(x, ()):
+                if i in built and c < cost[i]:
+                    cost[i] = c
+    return {
+        nodes[i]: nodes[j] for i in built if (j := cheapest(i)[1]) is not None
+    }
 
 
 _MAX_TERMS = 10_000
@@ -332,6 +436,12 @@ def alpha_closed_form(modulus: int, n: int, order: int) -> TruncatedSeries:
 
     which is (q^n - q^{nM})/(1-q^n) expanded as a polynomial so that no series
     division is ever performed.  Returns 1 for n = 0.
+
+    Each ratio (1-q^{jM})/(1-q^j) is 1 + q^j + ... + q^{(M-1)j}, so the term
+    is a polynomial of degree at most (M-1)n + (M-1)(1 + ... + (n-1)), which is
+    (M-1)n(n+1)/2.  It is computed on that many coefficients plus one, or on
+    ``order`` if fewer, and padded with zeros up to the order: exact, since
+    truncation commutes with the products.
     """
     if modulus < 2:
         raise ValueError("modulus must be at least 2")
@@ -339,15 +449,26 @@ def alpha_closed_form(modulus: int, n: int, order: int) -> TruncatedSeries:
         raise ValueError("term index must be nonnegative")
     if n == 0:
         return series_one(order)
-    coeffs = [0] * order
+    length = min(order, (modulus - 1) * n * (n + 1) // 2 + 1)
+    coeffs = [0] * length
     for j in range(1, modulus):
         e = j * n
-        if e < order:
+        if e < length:
             coeffs[e] = 1
     for j in range(1, n):
         _one_minus(coeffs, j * modulus)
         _geometric(coeffs, j)
-    return TruncatedSeries(tuple(coeffs))
+    return TruncatedSeries((*coeffs, *(0,) * (order - length)))
+
+
+def _alpha_from_sum(modulus: int, n: int, lower_sum: TruncatedSeries) -> TruncatedSeries:
+    """The n-th term from the recurrence, (q^n + q^{2n} + ... + q^{(M-1)n})
+    times ``lower_sum`` = alpha_0 + ... + alpha_{n-1}, at the sum's order."""
+    out = [0] * lower_sum.order
+    for j in range(1, modulus):
+        e = j * n
+        out[e:] = map(add, out[e:], lower_sum.coefficients)
+    return TruncatedSeries(tuple(out))
 
 
 def alpha_recurrence(
@@ -374,8 +495,4 @@ def alpha_recurrence(
         if t.order < order:
             raise ValueError("all lower terms must be supplied at the target order")
         acc = list(map(add, acc, t.coefficients))
-    out = [0] * order
-    for j in range(1, modulus):
-        e = j * n
-        out[e:] = map(add, out[e:], acc)
-    return TruncatedSeries(tuple(out))
+    return _alpha_from_sum(modulus, n, TruncatedSeries(tuple(acc)))

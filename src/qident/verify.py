@@ -26,12 +26,16 @@ and the finding.
 Many identities share a product side, and many interpretations share their
 term rules, so each row also declares the shared inputs it reads: product
 sides, divide-by-M sum sides, profile sum sides (keyed by the term rules of
-their branches) and profiles' chain counts at a weight bound.  The product
-side of a class that allows more part sizes below the order than it excludes
-reads the all-parts series of that order in turn.  ``run_suite`` builds each
-input once, as its own timed step, just before its first reader, hands it
-to every reader and drops it after the last; a check function is handed the
-values it compares and builds none of them.
+their branches) and profiles' chain counts at a weight bound.  A product
+side may in turn be built from a base series that allows every part size it
+allows, times (1-q^k) for each size the base allows and it does not: the
+all-parts series, another product side of the plan, or that of the parts not
+divisible by some d.  The planner picks each product side's base once per
+order, for the fewest coefficient updates (``series._product_bases``), and a
+base may have a base of its own.  ``run_suite`` builds each input once, as
+its own timed step, just before its first reader (a row, or an input built
+from it), hands it to every reader and drops it after the last; a check
+function is handed the values it compares and builds none of them.
 """
 
 import json
@@ -67,10 +71,10 @@ from .series import (
     ResidueClass,
     TruncatedSeries,
     _all_parts,
-    _complement_pays,
+    _alpha_from_sum,
+    _product_bases,
     _product_side_by_complement,
     alpha_closed_form,
-    alpha_recurrence,
     euler_distinct_sum,
     product_side,
     series_one,
@@ -336,10 +340,11 @@ def glaisher_conjugate_report(modulus: int, max_weight: int) -> Finding | None:
 
 def glaisher_alpha_report(modulus: int, n_max: int, order: int) -> Finding | None:
     """Recurrence-built terms must equal the closed form for every index up to
-    ``n_max`` at the given order."""
-    terms = [series_one(order)]
+    ``n_max`` at the given order.  The sum of the terms built so far is
+    carried from one index to the next."""
+    lower_sum = series_one(order)
     for n in range(1, n_max + 1):
-        recurred = alpha_recurrence(modulus, n, terms, order)
+        recurred = _alpha_from_sum(modulus, n, lower_sum)
         finding = _first_difference(
             recurred,
             alpha_closed_form(modulus, n, order),
@@ -348,7 +353,7 @@ def glaisher_alpha_report(modulus: int, n_max: int, order: int) -> Finding | Non
         )
         if finding is not None:
             return finding
-        terms.append(recurred)
+        lower_sum += recurred
     return None
 
 
@@ -432,15 +437,36 @@ class _Input:
 
 
 def _product_input(rc: ResidueClass, order: int) -> _Input:
-    """The product side of ``rc`` below ``order``.  A class that allows more
-    part sizes below the order than it excludes is built from the all-parts
-    series of that order, one (1-q^k) per excluded k in place of one
-    1/(1-q^k) per allowed k."""
-    key = ("product", rc, order)
-    if not _complement_pays(rc, order):
-        return _Input(key, lambda: product_side(rc, order))
-    all_parts = _Input(("all parts", order), lambda: _all_parts(order))
-    return _Input(key, lambda s: _product_side_by_complement(rc, s), (all_parts,))
+    """The product side of ``rc`` below ``order``, built directly."""
+    return _Input(("product", rc, order), lambda: product_side(rc, order))
+
+
+def _product_inputs(
+    classes: Sequence[ResidueClass], order: int
+) -> dict[tuple[ResidueClass, int], _Input]:
+    """The product side inputs of ``classes`` at ``order``, keyed by class
+    and order, each built from the base ``_product_bases`` picks for it, if
+    any: the all-parts series, another of the product sides, or that of a
+    class ``ResidueClass.nonzero(d)``, each an input in turn."""
+    bases = _product_bases(classes, order)
+    made: dict[ResidueClass | None, _Input] = {}
+
+    def make(rc: ResidueClass | None) -> _Input:
+        if rc not in made:
+            if rc is None:
+                made[rc] = _Input(("all parts", order), lambda: _all_parts(order))
+            elif rc not in bases:
+                made[rc] = _product_input(rc, order)
+            else:
+                base = bases[rc]
+                made[rc] = _Input(
+                    ("product", rc, order),
+                    lambda s: _product_side_by_complement(rc, s, base),
+                    (make(base),),
+                )
+        return made[rc]
+
+    return {(rc, order): make(rc) for rc in classes}
 
 
 def _profile_sum_input(profile: ProfileFamily, order: int) -> _Input:
@@ -541,21 +567,27 @@ def _check(
     return Check(identity, mode, subject, bound, partial(fn, *args, **kwargs), inputs)
 
 
-def _identity_checks(d: IdentityDescriptor, order: int, max_weight: int) -> list[Check]:
+def _identity_checks(
+    d: IdentityDescriptor,
+    order: int,
+    max_weight: int,
+    product: Callable[[ResidueClass, int], _Input] = _product_input,
+) -> list[Check]:
     """The analytic check, one combinatorial check per interpretation, and for
-    a divide-by-M identity the one divide-by-M battery; a descriptor without
-    a sum side raises ValueError."""
+    a divide-by-M identity the one divide-by-M battery, each product side
+    input given by ``product(class, order)``, built directly by default; a
+    descriptor without a sum side raises ValueError."""
     check = partial(_check, d.name)
     sides = (_sum_input(d, max_weight + 1),)
-    if d.product is not None:
-        sides += (_product_input(d.product, max_weight + 1),)
+    if d.product is not None and d.interpretations:
+        sides += (product(d.product, max_weight + 1),)
     checks = [
         check("combinatorial", max_weight, verify_combinatorial, subject=entry.name,
               inputs=(_counts_input(entry.profile, max_weight), *sides))
         for entry in d.interpretations
     ]
     if d.product is not None:
-        analytic = (_product_input(d.product, order), _sum_input(d, order))
+        analytic = (product(d.product, order), _sum_input(d, order))
         checks.append(check("analytic", order, verify_analytic, inputs=analytic))
     modulus = d.glaisher_modulus
     if modulus is not None:
@@ -573,12 +605,16 @@ def _identity_checks(d: IdentityDescriptor, order: int, max_weight: int) -> list
     return checks
 
 
-def _group_series_input(members: tuple[CatalogEntry, ...], order: int) -> _Input:
-    """The product side the members share, or without one their sum side."""
-    product = members[0].product
-    if product is None:
+def _group_series_input(
+    members: tuple[CatalogEntry, ...],
+    order: int,
+    product: Callable[[ResidueClass, int], _Input],
+) -> _Input:
+    """The product side the members share, given by ``product(class,
+    order)``, or without one their sum side."""
+    if members[0].product is None:
         return _profile_sum_input(members[0].profile, order)
-    return _product_input(product, order)
+    return product(members[0].product, order)
 
 
 def plan_checks(
@@ -622,10 +658,28 @@ def plan_checks(
         selected = list({d.name: d for d in selected}.values())
         selected_groups = list(dict.fromkeys(selected_groups))
 
-    checks = [c for d in selected for c in _identity_checks(d, order, max_weight)]
+    # the product sides the rows read: each identity's at the order (the
+    # analytic row), and at the weight bound for its interpretations and groups
+    reads: dict[int, dict[ResidueClass, None]] = {}
+    for d in selected:
+        if d.product is not None:
+            reads.setdefault(order, {})[d.product] = None
+            if d.interpretations:
+                reads.setdefault(max_weight + 1, {})[d.product] = None
+    for _, members in selected_groups:
+        if members[0].product is not None:
+            reads.setdefault(max_weight + 1, {})[members[0].product] = None
+    products: dict[tuple[ResidueClass, int], _Input] = {}
+    for at, classes in reads.items():
+        products.update(_product_inputs(list(classes), at))
+
+    def product(rc: ResidueClass, at: int) -> _Input:
+        return products[rc, at]
+
+    checks = [c for d in selected for c in _identity_checks(d, order, max_weight, product)]
     checks += [
         _check(name, "equinumerosity", max_weight, verify_equinumerosity, members,
-               inputs=(_group_series_input(members, max_weight + 1),
+               inputs=(_group_series_input(members, max_weight + 1, product),
                        *(_counts_input(e.profile, max_weight) for e in members)))
         for name, members in selected_groups
     ]
@@ -652,7 +706,12 @@ def run_suite(
         catalog = default_catalog()
     plan = plan_checks(names, order, max_weight, catalog)
     readers = Counter(shared for check in plan for shared in check.inputs)
-    readers.update(need for shared in list(readers) for need in shared.needs)
+    pending = list(readers)
+    while pending:  # each input reads its needs once, however many read it
+        for need in pending.pop().needs:
+            if not readers[need]:
+                pending.append(need)
+            readers[need] += 1
     live: dict[_Input, object] = {}
     build_times: list[float] = []
 

@@ -9,7 +9,10 @@ recurse on the remaining weight, where the package counts without building.
 ``partitions_repetition_bounded`` alone reads the package's bounded-repetition
 walk, one weight of it, for tests of what is built on that walk.
 ``glaisher_merge`` is the package's merge as it was before it learned to
-return its fixed points unchanged: it rebuilds every image.
+return its fixed points unchanged: it rebuilds every image, and
+``glaisher_divide`` rewrites one divisible part at a time.  ``alpha_term``
+multiplies the closed-form factors as sparse polynomials over the whole
+order, where the package stops at the term's degree.
 """
 
 from qident.partitions import Partition, _repetition_bounded_walk
@@ -125,3 +128,35 @@ def glaisher_merge(parts, modulus):
             value *= modulus
     out.sort(reverse=True)
     return tuple(out)
+
+
+def glaisher_divide(parts, modulus):
+    """Divide-by-M to its fixed point one part at a time: a part divisible by
+    M becomes M copies of its M-th part until no part is; always a new,
+    sorted tuple, whatever the order of ``parts``."""
+    pending = list(parts)
+    out = []
+    while pending:
+        part = pending.pop()
+        if part % modulus:
+            out.append(part)
+        else:
+            pending += [part // modulus] * modulus
+    return tuple(sorted(out, reverse=True))
+
+
+def alpha_term(modulus, n, order):
+    """(q^n + q^{2n} + ... + q^{(M-1)n}) times (1 + q^j + ... + q^{(M-1)j})
+    for j = 1..n-1, truncated at ``order``: each factor multiplied in as a
+    sparse polynomial of M terms; 1 for n = 0."""
+    if n == 0:
+        return series_one(order)
+    terms = {e: 1 for e in range(n, modulus * n, n) if e < order}
+    for j in range(1, n):
+        product = {}
+        for e, c in terms.items():
+            for step in range(0, modulus * j, j):
+                if e + step < order:
+                    product[e + step] = product.get(e + step, 0) + c
+        terms = product
+    return TruncatedSeries(tuple(terms.get(e, 0) for e in range(order)))

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from qident.bijections import (
     BijectionRecord,
+    _glaisher_divide,
     _glaisher_merge,
     certify_bijection,
     glaisher_forward,
@@ -31,6 +32,7 @@ from qident.series import ResidueClass
 
 from oracles import (
     enumerate_partitions_with_parts,
+    glaisher_divide,
     glaisher_merge,
     no_part_divisible,
     partitions_repetition_bounded,
@@ -345,6 +347,34 @@ class TestGlaisherMerge:
             for p in partitions_repetition_bounded(weight, modulus):
                 if no_part_divisible(p, modulus):
                     assert _glaisher_merge(p.parts, modulus) is p.parts
+
+
+class TestGlaisherDivide:
+    """The divide map returns a fixed point unchanged; on every tuple, sorted
+    or not, it must give exactly what a one-part-at-a-time rewrite gives."""
+
+    @given(merge_inputs())
+    def test_equals_the_rewriting_divide(self, case):
+        parts, modulus = case
+        assert _glaisher_divide(parts, modulus) == glaisher_divide(parts, modulus)
+
+    @pytest.mark.parametrize("modulus", MODULI)
+    def test_pinned_cases(self, modulus):
+        assert _glaisher_divide((1, 2 * modulus + 1), modulus) == (2 * modulus + 1, 1)
+        assert _glaisher_divide((modulus,), modulus) == (1,) * modulus
+        assert _glaisher_divide((1, modulus), modulus) == (1,) * (modulus + 1)
+        assert _glaisher_divide((), modulus) == ()
+
+    @pytest.mark.parametrize("modulus", MODULI)
+    def test_fixed_points_come_back_as_given(self, modulus):
+        for weight in range(13):
+            for p in partitions_repetition_bounded(weight, modulus):
+                if no_part_divisible(p, modulus):
+                    assert _glaisher_divide(p.parts, modulus) is p.parts
+                else:
+                    assert _glaisher_divide(p.parts, modulus) == glaisher_divide(
+                        p.parts, modulus
+                    )
 
 
 rr2_partitions = st.lists(

@@ -538,12 +538,21 @@ class TestMalformedCatalog:
             (custom_entry(n_min=True), "catalog entry 'custom': n_min must be an integer"),
             (custom_fields(modulus=5.9), "catalog entry 'custom': modulus must be an integer"),
             (custom_fields(modulus="5"), "catalog entry 'custom': modulus must be an integer"),
+            (custom_fields(modulos=5), "catalog entry 'custom': unknown key 'modulos'"),
+            (custom_fields(identty="rr2"), "catalog entry 'custom': unknown key 'identty'"),
+            (custom_entry(slotz="n"), "catalog entry 'custom': unknown branch key 'slotz'"),
+            (
+                custom_entry(offsets=[{"when": "otherwise", "value": "1", "vaule": "2"}]),
+                "catalog entry 'custom': unknown offset case key 'vaule'",
+            ),
         ],
         ids=[
             "no-entries", "list", "no-min-weight", "no-file", "zero-division",
             "no-branches", "negative-n-min", "int-name", "list-source", "int-alias",
             "string-aliases", "string-residues", "float-residue", "float-n-min",
             "string-n-min", "bool-n-min", "float-modulus", "string-modulus",
+            "unknown-entry-key", "unknown-identity-key", "unknown-branch-key",
+            "unknown-case-key",
         ],
     )
     def test_is_a_domain_error_on_one_line(

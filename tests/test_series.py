@@ -6,18 +6,20 @@ from itertools import accumulate
 from math import isqrt
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+from qident.profiles import default_catalog
 from qident.series import (
     ResidueClass,
     SumTerminationError,
     TruncatedSeries,
     _all_parts,
-    _complement_pays,
+    _cost_terms,
     _geometric,
     _one_minus,
     _pochhammer_inverse_from,
+    _product_bases,
     _product_side_by_complement,
     alpha_closed_form,
     alpha_recurrence,
@@ -29,6 +31,7 @@ from qident.series import (
 )
 
 from oracles import (
+    alpha_term,
     enumerate_partitions,
     enumerate_partitions_with_parts,
     geometric_inverse_factor,
@@ -236,17 +239,111 @@ class TestComplementBuild:
     def test_all_parts_is_the_full_pochhammer_inverse(self, order):
         assert _all_parts(order) == pochhammer_inverse(order - 1, order)
 
-    def test_pays_when_most_part_sizes_are_allowed(self):
-        # allowed part sizes below the order, of all of them
-        assert _complement_pays(ResidueClass(5, frozenset({1, 2, 3})), 11)  # 6 of 10
-        assert not _complement_pays(ODD, 11)  # 5 of 10
-        assert _complement_pays(ODD, 1000)  # 500 of 999
-        assert not _complement_pays(RR2, 1000)  # 400 of 999
+    @given(data=st.data(), base=residue_classes, order=st.integers(1, 120))
+    @example(data=None, base=ResidueClass.nonzero(10), order=120)
+    def test_equals_direct_product_from_a_covering_class(self, data, base, order):
+        """From the product side of a class that allows every size ``rc``
+        allows below the order: ``rc`` lies inside ``base`` everywhere (its
+        residues mod a multiple of the base's modulus reduce into the base's
+        residues) or only below the order (a small-modulus class)."""
+        if data is None:
+            rc = ResidueClass(20, frozenset({1, 3, 7, 9, 11, 13, 17, 19}))
+        elif data.draw(st.booleans()):
+            modulus = base.modulus * data.draw(st.integers(1, 4))
+            lifted = [r for r in range(1, modulus) if r % base.modulus in base.residues]
+            residues = data.draw(st.sets(st.sampled_from(lifted), min_size=1))
+            rc = ResidueClass(modulus, frozenset(residues))
+        else:
+            rc = data.draw(residue_classes)
+            assume(all(base.allows(k) for k in range(1, order) if rc.allows(k)))
+        built = _product_side_by_complement(rc, product_side(base, order), base)
+        assert built == product_side(rc, order)
 
-    @given(rc=residue_classes, order=st.integers(1, 120))
-    def test_pays_exactly_when_allowed_sizes_are_the_majority(self, rc, order):
-        allowed = sum(1 for k in range(1, order) if rc.allows(k))
-        assert _complement_pays(rc, order) == (2 * allowed > order - 1)
+
+def scanned_terms(rc, order, small, period):
+    """``_cost_terms`` by a scan of every part size."""
+    sizes = [k for k in range(1, order) if rc is None or rc.allows(k)]
+    weight = sum(order - k for k in sizes)
+    low = sum(k for k in range(1, small + 1) if rc is None or rc.allows(k))
+    mask = sum(1 << k for k in range(1, period) if rc is None or rc.allows(k))
+    return weight, low, mask
+
+
+def build_cost(rc, order, base=False):
+    """Coefficient updates of building the product side of ``rc`` (every
+    size for None) at ``order``: directly, ``order`` per allowed k with
+    k*k <= order and ``order - k`` per other allowed k; or, from ``base``
+    (every size for None), ``order - k`` per size the base allows and ``rc``
+    does not."""
+    def allows(c, k):
+        return c is None or c.allows(k)
+
+    if base is False:
+        return sum(order if k * k <= order else order - k
+                   for k in range(1, order) if allows(rc, k))
+    return sum(order - k for k in range(1, order) if allows(base, k) and not allows(rc, k))
+
+
+def total_cost(classes, order, bases):
+    """Cost of building ``classes`` at ``order`` with ``bases`` as
+    ``_product_bases`` returns them: each class and each base reached from
+    one, once."""
+    built = set(classes)
+    pending = list(classes)
+    while pending:
+        rc = pending.pop()
+        if rc in bases and bases[rc] not in built:
+            built.add(bases[rc])
+            pending.append(bases[rc])
+    return sum(build_cost(rc, order, bases.get(rc, False)) for rc in built)
+
+
+class TestProductBases:
+    @given(rc=residue_classes | st.none(), order=st.integers(1, 200), data=st.data())
+    @example(rc=None, order=1, data=None)
+    @example(rc=ResidueClass.nonzero(20), order=1000, data=None)
+    def test_terms_equal_a_scan_of_the_sizes(self, rc, order, data):
+        small = isqrt(order) if data is None else data.draw(st.integers(0, order - 1))
+        small = min(small, order - 1)
+        period = order if data is None else data.draw(st.integers(1, order))
+        assert _cost_terms(rc, order, small, period) == scanned_terms(
+            rc, order, small, period
+        )
+
+    @given(classes=st.lists(residue_classes, min_size=1, max_size=6),
+           order=st.integers(1, 150))
+    @example(classes=[RR2, ODD], order=1)
+    @example(classes=[ODD, ResidueClass(4, frozenset({1, 3}))], order=40)
+    def test_bases_cover_their_classes_and_cost_no_more(self, classes, order):
+        bases = _product_bases(classes, order)
+        for rc, base in bases.items():
+            assert base != rc
+            assert base is None or all(
+                base.allows(k) for k in range(1, order) if rc.allows(k)
+            ), (rc, base)
+            # the chain of bases ends, at the all-parts series or a direct build
+            seen = {rc}
+            while base in bases:
+                assert base not in seen
+                seen.add(base)
+                base = bases[base]
+        direct = sum(build_cost(rc, order) for rc in set(classes))
+        assert total_cost(set(classes), order, bases) <= direct
+
+    def test_shipped_classes_at_order_1000(self):
+        """Every product side the full plan reads at order 1000, and the two
+        extra bases the cost model picks for them: the parts not divisible by
+        8 and by 10, built from the all-parts series."""
+        entries = default_catalog().entries()
+        classes = [rc for rc in dict.fromkeys(e.product for e in entries) if rc]
+        classes += [ResidueClass.nonzero(m) for m in range(2, 8)]
+        bases = _product_bases(classes, 1000)
+        extras = (set(bases) | set(bases.values())) - set(classes)
+        assert extras == {None, ResidueClass.nonzero(8), ResidueClass.nonzero(10)}
+        assert bases[ResidueClass.nonzero(8)] is bases[ResidueClass.nonzero(10)] is None
+        assert bases[ODD] == ResidueClass(20, frozenset({1, 3, 5, 7, 8, 9, 11, 12, 13, 15, 17, 19}))
+        assert bases[RR2] == ResidueClass.nonzero(5)
+        assert total_cost(set(classes), 1000, bases) == 2_186_092
 
 
 class TestSumSideStandard:
@@ -342,6 +439,18 @@ class TestAlpha:
         for n in range(1, order):
             total = total + alpha_closed_form(modulus, n, order)
         assert total == sum_side_glaisher(modulus, order)
+
+    @pytest.mark.parametrize("modulus", range(2, 8))
+    def test_closed_form_equals_the_untrimmed_product(self, modulus):
+        """The closed form is computed up to its degree (M-1)n(n+1)/2 and
+        padded; below that order it is truncated like any series."""
+        for n in range(13):
+            degree = (modulus - 1) * n * (n + 1) // 2
+            for order in (degree // 2 + 1, degree + 1, degree + 5):
+                closed = alpha_closed_form(modulus, n, order)
+                assert closed == alpha_term(modulus, n, order), (n, order)
+                if order > degree:
+                    assert closed.coefficient(degree) != 0
 
     def test_recurrence_requires_all_lower_terms(self):
         with pytest.raises(ValueError):

@@ -428,7 +428,7 @@ class TestRunScopedSeries:
         count("product_side", lambda rc, order: ("product", rc, order))
         count(
             "_product_side_by_complement",
-            lambda rc, all_parts: ("product", rc, all_parts.order),
+            lambda rc, base_series, base=None: ("product", rc, base_series.order),
         )
         count("_all_parts", lambda order: ("all parts", order))
         count("sum_side_glaisher", lambda modulus, order: ("glaisher", modulus, order))
@@ -437,13 +437,16 @@ class TestRunScopedSeries:
     def expected_builds(self):
         """Catalog classes at the analytic order and at the counting bound.
         The divide-by-M identities have no interpretations to count, so their
-        sides are needed only at the analytic order."""
+        sides are needed only at the analytic order.  At both orders the
+        planner also builds the all-parts series and the parts not divisible
+        by 8 and by 10 as bases of other product sides."""
         catalog = {e.product for e in default_catalog().entries()} - {None}
         moduli = range(2, 8)
         orders = (self.ORDER, self.WEIGHT + 1)
         return (
             {("product", rc, order) for rc in catalog for order in orders}
             | {("product", ResidueClass.nonzero(m), self.ORDER) for m in moduli}
+            | {("product", ResidueClass.nonzero(d), o) for d in (8, 10) for o in orders}
             | {("all parts", order) for order in orders}
             | {("glaisher", m, self.ORDER) for m in moduli}
         )
@@ -463,9 +466,11 @@ class TestRunScopedSeries:
 
     def test_no_input_outlives_its_last_reader(self, monkeypatch):
         """Record the shared inputs still alive as each row starts.  An input
-        a row reads is alive from its first reader to its last; an all-parts
-        series, from just before the first product side built from it until
-        the last one is built."""
+        is built just before its first use, the first row that reads it or
+        the build of the first input built from it, and dropped after its
+        last: it is alive through the last row that reads it, and until the
+        row before which the last input built from it is built.  Bases are
+        followed to any depth; the plan has chains of three."""
         alive = {}
 
         class Counts(list):
@@ -484,7 +489,7 @@ class TestRunScopedSeries:
         track("product_side", lambda rc, order: ("product", rc, order))
         track(
             "_product_side_by_complement",
-            lambda rc, all_parts: ("product", rc, all_parts.order),
+            lambda rc, base_series, base=None: ("product", rc, base_series.order),
         )
         track("_all_parts", lambda order: ("all parts", order))
         track("sum_side_glaisher", lambda modulus, order: ("glaisher", modulus, order))
@@ -513,20 +518,116 @@ class TestRunScopedSeries:
         assert run_suite(None, self.ORDER, self.WEIGHT).passed
 
         plan = plan_checks(None, self.ORDER, self.WEIGHT, default_catalog())
-        readers, builders = {}, {}
+        readers, built_from = {}, {}
+        pending = []
         for row, check in enumerate(plan):
             for shared in check.inputs:
                 readers.setdefault(shared.key, []).append(row)
-                for need in shared.needs:
-                    builders.setdefault(need.key, []).append(readers[shared.key][0])
+                pending.append(shared)
+        while pending:
+            shared = pending.pop()
+            for need in shared.needs:
+                if shared.key not in built_from.setdefault(need.key, set()):
+                    built_from[need.key].add(shared.key)
+                    pending.append(need)
+
+        def first_use(key):
+            return min(readers.get(key, []) + [first_use(k) for k in built_from.get(key, ())])
+
+        def depth(key):
+            return max((1 + depth(k) for k in built_from.get(key, ())), default=0)
+
+        assert max(map(depth, built_from)) == 3
+        keys = readers.keys() | built_from.keys()
         assert len(live_at_rows) == len(plan)
         for row, live in enumerate(live_at_rows):
-            assert live == (
-                {key for key, rows in readers.items() if rows[0] <= row <= rows[-1]}
-                | {key for key, rows in builders.items() if min(rows) <= row < max(rows)}
-            ), plan[row]
+            assert live == {
+                key
+                for key in keys
+                if first_use(key) <= row
+                and (
+                    row <= max(readers.get(key, [-1]))
+                    or row < max((first_use(k) for k in built_from.get(key, ())), default=-1)
+                )
+            }, plan[row]
         # and nothing is held once the run is over
         assert all(ref() is None for ref in alive.values())
+
+
+def product_inputs(plan):
+    """Every product side input the rows of ``plan`` read, and every input
+    one is built from, by key."""
+    found = {}
+    pending = [shared for check in plan for shared in check.inputs]
+    while pending:
+        shared = pending.pop()
+        if shared.key[0] in ("product", "all parts") and shared.key not in found:
+            found[shared.key] = shared
+            pending += shared.needs
+    return found
+
+
+class TestProductSideBases:
+    """The planner may build a product side from another series that allows
+    every part size it allows: the all-parts series, another product side of
+    the plan, or that of the parts not divisible by some d."""
+
+    @pytest.mark.parametrize("order", (31, 61, 200))
+    def test_every_product_side_equals_the_direct_product(self, order):
+        inputs = product_inputs(plan_checks(None, order, 8, default_catalog()))
+        built = {}
+
+        def build(shared):
+            if shared.key not in built:
+                built[shared.key] = shared.build(*map(build, shared.needs))
+            return built[shared.key]
+
+        assert any(shared.needs for shared in inputs.values())
+        for key, shared in inputs.items():
+            if key[0] == "product":
+                assert build(shared) == product_side(key[1], key[2]), key
+
+    def test_build_work_is_at_most_four_fifths_of_the_old_rule(self):
+        """Coefficient updates of the planned product builds at
+        (1000, 8), counted from the plan without building anything, against
+        the rule they replace: a class that allows more than half the sizes
+        below the order is built from the all-parts series, any other
+        directly.  ``1/(1-q^k)`` costs ``order`` updates when k*k <= order
+        and ``order - k`` otherwise, and ``(1-q^k)`` costs ``order - k``."""
+
+        def allowed(key, k):
+            return key[0] == "all parts" or key[1].allows(k)
+
+        def direct(key, order):
+            return sum(order if k * k <= order else order - k
+                       for k in range(1, order) if allowed(key, k))
+
+        def complement(key, base, order):
+            return sum(order - k for k in range(1, order)
+                       if allowed(base, k) and not allowed(key, k))
+
+        plan = plan_checks(None, 1000, 8, default_catalog())
+        planned = 0
+        for key, shared in product_inputs(plan).items():
+            if shared.needs:
+                (base,) = shared.needs
+                planned += complement(key, base.key, key[-1])
+            else:
+                planned += direct(key, key[-1])
+        read = {s.key for check in plan for s in check.inputs if s.key[0] == "product"}
+        old = 0
+        for order in {key[2] for key in read}:
+            every = ("all parts", order)
+            dense = False
+            for key in (key for key in read if key[2] == order):
+                if 2 * sum(allowed(key, k) for k in range(1, order)) > order - 1:
+                    old += complement(key, every, order)
+                    dense = True
+                else:
+                    old += direct(key, order)
+            if dense:
+                old += direct(every, order)
+        assert planned <= 0.8 * old, (planned, old)
 
 
 class TestRunScopedCounts:
