@@ -32,6 +32,7 @@ from .profiles import (
 )
 from .series import (
     ResidueClass,
+    SumTerminationError,
     alpha_closed_form,
     euler_distinct_sum,
     product_side,
@@ -306,7 +307,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UnknownNameError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN_NAME
-    except ValueError as exc:
+    except (ValueError, SumTerminationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

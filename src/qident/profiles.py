@@ -17,7 +17,13 @@ from importlib import resources
 from pathlib import Path
 
 from .partitions import ChainConstraint, GapBound, count_chain_by_weight
-from .series import ResidueClass, SumTerminationError, TruncatedSeries, sum_side_standard
+from .series import (
+    ResidueClass,
+    SumTerminationError,
+    TruncatedSeries,
+    _standard_terms,
+    _sum_terms,
+)
 
 __all__ = [
     "UnknownNameError",
@@ -480,16 +486,19 @@ def profile_series(family: ProfileFamily, order: int) -> TruncatedSeries:
     """Sum over all branch terms of q^{min_weight(n)}/((1-q)...(1-q^{slots(n)})).
 
     Identical for every profile sharing the same slot-count and weight rules;
-    the offsets do not enter.
+    the offsets do not enter.  Each branch's terms are scanned and checked
+    as ``sum_side_standard`` scans them, and the terms of all branches are
+    summed in one pass sorted by exponent, so one running 1/(q)_u serves
+    every branch.
     """
-    total: TruncatedSeries | None = None
-    for branch in family.branches:
-        part = sum_side_standard(
-            branch.declared_weight, branch.slot_count, order, start=branch.n_min
-        )
-        total = part if total is None else total + part
-    assert total is not None
-    return total
+    return _sum_terms(
+        sorted(
+            term
+            for b in family.branches
+            for term in _standard_terms(b.declared_weight, b.slot_count, order, b.n_min)
+        ),
+        order,
+    )
 
 
 def profile_chain_counts(family: ProfileFamily, max_weight: int) -> list[int]:

@@ -3,51 +3,48 @@ with builders for the product and sum sides of partition identities.
 
 Coefficients are plain Python ints, so there is no precision ceiling; every
 value carries its truncation order explicitly and mixed-order arithmetic
-truncates to the shorter operand.  There is no general series division:
-reciprocals such as 1/((1-q)(1-q^2)...(1-q^n)) are assembled by multiplying
-geometric expansions of 1/(1-q^k), and ratios like (q^n - q^{nM})/(1-q^n) are
-expanded symbolically as polynomials.
+truncates to the shorter operand.  There is one series division, the exact
+reciprocal ``_reciprocal`` of a series with constant term 1, which sums over
+the nonzero terms of that series only; every other reciprocal, such as
+1/((1-q)...(1-q^n)), multiplies geometric expansions of 1/(1-q^k), and
+ratios like (q^n - q^{nM})/(1-q^n) are expanded as polynomials.
 
 Every multiplication by one factor runs in place on a list of coefficients
 through two kernels, ``_geometric`` for 1/(1-q^k) and ``_one_minus`` for
 (1-q^k), and every shifted addition is one slice assignment such as
-``total[n:] = map(add, total[n:], run)``.  So a factor costs a few C-level
-slice operations rather than a Python statement per coefficient.
+``total[n:] = map(add, total[n:], run)``: a few C-level slice operations per
+factor, not a Python statement per coefficient.
 
-``sum_side_standard`` carries one running factor across its terms and trims
-it to ``order - w`` before a term of exponent w, since nothing beyond that
-index reaches the result.  ``sum_side_glaisher`` and ``euler_distinct_sum``
-instead nest their sums from the top (Horner form): working from the last
-term down, each step shifts the inner sum by q, adds the new term's leading
-monomials in O(1), and multiplies by the step's factors in place.  The inner
-sum after step n is needed only below ``order - n``, so it starts empty and
-grows by one coefficient per step, and no step adds a long slice into a
-total.
+``sum_side_standard`` carries one running factor across its terms
+(``_sum_terms``), trimmed to ``order - w`` before a term of exponent w.
+``sum_side_glaisher`` and ``euler_distinct_sum`` nest their sums from the
+last term down (Horner form), the inner sum growing by one coefficient per
+step, so no step adds a long slice into a total.
 
-``product_side`` multiplies one 1/(1-q^k) per allowed part size.  A private
-route, ``_product_side_by_complement``, starts instead from the product side
-of a base class that allows every size the class allows below the order,
-the all-parts series 1/((1-q)...(1-q^{order-1})) being the base that allows
-every size, and multiplies one (1-q^k) per size the base allows and the
-class does not, exact mod q^order.  ``_product_bases`` picks for a set of
-classes at one order the base of each, among the all-parts series, the
-other classes and the classes of parts not divisible by some d, by counting
-the coefficient updates each route makes.  Its costs are sums of
-arithmetic progressions, one per residue, and its superset tests compare
-bit masks of one common period of the moduli, built by arithmetic: neither
-scans the part sizes up to the order.  ``qident.verify`` builds each base
-once per run and shares it.
+``product_side`` multiplies one 1/(1-q^k) per allowed part size.  Private
+routes build the same series below the order from others:
+``_product_side_by_complement`` from the product side of a base that allows
+every size the class allows, times (1-q^k) per size only the base allows;
+``_product_side_by_dilation`` the parts not divisible by d as the all-parts
+series times E(q^d), E the Euler product (1-q)(1-q^2)... (``_euler``),
+whose nonzero terms are few, so ``_times_dilated`` makes few passes; and
+the all-parts series itself as 1/E.  ``_product_bases`` picks the routes
+for a set of classes at one order by estimated coefficient updates and
+kernel passes, from sums of arithmetic progressions and bit masks of one
+period of the moduli, never scanning the sizes up to the order.
 
 The n-th term polynomial of the divide-by-M family has degree
 (M-1)n(n+1)/2, so ``alpha_closed_form`` works on no more coefficients than
 that and pads with zeros.
 """
 
-from collections.abc import Callable, Iterable
+from bisect import bisect_left
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import accumulate
+from functools import partial
+from itertools import accumulate, count, repeat
 from math import isqrt, lcm
-from operator import add, sub
+from operator import add, mul, sub
 
 __all__ = [
     "SumTerminationError",
@@ -141,6 +138,40 @@ def _one_minus(c: list[int], k: int) -> None:
     c[k:] = map(sub, c[k:], c[:-k])
 
 
+def _times_dilated(c: list[int], b: Sequence[int], d: int) -> list[int]:
+    """``c`` times b(q^d) below len(c), d >= 1: one shifted pass of ``c`` per
+    nonzero coefficient of ``b`` that lands below len(c), zeros skipped.
+    Exact for any ``b``; a sparse one is cheap."""
+    n = len(c)
+    out = [0] * n
+    for j, x in enumerate(b[: (n - 1) // d + 1]):
+        e = j * d
+        if x in (1, -1):
+            out[e:] = map(add if x == 1 else sub, out[e:], c[: n - e])
+        elif x:
+            out[e:] = map(add, out[e:], map(mul, c[: n - e], repeat(x)))
+    return out
+
+
+def _reciprocal(series: TruncatedSeries) -> TruncatedSeries:
+    """1/series for a constant term of 1: each coefficient is minus the sum
+    of c_j times the one j below it, over the nonzero c_j alone.  Exact for
+    any such series; a sparse one is cheap."""
+    c = series.coefficients
+    if c[0] != 1:
+        raise ValueError("the reciprocal needs a constant term of 1")
+    n = len(c)
+    exponents = [j for j in range(1, n) if c[j]]
+    negated = [-c[j] for j in exponents]
+    out = [1] + [0] * (n - 1)
+    k = 0  # the exponents up to i
+    for i in range(1, n):
+        if k < len(exponents) and exponents[k] == i:
+            k += 1
+        out[i] = sum(map(mul, negated, map(out.__getitem__, map(i.__sub__, exponents[:k]))))
+    return TruncatedSeries(tuple(out))
+
+
 def _pochhammer_inverse_from(c: list[int], done: int, n: int) -> None:
     """Multiply ``c`` in place by 1/((1-q^{done+1})...(1-q^n)), which turns
     1/(q)_done into 1/(q)_n.  Factors with exponent at least len(c) are the
@@ -209,6 +240,29 @@ def _all_parts(order: int) -> TruncatedSeries:
     return TruncatedSeries(tuple(c))
 
 
+def _euler(order: int) -> TruncatedSeries:
+    """(1-q)(1-q^2)...(1-q^{order-1}), the Euler product E below ``order``;
+    ``_reciprocal`` of it is the all-parts series."""
+    c = list(series_one(order).coefficients)
+    for k in range(1, order):
+        _one_minus(c, k)
+    return TruncatedSeries(tuple(c))
+
+
+def _product_side_by_dilation(
+    rc: ResidueClass, all_parts: TruncatedSeries, euler: TruncatedSeries
+) -> TruncatedSeries:
+    """``product_side(rc, order)`` for ``rc`` = ``ResidueClass.nonzero(d)``
+    from the all-parts series and the Euler product E at that order: the
+    product over d not dividing k of 1/(1-q^k) is E(q^d)/E(q), the all-parts
+    series times E(q^d), exact below the order."""
+    if len(rc.residues) != rc.modulus - 1:
+        raise ValueError(f"{rc.label()} is not the class of every nonzero residue")
+    return TruncatedSeries(
+        tuple(_times_dilated(list(all_parts.coefficients), euler.coefficients, rc.modulus))
+    )
+
+
 def _product_side_by_complement(
     rc: ResidueClass, series: TruncatedSeries, base: ResidueClass | None = None
 ) -> TruncatedSeries:
@@ -225,137 +279,235 @@ def _product_side_by_complement(
     return TruncatedSeries(tuple(c))
 
 
+# The two series besides product sides that ``_product_bases`` may plan: the
+# all-parts series and the Euler product.
+_ALL, _EULER = "all parts", "euler"
+
+# Measured costs, in coefficient updates (one element of a kernel's slice
+# pass, 35-70 ns on Python 3.11): a direct factor 1/(1-q^k) costs about
+# 2 us beyond its updates (``_geometric`` makes up to sqrt(order) slice
+# passes), any other pass, or coefficient of ``_reciprocal``, about 0.5-1 us,
+# and each series built about 6 us (its list and tuple, its planned input
+# and the run's bookkeeping of it).  Planning bases costs about 0.2-0.3 ms,
+# and can save no more than building every class directly costs.
+_FACTOR = 50
+_PASS = 20
+_BUILD = 150
+_PLAN = 5_000
+
+
 def _cost_terms(
     rc: ResidueClass | None, order: int, small: int, period: int
-) -> tuple[int, int, int]:
+) -> tuple[int, int, int, int]:
     """Cost terms of the sizes ``rc`` allows (None allows every size): the
     sum of ``order - k`` over the allowed sizes k below ``order``, the sum of
-    those up to ``small``, and the allowed sizes below ``period`` as the bits
-    of an int.  Each residue's sizes form an arithmetic progression, and the
-    bits are one period of residue bits times the repunit that repeats it."""
+    those up to ``small``, their number, and the allowed sizes below
+    ``period`` as the bits of an int.  Each residue's sizes form an
+    arithmetic progression, and the bits are one period of residue bits
+    times the repunit that repeats it."""
     if rc is None:
         low = small * (small + 1) // 2
-        return order * (order - 1) // 2, low, (1 << period) - 2
+        return order * (order - 1) // 2, low, order - 1, (1 << period) - 2
     m = rc.modulus
-    weight = low = bits = 0
+    weight = low = sizes = bits = 0
     for r in rc.residues:
         bits |= 1 << r
         if r < order:
             c = (order - 1 - r) // m + 1
             weight += c * (order - r) - m * c * (c - 1) // 2
+            sizes += c
         if r <= small:
             c = (small - r) // m + 1
             low += c * r + m * c * (c - 1) // 2
     repunit = ((1 << m * -(-period // m)) - 1) // ((1 << m) - 1)
-    return weight, low, bits * repunit & ((1 << period) - 1)
+    return weight, low, sizes, bits * repunit & ((1 << period) - 1)
+
+
+def _nonzero_terms(
+    d: int, every: tuple[int, int, int, int], order: int, small: int, period: int
+) -> tuple[int, int, int, int]:
+    """``_cost_terms`` of ``ResidueClass.nonzero(d)`` from ``every``, those of
+    the all-parts series: less the multiples of d, an arithmetic progression
+    whose bits below ``period`` are a repunit."""
+    c, t = (order - 1) // d, small // d
+    multiples = ((1 << d * -(-period // d)) - 1) // ((1 << d) - 1)
+    weight, low, sizes, mask = every
+    return (
+        weight - c * order + d * c * (c + 1) // 2,
+        low - d * t * (t + 1) // 2,
+        sizes - c,
+        mask & ~multiples,
+    )
+
+
+def _pentagonal(order: int) -> list[int]:
+    """The generalized pentagonal numbers k(3k-1)/2 and k(3k+1)/2 below
+    ``order``, ascending from 0: where Euler's pentagonal theorem puts the
+    nonzero coefficients of the Euler product.  The planner's estimates
+    count them; no series is built from them."""
+    out, k = [0], 1
+    while (e := k * (3 * k - 1) // 2) < order:
+        out += [e, e + k] if e + k < order else [e]
+        k += 1
+    return out
 
 
 def _product_bases(
     classes: Iterable[ResidueClass], order: int
-) -> dict[ResidueClass, ResidueClass | None]:
-    """The base series each product side of ``classes`` at ``order`` is
-    cheapest to build from, counting coefficient updates.
+) -> dict[ResidueClass | str, ResidueClass | str | None]:
+    """How to build the product sides of ``classes`` at ``order`` for the
+    fewest estimated coefficient updates and kernel passes: every series to
+    build, mapped to what it is built from.
 
-    ``product_side`` costs, per allowed size k, ``order`` updates when
-    k*k <= order and ``order - k`` otherwise (``_geometric``'s two branches).
-    ``_product_side_by_complement`` from a base that covers the class costs
-    ``order - k`` per size k the base allows and the class does not, which
-    is the difference of the two classes' sums of ``order - k`` over their
-    allowed sizes.  A base is another of the classes or an extra series: the
-    all-parts series, or the product side of ``ResidueClass.nonzero(d)`` for
-    a d below the order dividing one of the moduli.  Each extra, the
-    all-parts series first and then by rising d, is kept when it lowers the
-    total cost.
+    None is a direct build (``product_side``, or ``_all_parts`` for
+    ``_ALL``, or ``_euler`` for ``_EULER``).  Another key is a base that
+    allows every size its class allows below the order, for
+    ``_product_side_by_complement``.  ``_EULER`` is the Euler route: 1/E
+    for ``_ALL``, and the all-parts series times E(q^d) for a class
+    ``ResidueClass.nonzero(d)``.
 
-    Returns the base of each class built from one, None for the all-parts
-    series; a kept extra is a key or a base too.  What is no key, the
-    all-parts series included, is built directly.  A base allows every size
-    its class allows, and is the first of any that allow the same sizes, so
-    no class is built from itself.
+    A direct factor 1/(1-q^k) costs ``order`` updates when k*k <= order and
+    ``order - k`` otherwise, plus ``_FACTOR``; a factor (1-q^k) costs
+    ``order - k``, a pass of the Euler route ``order - e`` for each exponent
+    e of E(q^d) below the order, and 1/E ``order - e`` for each exponent of
+    E below each coefficient, each plus ``_PASS``.  The all-parts series
+    (alone or with E) and then the classes ``ResidueClass.nonzero(d)`` for
+    each d below the order dividing a modulus, by rising d, are added when
+    they save more than they cost, ``_BUILD`` each included.  Nothing is
+    planned when building every class directly costs less than planning,
+    ``_PLAN``.  Of bases that allow the same sizes the first is the base of
+    the others, so no class is built from itself.
     """
     classes = dict.fromkeys(classes)
     moduli = {rc.modulus for rc in classes}
-    # nonzero(d) for d >= order allows every size below it, as all parts does
-    extras = [None] + [
-        nz
-        for d in range(2, min(max(moduli, default=1) + 1, order))
-        if any(m % d == 0 for m in moduli)
-        and (nz := ResidueClass.nonzero(d)) not in classes
-    ]
-    nodes = [*extras, *classes]
     small = min(isqrt(order), order - 1)
     # every class repeats with this period, so the sizes below it decide
     period = min(order, lcm(*moduli))
-    terms = [_cost_terms(rc, order, small, period) for rc in nodes]
-    weight = [w for w, _, _ in terms]
+    every = _cost_terms(None, order, small, period)
+    terms = [_cost_terms(rc, order, small, period) for rc in classes]
+    if sum(w + low + _FACTOR * n for w, low, n, _ in terms) < _PLAN:
+        return dict.fromkeys(classes)
+    # the d of each class of every nonzero residue mod d
+    nonzero = [rc.modulus if len(rc.residues) == rc.modulus - 1 else 0 for rc in classes]
+    # nonzero(d) for d >= order allows every size below it, as all parts does
+    extras = sorted(
+        {d for m in moduli for d in range(2, min(m + 1, order)) if not m % d} - {*nonzero}
+    )
+    nodes = [_ALL, *extras, *classes, _EULER]
+    nonzero[:0] = [1, *extras]  # all parts is nonzero(1)
+    terms[:0] = [every, *(_nonzero_terms(d, every, order, small, period) for d in extras)]
+    weight, _, sizes, mask = map(list, zip(*terms))
+    euler = len(terms)
+    # the Euler route's passes, by how many exponents of E lie below a bound
+    pentagonal = _pentagonal(order)
+    below = [0, *accumulate(pentagonal)]
+
+    def euler_route(d: int) -> int:
+        """The cost of the all-parts series times E(q^d), or for d = 1 of
+        1/E: a pass per exponent of E(q^d) below the order, or every term
+        of E below each coefficient."""
+        n = bisect_left(pentagonal, -(-order // d))
+        if d == 1:
+            return (n - 1) * order - below[n] + _PASS * (order - 1)
+        return n * (order + _PASS) - d * below[n]
+
+    direct = {euler: order * (order - 1) // 2 + _PASS * (order - 1)}
+    options: dict[int, list[tuple[int, int]]] = {euler: []}
+    users: dict[int, list[tuple[int, int]]] = {}
     # A base allows every size of what it builds, so it weighs more, or as
     # much when the two allow the same sizes; of those, the first in this
     # rank, the all-parts series first, is the base of the others.
-    rank = sorted(range(len(nodes)), key=weight.__getitem__, reverse=True)
-    direct, options, users = {}, {}, {}
+    rank = sorted(range(euler), key=weight.__getitem__, reverse=True)
+    first = len(extras) + 1  # the first class
     for at, i in enumerate(rank):
-        w, low, mask = terms[i]
-        direct[i] = w + low
-        # the bases that build node i for less than directly, cheapest first
-        options[i] = sorted(
-            (weight[j] - w, j)
-            for j in rank[:at]
-            if weight[j] - w < w + low and not mask & ~terms[j][2]
-        )
-        for c, j in options[i]:
-            users.setdefault(j, []).append((c, i))
+        w, c, m = weight[i], sizes[i], mask[i]
+        direct[i] = w + terms[i][1] + _FACTOR * c
+        # the cheapest route from a class, always built, or direct (-1); then
+        # the routes from extras that beat it, cheapest first
+        settled = (direct[i], -1)
+        extra = []
+        for j in rank[:at]:
+            if not m & ~mask[j]:
+                route = (weight[j] - w + _PASS * (sizes[j] - c), j)
+                if j < first:
+                    extra.append(route)
+                elif route < settled:
+                    settled = route
+        if nonzero[i]:
+            extra.append((euler_route(nonzero[i]), euler))
+        options[i] = opts = sorted(r for r in extra if r < settled)
+        for cost_ij, j in opts:
+            users.setdefault(j, []).append((cost_ij, i))
+        if settled[1] >= 0:
+            opts.append(settled)
 
-    built = set(range(len(extras), len(nodes)))
+    built = set(range(first, euler))
 
     def cheapest(i: int) -> tuple[int, int | None]:
         return next(((c, j) for c, j in options[i] if j in built), (direct[i], None))
 
+    def gain(added: tuple[int, ...]) -> tuple[int, dict[int, int]]:
+        """What building ``added`` too saves, net of its cost, and the new
+        cost of each node it builds or builds for less."""
+        built.update(added)
+        new = {i: cheapest(i)[0] + _BUILD for i in added}
+        for j in added:
+            for c, i in users.get(j, ()):
+                if i in built and i not in added and c < new.get(i, cost[i]):
+                    new[i] = c
+        built.difference_update(added)
+        return sum(cost.get(i, 0) - c for i, c in new.items()), new
+
     cost = {i: cheapest(i)[0] for i in built}
-    for x in range(len(extras)):
-        saved = sum(cost[i] - c for c, i in users.get(x, ()) if i in built and c < cost[i])
-        if (own := cheapest(x)[0]) < saved:
-            built.add(x)
-            cost[x] = own
-            for c, i in users.get(x, ()):
-                if i in built and c < cost[i]:
-                    cost[i] = c
+    # the all-parts series alone or with E, then each nonzero(d) by rising d
+    for choices in ([(0,), (0, euler)], *([(x,)] for x in range(1, len(extras) + 1))):
+        saved, new = max(map(gain, choices), key=lambda g: g[0])
+        if saved > 0:
+            built.update(new)
+            cost.update(new)
+    for i in built & set(range(1, len(extras) + 1)):
+        nodes[i] = ResidueClass.nonzero(nodes[i])
     return {
-        nodes[i]: nodes[j] for i in built if (j := cheapest(i)[1]) is not None
+        nodes[i]: None if j is None else nodes[j]
+        for i in built
+        for j in (cheapest(i)[1],)
     }
+
+
+def _product_routes(
+    classes: Iterable[ResidueClass], order: int
+) -> dict[ResidueClass | str, tuple[Callable, tuple[ResidueClass | str, ...]]]:
+    """Every series ``_product_bases`` plans for ``classes`` at ``order``,
+    mapped to the function that builds it from the series it needs, and
+    those, in the order the function takes them."""
+    routes = {}
+    for node, base in _product_bases(classes, order).items():
+        if base is None:
+            direct = {_ALL: _all_parts, _EULER: _euler}.get(node) or partial(product_side, node)
+            routes[node] = (partial(direct, order), ())
+        elif base is _EULER and node is _ALL:
+            routes[node] = (_reciprocal, (_EULER,))
+        elif base is _EULER:
+            routes[node] = (partial(_product_side_by_dilation, node), (_ALL, _EULER))
+        else:
+            routes[node] = (
+                partial(_product_side_by_complement, node, base=None if base is _ALL else base),
+                (base,),
+            )
+    return routes
 
 
 _MAX_TERMS = 10_000
 
 
-def sum_side_standard(
-    min_weight: Callable[[int], int],
-    slots: Callable[[int], int],
-    order: int,
-    *,
-    start: int = 0,
-) -> TruncatedSeries:
-    """Sum over n of q^{min_weight(n)} / ((1-q)...(1-q^{slots(n)})).
-
-    The scan starts at ``start`` and stops at the first n whose exponent
-    reaches the truncation order.  Exponents must be nondecreasing over the
-    scanned range (a decrease raises ValueError), and a scan that stays below
-    the order for more than 10,000 values of n raises
-    SumTerminationError instead of looping forever.
-
-    One running 1/(q)_u is carried across the terms.  A term of exponent w
-    needs it only below ``order - w``, and w never decreases, so it is trimmed
-    to that length and extended by the factors the new slot count adds.  When
-    the slot count drops it restarts from 1 and is rebuilt the same way.
-    """
-    if order < 1:
-        raise ValueError("truncation order must be at least 1")
-    total = [0] * order
-    run = list(series_one(order).coefficients)  # 1/(q)_have, exact below len(run)
-    have = 0
+def _standard_terms(
+    min_weight: Callable[[int], int], slots: Callable[[int], int], order: int, start: int
+) -> Iterator[tuple[int, int]]:
+    """The exponent and slot count of each term n = start, start + 1, ...
+    below ``order``, checked as ``sum_side_standard`` documents: it stops at
+    the first exponent that reaches the order."""
     previous = None
-    n = start
-    scanned = 0
-    while True:
+    for scanned, n in enumerate(count(start)):
         if scanned > _MAX_TERMS:
             raise SumTerminationError(
                 f"exponent stayed below order {order} for more than "
@@ -371,17 +523,52 @@ def sum_side_standard(
                 f"after {previous}"
             )
         if w >= order:
-            break
+            return
         previous = w
+        yield w, u
+
+
+def _sum_terms(terms: Iterable[tuple[int, int]], order: int) -> TruncatedSeries:
+    """Sum of q^w / ((1-q)...(1-q^u)) over the (w, u) of ``terms``, whose
+    exponents w are nondecreasing and below ``order``.
+
+    One running 1/(q)_u is carried across the terms.  A term of exponent w
+    needs it only below ``order - w``, and w never decreases, so it is trimmed
+    to that length and extended by the factors the new slot count adds.  When
+    the slot count drops it restarts from 1 and is rebuilt the same way.
+    """
+    if order < 1:
+        raise ValueError("truncation order must be at least 1")
+    total = [0] * order
+    run = list(series_one(order).coefficients)  # 1/(q)_have, exact below len(run)
+    have = 0
+    for w, u in terms:
         del run[order - w :]
         if u < have:
             run, have = [1] + [0] * (order - w - 1), 0
         _pochhammer_inverse_from(run, have, u)
         have = u
         total[w:] = map(add, total[w:], run)
-        n += 1
-        scanned += 1
     return TruncatedSeries(tuple(total))
+
+
+def sum_side_standard(
+    min_weight: Callable[[int], int],
+    slots: Callable[[int], int],
+    order: int,
+    *,
+    start: int = 0,
+) -> TruncatedSeries:
+    """Sum over n of q^{min_weight(n)} / ((1-q)...(1-q^{slots(n)})).
+
+    The scan starts at ``start`` and stops at the first n whose exponent
+    reaches the truncation order.  Exponents must be nondecreasing over the
+    scanned range (a decrease raises ValueError), and a scan that stays below
+    the order for more than 10,000 values of n raises
+    SumTerminationError instead of looping forever.  The terms are summed
+    with one running 1/(q)_u (``_sum_terms``).
+    """
+    return _sum_terms(_standard_terms(min_weight, slots, order, start), order)
 
 
 def sum_side_glaisher(modulus: int, order: int) -> TruncatedSeries:

@@ -27,12 +27,12 @@ Many identities share a product side, and many interpretations share their
 term rules, so each row also declares the shared inputs it reads: product
 sides, divide-by-M sum sides, profile sum sides (keyed by the term rules of
 their branches) and profiles' chain counts at a weight bound.  A product
-side may in turn be built from a base series that allows every part size it
-allows, times (1-q^k) for each size the base allows and it does not: the
-all-parts series, another product side of the plan, or that of the parts not
-divisible by some d.  The planner picks each product side's base once per
-order, for the fewest coefficient updates (``series._product_bases``), and a
-base may have a base of its own.  ``run_suite`` builds each input once, as
+side may be built from other inputs, planned once per order by estimated
+work (``series._product_routes``): a base allowing every part size it
+allows (the all-parts series, another product side, or that of the parts
+not divisible by some d), or the all-parts series times E(q^d) for the parts
+not divisible by d, E being the Euler product, an input of its own of which
+the all-parts series may be 1/E.  ``run_suite`` builds each input once, as
 its own timed step, just before its first reader (a row, or an input built
 from it), hands it to every reader and drops it after the last; a check
 function is handed the values it compares and builds none of them.
@@ -70,10 +70,8 @@ from .profiles import (
 from .series import (
     ResidueClass,
     TruncatedSeries,
-    _all_parts,
     _alpha_from_sum,
-    _product_bases,
-    _product_side_by_complement,
+    _product_routes,
     alpha_closed_form,
     euler_distinct_sum,
     product_side,
@@ -445,26 +443,19 @@ def _product_inputs(
     classes: Sequence[ResidueClass], order: int
 ) -> dict[tuple[ResidueClass, int], _Input]:
     """The product side inputs of ``classes`` at ``order``, keyed by class
-    and order, each built from the base ``_product_bases`` picks for it, if
-    any: the all-parts series, another of the product sides, or that of a
-    class ``ResidueClass.nonzero(d)``, each an input in turn."""
-    bases = _product_bases(classes, order)
-    made: dict[ResidueClass | None, _Input] = {}
+    and order, each built the way ``_product_routes`` plans: directly, or
+    from the all-parts series, another of the product sides, that of a class
+    ``ResidueClass.nonzero(d)`` or the Euler product, each an input in
+    turn."""
+    routes = _product_routes(classes, order)
+    made: dict[ResidueClass | str, _Input] = {}
 
-    def make(rc: ResidueClass | None) -> _Input:
-        if rc not in made:
-            if rc is None:
-                made[rc] = _Input(("all parts", order), lambda: _all_parts(order))
-            elif rc not in bases:
-                made[rc] = _product_input(rc, order)
-            else:
-                base = bases[rc]
-                made[rc] = _Input(
-                    ("product", rc, order),
-                    lambda s: _product_side_by_complement(rc, s, base),
-                    (make(base),),
-                )
-        return made[rc]
+    def make(node: ResidueClass | str) -> _Input:
+        if node not in made:
+            build, needs = routes[node]
+            key = (node, order) if isinstance(node, str) else ("product", node, order)
+            made[node] = _Input(key, build, tuple(map(make, needs)))
+        return made[node]
 
     return {(rc, order): make(rc) for rc in classes}
 

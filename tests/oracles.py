@@ -12,7 +12,10 @@ walk, one weight of it, for tests of what is built on that walk.
 return its fixed points unchanged: it rebuilds every image, and
 ``glaisher_divide`` rewrites one divisible part at a time.  ``alpha_term``
 multiplies the closed-form factors as sparse polynomials over the whole
-order, where the package stops at the term's degree.
+order, where the package stops at the term's degree.  ``reciprocal`` is
+long division over every coefficient, where the package sums over the
+nonzero terms alone, and ``dilate`` spreads a series to q^d for the
+schoolbook ``multiply``.
 """
 
 from qident.partitions import Partition, _repetition_bounded_walk
@@ -31,6 +34,25 @@ def multiply(a, b):
                 y = b.coefficients[j]
                 if y:
                     out[i + j] += x * y
+    return TruncatedSeries(tuple(out))
+
+
+def reciprocal(series):
+    """1/series for a constant term of 1, truncated at its order, by long
+    division: each coefficient is what the product so far lacks there."""
+    order = series.order
+    out = [1] + [0] * (order - 1)
+    for n in range(1, order):
+        out[n] = -sum(series.coefficients[j] * out[n - j] for j in range(1, n + 1))
+    return TruncatedSeries(tuple(out))
+
+
+def dilate(series, d, order):
+    """series(q^d), truncated at ``order``."""
+    out = [0] * order
+    for j, x in enumerate(series.coefficients):
+        if j * d < order:
+            out[j * d] = x
     return TruncatedSeries(tuple(out))
 
 

@@ -472,6 +472,44 @@ class TestVerifyCommand:
         assert out == text
 
 
+class TestSumSideErrors:
+    """A sum side whose term exponents decrease, or never reach the order,
+    exits 4 on one line, from either branch of a two-branch entry, whose
+    branches are scanned together."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [("verify", "custom"), ("series", "profile-sum", "--profile", "custom", "--order", "30")],
+        ids=["verify", "profile-sum"],
+    )
+    @pytest.mark.parametrize("branch", [0, 1])
+    @pytest.mark.parametrize(
+        "min_weight, message",
+        [
+            ("5 - n", "term exponents must be nondecreasing: value"),
+            ("1", "for more than 10000 terms"),
+        ],
+        ids=["decreasing", "endless"],
+    )
+    def test_is_a_domain_error_on_one_line(
+        self, capsys, tmp_path, command, branch, min_weight, message
+    ):
+        entry = next(
+            e for e in json.loads(dump_catalog(default_catalog()))["entries"]
+            if e["name"] == "hirschhorn-1"
+        )
+        assert len(entry["branches"]) == 2
+        entry.update(name="custom", aliases=[])
+        entry.pop("identity", None)
+        entry["branches"][branch]["min_weight"] = min_weight
+        path = tmp_path / "catalog.json"
+        path.write_text(json.dumps({"entries": [entry]}), encoding="utf-8")
+        code, out, err = run(capsys, "--catalog", str(path), *command)
+        assert (code, out) == (EXIT_DOMAIN, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
+
 def custom_entry(**branch):
     """P2 as a catalog entry of its own named ``custom``, with ``branch``
     overriding its branch's fields (a None value removes the field)."""

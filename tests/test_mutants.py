@@ -7,7 +7,10 @@ it leaves every row of the modes the other oracle decides passing.  A map or
 enumeration fault must not reach the rows computed by series algebra alone
 (``analytic``, ``alpha``, ``forms``); a series fault must not reach the
 ``bijection`` or ``conjugate`` rows, and one in the sum-side Pochhammer
-factors not the ``alpha`` rows either.  A fault that no row reports,
+factors or in the Euler route of the product sides not the ``alpha`` rows
+either.  Which product sides a series kernel reaches depends on the routes
+the planner picks, so the faults in the series kernels are also planted
+together, and must then reach every row with a series side.  A fault that no row reports,
 or that leaks across, shows that a fast path has lost its check or that the
 two oracles share code.
 """
@@ -21,6 +24,7 @@ import qident.partitions as partitions
 import qident.series as series
 from qident.partitions import Partition
 from qident.profiles import default_catalog
+from qident.series import TruncatedSeries
 from qident.verify import plan_checks, run_suite
 
 ORDER, WEIGHT = 30, 13
@@ -125,6 +129,34 @@ def skips_last_block(geometric):
     return fake
 
 
+def drops_top_term(reciprocal):
+    """The reciprocal kernel ignores the highest nonzero term of the series
+    it inverts, so 1/E goes wrong from that exponent up."""
+
+    def fake(series):
+        c = list(series.coefficients)
+        top = max(j for j, x in enumerate(c) if x)
+        if top:
+            c[top] = 0
+        return reciprocal(TruncatedSeries(tuple(c)))
+
+    return fake
+
+
+def skips_top_term(times_dilated):
+    """The sparse multiply skips the highest nonzero term of b(q^d) that
+    lands below the length of the series it multiplies."""
+
+    def fake(c, b, d):
+        b = list(b[: (len(c) - 1) // d + 1])
+        top = max((j for j, x in enumerate(b) if x), default=0)
+        if top:
+            b[top] = 0
+        return times_dilated(c, b, d)
+
+    return fake
+
+
 SHAPE, WRONG_CONJUGATE = (3, 1), (2, 2)
 
 
@@ -147,6 +179,10 @@ def glaisher_rows(*modes):
 def plan_rows(*modes):
     """Every planned row of ``modes``."""
     return {(c.identity, c.mode, c.subject) for c in PLAN if c.mode in modes}
+
+
+# every row with a series side
+SERIES_ROWS = plan_rows("analytic", "alpha", "forms", "combinatorial", "equinumerosity")
 
 
 def catalog_rows(*modes):
@@ -221,15 +257,39 @@ FAULTS = {
         },
         {"bijection", "conjugate", "alpha"},
     ),
-    # every series builder except the alpha recurrence multiplies through
-    # the 1/(1-q^k) kernel, and at this order every k >= 6 takes the block
-    # branch, so each row with a series side fails (measured)
+    # every series build except the alpha recurrence and the Euler route
+    # multiplies through the 1/(1-q^k) kernel, and at this order every k >= 6
+    # takes the block branch; the sum sides and the product sides at the
+    # counting bound, built directly, still reach each row with a series
+    # side (measured)
     "geometric kernel skips its last block": (
         series, ("_geometric",), skips_last_block,
-        plan_rows("analytic", "alpha", "forms", "combinatorial", "equinumerosity"),
+        SERIES_ROWS,
         {"bijection", "conjugate"},
     ),
+    # at the analytic order the all-parts series is 1/E, and every product
+    # side there is built from it (measured)
+    "reciprocal ignores the top term of E": (
+        series, ("_reciprocal",), drops_top_term,
+        plan_rows("analytic") | {("glaisher-2", "forms", "")},
+        {"bijection", "conjugate", "alpha"},
+    ),
+    # at the analytic order the all-parts series times E(q^d) builds the
+    # parts not divisible by 6 and by 7, and those by 3 come from the former
+    # (measured)
+    "dilation skips the top term of E(q^d)": (
+        series, ("_times_dilated",), skips_top_term,
+        {(f"glaisher-{m}", "analytic", "") for m in (3, 6, 7)},
+        {"bijection", "conjugate", "alpha"},
+    ),
 }
+
+# the faults in the series kernels, which together reach every series row
+SERIES_KERNEL_FAULTS = (
+    "geometric kernel skips its last block",
+    "reciprocal ignores the top term of E",
+    "dilation skips the top term of E(q^d)",
+)
 
 
 def mismatched_rows(summary):
@@ -250,4 +310,16 @@ def test_fault_is_caught_by_its_rows_only(monkeypatch, fault):
     mismatched = mismatched_rows(run_suite(None, ORDER, WEIGHT))
     assert expected <= mismatched, sorted(expected - mismatched)
     leaked = {row for row in mismatched if row[1] in keep_passing}
+    assert not leaked, sorted(leaked)
+
+
+def test_series_kernel_faults_together_reach_every_series_row(monkeypatch):
+    """However the planner routes the product sides, a fault in each series
+    kernel at once leaves no row with a series side passing."""
+    for fault in SERIES_KERNEL_FAULTS:
+        module, names, make_fake, _, _ = FAULTS[fault]
+        patch_everywhere(monkeypatch, module, names, make_fake)
+    mismatched = mismatched_rows(run_suite(None, ORDER, WEIGHT))
+    assert SERIES_ROWS <= mismatched, sorted(SERIES_ROWS - mismatched)
+    leaked = {row for row in mismatched if row[1] in ("bijection", "conjugate")}
     assert not leaked, sorted(leaked)

@@ -29,6 +29,15 @@ from oracles import pochhammer_inverse, shift
 CATALOG_PATH = Path(__file__).resolve().parents[1] / "src" / "qident" / "catalog.json"
 
 
+def branch_sums(branches, order):
+    """The sum side of each branch on its own, added."""
+    sums = [
+        sum_side_standard(b.declared_weight, b.slot_count, order, start=b.n_min)
+        for b in branches
+    ]
+    return sums[0] if len(sums) == 1 else sums[0] + sums[1]
+
+
 def family(name, slots, min_weight, offsets, n_min=0):
     cases = tuple(PiecewiseCase(w, v) for w, v in offsets)
     return ProfileFamily(name, (ProfileBranch("all", n_min, slots, min_weight, cases),))
@@ -254,6 +263,44 @@ class TestProfileSeries:
         got = profile_series(default_catalog().lookup("euler-staircase").profile, 30)
         expected = sum_side_standard(lambda n: (n * n + n) // 2, lambda n: n, 30)
         assert got == expected
+
+    def test_merged_scan_equals_the_sum_of_its_branches(self):
+        """Every shipped profile at every order 1..120: one scan over the
+        terms of all branches, merged by exponent, equals each branch summed
+        on its own.  A sum truncated lower is the prefix of the one at 120."""
+        for entry in default_catalog().entries():
+            branches = entry.profile.branches
+            expected = branch_sums(branches, 120)
+            for order in range(1, 121):
+                got = profile_series(entry.profile, order)
+                assert got.coefficients == expected.coefficients[:order], (entry.name, order)
+
+    @given(
+        rules=st.lists(
+            st.tuples(
+                st.integers(0, 3), st.integers(1, 4), st.integers(0, 5),
+                st.integers(0, 3), st.integers(1, 4), st.integers(0, 6),
+            ),
+            min_size=2,
+            max_size=2,
+        ),
+        order=st.integers(1, 60),
+    )
+    def test_merged_scan_with_dropping_slot_counts(self, rules, order):
+        """Two branches with exponents a*n*n + b*n + c and slot counts
+        s*(n % m) + t, which drop every m terms, and the merged scan drops
+        them again where the branches interleave: the running factor restarts
+        at each drop."""
+        branches = tuple(
+            ProfileBranch(
+                parity, 0, f"{s}*(n % {m}) + {t}", f"{a}*n*n + {b}*n + {c}",
+                (PiecewiseCase("otherwise", "0"),),
+            )
+            for parity, (a, b, c, s, m, t) in zip(("even", "odd"), rules)
+        )
+        assert profile_series(ProfileFamily("drops", branches), order) == branch_sums(
+            branches, order
+        )
 
     def test_single_term_counts_match_term_series(self):
         # one fixed index: chain counts equal q^(offset sum)/((1-q)...(1-q^u))

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import qident.series as series_module
 import qident.verify as verify_module
 from qident.profiles import (
     default_catalog,
@@ -17,7 +18,13 @@ from qident.profiles import (
     profile_chain_counts,
     profile_series,
 )
-from qident.series import ResidueClass, product_side, sum_side_glaisher
+from qident.series import (
+    ResidueClass,
+    _euler,
+    product_side,
+    sum_side_glaisher,
+    sum_side_standard,
+)
 from qident.verify import (
     Finding,
     IdentityDescriptor,
@@ -402,6 +409,27 @@ class TestOneWalkBookkeeping:
         assert len(seen) == 2 * sum(self.bounded(w, 3) for w in range(1, 9))
 
 
+# the functions that build the shared series inputs, where a run calls
+# them, and the input key of a call
+SHARED_BUILDS = (
+    (series_module, "product_side", lambda rc, order: ("product", rc, order)),
+    (
+        series_module,
+        "_product_side_by_complement",
+        lambda rc, base_series, base=None: ("product", rc, base_series.order),
+    ),
+    (
+        series_module,
+        "_product_side_by_dilation",
+        lambda rc, all_parts, euler: ("product", rc, all_parts.order),
+    ),
+    (series_module, "_all_parts", lambda order: ("all parts", order)),
+    (series_module, "_reciprocal", lambda euler: ("all parts", euler.order)),
+    (series_module, "_euler", lambda order: ("euler", order)),
+    (verify_module, "sum_side_glaisher", lambda modulus, order: ("glaisher", modulus, order)),
+)
+
+
 class TestRunScopedSeries:
     """Within one ``run_suite`` call each product side and each divide-by-M
     sum side the plan declares is built once, and dropped after the last row
@@ -411,43 +439,40 @@ class TestRunScopedSeries:
 
     @staticmethod
     def count_builds(monkeypatch):
-        """Wrap the series builders that ``qident.verify`` calls, counting
-        builds by what they build.  A product side counts alike whether it is
-        built directly or from the all-parts series."""
+        """Wrap the functions a run calls to build series, counting builds
+        by what they build.  A product side counts alike whether it is built
+        directly, from a base series or by the Euler route, and the
+        all-parts series whether directly or as 1/E."""
         builds = Counter()
 
-        def count(name, key):
-            original = getattr(verify_module, name)
+        def count(module, name, key):
+            original = getattr(module, name)
 
-            def counted(*args):
+            def counted(*args, **kwargs):
                 builds[key(*args)] += 1
-                return original(*args)
+                return original(*args, **kwargs)
 
-            monkeypatch.setattr(verify_module, name, counted)
+            monkeypatch.setattr(module, name, counted)
 
-        count("product_side", lambda rc, order: ("product", rc, order))
-        count(
-            "_product_side_by_complement",
-            lambda rc, base_series, base=None: ("product", rc, base_series.order),
-        )
-        count("_all_parts", lambda order: ("all parts", order))
-        count("sum_side_glaisher", lambda modulus, order: ("glaisher", modulus, order))
+        for module, name, key in SHARED_BUILDS:
+            count(module, name, key)
         return builds
 
     def expected_builds(self):
         """Catalog classes at the analytic order and at the counting bound.
         The divide-by-M identities have no interpretations to count, so their
-        sides are needed only at the analytic order.  At both orders the
-        planner also builds the all-parts series and the parts not divisible
-        by 8 and by 10 as bases of other product sides."""
+        sides are needed only at the analytic order.  At the analytic order
+        the planner also builds the all-parts series, from the Euler product,
+        and the parts not divisible by 8 and by 10 as bases of other product
+        sides; at the counting bound it builds every side directly."""
         catalog = {e.product for e in default_catalog().entries()} - {None}
         moduli = range(2, 8)
         orders = (self.ORDER, self.WEIGHT + 1)
         return (
             {("product", rc, order) for rc in catalog for order in orders}
             | {("product", ResidueClass.nonzero(m), self.ORDER) for m in moduli}
-            | {("product", ResidueClass.nonzero(d), o) for d in (8, 10) for o in orders}
-            | {("all parts", order) for order in orders}
+            | {("product", ResidueClass.nonzero(d), self.ORDER) for d in (8, 10)}
+            | {("all parts", self.ORDER), ("euler", self.ORDER)}
             | {("glaisher", m, self.ORDER) for m in moduli}
         )
 
@@ -470,29 +495,26 @@ class TestRunScopedSeries:
         the build of the first input built from it, and dropped after its
         last: it is alive through the last row that reads it, and until the
         row before which the last input built from it is built.  Bases are
-        followed to any depth; the plan has chains of three."""
+        followed to any depth; the plan has chains of four, from
+        the Euler product through the all-parts series and two product sides
+        to a third."""
         alive = {}
 
         class Counts(list):
             """Chain counts that a weak reference can follow."""
 
-        def track(name, key, wrap=lambda value: value):
-            original = getattr(verify_module, name)
+        def track(name, key, wrap=lambda value: value, module=verify_module):
+            original = getattr(module, name)
 
-            def tracked(*args):
-                value = wrap(original(*args))
+            def tracked(*args, **kwargs):
+                value = wrap(original(*args, **kwargs))
                 alive[key(*args)] = weakref.ref(value)
                 return value
 
-            monkeypatch.setattr(verify_module, name, tracked)
+            monkeypatch.setattr(module, name, tracked)
 
-        track("product_side", lambda rc, order: ("product", rc, order))
-        track(
-            "_product_side_by_complement",
-            lambda rc, base_series, base=None: ("product", rc, base_series.order),
-        )
-        track("_all_parts", lambda order: ("all parts", order))
-        track("sum_side_glaisher", lambda modulus, order: ("glaisher", modulus, order))
+        for module, name, key in SHARED_BUILDS:
+            track(name, key, module=module)
         track(
             "profile_series",
             lambda profile, order: ("profile sum", TestRunScopedCounts.rules(profile), order),
@@ -537,7 +559,7 @@ class TestRunScopedSeries:
         def depth(key):
             return max((1 + depth(k) for k in built_from.get(key, ())), default=0)
 
-        assert max(map(depth, built_from)) == 3
+        assert max(map(depth, built_from)) == 4
         keys = readers.keys() | built_from.keys()
         assert len(live_at_rows) == len(plan)
         for row, live in enumerate(live_at_rows):
@@ -561,7 +583,7 @@ def product_inputs(plan):
     pending = [shared for check in plan for shared in check.inputs]
     while pending:
         shared = pending.pop()
-        if shared.key[0] in ("product", "all parts") and shared.key not in found:
+        if shared.key[0] in ("product", "all parts", "euler") and shared.key not in found:
             found[shared.key] = shared
             pending += shared.needs
     return found
@@ -588,17 +610,23 @@ class TestProductSideBases:
                 assert build(shared) == product_side(key[1], key[2]), key
 
     def test_build_work_is_at_most_four_fifths_of_the_old_rule(self):
-        """Coefficient updates of the planned product builds at
-        (1000, 8), counted from the plan without building anything, against
-        the rule they replace: a class that allows more than half the sizes
-        below the order is built from the all-parts series, any other
-        directly.  ``1/(1-q^k)`` costs ``order`` updates when k*k <= order
-        and ``order - k`` otherwise, and ``(1-q^k)`` costs ``order - k``."""
+        """Coefficient updates of the planned product builds at (1000, 8),
+        counted from the plan and the nonzero terms of the Euler product E,
+        against the rule they replace: a class that allows more than half
+        the sizes below the order is built from the all-parts series, any
+        other directly.  ``1/(1-q^k)`` costs ``order`` updates when
+        k*k <= order and ``order - k`` otherwise, and ``(1-q^k)`` costs
+        ``order - k``; so E costs ``order - k`` per factor, 1/E ``order - e``
+        per exponent e >= 1 of a nonzero term of E, and the all-parts series
+        times E(q^d) ``order - e`` per exponent e of a nonzero term of
+        E(q^d)."""
 
         def allowed(key, k):
             return key[0] == "all parts" or key[1].allows(k)
 
         def direct(key, order):
+            if key[0] == "euler":
+                return sum(order - k for k in range(1, order))
             return sum(order if k * k <= order else order - k
                        for k in range(1, order) if allowed(key, k))
 
@@ -606,10 +634,19 @@ class TestProductSideBases:
             return sum(order - k for k in range(1, order)
                        if allowed(base, k) and not allowed(key, k))
 
+        def euler_route(key, order):
+            exponents = [e for e, x in enumerate(_euler(order).coefficients) if x]
+            if key[0] == "all parts":
+                return sum(order - e for e in exponents[1:])
+            d = key[1].modulus
+            return sum(order - d * e for e in exponents if d * e < order)
+
         plan = plan_checks(None, 1000, 8, default_catalog())
         planned = 0
         for key, shared in product_inputs(plan).items():
-            if shared.needs:
+            if any(need.key[0] == "euler" for need in shared.needs):
+                planned += euler_route(key, key[-1])
+            elif shared.needs:
                 (base,) = shared.needs
                 planned += complement(key, base.key, key[-1])
             else:
@@ -628,6 +665,55 @@ class TestProductSideBases:
             if dense:
                 old += direct(every, order)
         assert planned <= 0.8 * old, (planned, old)
+
+
+class TestSharedWork:
+    """Deterministic guards on the work the shared series take: one Euler
+    product per order serves every class of the parts not divisible by d,
+    and one running factor serves both branches of a profile sum."""
+
+    def test_each_nonzero_class_is_built_from_one_euler_product(self):
+        inputs = product_inputs(plan_checks(None, 1000, 8, default_catalog()))
+        assert [key for key in inputs if key[0] == "euler"] == [("euler", 1000)]
+        euler = inputs["euler", 1000]
+        assert inputs["all parts", 1000].needs == (euler,)
+        nonzero = {
+            key: shared for key, shared in inputs.items()
+            if key[0] == "product" and len(key[1].residues) == key[1].modulus - 1
+        }
+        moduli = set()
+        for (_, rc, order), shared in nonzero.items():
+            if order == 1000:
+                assert shared.needs == (inputs["all parts", 1000], euler), rc
+                moduli.add(rc.modulus)
+            else:  # the counting bound, where building directly is cheapest
+                assert shared.needs == (), rc
+        assert moduli == {2, 3, 4, 5, 6, 7, 8, 10}
+
+    def test_two_branch_profile_sums_pass_fewer_coefficients(self, monkeypatch):
+        """Coefficients passed through the slot kernel, one running
+        1/(q)_u for both branches against one per branch."""
+        passed = []
+        geometric = series_module._geometric
+
+        def counted(c, k):
+            passed.append(len(c))
+            geometric(c, k)
+
+        monkeypatch.setattr(series_module, "_geometric", counted)
+        profiles = [e.profile for e in default_catalog().entries() if len(e.profile.branches) == 2]
+        assert len(profiles) == 11
+        for profile in profiles:
+            passed.clear()
+            merged = profile_series(profile, 300)
+            together = sum(passed)
+            passed.clear()
+            sums = [
+                sum_side_standard(b.declared_weight, b.slot_count, 300, start=b.n_min)
+                for b in profile.branches
+            ]
+            assert merged == sums[0] + sums[1]
+            assert together < 0.6 * sum(passed), profile.name
 
 
 class TestRunScopedCounts:
@@ -805,8 +891,6 @@ class TestPlan:
 
         for name in (
             "product_side",
-            "_all_parts",
-            "_product_side_by_complement",
             "sum_side_glaisher",
             "profile_series",
             "profile_chain_counts",
@@ -815,6 +899,8 @@ class TestPlan:
             "certify_bijection",
         ):
             monkeypatch.setattr(verify_module, name, must_not_run)
+        for module, name, _ in SHARED_BUILDS:
+            monkeypatch.setattr(module, name, must_not_run)
         expected = []
         for line in (REFERENCE / "verify-all.txt").read_text().splitlines():
             record = json.loads(line)
