@@ -22,28 +22,23 @@ last term down (Horner form), the inner sum growing by one coefficient per
 step, so no step adds a long slice into a total.
 
 ``product_side`` multiplies one 1/(1-q^k) per allowed part size.  Private
-routes build the same series below the order from others:
-``_product_side_by_complement`` from the product side of a base that allows
-every size the class allows, times (1-q^k) per size only the base allows;
-``_product_side_by_dilation`` the parts not divisible by d as the all-parts
-series times E(q^d), E the Euler product (1-q)(1-q^2)... (``_euler``),
-whose nonzero terms are few, so ``_times_dilated`` makes few passes; and
-the all-parts series itself as 1/E.  ``_product_bases`` picks the routes
-for a set of classes at one order by estimated coefficient updates and
-kernel passes, from sums of arithmetic progressions and bit masks of one
-period of the moduli, never scanning the sizes up to the order.
+routes build the same series from Glaisher's product identity: the parts
+not divisible by d are E(q^d)/E(q), E the Euler product (1-q)(1-q^2)...
+(``_euler``), which ``_product_side_by_dilation`` builds as the all-parts
+series 1/E times the few nonzero terms of E(q^d).  A class of modulus m
+allows only parts not divisible by d, d the least divisor of m from 2 up
+that divides no allowed residue (m itself always does), and
+``_product_side_by_complement`` builds it from that series, times (1-q^k)
+per size the class does not allow.
 
 The n-th term polynomial of the divide-by-M family has degree
 (M-1)n(n+1)/2, so ``alpha_closed_form`` works on no more coefficients than
 that and pads with zeros.
 """
 
-from bisect import bisect_left
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from functools import partial
 from itertools import accumulate, count, repeat
-from math import isqrt, lcm
 from operator import add, mul, sub
 
 __all__ = [
@@ -182,13 +177,17 @@ def _pochhammer_inverse_from(c: list[int], done: int, n: int) -> None:
 
 @dataclass(frozen=True)
 class ResidueClass:
-    """Nonzero residues mod ``modulus`` marking which part sizes are allowed."""
+    """Nonzero residues mod ``modulus`` marking which part sizes are allowed.
+    The modulus and every residue must be ints (a bool is none); nothing is
+    coerced."""
 
     modulus: int
     residues: frozenset[int]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "residues", frozenset(int(r) for r in self.residues))
+        for value in (self.modulus, *self.residues):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"modulus and residues must be ints, not {value!r}")
         if self.modulus < 2:
             raise ValueError("modulus must be at least 2")
         if not self.residues:
@@ -232,14 +231,6 @@ def product_side(rc: ResidueClass, order: int) -> TruncatedSeries:
     return TruncatedSeries(tuple(c))
 
 
-def _all_parts(order: int) -> TruncatedSeries:
-    """1/((1-q)(1-q^2)...(1-q^{order-1})): partitions into parts of any size."""
-    c = list(series_one(order).coefficients)
-    for k in range(1, order):
-        _geometric(c, k)
-    return TruncatedSeries(tuple(c))
-
-
 def _euler(order: int) -> TruncatedSeries:
     """(1-q)(1-q^2)...(1-q^{order-1}), the Euler product E below ``order``;
     ``_reciprocal`` of it is the all-parts series."""
@@ -264,237 +255,18 @@ def _product_side_by_dilation(
 
 
 def _product_side_by_complement(
-    rc: ResidueClass, series: TruncatedSeries, base: ResidueClass | None = None
+    rc: ResidueClass, series: TruncatedSeries, base: ResidueClass
 ) -> TruncatedSeries:
     """``product_side(rc, series.order)`` from ``series``, the product side of
-    ``base`` at that order (the all-parts series ``_all_parts(order)`` for
-    None), when ``base`` allows every part size below the order that ``rc``
-    allows: ``series`` times (1 - q^k) for every size k that ``base`` allows
-    and ``rc`` does not, which cancels its factor 1/(1 - q^k) exactly below
-    the order."""
+    ``base`` at that order, when ``base`` allows every part size below the
+    order that ``rc`` allows: ``series`` times (1 - q^k) for every size k
+    that ``base`` allows and ``rc`` does not, which cancels its factor
+    1/(1 - q^k) exactly below the order."""
     c = list(series.coefficients)
     for k in range(1, len(c)):
-        if (base is None or base.allows(k)) and not rc.allows(k):
+        if base.allows(k) and not rc.allows(k):
             _one_minus(c, k)
     return TruncatedSeries(tuple(c))
-
-
-# The two series besides product sides that ``_product_bases`` may plan: the
-# all-parts series and the Euler product.
-_ALL, _EULER = "all parts", "euler"
-
-# Measured costs, in coefficient updates (one element of a kernel's slice
-# pass, 35-70 ns on Python 3.11): a direct factor 1/(1-q^k) costs about
-# 2 us beyond its updates (``_geometric`` makes up to sqrt(order) slice
-# passes), any other pass, or coefficient of ``_reciprocal``, about 0.5-1 us,
-# and each series built about 6 us (its list and tuple, its planned input
-# and the run's bookkeeping of it).  Planning bases costs about 0.2-0.3 ms,
-# and can save no more than building every class directly costs.
-_FACTOR = 50
-_PASS = 20
-_BUILD = 150
-_PLAN = 5_000
-
-
-def _cost_terms(
-    rc: ResidueClass | None, order: int, small: int, period: int
-) -> tuple[int, int, int, int]:
-    """Cost terms of the sizes ``rc`` allows (None allows every size): the
-    sum of ``order - k`` over the allowed sizes k below ``order``, the sum of
-    those up to ``small``, their number, and the allowed sizes below
-    ``period`` as the bits of an int.  Each residue's sizes form an
-    arithmetic progression, and the bits are one period of residue bits
-    times the repunit that repeats it."""
-    if rc is None:
-        low = small * (small + 1) // 2
-        return order * (order - 1) // 2, low, order - 1, (1 << period) - 2
-    m = rc.modulus
-    weight = low = sizes = bits = 0
-    for r in rc.residues:
-        bits |= 1 << r
-        if r < order:
-            c = (order - 1 - r) // m + 1
-            weight += c * (order - r) - m * c * (c - 1) // 2
-            sizes += c
-        if r <= small:
-            c = (small - r) // m + 1
-            low += c * r + m * c * (c - 1) // 2
-    repunit = ((1 << m * -(-period // m)) - 1) // ((1 << m) - 1)
-    return weight, low, sizes, bits * repunit & ((1 << period) - 1)
-
-
-def _nonzero_terms(
-    d: int, every: tuple[int, int, int, int], order: int, small: int, period: int
-) -> tuple[int, int, int, int]:
-    """``_cost_terms`` of ``ResidueClass.nonzero(d)`` from ``every``, those of
-    the all-parts series: less the multiples of d, an arithmetic progression
-    whose bits below ``period`` are a repunit."""
-    c, t = (order - 1) // d, small // d
-    multiples = ((1 << d * -(-period // d)) - 1) // ((1 << d) - 1)
-    weight, low, sizes, mask = every
-    return (
-        weight - c * order + d * c * (c + 1) // 2,
-        low - d * t * (t + 1) // 2,
-        sizes - c,
-        mask & ~multiples,
-    )
-
-
-def _pentagonal(order: int) -> list[int]:
-    """The generalized pentagonal numbers k(3k-1)/2 and k(3k+1)/2 below
-    ``order``, ascending from 0: where Euler's pentagonal theorem puts the
-    nonzero coefficients of the Euler product.  The planner's estimates
-    count them; no series is built from them."""
-    out, k = [0], 1
-    while (e := k * (3 * k - 1) // 2) < order:
-        out += [e, e + k] if e + k < order else [e]
-        k += 1
-    return out
-
-
-def _product_bases(
-    classes: Iterable[ResidueClass], order: int
-) -> dict[ResidueClass | str, ResidueClass | str | None]:
-    """How to build the product sides of ``classes`` at ``order`` for the
-    fewest estimated coefficient updates and kernel passes: every series to
-    build, mapped to what it is built from.
-
-    None is a direct build (``product_side``, or ``_all_parts`` for
-    ``_ALL``, or ``_euler`` for ``_EULER``).  Another key is a base that
-    allows every size its class allows below the order, for
-    ``_product_side_by_complement``.  ``_EULER`` is the Euler route: 1/E
-    for ``_ALL``, and the all-parts series times E(q^d) for a class
-    ``ResidueClass.nonzero(d)``.
-
-    A direct factor 1/(1-q^k) costs ``order`` updates when k*k <= order and
-    ``order - k`` otherwise, plus ``_FACTOR``; a factor (1-q^k) costs
-    ``order - k``, a pass of the Euler route ``order - e`` for each exponent
-    e of E(q^d) below the order, and 1/E ``order - e`` for each exponent of
-    E below each coefficient, each plus ``_PASS``.  The all-parts series
-    (alone or with E) and then the classes ``ResidueClass.nonzero(d)`` for
-    each d below the order dividing a modulus, by rising d, are added when
-    they save more than they cost, ``_BUILD`` each included.  Nothing is
-    planned when building every class directly costs less than planning,
-    ``_PLAN``.  Of bases that allow the same sizes the first is the base of
-    the others, so no class is built from itself.
-    """
-    classes = dict.fromkeys(classes)
-    moduli = {rc.modulus for rc in classes}
-    small = min(isqrt(order), order - 1)
-    # every class repeats with this period, so the sizes below it decide
-    period = min(order, lcm(*moduli))
-    every = _cost_terms(None, order, small, period)
-    terms = [_cost_terms(rc, order, small, period) for rc in classes]
-    if sum(w + low + _FACTOR * n for w, low, n, _ in terms) < _PLAN:
-        return dict.fromkeys(classes)
-    # the d of each class of every nonzero residue mod d
-    nonzero = [rc.modulus if len(rc.residues) == rc.modulus - 1 else 0 for rc in classes]
-    # nonzero(d) for d >= order allows every size below it, as all parts does
-    extras = sorted(
-        {d for m in moduli for d in range(2, min(m + 1, order)) if not m % d} - {*nonzero}
-    )
-    nodes = [_ALL, *extras, *classes, _EULER]
-    nonzero[:0] = [1, *extras]  # all parts is nonzero(1)
-    terms[:0] = [every, *(_nonzero_terms(d, every, order, small, period) for d in extras)]
-    weight, _, sizes, mask = map(list, zip(*terms))
-    euler = len(terms)
-    # the Euler route's passes, by how many exponents of E lie below a bound
-    pentagonal = _pentagonal(order)
-    below = [0, *accumulate(pentagonal)]
-
-    def euler_route(d: int) -> int:
-        """The cost of the all-parts series times E(q^d), or for d = 1 of
-        1/E: a pass per exponent of E(q^d) below the order, or every term
-        of E below each coefficient."""
-        n = bisect_left(pentagonal, -(-order // d))
-        if d == 1:
-            return (n - 1) * order - below[n] + _PASS * (order - 1)
-        return n * (order + _PASS) - d * below[n]
-
-    direct = {euler: order * (order - 1) // 2 + _PASS * (order - 1)}
-    options: dict[int, list[tuple[int, int]]] = {euler: []}
-    users: dict[int, list[tuple[int, int]]] = {}
-    # A base allows every size of what it builds, so it weighs more, or as
-    # much when the two allow the same sizes; of those, the first in this
-    # rank, the all-parts series first, is the base of the others.
-    rank = sorted(range(euler), key=weight.__getitem__, reverse=True)
-    first = len(extras) + 1  # the first class
-    for at, i in enumerate(rank):
-        w, c, m = weight[i], sizes[i], mask[i]
-        direct[i] = w + terms[i][1] + _FACTOR * c
-        # the cheapest route from a class, always built, or direct (-1); then
-        # the routes from extras that beat it, cheapest first
-        settled = (direct[i], -1)
-        extra = []
-        for j in rank[:at]:
-            if not m & ~mask[j]:
-                route = (weight[j] - w + _PASS * (sizes[j] - c), j)
-                if j < first:
-                    extra.append(route)
-                elif route < settled:
-                    settled = route
-        if nonzero[i]:
-            extra.append((euler_route(nonzero[i]), euler))
-        options[i] = opts = sorted(r for r in extra if r < settled)
-        for cost_ij, j in opts:
-            users.setdefault(j, []).append((cost_ij, i))
-        if settled[1] >= 0:
-            opts.append(settled)
-
-    built = set(range(first, euler))
-
-    def cheapest(i: int) -> tuple[int, int | None]:
-        return next(((c, j) for c, j in options[i] if j in built), (direct[i], None))
-
-    def gain(added: tuple[int, ...]) -> tuple[int, dict[int, int]]:
-        """What building ``added`` too saves, net of its cost, and the new
-        cost of each node it builds or builds for less."""
-        built.update(added)
-        new = {i: cheapest(i)[0] + _BUILD for i in added}
-        for j in added:
-            for c, i in users.get(j, ()):
-                if i in built and i not in added and c < new.get(i, cost[i]):
-                    new[i] = c
-        built.difference_update(added)
-        return sum(cost.get(i, 0) - c for i, c in new.items()), new
-
-    cost = {i: cheapest(i)[0] for i in built}
-    # the all-parts series alone or with E, then each nonzero(d) by rising d
-    for choices in ([(0,), (0, euler)], *([(x,)] for x in range(1, len(extras) + 1))):
-        saved, new = max(map(gain, choices), key=lambda g: g[0])
-        if saved > 0:
-            built.update(new)
-            cost.update(new)
-    for i in built & set(range(1, len(extras) + 1)):
-        nodes[i] = ResidueClass.nonzero(nodes[i])
-    return {
-        nodes[i]: None if j is None else nodes[j]
-        for i in built
-        for j in (cheapest(i)[1],)
-    }
-
-
-def _product_routes(
-    classes: Iterable[ResidueClass], order: int
-) -> dict[ResidueClass | str, tuple[Callable, tuple[ResidueClass | str, ...]]]:
-    """Every series ``_product_bases`` plans for ``classes`` at ``order``,
-    mapped to the function that builds it from the series it needs, and
-    those, in the order the function takes them."""
-    routes = {}
-    for node, base in _product_bases(classes, order).items():
-        if base is None:
-            direct = {_ALL: _all_parts, _EULER: _euler}.get(node) or partial(product_side, node)
-            routes[node] = (partial(direct, order), ())
-        elif base is _EULER and node is _ALL:
-            routes[node] = (_reciprocal, (_EULER,))
-        elif base is _EULER:
-            routes[node] = (partial(_product_side_by_dilation, node), (_ALL, _EULER))
-        else:
-            routes[node] = (
-                partial(_product_side_by_complement, node, base=None if base is _ALL else base),
-                (base,),
-            )
-    return routes
 
 
 _MAX_TERMS = 10_000

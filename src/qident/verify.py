@@ -26,13 +26,11 @@ and the finding.
 Many identities share a product side, and many interpretations share their
 term rules, so each row also declares the shared inputs it reads: product
 sides, divide-by-M sum sides, profile sum sides (keyed by the term rules of
-their branches) and profiles' chain counts at a weight bound.  A product
-side may be built from other inputs, planned once per order by estimated
-work (``series._product_routes``): a base allowing every part size it
-allows (the all-parts series, another product side, or that of the parts
-not divisible by some d), or the all-parts series times E(q^d) for the parts
-not divisible by d, E being the Euler product, an input of its own of which
-the all-parts series may be 1/E.  ``run_suite`` builds each input once, as
+their branches) and profiles' chain counts at a weight bound.  A product side
+of modulus m is built, by Glaisher's product identity, from the parts not
+divisible by d, d the least divisor of m from 2 up that divides no allowed
+residue: those are the all-parts series 1/E times E(q^d), E the Euler
+product, each an input of its own.  ``run_suite`` builds each input once, as
 its own timed step, just before its first reader (a row, or an input built
 from it), hands it to every reader and drops it after the last; a check
 function is handed the values it compares and builds none of them.
@@ -71,10 +69,12 @@ from .series import (
     ResidueClass,
     TruncatedSeries,
     _alpha_from_sum,
-    _product_routes,
+    _euler,
+    _product_side_by_complement,
+    _product_side_by_dilation,
+    _reciprocal,
     alpha_closed_form,
     euler_distinct_sum,
-    product_side,
     series_one,
     sum_side_glaisher,
     sum_side_standard,
@@ -435,29 +435,24 @@ class _Input:
 
 
 def _product_input(rc: ResidueClass, order: int) -> _Input:
-    """The product side of ``rc`` below ``order``, built directly."""
-    return _Input(("product", rc, order), lambda: product_side(rc, order))
-
-
-def _product_inputs(
-    classes: Sequence[ResidueClass], order: int
-) -> dict[tuple[ResidueClass, int], _Input]:
-    """The product side inputs of ``classes`` at ``order``, keyed by class
-    and order, each built the way ``_product_routes`` plans: directly, or
-    from the all-parts series, another of the product sides, that of a class
-    ``ResidueClass.nonzero(d)`` or the Euler product, each an input in
-    turn."""
-    routes = _product_routes(classes, order)
-    made: dict[ResidueClass | str, _Input] = {}
-
-    def make(node: ResidueClass | str) -> _Input:
-        if node not in made:
-            build, needs = routes[node]
-            key = (node, order) if isinstance(node, str) else ("product", node, order)
-            made[node] = _Input(key, build, tuple(map(make, needs)))
-        return made[node]
-
-    return {(rc, order): make(rc) for rc in classes}
+    """The product side of ``rc`` below ``order``: that of the parts not
+    divisible by d, d the least divisor of the modulus from 2 up that
+    divides no allowed residue (the modulus always does), built as the
+    all-parts series, 1/E, times E(q^d), E the Euler product; and unless
+    ``rc`` is that class, ``rc`` built from it by complement."""
+    m = rc.modulus
+    d = next(d for d in range(2, m + 1) if not m % d and rc.residues.isdisjoint(range(d, m, d)))
+    base = ResidueClass.nonzero(d)
+    euler = _Input(("euler", order), partial(_euler, order))
+    all_parts = _Input(("all parts", order), _reciprocal, (euler,))
+    nonzero = _Input(
+        ("product", base, order), partial(_product_side_by_dilation, base), (all_parts, euler)
+    )
+    if rc == base:
+        return nonzero
+    return _Input(
+        ("product", rc, order), partial(_product_side_by_complement, rc, base=base), (nonzero,)
+    )
 
 
 def _profile_sum_input(profile: ProfileFamily, order: int) -> _Input:
@@ -558,27 +553,21 @@ def _check(
     return Check(identity, mode, subject, bound, partial(fn, *args, **kwargs), inputs)
 
 
-def _identity_checks(
-    d: IdentityDescriptor,
-    order: int,
-    max_weight: int,
-    product: Callable[[ResidueClass, int], _Input] = _product_input,
-) -> list[Check]:
+def _identity_checks(d: IdentityDescriptor, order: int, max_weight: int) -> list[Check]:
     """The analytic check, one combinatorial check per interpretation, and for
-    a divide-by-M identity the one divide-by-M battery, each product side
-    input given by ``product(class, order)``, built directly by default; a
-    descriptor without a sum side raises ValueError."""
+    a divide-by-M identity the one divide-by-M battery; a descriptor without
+    a sum side raises ValueError."""
     check = partial(_check, d.name)
     sides = (_sum_input(d, max_weight + 1),)
     if d.product is not None and d.interpretations:
-        sides += (product(d.product, max_weight + 1),)
+        sides += (_product_input(d.product, max_weight + 1),)
     checks = [
         check("combinatorial", max_weight, verify_combinatorial, subject=entry.name,
               inputs=(_counts_input(entry.profile, max_weight), *sides))
         for entry in d.interpretations
     ]
     if d.product is not None:
-        analytic = (product(d.product, order), _sum_input(d, order))
+        analytic = (_product_input(d.product, order), _sum_input(d, order))
         checks.append(check("analytic", order, verify_analytic, inputs=analytic))
     modulus = d.glaisher_modulus
     if modulus is not None:
@@ -596,16 +585,11 @@ def _identity_checks(
     return checks
 
 
-def _group_series_input(
-    members: tuple[CatalogEntry, ...],
-    order: int,
-    product: Callable[[ResidueClass, int], _Input],
-) -> _Input:
-    """The product side the members share, given by ``product(class,
-    order)``, or without one their sum side."""
+def _group_series_input(members: tuple[CatalogEntry, ...], order: int) -> _Input:
+    """The product side the members share, or without one their sum side."""
     if members[0].product is None:
         return _profile_sum_input(members[0].profile, order)
-    return product(members[0].product, order)
+    return _product_input(members[0].product, order)
 
 
 def plan_checks(
@@ -649,28 +633,10 @@ def plan_checks(
         selected = list({d.name: d for d in selected}.values())
         selected_groups = list(dict.fromkeys(selected_groups))
 
-    # the product sides the rows read: each identity's at the order (the
-    # analytic row), and at the weight bound for its interpretations and groups
-    reads: dict[int, dict[ResidueClass, None]] = {}
-    for d in selected:
-        if d.product is not None:
-            reads.setdefault(order, {})[d.product] = None
-            if d.interpretations:
-                reads.setdefault(max_weight + 1, {})[d.product] = None
-    for _, members in selected_groups:
-        if members[0].product is not None:
-            reads.setdefault(max_weight + 1, {})[members[0].product] = None
-    products: dict[tuple[ResidueClass, int], _Input] = {}
-    for at, classes in reads.items():
-        products.update(_product_inputs(list(classes), at))
-
-    def product(rc: ResidueClass, at: int) -> _Input:
-        return products[rc, at]
-
-    checks = [c for d in selected for c in _identity_checks(d, order, max_weight, product)]
+    checks = [c for d in selected for c in _identity_checks(d, order, max_weight)]
     checks += [
         _check(name, "equinumerosity", max_weight, verify_equinumerosity, members,
-               inputs=(_group_series_input(members, max_weight + 1, product),
+               inputs=(_group_series_input(members, max_weight + 1),
                        *(_counts_input(e.profile, max_weight) for e in members)))
         for name, members in selected_groups
     ]

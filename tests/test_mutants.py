@@ -8,11 +8,10 @@ enumeration fault must not reach the rows computed by series algebra alone
 (``analytic``, ``alpha``, ``forms``); a series fault must not reach the
 ``bijection`` or ``conjugate`` rows, and one in the sum-side Pochhammer
 factors or in the Euler route of the product sides not the ``alpha`` rows
-either.  Which product sides a series kernel reaches depends on the routes
-the planner picks, so the faults in the series kernels are also planted
-together, and must then reach every row with a series side.  A fault that no row reports,
-or that leaks across, shows that a fast path has lost its check or that the
-two oracles share code.
+either.  No one series kernel reaches every row with a series side, so the
+faults in the series kernels are also planted together, and must then reach
+all of them.  A fault that no row reports, or that leaks across, shows that a
+fast path has lost its check or that the two oracles share code.
 """
 
 import sys
@@ -129,6 +128,17 @@ def skips_last_block(geometric):
     return fake
 
 
+def keeps_last_coefficient(one_minus):
+    """The (1-q^k) kernel leaves the last coefficient as it was."""
+
+    def fake(c, k):
+        last = c[-1]
+        one_minus(c, k)
+        c[-1] = last
+
+    return fake
+
+
 def drops_top_term(reciprocal):
     """The reciprocal kernel ignores the highest nonzero term of the series
     it inverts, so 1/E goes wrong from that exponent up."""
@@ -183,6 +193,50 @@ def plan_rows(*modes):
 
 # every row with a series side
 SERIES_ROWS = plan_rows("analytic", "alpha", "forms", "combinatorial", "equinumerosity")
+
+# every row that reads a product side
+PRODUCT_ROWS = {
+    (c.identity, c.mode, c.subject)
+    for c in PLAN
+    if any(shared.key[0] == "product" for shared in c.inputs)
+}
+
+# The series rows a fault in the 1/(1-q^k) kernel misses.  The equinumerosity
+# groups with a product side compare counts with that side alone, built by
+# the Euler route without the kernel; at the counting bound the sum sides of
+# rr2 and of subbarao-agarwal-1-5 and -1-6 need only factors with
+# k*k <= 14, which take the stride branch.
+BEYOND_GEOMETRIC = {
+    (group, "equinumerosity", "")
+    for group in (
+        "capparelli-1-6+subbarao-agarwal-1-4",
+        "euler-interpretations",
+        "hirschhorn-1+subbarao-2-2",
+        "hirschhorn-2+subbarao-2-1",
+        "hirschhorn-3+subbarao-2-4",
+        "hirschhorn-4+subbarao-2-3",
+        "rr2-interpretations",
+    )
+} | {("rr2", "combinatorial", f"P{i}") for i in range(2, 6)} | {
+    (name, "combinatorial", name) for name in ("subbarao-agarwal-1-5", "subbarao-agarwal-1-6")
+}
+
+# The series rows a fault in the (1-q^k) kernel misses: those of the odd
+# parts, built from E alone, whose last coefficient is 0 at orders 14 and 30
+# (neither 13 nor 29 is a pentagonal number), and those of the example
+# family, which has no product side and whose sum sides take no (1-q^k).
+BEYOND_ONE_MINUS = {
+    ("euler", "analytic", ""),
+    ("euler", "combinatorial", "euler-layers"),
+    ("euler", "combinatorial", "euler-staircase"),
+    ("euler-interpretations", "equinumerosity", ""),
+    ("subbarao-agarwal-1-6", "analytic", ""),
+    ("subbarao-agarwal-1-6", "combinatorial", "subbarao-agarwal-1-6"),
+    ("example-family-interpretations", "equinumerosity", ""),
+} | {
+    ("example-family", "combinatorial", name)
+    for name in ("example-alternating", "example-atmost-parts", "example-exact-parts")
+}
 
 
 def catalog_rows(*modes):
@@ -257,29 +311,33 @@ FAULTS = {
         },
         {"bijection", "conjugate", "alpha"},
     ),
-    # every series build except the alpha recurrence and the Euler route
-    # multiplies through the 1/(1-q^k) kernel, and at this order every k >= 6
-    # takes the block branch; the sum sides and the product sides at the
-    # counting bound, built directly, still reach each row with a series
-    # side (measured)
+    # every sum side, the alpha closed form and the sum-side Pochhammer
+    # factors multiply through the 1/(1-q^k) kernel, and at the analytic
+    # order every k >= 6 takes the block branch
     "geometric kernel skips its last block": (
         series, ("_geometric",), skips_last_block,
-        SERIES_ROWS,
+        SERIES_ROWS - BEYOND_GEOMETRIC,
         {"bijection", "conjugate"},
     ),
-    # at the analytic order the all-parts series is 1/E, and every product
-    # side there is built from it (measured)
+    # E, every complement build, the divide-by-M sum side and the alpha
+    # closed form multiply through the (1-q^k) kernel
+    "one-minus kernel keeps its last coefficient": (
+        series, ("_one_minus",), keeps_last_coefficient,
+        SERIES_ROWS - BEYOND_ONE_MINUS,
+        {"bijection", "conjugate"},
+    ),
+    # at both orders the all-parts series is 1/E, and every product side is
+    # built from it
     "reciprocal ignores the top term of E": (
         series, ("_reciprocal",), drops_top_term,
-        plan_rows("analytic") | {("glaisher-2", "forms", "")},
+        PRODUCT_ROWS,
         {"bijection", "conjugate", "alpha"},
     ),
-    # at the analytic order the all-parts series times E(q^d) builds the
-    # parts not divisible by 6 and by 7, and those by 3 come from the former
-    # (measured)
+    # at both orders the all-parts series times E(q^d) builds the parts not
+    # divisible by d, and every other product side is built from one of those
     "dilation skips the top term of E(q^d)": (
         series, ("_times_dilated",), skips_top_term,
-        {(f"glaisher-{m}", "analytic", "") for m in (3, 6, 7)},
+        PRODUCT_ROWS,
         {"bijection", "conjugate", "alpha"},
     ),
 }
@@ -287,6 +345,7 @@ FAULTS = {
 # the faults in the series kernels, which together reach every series row
 SERIES_KERNEL_FAULTS = (
     "geometric kernel skips its last block",
+    "one-minus kernel keeps its last coefficient",
     "reciprocal ignores the top term of E",
     "dilation skips the top term of E(q^d)",
 )
@@ -314,8 +373,8 @@ def test_fault_is_caught_by_its_rows_only(monkeypatch, fault):
 
 
 def test_series_kernel_faults_together_reach_every_series_row(monkeypatch):
-    """However the planner routes the product sides, a fault in each series
-    kernel at once leaves no row with a series side passing."""
+    """A fault in each series kernel at once leaves no row with a series
+    side passing."""
     for fault in SERIES_KERNEL_FAULTS:
         module, names, make_fake, _, _ = FAULTS[fault]
         patch_everywhere(monkeypatch, module, names, make_fake)

@@ -13,9 +13,10 @@ from qident import bijections, partitions, profiles, series, verify
 MODULES = (series, partitions, profiles, bijections, verify)
 
 # Names that only renamed another public call, had no caller outside the
-# tests, or made up the run-scoped memo that the plan's declared inputs
-# replaced; each must stay gone from the package, its module and the class
-# that held it.
+# tests, made up the run-scoped memo that the plan's declared inputs
+# replaced, or made up the cost model that planned product-side routes
+# before every product side followed one rule; each must stay gone from the
+# package, its module and the class that held it.
 REMOVED = (
     (partitions, "satisfies_chain"),
     (partitions, "partitions_no_part_divisible"),
@@ -46,11 +47,18 @@ REMOVED = (
     (series.TruncatedSeries, "__mul__"),
     (verify, "_RUN_SERIES"),
     (verify, "_once"),
+    *((series, name) for name in (
+        "_ALL", "_EULER", "_FACTOR", "_PASS", "_BUILD", "_PLAN", "_cost_terms",
+        "_nonzero_terms", "_pentagonal", "_product_bases", "_product_routes", "_all_parts",
+    )),
+    (verify, "_product_inputs"),
 )
 
-# Parameters that only a test ever set; each must stay gone from the call or
-# class that took it.  The planner binds catalog entries, not names, and the
-# divide-by-M ``alpha`` check always compares the same number of terms.
+# Parameters that only a test ever set, or that routed product sides through
+# a planner; each must stay gone from the call or class that took it.  The
+# planner binds catalog entries, not names, the divide-by-M ``alpha`` check
+# always compares the same number of terms, and every product side input
+# follows one rule.
 REMOVED_PARAMETERS = (
     (verify.verify_analytic, "catalog"),
     (verify.verify_combinatorial, "catalog"),
@@ -60,6 +68,8 @@ REMOVED_PARAMETERS = (
     (bijections.rr2_step_c, "n"),
     (bijections.rr2_inverse, "n"),
     (verify.IdentityDescriptor, "sum_profile"),
+    (verify._identity_checks, "product"),
+    (verify._group_series_input, "product"),
 )
 
 

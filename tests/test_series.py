@@ -9,26 +9,14 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from qident.profiles import default_catalog
 from qident.series import (
-    _ALL,
-    _BUILD,
-    _EULER,
-    _FACTOR,
-    _PASS,
-    _PLAN,
     ResidueClass,
     SumTerminationError,
     TruncatedSeries,
-    _all_parts,
-    _cost_terms,
     _euler,
     _geometric,
-    _nonzero_terms,
     _one_minus,
-    _pentagonal,
     _pochhammer_inverse_from,
-    _product_bases,
     _product_side_by_complement,
     _product_side_by_dilation,
     _reciprocal,
@@ -230,6 +218,21 @@ class TestProductSide:
         with pytest.raises(ValueError):
             ResidueClass(5, frozenset({5}))
 
+    @pytest.mark.parametrize(
+        "modulus, residues",
+        [
+            (5, frozenset({2.7, 3})),
+            (5, frozenset({True, 3})),
+            (5, frozenset({"2"})),
+            (5.0, frozenset({2, 3})),
+            (True, frozenset({1})),
+        ],
+        ids=["float-residue", "bool-residue", "str-residue", "float-modulus", "bool-modulus"],
+    )
+    def test_fields_must_be_ints_and_are_never_coerced(self, modulus, residues):
+        with pytest.raises(ValueError, match="must be ints"):
+            ResidueClass(modulus, residues)
+
 
 residue_classes = st.integers(2, 20).flatmap(
     lambda m: st.sets(st.integers(1, m - 1), min_size=1).map(
@@ -246,12 +249,15 @@ class TestComplementBuild:
     @example(rc=ResidueClass.nonzero(20), order=120)
     @example(rc=ResidueClass(13, frozenset(range(2, 13))), order=97)
     def test_equals_direct_product(self, rc, order):
-        built = _product_side_by_complement(rc, _all_parts(order))
+        """From the all-parts series 1/E, the product side of the parts not
+        divisible by any M >= order."""
+        every = ResidueClass.nonzero(max(order, 2))
+        built = _product_side_by_complement(rc, _reciprocal(_euler(order)), every)
         assert built == product_side(rc, order)
 
     @pytest.mark.parametrize("order", (1, 2, 3, 50))
     def test_all_parts_is_the_full_pochhammer_inverse(self, order):
-        assert _all_parts(order) == pochhammer_inverse(order - 1, order)
+        assert _reciprocal(_euler(order)) == pochhammer_inverse(order - 1, order)
 
     @given(data=st.data(), base=residue_classes, order=st.integers(1, 120))
     @example(data=None, base=ResidueClass.nonzero(10), order=120)
@@ -282,7 +288,7 @@ class TestEulerRoute:
         """d = 2..12 at every order 1..200: d >= n and n = 1 included.  A
         product side truncated lower is the prefix of the one at 200."""
         direct = {d: product_side(ResidueClass.nonzero(d), 200) for d in range(2, 13)}
-        every = _all_parts(200)
+        every = pochhammer_inverse(199, 200)
         for n in range(1, 201):
             euler = _euler(n)
             all_parts = _reciprocal(euler)
@@ -294,7 +300,8 @@ class TestEulerRoute:
     def test_every_route_equals_the_direct_product_at_order_1000(self):
         euler = _euler(1000)
         all_parts = _reciprocal(euler)
-        assert all_parts == _all_parts(1000)
+        # every size below the order is allowed, so this is all parts
+        assert all_parts == product_side(ResidueClass.nonzero(1000), 1000)
         for d in range(2, 13):
             rc = ResidueClass.nonzero(d)
             assert _product_side_by_dilation(rc, all_parts, euler) == product_side(rc, 1000)
@@ -305,13 +312,6 @@ class TestEulerRoute:
         for k in range(1, order):
             expected = multiply(expected, one_minus_factor(k, order))
         assert _euler(order) == expected
-
-    def test_nonzero_terms_of_euler_are_where_the_planner_counts_them(self):
-        """The planner's estimate of E's nonzero terms (Euler's pentagonal
-        theorem) against E as built."""
-        built = _euler(400).coefficients
-        assert _pentagonal(400) == [e for e, x in enumerate(built) if x]
-        assert set(built) == {-1, 0, 1}
 
     @given(coefficients=st.lists(st.integers(-(10**6), 10**6), min_size=0, max_size=60))
     @example(coefficients=[])
@@ -336,134 +336,7 @@ class TestEulerRoute:
 
     def test_dilation_needs_every_nonzero_residue(self):
         with pytest.raises(ValueError, match="not the class of every nonzero residue"):
-            _product_side_by_dilation(RR2, _all_parts(10), _euler(10))
-
-
-def scanned_terms(rc, order, small, period):
-    """``_cost_terms`` by a scan of every part size."""
-    sizes = [k for k in range(1, order) if rc is None or rc.allows(k)]
-    weight = sum(order - k for k in sizes)
-    low = sum(k for k in range(1, small + 1) if rc is None or rc.allows(k))
-    mask = sum(1 << k for k in range(1, period) if rc is None or rc.allows(k))
-    return weight, low, len(sizes), mask
-
-
-def allows(node, k):
-    return node is _ALL or node.allows(k)
-
-
-def build_cost(node, order, base=None):
-    """Cost of building ``node`` at ``order`` from ``base`` as
-    ``_product_bases`` maps it, by a scan of the sizes, with E's nonzero
-    terms read off E as built: directly, ``order`` updates per allowed k
-    with k*k <= order and ``order - k`` per other allowed k, plus
-    ``_FACTOR`` each; E, ``order - k`` per factor; from a covering base,
-    ``order - k`` per size the base allows and ``node`` does not; by the
-    Euler route, ``order - e`` per exponent e of E(q^d) below the order, or
-    of E below each coefficient of 1/E; every pass or coefficient of 1/E
-    but the direct ones ``_PASS`` more."""
-    if node is _EULER:
-        return sum(order - k + _PASS for k in range(1, order))
-    if base is None:
-        return sum((order if k * k <= order else order - k) + _FACTOR
-                   for k in range(1, order) if allows(node, k))
-    if base is _EULER:
-        exponents = [e for e, x in enumerate(_euler(order).coefficients) if x]
-        if node is _ALL:
-            return sum(order - e for e in exponents[1:]) + _PASS * (order - 1)
-        d = node.modulus
-        return sum(order - d * e + _PASS for e in exponents if d * e < order)
-    return sum(order - k + _PASS for k in range(1, order)
-               if allows(base, k) and not allows(node, k))
-
-
-def total_cost(plan, order, classes):
-    """Cost of the builds of ``plan`` at ``order``, ``_BUILD`` more for each
-    series that is not one of ``classes``."""
-    return sum(build_cost(node, order, base) + _BUILD * (node not in classes)
-               for node, base in plan.items())
-
-
-class TestProductBases:
-    @given(rc=residue_classes | st.none(), order=st.integers(1, 200), data=st.data())
-    @example(rc=None, order=1, data=None)
-    @example(rc=ResidueClass.nonzero(20), order=1000, data=None)
-    def test_terms_equal_a_scan_of_the_sizes(self, rc, order, data):
-        small = isqrt(order) if data is None else data.draw(st.integers(0, order - 1))
-        small = min(small, order - 1)
-        period = order if data is None else data.draw(st.integers(1, order))
-        assert _cost_terms(rc, order, small, period) == scanned_terms(
-            rc, order, small, period
-        )
-
-    @given(d=st.integers(2, 40), order=st.integers(1, 200), data=st.data())
-    def test_nonzero_terms_equal_those_of_the_class(self, d, order, data):
-        small = min(data.draw(st.integers(0, order)), order - 1)
-        period = data.draw(st.integers(1, order))
-        every = _cost_terms(None, order, small, period)
-        assert _nonzero_terms(d, every, order, small, period) == _cost_terms(
-            ResidueClass.nonzero(d), order, small, period
-        )
-
-    @given(classes=st.lists(residue_classes, min_size=1, max_size=6),
-           order=st.integers(1, 150))
-    @example(classes=[RR2, ODD], order=1)
-    @example(classes=[ODD, ResidueClass(4, frozenset({1, 3}))], order=40)
-    @example(classes=[ResidueClass.nonzero(m) for m in range(2, 8)], order=150)
-    def test_bases_cover_their_classes_and_cost_no_more(self, classes, order):
-        """Every class is planned; a complement base allows every size its
-        class allows below the order; the Euler route builds only the
-        all-parts series and the classes of every nonzero residue, from the
-        all-parts series and E; every chain of bases ends; and the plan
-        costs no more than building each class directly."""
-        plan = _product_bases(classes, order)
-        assert set(classes) <= set(plan)
-        for node, base in plan.items():
-            assert base != node
-            if base is _EULER:
-                assert node is _ALL or len(node.residues) == node.modulus - 1
-                assert plan[_EULER] is None and (node is _ALL or _ALL in plan)
-            elif base is not None:
-                assert base in plan
-                assert all(allows(base, k) for k in range(1, order) if allows(node, k))
-            seen = {node}
-            while (base := plan[node]) not in (None, _EULER):
-                assert base not in seen
-                seen.add(base)
-                node = base
-        direct = dict.fromkeys(classes)
-        assert total_cost(plan, order, set(classes)) <= total_cost(direct, order, set())
-
-    def test_small_orders_are_not_planned(self):
-        """Where building every class directly costs less than planning,
-        every class is built directly."""
-        classes = [rc for rc in dict.fromkeys(e.product for e in default_catalog().entries()) if rc]
-        for order in (1, 9, 14):
-            assert total_cost(dict.fromkeys(classes), order, set()) < _PLAN
-            assert _product_bases(classes, order) == dict.fromkeys(classes)
-        assert total_cost(dict.fromkeys(classes), 31, set()) > _PLAN
-        assert _product_bases(classes, 31) != dict.fromkeys(classes)
-
-    def test_shipped_classes_at_order_1000(self):
-        """Every product side the full plan reads at order 1000: each class
-        of every nonzero residue, and the parts not divisible by 8 and by 10
-        added as bases, by the Euler route, the all-parts series as 1/E, and
-        the other classes from those bases."""
-        entries = default_catalog().entries()
-        classes = [rc for rc in dict.fromkeys(e.product for e in entries) if rc]
-        classes += [ResidueClass.nonzero(m) for m in range(2, 8)]
-        plan = _product_bases(classes, 1000)
-        assert set(plan) - set(classes) == {
-            _ALL, _EULER, ResidueClass.nonzero(8), ResidueClass.nonzero(10)
-        }
-        assert {node for node, base in plan.items() if base is _EULER} == {
-            _ALL, *(ResidueClass.nonzero(d) for d in (2, 3, 4, 5, 6, 7, 8, 10))
-        }
-        assert plan[RR2] == ResidueClass.nonzero(5)
-        for rc in classes:
-            if rc.modulus in (16, 20):
-                assert plan[rc] == ResidueClass.nonzero(rc.modulus // 2), rc
-        assert total_cost(plan, 1000, set(classes)) == 1_926_261
+            _product_side_by_dilation(RR2, _reciprocal(_euler(10)), _euler(10))
 
 
 class TestSumSideStandard:

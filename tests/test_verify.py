@@ -8,6 +8,8 @@ from functools import partial
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import qident.series as series_module
 import qident.verify as verify_module
@@ -414,18 +416,17 @@ class TestOneWalkBookkeeping:
 SHARED_BUILDS = (
     (series_module, "product_side", lambda rc, order: ("product", rc, order)),
     (
-        series_module,
+        verify_module,
         "_product_side_by_complement",
-        lambda rc, base_series, base=None: ("product", rc, base_series.order),
+        lambda rc, base_series: ("product", rc, base_series.order),
     ),
     (
-        series_module,
+        verify_module,
         "_product_side_by_dilation",
         lambda rc, all_parts, euler: ("product", rc, all_parts.order),
     ),
-    (series_module, "_all_parts", lambda order: ("all parts", order)),
-    (series_module, "_reciprocal", lambda euler: ("all parts", euler.order)),
-    (series_module, "_euler", lambda order: ("euler", order)),
+    (verify_module, "_reciprocal", lambda euler: ("all parts", euler.order)),
+    (verify_module, "_euler", lambda order: ("euler", order)),
     (verify_module, "sum_side_glaisher", lambda modulus, order: ("glaisher", modulus, order)),
 )
 
@@ -461,18 +462,17 @@ class TestRunScopedSeries:
     def expected_builds(self):
         """Catalog classes at the analytic order and at the counting bound.
         The divide-by-M identities have no interpretations to count, so their
-        sides are needed only at the analytic order.  At the analytic order
-        the planner also builds the all-parts series, from the Euler product,
-        and the parts not divisible by 8 and by 10 as bases of other product
-        sides; at the counting bound it builds every side directly."""
+        sides are needed only at the analytic order.  At both orders the
+        Euler product, the all-parts series and the parts not divisible by
+        2, 5, 8 and 10, the bases of the catalog classes, are built too."""
         catalog = {e.product for e in default_catalog().entries()} - {None}
         moduli = range(2, 8)
         orders = (self.ORDER, self.WEIGHT + 1)
+        bases = {ResidueClass.nonzero(d) for d in (2, 5, 8, 10)}
         return (
-            {("product", rc, order) for rc in catalog for order in orders}
+            {("product", rc, order) for rc in catalog | bases for order in orders}
             | {("product", ResidueClass.nonzero(m), self.ORDER) for m in moduli}
-            | {("product", ResidueClass.nonzero(d), self.ORDER) for d in (8, 10)}
-            | {("all parts", self.ORDER), ("euler", self.ORDER)}
+            | {(name, order) for name in ("all parts", "euler") for order in orders}
             | {("glaisher", m, self.ORDER) for m in moduli}
         )
 
@@ -495,9 +495,9 @@ class TestRunScopedSeries:
         the build of the first input built from it, and dropped after its
         last: it is alive through the last row that reads it, and until the
         row before which the last input built from it is built.  Bases are
-        followed to any depth; the plan has chains of four, from
-        the Euler product through the all-parts series and two product sides
-        to a third."""
+        followed to any depth; the plan has chains of three, from the Euler
+        product through the all-parts series and the parts not divisible by
+        d to a product side built from those."""
         alive = {}
 
         class Counts(list):
@@ -559,7 +559,7 @@ class TestRunScopedSeries:
         def depth(key):
             return max((1 + depth(k) for k in built_from.get(key, ())), default=0)
 
-        assert max(map(depth, built_from)) == 4
+        assert max(map(depth, built_from)) == 3
         keys = readers.keys() | built_from.keys()
         assert len(live_at_rows) == len(plan)
         for row, live in enumerate(live_at_rows):
@@ -589,25 +589,66 @@ def product_inputs(plan):
     return found
 
 
+def built(shared, values=None):
+    """The value of a shared input, built through its needs, each once."""
+    values = {} if values is None else values
+    if shared.key not in values:
+        values[shared.key] = shared.build(*(built(need, values) for need in shared.needs))
+    return values[shared.key]
+
+
+def base_of(shared):
+    """The parts-not-divisible-by-d class a product input is built from."""
+    need = shared.needs[0]
+    return need.key[1] if need.key[0] == "product" else shared.key[1]
+
+
+residue_classes = st.integers(2, 30).flatmap(
+    lambda m: st.sets(st.integers(1, m - 1), min_size=1).map(
+        lambda residues: ResidueClass(m, frozenset(residues))
+    )
+)
+
+RR2 = ResidueClass(5, frozenset({2, 3}))
+# a shipped class of modulus 20
+MOD_20 = ResidueClass(20, frozenset({2, 3, 4, 5, 6, 7, 13, 14, 15, 16, 17, 18}))
+
+
 class TestProductSideBases:
-    """The planner may build a product side from another series that allows
-    every part size it allows: the all-parts series, another product side of
-    the plan, or that of the parts not divisible by some d."""
+    """Every product side is built from the parts not divisible by d, d the
+    least divisor of its modulus from 2 up that divides no allowed residue,
+    and those from the all-parts series and the Euler product."""
 
     @pytest.mark.parametrize("order", (31, 61, 200))
     def test_every_product_side_equals_the_direct_product(self, order):
         inputs = product_inputs(plan_checks(None, order, 8, default_catalog()))
-        built = {}
-
-        def build(shared):
-            if shared.key not in built:
-                built[shared.key] = shared.build(*map(build, shared.needs))
-            return built[shared.key]
-
+        values = {}
         assert any(shared.needs for shared in inputs.values())
         for key, shared in inputs.items():
             if key[0] == "product":
-                assert build(shared) == product_side(key[1], key[2]), key
+                assert built(shared, values) == product_side(key[1], key[2]), key
+
+    @given(rc=residue_classes, order=st.integers(1, 150))
+    @example(rc=ResidueClass(20, frozenset({1})), order=150)
+    @example(rc=RR2, order=1)
+    @example(rc=MOD_20, order=150)
+    @example(rc=ResidueClass.nonzero(30), order=2)
+    def test_rule_builds_the_product_side_from_a_covering_base(self, rc, order):
+        shared = verify_module._product_input(rc, order)
+        assert built(shared) == product_side(rc, order)
+        base = base_of(shared)
+        assert len(base.residues) == base.modulus - 1
+        period = rc.modulus * base.modulus
+        assert all(base.allows(k) for k in range(1, period) if rc.allows(k))
+
+    @pytest.mark.parametrize(
+        "rc, d",
+        [(ResidueClass(20, frozenset({1})), 2), (RR2, 5), (MOD_20, 10),
+         (ResidueClass.nonzero(6), 6)],
+        ids=["1-mod-20", "rr2", "shipped-mod-20", "nonzero-6"],
+    )
+    def test_base_is_the_least_divisor_dividing_no_residue(self, rc, d):
+        assert base_of(verify_module._product_input(rc, 50)) == ResidueClass.nonzero(d)
 
     def test_build_work_is_at_most_four_fifths_of_the_old_rule(self):
         """Coefficient updates of the planned product builds at (1000, 8),
@@ -673,22 +714,20 @@ class TestSharedWork:
     and one running factor serves both branches of a profile sum."""
 
     def test_each_nonzero_class_is_built_from_one_euler_product(self):
+        """At the analytic order 1000 and at the counting bound 9 alike."""
         inputs = product_inputs(plan_checks(None, 1000, 8, default_catalog()))
-        assert [key for key in inputs if key[0] == "euler"] == [("euler", 1000)]
-        euler = inputs["euler", 1000]
-        assert inputs["all parts", 1000].needs == (euler,)
-        nonzero = {
-            key: shared for key, shared in inputs.items()
-            if key[0] == "product" and len(key[1].residues) == key[1].modulus - 1
-        }
-        moduli = set()
-        for (_, rc, order), shared in nonzero.items():
-            if order == 1000:
-                assert shared.needs == (inputs["all parts", 1000], euler), rc
-                moduli.add(rc.modulus)
-            else:  # the counting bound, where building directly is cheapest
-                assert shared.needs == (), rc
-        assert moduli == {2, 3, 4, 5, 6, 7, 8, 10}
+        assert sorted(key for key in inputs if key[0] == "euler") == [
+            ("euler", 9), ("euler", 1000)
+        ]
+        moduli = {}
+        for key, shared in inputs.items():
+            if key[0] == "product" and len(key[1].residues) == key[1].modulus - 1:
+                order = key[2]
+                euler = inputs["euler", order]
+                assert inputs["all parts", order].needs == (euler,)
+                assert shared.needs == (inputs["all parts", order], euler), key
+                moduli.setdefault(order, set()).add(key[1].modulus)
+        assert moduli == {1000: {2, 3, 4, 5, 6, 7, 8, 10}, 9: {2, 5, 8, 10}}
 
     def test_two_branch_profile_sums_pass_fewer_coefficients(self, monkeypatch):
         """Coefficients passed through the slot kernel, one running
@@ -851,8 +890,12 @@ class TestSuite:
 
     def test_table_ends_with_the_shared_build_time(self):
         plan = plan_checks(["rr2"], 30, 10, default_catalog())
-        shared = {x for c in plan for x in c.inputs}
-        shared |= {need for x in shared for need in x.needs}
+        shared, pending = set(), [x for c in plan for x in c.inputs]
+        while pending:  # inputs and what they are built from, to any depth
+            x = pending.pop()
+            if x not in shared:
+                shared.add(x)
+                pending += x.needs
         summary = run_suite(["rr2"], 30, 10)
         assert len(summary.build_times) == len(shared)
         *_, passed, built = summary.render_table().splitlines()
@@ -890,7 +933,6 @@ class TestPlan:
             raise AssertionError("planning ran a check")
 
         for name in (
-            "product_side",
             "sum_side_glaisher",
             "profile_series",
             "profile_chain_counts",
