@@ -13,7 +13,9 @@ Every multiplication by one factor runs in place on a list of coefficients
 through two kernels, ``_geometric`` for 1/(1-q^k) and ``_one_minus`` for
 (1-q^k), and every shifted addition is one slice assignment such as
 ``total[n:] = map(add, total[n:], run)``: a few C-level slice operations per
-factor, not a Python statement per coefficient.
+factor, not a Python statement per coefficient.  A third, ``_one_minus_tail``,
+takes every (1-q^k) with 2k >= len(c) in a set of residues in one prefix-sum
+pass: below the truncation their product is 1 minus the sum of their q^k.
 
 ``sum_side_standard`` carries one running factor across its terms
 (``_sum_terms``), trimmed to ``order - w`` before a term of exponent w.
@@ -33,12 +35,14 @@ per size the class does not allow.
 
 The n-th term polynomial of the divide-by-M family has degree
 (M-1)n(n+1)/2, so ``alpha_closed_form`` works on no more coefficients than
-that and pads with zeros.
+that and pads with zeros; ``_alpha_from_sum`` stops where its product ends,
+read from its input's last nonzero coefficient, not from that degree.
 """
 
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import accumulate, count, repeat
+from itertools import accumulate, compress, count, repeat
+from math import lcm
 from operator import add, mul, sub
 
 __all__ = [
@@ -131,6 +135,24 @@ def _geometric(c: list[int], k: int) -> None:
 def _one_minus(c: list[int], k: int) -> None:
     """Multiply the coefficients ``c`` by (1 - q^k) in place, k >= 1."""
     c[k:] = map(sub, c[k:], c[:-k])
+
+
+def _one_minus_tail(c: list[int], p: int, residues: Iterable[int]) -> None:
+    """Multiply ``c`` in place by (1 - q^k) for every k from h = ceil(n/2)
+    to n - 1, n = len(c), whose residue mod ``p`` is in ``residues``.  Any
+    two of these multiply to an exponent of at least 2h >= n, so below n
+    their product is 1 minus the sum of their q^k: c_i loses c_{i-k} per
+    such k <= i, which reads c[:n-h] alone, never written here.  That is a
+    running sum of c[:n-h] along each stride mod ``p``, then one slice
+    subtraction per residue."""
+    n = len(c)
+    h = (n + 1) // 2
+    s = c[: n - h]
+    for r in range(min(p, n - h)):
+        s[r::p] = accumulate(s[r::p])
+    for r in residues:
+        first = h + (r - h) % p  # the least size from h up with residue r
+        c[first:] = map(sub, c[first:], s)
 
 
 def _times_dilated(c: list[int], b: Sequence[int], d: int) -> list[int]:
@@ -233,10 +255,12 @@ def product_side(rc: ResidueClass, order: int) -> TruncatedSeries:
 
 def _euler(order: int) -> TruncatedSeries:
     """(1-q)(1-q^2)...(1-q^{order-1}), the Euler product E below ``order``;
-    ``_reciprocal`` of it is the all-parts series."""
+    ``_reciprocal`` of it is the all-parts series.  The factors with
+    2k >= order are one ``_one_minus_tail`` pass."""
     c = list(series_one(order).coefficients)
-    for k in range(1, order):
+    for k in range(1, (order + 1) // 2):
         _one_minus(c, k)
+    _one_minus_tail(c, 1, (0,))
     return TruncatedSeries(tuple(c))
 
 
@@ -261,11 +285,15 @@ def _product_side_by_complement(
     ``base`` at that order, when ``base`` allows every part size below the
     order that ``rc`` allows: ``series`` times (1 - q^k) for every size k
     that ``base`` allows and ``rc`` does not, which cancels its factor
-    1/(1 - q^k) exactly below the order."""
+    1/(1 - q^k) exactly below the order; those with 2k >= order in one
+    ``_one_minus_tail`` pass, by their residues mod the two moduli's lcm."""
+    p = lcm(rc.modulus, base.modulus)
+    removed = {r for r in range(p) if base.allows(r) and not rc.allows(r)}
     c = list(series.coefficients)
-    for k in range(1, len(c)):
-        if base.allows(k) and not rc.allows(k):
+    for k in range(1, (len(c) + 1) // 2):
+        if k % p in removed:
             _one_minus(c, k)
+    _one_minus_tail(c, p, removed)
     return TruncatedSeries(tuple(c))
 
 
@@ -420,14 +448,17 @@ def alpha_closed_form(modulus: int, n: int, order: int) -> TruncatedSeries:
     return TruncatedSeries((*coeffs, *(0,) * (order - length)))
 
 
-def _alpha_from_sum(modulus: int, n: int, lower_sum: TruncatedSeries) -> TruncatedSeries:
+def _alpha_from_sum(modulus: int, n: int, lower_sum: Sequence[int], order: int) -> list[int]:
     """The n-th term from the recurrence, (q^n + q^{2n} + ... + q^{(M-1)n})
-    times ``lower_sum`` = alpha_0 + ... + alpha_{n-1}, at the sum's order."""
-    out = [0] * lower_sum.order
+    times ``lower_sum`` = alpha_0 + ... + alpha_{n-1}, below ``order``.  Both
+    list their coefficients from q^0, any not listed being 0: with L one past
+    the sum's last nonzero one, the term lists min(order, L + (M-1)n)."""
+    top = max(compress(range(1, len(lower_sum) + 1), lower_sum), default=0)
+    out = [0] * min(order, top + (modulus - 1) * n)
     for j in range(1, modulus):
         e = j * n
-        out[e:] = map(add, out[e:], lower_sum.coefficients)
-    return TruncatedSeries(tuple(out))
+        out[e : e + top] = map(add, out[e : e + top], lower_sum)
+    return out
 
 
 def alpha_recurrence(
@@ -454,4 +485,5 @@ def alpha_recurrence(
         if t.order < order:
             raise ValueError("all lower terms must be supplied at the target order")
         acc = list(map(add, acc, t.coefficients))
-    return _alpha_from_sum(modulus, n, TruncatedSeries(tuple(acc)))
+    term = _alpha_from_sum(modulus, n, acc, order)
+    return TruncatedSeries((*term, *(0,) * (order - len(term))))

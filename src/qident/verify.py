@@ -43,7 +43,7 @@ from collections import Counter
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from functools import partial
-from operator import ge, sub
+from operator import add, ge, sub
 
 from .bijections import (
     CertificationReport,
@@ -75,7 +75,6 @@ from .series import (
     _reciprocal,
     alpha_closed_form,
     euler_distinct_sum,
-    series_one,
     sum_side_glaisher,
     sum_side_standard,
 )
@@ -339,19 +338,20 @@ def glaisher_conjugate_report(modulus: int, max_weight: int) -> Finding | None:
 def glaisher_alpha_report(modulus: int, n_max: int, order: int) -> Finding | None:
     """Recurrence-built terms must equal the closed form for every index up to
     ``n_max`` at the given order.  The sum of the terms built so far is
-    carried from one index to the next."""
-    lower_sum = series_one(order)
+    carried from one index to the next, listed as ``_alpha_from_sum`` lists
+    it: up to the length of the last term, its higher coefficients 0."""
+    lower_sum = [1]
     for n in range(1, n_max + 1):
-        recurred = _alpha_from_sum(modulus, n, lower_sum)
+        recurred = _alpha_from_sum(modulus, n, lower_sum, order)
         finding = _first_difference(
-            recurred,
+            TruncatedSeries((*recurred, *(0,) * (order - len(recurred)))),
             alpha_closed_form(modulus, n, order),
             order,
             f"recurrence vs closed form at term {n}",
         )
         if finding is not None:
             return finding
-        lower_sum += recurred
+        lower_sum = [*map(add, recurred, lower_sum), *recurred[len(lower_sum) :]]
     return None
 
 

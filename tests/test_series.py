@@ -13,9 +13,11 @@ from qident.series import (
     ResidueClass,
     SumTerminationError,
     TruncatedSeries,
+    _alpha_from_sum,
     _euler,
     _geometric,
     _one_minus,
+    _one_minus_tail,
     _pochhammer_inverse_from,
     _product_side_by_complement,
     _product_side_by_dilation,
@@ -306,7 +308,7 @@ class TestEulerRoute:
             rc = ResidueClass.nonzero(d)
             assert _product_side_by_dilation(rc, all_parts, euler) == product_side(rc, 1000)
 
-    @pytest.mark.parametrize("order", (1, 2, 3, 30))
+    @pytest.mark.parametrize("order", (1, 2, 3, 4, 5, 30, 31, 61))
     def test_euler_product_is_the_product_of_its_factors(self, order):
         expected = series_one(order)
         for k in range(1, order):
@@ -445,6 +447,28 @@ class TestAlpha:
                 if order > degree:
                     assert closed.coefficient(degree) != 0
 
+    @given(
+        lower=st.lists(st.integers(-50, 50), max_size=12),
+        modulus=st.integers(2, 7),
+        n=st.integers(1, 6),
+    )
+    @example(lower=[], modulus=2, n=1)
+    @example(lower=[1, 0, 0], modulus=7, n=6)
+    def test_recurrence_is_computed_to_its_length(self, lower, modulus, n):
+        """Listed to any length, trailing zeros and all, the lower sum gives
+        the full product of the recurrence at every order below and above
+        L + (M-1)n, on min(order, L + (M-1)n) coefficients."""
+        top = max((i + 1 for i, x in enumerate(lower) if x), default=0)
+        bound = top + (modulus - 1) * n
+        for order in sorted({1, max(1, bound // 2), max(1, bound - 1), bound, bound + 7}):
+            padded = (lower + [0] * order)[:order]
+            block = [1 if e and e % n == 0 and e < modulus * n else 0 for e in range(order)]
+            expected = multiply(TruncatedSeries(tuple(padded)), TruncatedSeries(tuple(block)))
+            for given_sum in (padded, lower[:order]):
+                term = _alpha_from_sum(modulus, n, given_sum, order)
+                assert len(term) == min(order, bound)
+                assert TruncatedSeries((*term, *(0,) * (order - len(term)))) == expected
+
     def test_recurrence_requires_all_lower_terms(self):
         with pytest.raises(ValueError):
             alpha_recurrence(3, 2, [series_one(10)], 10)
@@ -518,6 +542,28 @@ class TestKernels:
         assert kernel_applied(_one_minus, series, k) == multiply(
             series, one_minus_factor(k, order)
         )
+
+    @given(
+        c=st.lists(st.integers(-(10**9), 10**9), max_size=120),
+        period_and_residues=st.integers(1, 25).flatmap(
+            lambda p: st.tuples(st.just(p), st.sets(st.integers(0, p - 1)))
+        ),
+    )
+    @example(c=[3], period_and_residues=(1, {0}))
+    @example(c=[3, -1], period_and_residues=(1, {0}))
+    @example(c=[3, -1, 4], period_and_residues=(2, {0, 1}))
+    @example(c=[0, 2, -5, 0, 1], period_and_residues=(25, {3}))
+    def test_tail_pass_is_one_one_minus_per_tail_size(self, c, period_and_residues):
+        """Every (1-q^k) with 2k >= len(c) and k mod p in the residues, at
+        once; both parities of the length, and periods beyond it."""
+        p, residues = period_and_residues
+        n = len(c)
+        expected = list(c)
+        for k in range(n - n // 2, n):
+            if k % p in residues:
+                _one_minus(expected, k)
+        _one_minus_tail(c, p, residues)
+        assert c == expected
 
     @given(
         order=st.integers(1, 40),

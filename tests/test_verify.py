@@ -223,6 +223,10 @@ class TestGlaisherFamily:
 
     def test_alpha_report(self):
         assert glaisher_alpha_report(4, 8, 60) is None
+        # the running sum is carried at its length, which the order clips
+        for modulus in range(2, 8):
+            for order in (1, 5, 60, 1000):
+                assert glaisher_alpha_report(modulus, 10, order) is None, (modulus, order)
 
     def test_bijection_report_small(self):
         assert glaisher_bijection_report(3, 12) is None
