@@ -488,8 +488,8 @@ def profile_series(family: ProfileFamily, order: int) -> TruncatedSeries:
     Identical for every profile sharing the same slot-count and weight rules;
     the offsets do not enter.  Each branch's terms are scanned and checked
     as ``sum_side_standard`` scans them, and the terms of all branches are
-    summed in one pass sorted by exponent, so one running 1/(q)_u serves
-    every branch.
+    sorted by exponent and summed in one nest from the last term down, so
+    one nest serves every branch.
     """
     return _sum_terms(
         sorted(

@@ -14,14 +14,14 @@ through two kernels, ``_geometric`` for 1/(1-q^k) and ``_one_minus`` for
 (1-q^k), and every shifted addition is one slice assignment such as
 ``total[n:] = map(add, total[n:], run)``: a few C-level slice operations per
 factor, not a Python statement per coefficient.  A third, ``_one_minus_tail``,
-takes every (1-q^k) with 2k >= len(c) in a set of residues in one prefix-sum
-pass: below the truncation their product is 1 minus the sum of their q^k.
+takes every (1-q^k) with 3k >= len(c) in a set of residues in a few prefix-sum
+passes: below the truncation their product is 1 - e1 + e2, e1 and e2 the
+first two elementary symmetric sums of their q^k.
 
-``sum_side_standard`` carries one running factor across its terms
-(``_sum_terms``), trimmed to ``order - w`` before a term of exponent w.
-``sum_side_glaisher`` and ``euler_distinct_sum`` nest their sums from the
-last term down (Horner form), the inner sum growing by one coefficient per
-step, so no step adds a long slice into a total.
+``sum_side_standard`` (through ``_sum_terms``), ``sum_side_glaisher`` and
+``euler_distinct_sum`` nest their sums from the last term down (Horner form),
+each inner sum needed only below the order less its exponent, so no step adds
+a long slice into a total.
 
 ``product_side`` multiplies one 1/(1-q^k) per allowed part size.  Private
 routes build the same series from Glaisher's product identity: the parts
@@ -43,7 +43,7 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import accumulate, compress, count, repeat
 from math import lcm
-from operator import add, mul, sub
+from operator import add, floordiv, mul, sub
 
 __all__ = [
     "SumTerminationError",
@@ -138,21 +138,36 @@ def _one_minus(c: list[int], k: int) -> None:
 
 
 def _one_minus_tail(c: list[int], p: int, residues: Iterable[int]) -> None:
-    """Multiply ``c`` in place by (1 - q^k) for every k from h = ceil(n/2)
-    to n - 1, n = len(c), whose residue mod ``p`` is in ``residues``.  Any
-    two of these multiply to an exponent of at least 2h >= n, so below n
-    their product is 1 minus the sum of their q^k: c_i loses c_{i-k} per
-    such k <= i, which reads c[:n-h] alone, never written here.  That is a
-    running sum of c[:n-h] along each stride mod ``p``, then one slice
-    subtraction per residue."""
+    """Multiply ``c`` in place by (1 - q^k) for every k in K, the sizes from
+    h = ceil(n/3) to n - 1, n = len(c), whose residue mod ``p`` is in
+    ``residues``.  Any three of these multiply to an exponent of at least
+    3h >= n, so below n their product is 1 - e1 + e2, with e1 the sum of
+    their q^k and e2 = (e1^2 - P2)/2, P2 the sum of their q^{2k}.  With
+    X = c e1, the new ``c`` is c - X + (X e1 - c P2)/2, the halving exact.
+    Each product by e1 or P2 is a running sum along each stride mod ``p``
+    (``2p`` for P2) of the coefficients it can reach, then one slice addition
+    per residue."""
     n = len(c)
-    h = (n + 1) // 2
-    s = c[: n - h]
-    for r in range(min(p, n - h)):
-        s[r::p] = accumulate(s[r::p])
-    for r in residues:
-        first = h + (r - h) % p  # the least size from h up with residue r
-        c[first:] = map(sub, c[first:], s)
+    h = (n + 2) // 3
+    firsts = [h + (r - h) % p for r in residues]  # the least size from h up with residue r
+
+    def strided(a: list[int], stride: int) -> list[int]:
+        for r in range(min(stride, len(a))):
+            a[r::stride] = accumulate(a[r::stride])
+        return a
+
+    s = strided(c[: n - h], p)  # X_i is the sum of s[i - f] over the firsts f <= i
+    s2 = strided(c[: max(0, n - 2 * h)], 2 * p)  # (c P2)_i: of s2[i - 2f]
+    x = [0] * (n - h)  # X below n - h, all that X e1 reads
+    for f in firsts:
+        x[f:] = map(add, x[f:], s)
+        c[f:] = map(sub, c[f:], s)
+    strided(x, p)
+    d = [0] * max(0, n - 2 * h)  # X e1 - c P2 from exponent 2h up; x is 0 below h
+    for f in firsts:
+        d[f - h :] = map(add, d[f - h :], x[h:])
+        d[2 * (f - h) :] = map(sub, d[2 * (f - h) :], s2)
+    c[2 * h :] = map(add, c[2 * h :], map(floordiv, d, repeat(2)))
 
 
 def _times_dilated(c: list[int], b: Sequence[int], d: int) -> list[int]:
@@ -256,9 +271,9 @@ def product_side(rc: ResidueClass, order: int) -> TruncatedSeries:
 def _euler(order: int) -> TruncatedSeries:
     """(1-q)(1-q^2)...(1-q^{order-1}), the Euler product E below ``order``;
     ``_reciprocal`` of it is the all-parts series.  The factors with
-    2k >= order are one ``_one_minus_tail`` pass."""
+    3k >= order are one ``_one_minus_tail`` pass."""
     c = list(series_one(order).coefficients)
-    for k in range(1, (order + 1) // 2):
+    for k in range(1, (order + 2) // 3):
         _one_minus(c, k)
     _one_minus_tail(c, 1, (0,))
     return TruncatedSeries(tuple(c))
@@ -285,12 +300,12 @@ def _product_side_by_complement(
     ``base`` at that order, when ``base`` allows every part size below the
     order that ``rc`` allows: ``series`` times (1 - q^k) for every size k
     that ``base`` allows and ``rc`` does not, which cancels its factor
-    1/(1 - q^k) exactly below the order; those with 2k >= order in one
+    1/(1 - q^k) exactly below the order; those with 3k >= order in one
     ``_one_minus_tail`` pass, by their residues mod the two moduli's lcm."""
     p = lcm(rc.modulus, base.modulus)
     removed = {r for r in range(p) if base.allows(r) and not rc.allows(r)}
     c = list(series.coefficients)
-    for k in range(1, (len(c) + 1) // 2):
+    for k in range(1, (len(c) + 2) // 3):
         if k % p in removed:
             _one_minus(c, k)
     _one_minus_tail(c, p, removed)
@@ -332,24 +347,31 @@ def _sum_terms(terms: Iterable[tuple[int, int]], order: int) -> TruncatedSeries:
     """Sum of q^w / ((1-q)...(1-q^u)) over the (w, u) of ``terms``, whose
     exponents w are nondecreasing and below ``order``.
 
-    One running 1/(q)_u is carried across the terms.  A term of exponent w
-    needs it only below ``order - w``, and w never decreases, so it is trimmed
-    to that length and extended by the factors the new slot count adds.  When
-    the slot count drops it restarts from 1 and is rebuilt the same way.
+    Nested from the last term down (Horner form): with the terms
+    (w_0, u_0) ... (w_t, u_t), the sum is q^{w_0} H_0 / (q)_{u_0}, where
+    H_t = 1 and H_i = 1 + q^{w_{i+1} - w_i} R_i H_{i+1}, needed only below
+    ``order - w_i``.  R_i = (q)_{u_i} / (q)_{u_{i+1}} is 1/(1-q^j) for
+    u_i < j <= u_{i+1}, or (1-q^j) for u_{i+1} < j <= u_i when the slot count
+    drops; a factor with j at or beyond the length of H_{i+1} is the identity
+    and is skipped.  Each factor works at the length of the inner sum it
+    multiplies, and no term adds a slice into a total.
     """
     if order < 1:
         raise ValueError("truncation order must be at least 1")
-    total = [0] * order
-    run = list(series_one(order).coefficients)  # 1/(q)_have, exact below len(run)
-    have = 0
-    for w, u in terms:
-        del run[order - w :]
-        if u < have:
-            run, have = [1] + [0] * (order - w - 1), 0
-        _pochhammer_inverse_from(run, have, u)
-        have = u
-        total[w:] = map(add, total[w:], run)
-    return TruncatedSeries(tuple(total))
+    w, u, h = order, 0, []  # past the last term, H is 0 from exponent ``order``
+    for w_i, u_i in reversed(list(terms)):
+        if u_i <= u:
+            _pochhammer_inverse_from(h, u_i, u)
+        else:
+            for j in range(u + 1, min(u_i, len(h) - 1) + 1):
+                _one_minus(h, j)
+        if w_i < w:
+            h[:0] = [1] + [0] * (w - w_i - 1)
+        else:
+            h[0] += 1
+        w, u = w_i, u_i
+    _pochhammer_inverse_from(h, 0, u)
+    return TruncatedSeries((*(0,) * w, *h))
 
 
 def sum_side_standard(
@@ -365,8 +387,8 @@ def sum_side_standard(
     reaches the truncation order.  Exponents must be nondecreasing over the
     scanned range (a decrease raises ValueError), and a scan that stays below
     the order for more than 10,000 values of n raises
-    SumTerminationError instead of looping forever.  The terms are summed
-    with one running 1/(q)_u (``_sum_terms``).
+    SumTerminationError instead of looping forever.  The terms are nested
+    from the last one down (``_sum_terms``).
     """
     return _sum_terms(_standard_terms(min_weight, slots, order, start), order)
 

@@ -15,7 +15,6 @@ fast path has lost its check or that the two oracles share code.
 """
 
 import sys
-from operator import add
 
 import pytest
 
@@ -24,7 +23,7 @@ import qident.partitions as partitions
 import qident.series as series
 from qident.partitions import Partition
 from qident.profiles import default_catalog
-from qident.series import TruncatedSeries
+from qident.series import TruncatedSeries, _geometric
 from qident.verify import plan_checks, run_suite
 
 ORDER, WEIGHT = 30, 13
@@ -142,15 +141,28 @@ def keeps_last_coefficient(one_minus):
 
 def starts_one_size_late(tail):
     """The tail pass leaves out the first size it should take, the least k
-    from ceil(len(c)/2) up with its residue: below the truncation that adds
-    back q^k times the coefficients the pass reads."""
+    from ceil(len(c)/3) up with its residue: the pass, then 1/(1-q^k)."""
 
     def fake(c, p, residues):
         n = len(c)
-        before = c[: n // 2]
         tail(c, p, residues)
-        first = next((k for k in range(n - n // 2, n) if k % p in residues), n)
-        c[first:] = map(add, c[first:], before)
+        first = next((k for k in range(-(-n // 3), n) if k % p in residues), n)
+        if first < n:
+            _geometric(c, first)
+
+    return fake
+
+
+def leaves_out_first_tail_size(euler):
+    """The Euler product leaves out its factor (1-q^k) of the least tail
+    size, k = ceil(order/3): E times 1/(1-q^k)."""
+
+    def fake(order):
+        c = list(euler(order).coefficients)
+        k = -(-order // 3)
+        if k < order:
+            _geometric(c, k)
+        return TruncatedSeries(tuple(c))
 
     return fake
 
@@ -245,10 +257,10 @@ BEYOND_GEOMETRIC = {
 
 # The series rows a fault in the (1-q^k) kernel misses: those of the odd
 # parts, built from E alone, and those of the example family, which has no
-# product side and whose sum sides take no (1-q^k).  The kernel now takes
-# only E's factors with 2k < order, and their product has coefficient 0 at
-# the top exponent of both orders, 13 and 29, the value the fault keeps; the
-# factors from order/2 up are the tail pass's.
+# product side and whose sum sides take no (1-q^k).  The kernel takes only
+# E's factors with 3k < order, and their product has coefficient 0 at the
+# top exponent of both orders, 13 and 29, the value the fault keeps; the
+# factors from order/3 up are the tail pass's.
 BEYOND_ONE_MINUS = {
     ("euler", "analytic", ""),
     ("euler", "combinatorial", "euler-layers"),
@@ -264,20 +276,19 @@ BEYOND_ONE_MINUS = {
 
 
 # The product rows a fault in the tail pass misses.  Leaving out size
-# h = ceil(order/2) makes E into E(1+q^h) below the order, so 1/E gains
-# (1-q^h); a complement that takes h itself then gains (1+q^h), and the two
-# cancel.  hirschhorn-2's class mod 20 takes 7 at the counting bound 14 and
-# hirschhorn-4's class mod 16 takes 7 and 15 (order 30); subbarao-2-1 and
-# -2-3 share those classes.
+# h = ceil(order/3) makes E into E/(1-q^h) below the order, so 1/E and every
+# class of parts not divisible by d >= 3 gain (1-q^h); a complement of such a
+# class that takes h itself then gains 1/(1-q^h), and the two cancel.  The
+# class 1,4,6,7,9,10,12,15 mod 16 takes 5 at the counting bound 13 (order
+# 14), and the class 2,3,4,5,11,12,13,14 mod 16 takes 10 at order 30; the
+# Euler fault below reaches them all.
 BEYOND_TAIL = {
-    ("hirschhorn-2", "combinatorial", "hirschhorn-2"),
-    ("subbarao-2-1", "combinatorial", "subbarao-2-1"),
-    ("hirschhorn-2+subbarao-2-1", "equinumerosity", ""),
+    ("hirschhorn-3", "combinatorial", "hirschhorn-3"),
+    ("subbarao-2-4", "combinatorial", "subbarao-2-4"),
+    ("hirschhorn-3+subbarao-2-4", "equinumerosity", ""),
+    ("subbarao-agarwal-1-5", "combinatorial", "subbarao-agarwal-1-5"),
     ("hirschhorn-4", "analytic", ""),
-    ("hirschhorn-4", "combinatorial", "hirschhorn-4"),
     ("subbarao-2-3", "analytic", ""),
-    ("subbarao-2-3", "combinatorial", "subbarao-2-3"),
-    ("hirschhorn-4+subbarao-2-3", "equinumerosity", ""),
 }
 
 
@@ -342,7 +353,7 @@ FAULTS = {
         partitions, ("conjugate", "_conjugate_parts"), wrong_on_one_shape,
         glaisher_rows("conjugate"), SERIES_ROUTE,
     ),
-    # every catalog sum side carries a running 1/(q)_u built here; the
+    # every catalog sum side takes its slot factors 1/(1-q^j) here; the
     # Glaisher sum side, the alpha terms and the enumeration oracles do not
     "Pochhammer inverse one factor short": (
         series, ("_pochhammer_inverse_from",), one_factor_short,
@@ -369,10 +380,17 @@ FAULTS = {
         {"bijection", "conjugate"},
     ),
     # E and every complement build take their factors (1-q^k) with
-    # 2k >= order in one tail pass
+    # 3k >= order in one tail pass
     "tail pass starts one size late": (
         series, ("_one_minus_tail",), starts_one_size_late,
         PRODUCT_ROWS - BEYOND_TAIL,
+        {"bijection", "conjugate", "alpha"},
+    ),
+    # every product side is built from 1/E, and E(q^d) or a complement
+    # cancels no factor of E
+    "Euler product leaves out its first tail size": (
+        series, ("_euler",), leaves_out_first_tail_size,
+        PRODUCT_ROWS,
         {"bijection", "conjugate", "alpha"},
     ),
     # the recurrence side of the alpha rows alone; the closed form and every

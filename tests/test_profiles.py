@@ -289,8 +289,8 @@ class TestProfileSeries:
     def test_merged_scan_with_dropping_slot_counts(self, rules, order):
         """Two branches with exponents a*n*n + b*n + c and slot counts
         s*(n % m) + t, which drop every m terms, and the merged scan drops
-        them again where the branches interleave: the running factor restarts
-        at each drop."""
+        them again where the branches interleave: the nest multiplies by
+        (1-q^j) at each drop."""
         branches = tuple(
             ProfileBranch(
                 parity, 0, f"{s}*(n % {m}) + {t}", f"{a}*n*n + {b}*n + {c}",

@@ -553,13 +553,18 @@ class TestKernels:
     @example(c=[3, -1], period_and_residues=(1, {0}))
     @example(c=[3, -1, 4], period_and_residues=(2, {0, 1}))
     @example(c=[0, 2, -5, 0, 1], period_and_residues=(25, {3}))
+    # pairs of tail sizes 3 + 4 and 3 + 5 land below the length, and 2*3 and
+    # 2*4 too
+    @example(c=[5, -1, 2, 0, 7, -3, 1, 4, -2], period_and_residues=(1, {0}))
+    # of the sizes 19, 26 and 33 no pair lands below 40, but 2*19 does
+    @example(c=list(range(1, 41)), period_and_residues=(7, {5}))
     def test_tail_pass_is_one_one_minus_per_tail_size(self, c, period_and_residues):
-        """Every (1-q^k) with 2k >= len(c) and k mod p in the residues, at
-        once; both parities of the length, and periods beyond it."""
+        """Every (1-q^k) with 3k >= len(c) and k mod p in the residues, at
+        once; every length mod 3, and periods beyond it."""
         p, residues = period_and_residues
         n = len(c)
         expected = list(c)
-        for k in range(n - n // 2, n):
+        for k in range(-(-n // 3), n):
             if k % p in residues:
                 _one_minus(expected, k)
         _one_minus_tail(c, p, residues)
@@ -573,6 +578,10 @@ class TestKernels:
     )
     # slot counts that drop, twice to zero, with the scan starting at 2
     @example(order=30, start=2, steps=[0, 1, 0, 2, 3, 1, 4], slots=[5, 2, 7, 0, 9, 0, 3])
+    @example(order=10, start=0, steps=[0], slots=[3])  # a single term
+    # a first term with exponent and slot count above 0
+    @example(order=25, start=1, steps=[2, 0, 3, 1], slots=[4, 6, 1])
+    @example(order=20, start=0, steps=[0, 5, 14], slots=[3, 2, 7])  # a last term at q^19
     def test_sum_side_standard_is_the_sum_of_its_terms(self, order, start, steps, slots):
         weights = list(accumulate(steps))  # nondecreasing
 

@@ -715,7 +715,8 @@ class TestProductSideBases:
 class TestSharedWork:
     """Deterministic guards on the work the shared series take: one Euler
     product per order serves every class of the parts not divisible by d,
-    and one running factor serves both branches of a profile sum."""
+    the factors (1-q^k) from a third of the order up take one pass, and one
+    nested sum serves both branches of a profile sum."""
 
     def test_each_nonzero_class_is_built_from_one_euler_product(self):
         """At the analytic order 1000 and at the counting bound 9 alike."""
@@ -733,9 +734,38 @@ class TestSharedWork:
                 moduli.setdefault(order, set()).add(key[1].modulus)
         assert moduli == {1000: {2, 3, 4, 5, 6, 7, 8, 10}, 9: {2, 5, 8, 10}}
 
+    def test_one_minus_passes_stop_below_a_third_of_the_order(self, monkeypatch):
+        """At order 1000, E takes one (1-q^k) pass per k < 334, and each of
+        the seven complement classes one per such k it removes, 783 in all;
+        the sizes from 334 up are one tail pass per build.  Counts repeat
+        exactly, so a return to a pass per factor fails here."""
+        passes = []
+        one_minus = series_module._one_minus
+
+        def counted(c, k):
+            passes.append(k)
+            one_minus(c, k)
+
+        monkeypatch.setattr(series_module, "_one_minus", counted)
+        inputs = product_inputs(plan_checks(None, 1000, 8, default_catalog()))
+        values = {}
+        built(inputs["euler", 1000], values)
+        assert sorted(passes) == list(range(1, 334))
+        complements = [
+            shared
+            for key, shared in inputs.items()
+            if key[0] == "product" and key[2] == 1000 and shared.needs[0].key[0] == "product"
+        ]
+        assert len(complements) == 7
+        bases = [built(shared.needs[0], values) for shared in complements]
+        passes.clear()
+        for shared, base in zip(complements, bases):
+            shared.build(base)
+        assert len(passes) == 783 and max(passes) < 334
+
     def test_two_branch_profile_sums_pass_fewer_coefficients(self, monkeypatch):
-        """Coefficients passed through the slot kernel, one running
-        1/(q)_u for both branches against one per branch."""
+        """Coefficients passed through the slot kernel, one nest for both
+        branches against one per branch."""
         passed = []
         geometric = series_module._geometric
 
