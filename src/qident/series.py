@@ -10,18 +10,22 @@ the nonzero terms of that series only; every other reciprocal, such as
 ratios like (q^n - q^{nM})/(1-q^n) are expanded as polynomials.
 
 Every multiplication by one factor runs in place on a list of coefficients
-through two kernels, ``_geometric`` for 1/(1-q^k) and ``_one_minus`` for
-(1-q^k), and every shifted addition is one slice assignment such as
-``total[n:] = map(add, total[n:], run)``: a few C-level slice operations per
-factor, not a Python statement per coefficient.  A third, ``_one_minus_tail``,
-takes every (1-q^k) with 3k >= len(c) in a set of residues in a few prefix-sum
-passes: below the truncation their product is 1 - e1 + e2, e1 and e2 the
-first two elementary symmetric sums of their q^k.
+through a kernel, ``_geometric`` for 1/(1-q^k), ``_one_minus`` for (1-q^k) or
+``_one_plus`` for (1+q^k), and every shifted addition is one slice assignment
+such as ``total[n:] = map(add, total[n:], run)``: a few C-level slice
+operations per factor, not a Python statement per coefficient.  Another,
+``_one_minus_tail``, takes every (1-q^k) with 3k >= len(c) in a set of
+residues in a few prefix-sum passes: below the truncation their product is
+1 - e1 + e2, e1 and e2 the first two elementary symmetric sums of their q^k.
 
 ``sum_side_standard`` (through ``_sum_terms``), ``sum_side_glaisher`` and
 ``euler_distinct_sum`` nest their sums from the last term down (Horner form),
 each inner sum needed only below the order less its exponent, so no step adds
-a long slice into a total.
+a long slice into a total.  From n0(M) = ceil((order+M)/(M+1)) up the
+divide-by-M nest has no numerator below its length and splits as A - B, A the
+same for every M and B zero above (order-1)//M, so one nest of A
+(``_glaisher_tails``) serves every M >= 3.  At M = 2 each term is
+q^n (-q;q)_{n-1}, so that sum is ``euler_distinct_sum``.
 
 ``product_side`` multiplies one 1/(1-q^k) per allowed part size.  Private
 routes build the same series from Glaisher's product identity: the parts
@@ -135,6 +139,11 @@ def _geometric(c: list[int], k: int) -> None:
 def _one_minus(c: list[int], k: int) -> None:
     """Multiply the coefficients ``c`` by (1 - q^k) in place, k >= 1."""
     c[k:] = map(sub, c[k:], c[:-k])
+
+
+def _one_plus(c: list[int], k: int) -> None:
+    """Multiply the coefficients ``c`` by (1 + q^k) in place, k >= 1."""
+    c[k:] = map(add, c[k:], c[:-k])
 
 
 def _one_minus_tail(c: list[int], p: int, residues: Iterable[int]) -> None:
@@ -402,16 +411,44 @@ def sum_side_glaisher(modulus: int, order: int) -> TruncatedSeries:
 
         V_n = g_n (1 - q^{n(M-1)} + q V_{n+1}),
 
-    and V_n is needed only below ``order - n``.  From n = order-1 down to 1,
-    1 + q V_{n+1} is one shift with 1 at q^0, -q^{n(M-1)} one O(1) update,
-    and g_n one ``_one_minus`` and one ``_geometric``.
+    and V_n is needed only below ``order - n``.  From n0 = ceil((order+M)/(M+1))
+    up, (n-1)M >= order - n, so g_n is 1/(1-q^n) there and V_n = A_n - B_n,
+    A_n = (1 + q A_{n+1})/(1-q^n) the same for every M and
+    B_n = (q^{n(M-1)} + q B_{n+1})/(1-q^n) zero below ``order - n`` once
+    nM >= order.  So V_n = A_n there once nM >= order, copied from one nest of
+    A (``_glaisher_tails``), and below that the nest runs on (``_glaisher_sum``):
+    1 + q V_{n+1} is one shift with 1 at q^0, -q^{n(M-1)} one O(1) update, and
+    g_n one ``_geometric`` with, below n0, one ``_one_minus``.  At M = 2 the
+    term is q^n (1+q)...(1+q^{n-1}), so the sum is ``euler_distinct_sum``.
     """
     if modulus < 2:
         raise ValueError("modulus must be at least 2")
     if order < 1:
         raise ValueError("truncation order must be at least 1")
-    v: list[int] = []  # V_{n+1}, exact below order - n - 1
-    for n in range(order - 1, 0, -1):
+    return _glaisher_sum(modulus, order, _glaisher_tails((modulus,), order))
+
+
+def _glaisher_tails(moduli: Iterable[int], order: int) -> dict[int, list[int]]:
+    """For each M >= 3 in ``moduli``, A_n of ``sum_side_glaisher`` at the
+    least n >= n0(M) above (order-1)//M, exact below ``order - n``, where it
+    is V_n: one nest down to the least such n, copied at each."""
+    starts = {m: max((order - 1) // m + 1, -(-(order + m) // (m + 1))) for m in moduli if m > 2}
+    a, at = [], {order: []}  # A_n, exact below order - n
+    for n in range(order - 1, min(starts.values(), default=order) - 1, -1):
+        a.insert(0, 1)
+        _geometric(a, n)
+        if n in starts.values():
+            at[n] = a[:]
+    return {m: at[n] for m, n in starts.items()}
+
+
+def _glaisher_sum(modulus: int, order: int, tails: dict[int, list[int]]) -> TruncatedSeries:
+    """``sum_side_glaisher(modulus, order)``, the nest run on from the tail
+    that ``_glaisher_tails`` built for moduli holding ``modulus``."""
+    if modulus == 2:
+        return euler_distinct_sum(order)
+    v = list(tails[modulus])  # V_{n+1}, exact below order - n - 1
+    for n in range(order - len(v) - 1, 0, -1):
         v.insert(0, 1)
         if n * (modulus - 1) < len(v):
             v[n * (modulus - 1)] -= 1
@@ -426,14 +463,14 @@ def euler_distinct_sum(order: int) -> TruncatedSeries:
 
     Nested from the top as in ``sum_side_glaisher``: the sum is 1 + q U_1
     with U_n = 1 + q (1+q^n) U_{n+1}, needed only below ``order - n``, so
-    each step is one shift, one shifted addition for (1+q^n) and +1 at q^0.
+    each step is one shift, one ``_one_plus`` and +1 at q^0.
     """
     if order < 1:
         raise ValueError("truncation order must be at least 1")
     u: list[int] = []  # U_{n+1}, exact below order - n - 1
     for n in range(order - 1, 0, -1):
         u.insert(0, 0)
-        u[n:] = map(add, u[n:], u[:-n])
+        _one_plus(u, n)
         u[0] += 1
     return TruncatedSeries((1, *u))
 

@@ -25,15 +25,15 @@ and the finding.
 
 Many identities share a product side, and many interpretations share their
 term rules, so each row also declares the shared inputs it reads: product
-sides, divide-by-M sum sides, profile sum sides (keyed by the term rules of
-their branches) and profiles' chain counts at a weight bound.  A product side
-of modulus m is built, by Glaisher's product identity, from the parts not
-divisible by d, d the least divisor of m from 2 up that divides no allowed
-residue: those are the all-parts series 1/E times E(q^d), E the Euler
-product, each an input of its own.  ``run_suite`` builds each input once, as
-its own timed step, just before its first reader (a row, or an input built
-from it), hands it to every reader and drops it after the last; a check
-function is handed the values it compares and builds none of them.
+sides, divide-by-M sum sides and their shared tail, profile sum sides (keyed
+by the term rules of their branches) and profiles' chain counts at a weight
+bound.  A product side of modulus m is built, by Glaisher's product identity,
+from the parts not divisible by d, d the least divisor of m from 2 up that
+divides no allowed residue: those are the all-parts series 1/E times E(q^d),
+E the Euler product, each an input of its own.  ``run_suite`` builds each
+input once, as its own timed step, just before its first reader (a row, or an
+input built from it), hands it to every reader and drops it after the last; a
+check function is handed the values it compares and builds none of them.
 """
 
 import json
@@ -60,6 +60,7 @@ from .partitions import (
 from .profiles import (
     Catalog,
     CatalogEntry,
+    ProfileBranch,
     ProfileFamily,
     default_catalog,
     profile_chain_counts,
@@ -70,13 +71,13 @@ from .series import (
     TruncatedSeries,
     _alpha_from_sum,
     _euler,
+    _glaisher_sum,
+    _glaisher_tails,
     _product_side_by_complement,
     _product_side_by_dilation,
     _reciprocal,
     alpha_closed_form,
-    euler_distinct_sum,
     sum_side_glaisher,
-    sum_side_standard,
 )
 
 __all__ = [
@@ -248,18 +249,13 @@ def verify_equinumerosity(
 
 
 def euler_forms_report(
-    odd_parts: TruncatedSeries, divide_by_2: TruncatedSeries
+    odd_parts: TruncatedSeries, divide_by_2: TruncatedSeries, triangular: TruncatedSeries
 ) -> Finding | None:
-    """At modulus 2, the odd-parts product equals three sum expressions: the
-    divide-by-2 form, the triangular-exponent family, and the distinct-parts
-    product form.  All three are compared to the product below its order."""
+    """At modulus 2, the odd-parts product equals the divide-by-2 sum, built in
+    its distinct-parts form, and the triangular-exponent family; both are
+    compared to the product below its order."""
     order = odd_parts.order
-    forms = [
-        ("divide-by-2 sum", divide_by_2),
-        ("triangular sum", sum_side_standard(lambda n: (n * n + n) // 2, lambda n: n, order)),
-        ("distinct-parts sum", euler_distinct_sum(order)),
-    ]
-    for label, s in forms:
+    for label, s in (("divide-by-2 sum", divide_by_2), ("triangular sum", triangular)):
         finding = _first_difference(odd_parts, s, order, f"odd-parts product vs {label}")
         if finding is not None:
             return finding
@@ -462,10 +458,13 @@ def _profile_sum_input(profile: ProfileFamily, order: int) -> _Input:
     return _Input(("profile sum", rules, order), lambda: profile_series(profile, order))
 
 
-def _sum_input(d: IdentityDescriptor, order: int) -> _Input:
-    """The divide-by-M sum side, or that of the first interpretation."""
-    if (m := d.glaisher_modulus) is not None:
-        return _Input(("glaisher", m, order), lambda: sum_side_glaisher(m, order))
+def _sum_input(d: IdentityDescriptor, order: int, moduli: tuple[int, ...]) -> _Input:
+    """The divide-by-M sum side (M >= 3 from the ``moduli`` tail) or the first interpretation's."""
+    if (m := d.glaisher_modulus) == 2:
+        return _Input(("glaisher", m, order), partial(sum_side_glaisher, m, order))
+    if m is not None:
+        tail = _Input(("glaisher tail", moduli, order), partial(_glaisher_tails, moduli, order))
+        return _Input(("glaisher", m, order), partial(_glaisher_sum, m, order), (tail,))
     if not d.interpretations:
         raise ValueError(f"identity {d.name} has no sum side")
     return _profile_sum_input(d.interpretations[0].profile, order)
@@ -553,12 +552,13 @@ def _check(
     return Check(identity, mode, subject, bound, partial(fn, *args, **kwargs), inputs)
 
 
-def _identity_checks(d: IdentityDescriptor, order: int, max_weight: int) -> list[Check]:
+def _identity_checks(d: IdentityDescriptor, order: int, max_weight: int,
+                     moduli: tuple[int, ...]) -> list[Check]:
     """The analytic check, one combinatorial check per interpretation, and for
     a divide-by-M identity the one divide-by-M battery; a descriptor without
     a sum side raises ValueError."""
     check = partial(_check, d.name)
-    sides = (_sum_input(d, max_weight + 1),)
+    sides = (_sum_input(d, max_weight + 1, moduli),)
     if d.product is not None and d.interpretations:
         sides += (_product_input(d.product, max_weight + 1),)
     checks = [
@@ -567,21 +567,20 @@ def _identity_checks(d: IdentityDescriptor, order: int, max_weight: int) -> list
         for entry in d.interpretations
     ]
     if d.product is not None:
-        analytic = (_product_input(d.product, order), _sum_input(d, order))
+        analytic = (_product_input(d.product, order), _sum_input(d, order, moduli))
         checks.append(check("analytic", order, verify_analytic, inputs=analytic))
     modulus = d.glaisher_modulus
     if modulus is not None:
-        conjugate_weight = min(max_weight, CONJUGATE_MAX_WEIGHT)
+        capped = min(max_weight, CONJUGATE_MAX_WEIGHT)
         checks += [
-            check("bijection", max_weight, glaisher_bijection_report, modulus,
-                  max_weight),
-            check("conjugate", conjugate_weight, glaisher_conjugate_report, modulus,
-                  conjugate_weight),
+            check("bijection", max_weight, glaisher_bijection_report, modulus, max_weight),
+            check("conjugate", capped, glaisher_conjugate_report, modulus, capped),
             check("alpha", order, glaisher_alpha_report, modulus, _ALPHA_TERMS, order),
         ]
-        if modulus == 2:
-            # the odd-parts product and the divide-by-2 sum are the analytic sides
-            checks.append(check("forms", order, euler_forms_report, inputs=analytic))
+        if modulus == 2:  # the analytic sides, and the triangular sum as euler's profile sum
+            branch = ProfileBranch("all", 0, "n", "(n*n + n) // 2", ())
+            forms = (*analytic, _profile_sum_input(ProfileFamily("triangular", (branch,)), order))
+            checks.append(check("forms", order, euler_forms_report, inputs=forms))
     return checks
 
 
@@ -633,7 +632,8 @@ def plan_checks(
         selected = list({d.name: d for d in selected}.values())
         selected_groups = list(dict.fromkeys(selected_groups))
 
-    checks = [c for d in selected for c in _identity_checks(d, order, max_weight)]
+    moduli = tuple(sorted(m for d in selected if (m := d.glaisher_modulus or 0) > 2))
+    checks = [c for d in selected for c in _identity_checks(d, order, max_weight, moduli)]
     checks += [
         _check(name, "equinumerosity", max_weight, verify_equinumerosity, members,
                inputs=(_group_series_input(members, max_weight + 1),

@@ -197,6 +197,18 @@ class TestSeriesCommand:
         assert payload == [1, 1, 1, 2, 2, 3]
         assert json.dumps(payload, separators=(",", ":")) == out.strip()
 
+    @pytest.mark.parametrize("fmt", ["text", "machine"])
+    def test_divide_by_2_sum_is_the_distinct_parts_sum(self, capsys, fmt):
+        """The divide-by-2 sum is evaluated in distinct-parts form, so the
+        two kinds print the same coefficients."""
+        code, glaisher, _ = run(
+            capsys, "series", "glaisher-sum", "--modulus", "2", "--order", "50", "--format", fmt
+        )
+        assert code == EXIT_OK
+        code, distinct, _ = run(capsys, "series", "distinct-sum", "--order", "50", "--format", fmt)
+        assert code == EXIT_OK
+        assert glaisher == distinct and glaisher.count("\n") == (50 if fmt == "text" else 1)
+
     def test_profile_sum(self, capsys):
         code, out, _ = run(
             capsys, "series", "profile-sum", "--profile", "P2", "--order", "8"

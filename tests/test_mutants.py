@@ -128,12 +128,12 @@ def skips_last_block(geometric):
     return fake
 
 
-def keeps_last_coefficient(one_minus):
-    """The (1-q^k) kernel leaves the last coefficient as it was."""
+def keeps_last_coefficient(kernel):
+    """The (1-q^k) or (1+q^k) kernel leaves the last coefficient as it was."""
 
     def fake(c, k):
         last = c[-1]
-        one_minus(c, k)
+        kernel(c, k)
         c[-1] = last
 
     return fake
@@ -239,7 +239,9 @@ PRODUCT_ROWS = {
 # groups with a product side compare counts with that side alone, built by
 # the Euler route without the kernel; at the counting bound the sum sides of
 # rr2 and of subbarao-agarwal-1-5 and -1-6 need only factors with
-# k*k <= 14, which take the stride branch.
+# k*k <= 14, which take the stride branch; and glaisher-2 analytic compares
+# the odd parts, built by the Euler route, with the divide-by-2 sum, built in
+# distinct-parts form, which takes (1+q^k) factors alone.
 BEYOND_GEOMETRIC = {
     (group, "equinumerosity", "")
     for group in (
@@ -253,16 +255,19 @@ BEYOND_GEOMETRIC = {
     )
 } | {("rr2", "combinatorial", f"P{i}") for i in range(2, 6)} | {
     (name, "combinatorial", name) for name in ("subbarao-agarwal-1-5", "subbarao-agarwal-1-6")
-}
+} | {("glaisher-2", "analytic", "")}
 
 # The series rows a fault in the (1-q^k) kernel misses: those of the odd
 # parts, built from E alone, and those of the example family, which has no
 # product side and whose sum sides take no (1-q^k).  The kernel takes only
 # E's factors with 3k < order, and their product has coefficient 0 at the
 # top exponent of both orders, 13 and 29, the value the fault keeps; the
-# factors from order/3 up are the tail pass's.
+# factors from order/3 up are the tail pass's.  The divide-by-2 sum, in
+# distinct-parts form, and the triangular sum take no (1-q^k) either.
 BEYOND_ONE_MINUS = {
     ("euler", "analytic", ""),
+    ("glaisher-2", "analytic", ""),
+    ("glaisher-2", "forms", ""),
     ("euler", "combinatorial", "euler-layers"),
     ("euler", "combinatorial", "euler-staircase"),
     ("euler-interpretations", "equinumerosity", ""),
@@ -300,6 +305,8 @@ def catalog_rows(*modes):
         if c.mode in modes and not c.identity.startswith("glaisher-")
     }
 
+
+DISTINCT_PARTS_FAULT = "distinct-parts step drops its last coefficient"
 
 # fault -> (defining module, names it replaces, fake builder, rows that must
 # mismatch, modes whose rows must all keep passing)
@@ -364,20 +371,27 @@ FAULTS = {
         },
         {"bijection", "conjugate", "alpha"},
     ),
-    # every sum side, the alpha closed form and the sum-side Pochhammer
-    # factors multiply through the 1/(1-q^k) kernel, and at the analytic
-    # order every k >= 6 takes the block branch
+    # every sum side but the divide-by-2 one, the alpha closed form and the
+    # sum-side Pochhammer factors multiply through the 1/(1-q^k) kernel, and
+    # at the analytic order every k >= 6 takes the block branch
     "geometric kernel skips its last block": (
         series, ("_geometric",), skips_last_block,
         SERIES_ROWS - BEYOND_GEOMETRIC,
         {"bijection", "conjugate"},
     ),
-    # E, every complement build, the divide-by-M sum side and the alpha
-    # closed form multiply through the (1-q^k) kernel
+    # E, every complement build, the divide-by-M sum sides for M >= 3 and the
+    # alpha closed form multiply through the (1-q^k) kernel
     "one-minus kernel keeps its last coefficient": (
         series, ("_one_minus",), keeps_last_coefficient,
         SERIES_ROWS - BEYOND_ONE_MINUS,
         {"bijection", "conjugate"},
+    ),
+    # the distinct-parts nest, in which the divide-by-2 sum is built, alone
+    # multiplies through the (1+q^k) kernel
+    DISTINCT_PARTS_FAULT: (
+        series, ("_one_plus",), keeps_last_coefficient,
+        {("glaisher-2", "analytic", ""), ("glaisher-2", "forms", "")},
+        {"alpha", "combinatorial", "equinumerosity", "bijection", "conjugate"},
     ),
     # E and every complement build take their factors (1-q^k) with
     # 3k >= order in one tail pass
@@ -420,6 +434,7 @@ FAULTS = {
 SERIES_KERNEL_FAULTS = (
     "geometric kernel skips its last block",
     "one-minus kernel keeps its last coefficient",
+    DISTINCT_PARTS_FAULT,
     "tail pass starts one size late",
     "reciprocal ignores the top term of E",
     "dilation skips the top term of E(q^d)",
@@ -457,3 +472,11 @@ def test_series_kernel_faults_together_reach_every_series_row(monkeypatch):
     assert SERIES_ROWS <= mismatched, sorted(SERIES_ROWS - mismatched)
     leaked = {row for row in mismatched if row[1] in ("bijection", "conjugate")}
     assert not leaked, sorted(leaked)
+
+
+def test_distinct_parts_fault_reaches_the_divide_by_2_rows_alone(monkeypatch):
+    """No other row, analytic or not, builds a series through the (1+q^k)
+    kernel."""
+    module, names, make_fake, expected, _ = FAULTS[DISTINCT_PARTS_FAULT]
+    patch_everywhere(monkeypatch, module, names, make_fake)
+    assert mismatched_rows(run_suite(None, ORDER, WEIGHT)) == expected

@@ -2,6 +2,7 @@
 exhaustive partition-enumeration oracle."""
 
 import time
+from functools import cache
 from itertools import accumulate
 from math import isqrt
 
@@ -16,8 +17,11 @@ from qident.series import (
     _alpha_from_sum,
     _euler,
     _geometric,
+    _glaisher_sum,
+    _glaisher_tails,
     _one_minus,
     _one_minus_tail,
+    _one_plus,
     _pochhammer_inverse_from,
     _product_side_by_complement,
     _product_side_by_dilation,
@@ -408,6 +412,56 @@ class TestSumSideGlaisher:
         assert euler_distinct_sum(1).to_list() == [1]
 
 
+@cache
+def closed_form_sum(modulus: int, order: int) -> tuple[int, ...]:
+    """1 + alpha_1 + ... + alpha_{order-1}, the closed-form term polynomials
+    summed with no nest."""
+    total = series_one(order)
+    for n in range(1, order):
+        total = total + alpha_closed_form(modulus, n, order)
+    return total.coefficients
+
+
+def tail_start(modulus: int, order: int) -> int:
+    """n0(M) = ceil((order + M)/(M + 1)), from which the nest has no
+    numerator below its length."""
+    return -(-(order + modulus) // (modulus + 1))
+
+
+class TestGlaisherTails:
+    """``sum_side_glaisher`` and the builder shared by several moduli, one
+    nest of the numerator-free tail and the rest per modulus, against the sum
+    of the closed-form terms; a term n >= order starts at q^n, so the sum at a
+    lower order is a truncation of the sum at order 80."""
+
+    @pytest.mark.parametrize(
+        "moduli", [range(2, 8), (3,), (3, 7), range(2, 10)], ids=["2-7", "3", "3,7", "2-9"]
+    )
+    def test_sums_are_their_closed_form_terms_at_every_order(self, moduli):
+        for order in range(1, 81):
+            tails = _glaisher_tails(moduli, order)
+            for modulus in moduli:
+                expected = closed_form_sum(modulus, 80)[:order]
+                assert sum_side_glaisher(modulus, order).coefficients == expected
+                assert _glaisher_sum(modulus, order, tails).coefficients == expected
+
+    @given(moduli=st.sets(st.integers(2, 9), min_size=1), order=st.integers(1, 80))
+    # n0(M) = order - 1 for every M
+    @example(moduli={3, 4, 5, 6, 7, 8, 9}, order=3)
+    # (order - 1)//M < n0(M) for both: B is 0 wherever the nest has no
+    # numerator, so the tail is A at n0(M)
+    @example(moduli={3, 7}, order=6)
+    @example(moduli={3}, order=15)
+    def test_any_set_of_moduli_shares_one_tail(self, moduli, order):
+        tails = _glaisher_tails(sorted(moduli), order)
+        assert set(tails) == {m for m in moduli if m > 2}
+        # each tail starts where its nest has no numerator
+        assert all(order - len(v) >= tail_start(m, order) for m, v in tails.items())
+        for modulus in moduli:
+            expected = closed_form_sum(modulus, 80)[:order]
+            assert _glaisher_sum(modulus, order, tails).coefficients == expected
+
+
 class TestAlpha:
     def test_alpha_zero_is_one(self):
         assert alpha_closed_form(2, 0, 10) == series_one(10)
@@ -541,6 +595,10 @@ class TestKernels:
         assert kernel_applied(_geometric, series, k) == multiply(series, geometric)
         assert kernel_applied(_one_minus, series, k) == multiply(
             series, one_minus_factor(k, order)
+        )
+        one_plus = [1 if x else 0 for x in one_minus_factor(k, order).coefficients]
+        assert kernel_applied(_one_plus, series, k) == multiply(
+            series, TruncatedSeries(tuple(one_plus))
         )
 
     @given(

@@ -135,7 +135,7 @@ class TestAnalytic:
     def test_missing_sum_side_is_error(self):
         bare = IdentityDescriptor(name="bare", product=ResidueClass(5, frozenset({2, 3})))
         with pytest.raises(ValueError, match="has no sum side"):
-            verify_module._identity_checks(bare, 10, 5)
+            verify_module._identity_checks(bare, 10, 5, ())
 
 
 class TestCombinatorial:
@@ -219,7 +219,10 @@ class TestGlaisherFamily:
 
     def test_forms_report(self):
         odd_parts = product_side(ResidueClass.nonzero(2), 80)
-        assert euler_forms_report(odd_parts, sum_side_glaisher(2, 80)) is None
+        triangular = sum_side_standard(lambda n: (n * n + n) // 2, lambda n: n, 80)
+        assert euler_forms_report(odd_parts, sum_side_glaisher(2, 80), triangular) is None
+        finding = euler_forms_report(odd_parts, sum_side_glaisher(2, 80), odd_parts + triangular)
+        assert (finding.note, finding.exponent) == ("odd-parts product vs triangular sum", 0)
 
     def test_alpha_report(self):
         assert glaisher_alpha_report(4, 8, 60) is None
@@ -432,6 +435,8 @@ SHARED_BUILDS = (
     (verify_module, "_reciprocal", lambda euler: ("all parts", euler.order)),
     (verify_module, "_euler", lambda order: ("euler", order)),
     (verify_module, "sum_side_glaisher", lambda modulus, order: ("glaisher", modulus, order)),
+    (verify_module, "_glaisher_sum", lambda modulus, order, tails: ("glaisher", modulus, order)),
+    (verify_module, "_glaisher_tails", lambda moduli, order: ("glaisher tail", moduli, order)),
 )
 
 
@@ -466,9 +471,10 @@ class TestRunScopedSeries:
     def expected_builds(self):
         """Catalog classes at the analytic order and at the counting bound.
         The divide-by-M identities have no interpretations to count, so their
-        sides are needed only at the analytic order.  At both orders the
-        Euler product, the all-parts series and the parts not divisible by
-        2, 5, 8 and 10, the bases of the catalog classes, are built too."""
+        sides are needed only at the analytic order, and the sums for
+        M = 3..7 run on from one shared tail.  At both orders the Euler
+        product, the all-parts series and the parts not divisible by 2, 5, 8
+        and 10, the bases of the catalog classes, are built too."""
         catalog = {e.product for e in default_catalog().entries()} - {None}
         moduli = range(2, 8)
         orders = (self.ORDER, self.WEIGHT + 1)
@@ -478,6 +484,7 @@ class TestRunScopedSeries:
             | {("product", ResidueClass.nonzero(m), self.ORDER) for m in moduli}
             | {(name, order) for name in ("all parts", "euler") for order in orders}
             | {("glaisher", m, self.ORDER) for m in moduli}
+            | {("glaisher tail", (3, 4, 5, 6, 7), self.ORDER)}
         )
 
     def test_each_side_is_built_once_per_run(self, monkeypatch):
@@ -507,6 +514,9 @@ class TestRunScopedSeries:
         class Counts(list):
             """Chain counts that a weak reference can follow."""
 
+        class Tails(dict):
+            """Divide-by-M tails that a weak reference can follow."""
+
         def track(name, key, wrap=lambda value: value, module=verify_module):
             original = getattr(module, name)
 
@@ -518,7 +528,8 @@ class TestRunScopedSeries:
             monkeypatch.setattr(module, name, tracked)
 
         for module, name, key in SHARED_BUILDS:
-            track(name, key, module=module)
+            wrap = Tails if name == "_glaisher_tails" else (lambda value: value)
+            track(name, key, wrap, module=module)
         track(
             "profile_series",
             lambda profile, order: ("profile sum", TestRunScopedCounts.rules(profile), order),
@@ -715,8 +726,49 @@ class TestProductSideBases:
 class TestSharedWork:
     """Deterministic guards on the work the shared series take: one Euler
     product per order serves every class of the parts not divisible by d,
-    the factors (1-q^k) from a third of the order up take one pass, and one
-    nested sum serves both branches of a profile sum."""
+    the factors (1-q^k) from a third of the order up take one pass, one
+    nested sum serves both branches of a profile sum, one tail serves every
+    divide-by-M sum, and the ``forms`` row builds nothing."""
+
+    def test_divide_by_m_sums_share_one_tail(self, monkeypatch):
+        """At order 1000 one nest of the tail A down to n = 143 serves
+        M = 3..7, each running on from (order-1)//M, and the divide-by-2 sum
+        is the distinct-parts nest, which takes neither kernel.  One nest per
+        modulus from order - 1 down takes 5,994 and 1,212 passes, so a return
+        to it fails here."""
+        passes = Counter()
+        for name in ("_geometric", "_one_minus"):
+            kernel = getattr(series_module, name)
+
+            def counted(c, k, name=name, kernel=kernel):
+                passes[name] += 1
+                kernel(c, k)
+
+            monkeypatch.setattr(series_module, name, counted)
+        plan = plan_checks(None, 1000, 8, default_catalog())
+        sums = {s.key: s for check in plan for s in check.inputs if s.key[0] == "glaisher"}
+        assert sorted(sums) == [("glaisher", m, 1000) for m in range(2, 8)]
+        values = {}
+        for shared in sums.values():
+            built(shared, values)
+        assert passes == {"_geometric": 1946, "_one_minus": 880}
+
+    def test_forms_row_reads_three_inputs_and_builds_no_series(self, monkeypatch):
+        """The odd-parts product, the divide-by-2 sum and the triangular sum,
+        keyed as the euler interpretations' profile sum, so a run shares it."""
+        [forms] = [c for c in plan_checks(None, 200, 8, default_catalog()) if c.mode == "forms"]
+        assert [shared.key for shared in forms.inputs] == [
+            ("product", ResidueClass.nonzero(2), 200),
+            ("glaisher", 2, 200),
+            ("profile sum", TestRunScopedCounts.rules(entry("euler-staircase").profile), 200),
+        ]
+        values = [built(shared) for shared in forms.inputs]
+
+        def must_not_build(series):
+            raise AssertionError("the forms row made a series")
+
+        monkeypatch.setattr(series_module.TruncatedSeries, "__post_init__", must_not_build)
+        assert forms.call(*values) is None
 
     def test_each_nonzero_class_is_built_from_one_euler_product(self):
         """At the analytic order 1000 and at the counting bound 9 alike."""
