@@ -9,9 +9,9 @@ behind Euler-Glaisher equinumerosity.
 
 from collections import Counter, defaultdict
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass
 from typing import Any
 
+from ._record import Record
 from .partitions import ChainConstraint, GapBound, Partition, _bracketed, chain_violation
 from .profiles import ProfileFamily, profile_to_chain
 
@@ -32,8 +32,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BijectionRecord:
+class BijectionRecord(Record):
     """One application of a map: input and output vectors with their weights
     and the term index n."""
 
@@ -298,8 +297,7 @@ def glaisher_inverse(p: Partition, modulus: int) -> Partition:
     return Partition._ordered(_glaisher_merge(p.parts, modulus))
 
 
-@dataclass(frozen=True)
-class CertificationReport:
+class CertificationReport(Record):
     """Outcome of certifying a map: with a failure, the lowest failing weight
     and both sizes at it; without one, both sizes over every weight."""
 

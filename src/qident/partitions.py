@@ -16,8 +16,9 @@ genuine two-route cross-check.
 """
 
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
+from functools import total_ordering
 
+from ._record import Record
 from .series import ResidueClass
 
 __all__ = [
@@ -34,13 +35,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class Partition:
-    """Weakly decreasing tuple of positive parts; the weight is their sum.
-    Partitions order lexicographically by their parts."""
+@total_ordering
+class Partition(Record):
+    """Weakly decreasing tuple of positive parts, and their sum, ``weight``,
+    which is not a field.  Partitions order lexicographically by their parts."""
 
     parts: tuple[int, ...]
-    weight: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         for i, p in enumerate(self.parts):
@@ -58,8 +58,7 @@ class Partition:
         """Build from parts already positive and weakly decreasing, skipping
         the checks; only for callers whose output is ordered by construction."""
         p = object.__new__(cls)
-        object.__setattr__(p, "parts", parts)
-        object.__setattr__(p, "weight", sum(parts))
+        p.__dict__.update(parts=parts, weight=sum(parts))
         return p
 
     @classmethod
@@ -76,6 +75,9 @@ class Partition:
 
     def __len__(self) -> int:
         return len(self.parts)
+
+    def __lt__(self, other: "Partition") -> bool:
+        return self.parts < other.parts if other.__class__ is self.__class__ else NotImplemented
 
     def __str__(self) -> str:
         return _bracketed(self.parts)
@@ -122,8 +124,7 @@ def conjugate(p: Partition) -> Partition:
     return Partition._ordered(_conjugate_parts(p.parts))
 
 
-@dataclass(frozen=True)
-class GapBound:
+class GapBound(Record):
     """Bounds r <= a - b <= s on one adjacent difference; no upper if ``upper``
     is None."""
 
@@ -142,8 +143,7 @@ class GapBound:
         return self.upper is None or difference <= self.upper
 
 
-@dataclass(frozen=True)
-class ChainConstraint:
+class ChainConstraint(Record):
     """Per-slot difference bounds a_1 >= a_2 >= ... >= a_m >= 0.
 
     ``gaps[s]`` constrains a_{s+1} - a_{s+2}; ``terminal`` constrains the last

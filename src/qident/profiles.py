@@ -11,11 +11,11 @@ own without touching code.
 import ast
 import json
 from collections.abc import Iterable
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
+from ._record import Record
 from .partitions import ChainConstraint, GapBound, count_chain_by_weight
 from .series import (
     ResidueClass,
@@ -165,8 +165,7 @@ def evaluate_rule(expr: str, **variables: int):
         raise ValueError(f"rule {expr!r} divides by zero at {bindings}") from None
 
 
-@dataclass(frozen=True)
-class PiecewiseCase:
+class PiecewiseCase(Record):
     """One case of a piecewise offset rule; ``when`` is a boolean expression in
     n and s, or the literal "otherwise" for the final catch-all."""
 
@@ -174,8 +173,7 @@ class PiecewiseCase:
     value: str
 
 
-@dataclass(frozen=True)
-class ProfileBranch:
+class ProfileBranch(Record):
     """One indexed sub-family: slot count, declared minimal weight, and the
     piecewise offsets, each as rules in the branch index n."""
 
@@ -209,8 +207,9 @@ class ProfileBranch:
         return {"all": n, "even": 2 * n, "odd": 2 * n - 1}[self.parity_label]
 
 
-@dataclass(frozen=True)
-class ProfileFamily:
+class ProfileFamily(Record):
+    """A named offset profile: one branch, or an even and an odd one by part count."""
+
     name: str
     branches: tuple[ProfileBranch, ...]
 
@@ -245,8 +244,9 @@ class ProfileFamily:
         return branch.offsets_at(n)
 
 
-@dataclass(frozen=True)
-class ProfileValidation:
+class ProfileValidation(Record):
+    """What ``validate_profile`` found up to ``checked_to``, a line per failure."""
+
     profile: str
     checked_to: int
     failures: tuple[str, ...]
@@ -256,8 +256,10 @@ class ProfileValidation:
         return not self.failures
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(Record):
+    """An interpretation: its profile, the product side it counts, if any, its
+    source, its other names and the label of the identity it belongs to."""
+
     profile: ProfileFamily
     product: ResidueClass | None
     source: str

@@ -44,10 +44,11 @@ read from its input's last nonzero coefficient, not from that degree.
 """
 
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from itertools import accumulate, compress, count, repeat
 from math import lcm
 from operator import add, floordiv, mul, sub
+
+from ._record import Record
 
 __all__ = [
     "SumTerminationError",
@@ -68,8 +69,7 @@ class SumTerminationError(RuntimeError):
     allowed number of terms."""
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class TruncatedSeries(Record):
     """Power series known exactly for all exponents below ``order``.
 
     Instances are immutable; arithmetic returns new values and never reads or
@@ -221,8 +221,7 @@ def _pochhammer_inverse_from(c: list[int], done: int, n: int) -> None:
         _geometric(c, s)
 
 
-@dataclass(frozen=True)
-class ResidueClass:
+class ResidueClass(Record):
     """Nonzero residues mod ``modulus`` marking which part sizes are allowed.
     The modulus and every residue must be ints (a bool is none); nothing is
     coerced."""

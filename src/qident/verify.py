@@ -41,10 +41,10 @@ import re
 import time
 from collections import Counter
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
 from functools import partial
 from operator import add, ge, sub
 
+from ._record import Record
 from .bijections import (
     CertificationReport,
     _glaisher_divide,
@@ -99,8 +99,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IdentityDescriptor:
+class IdentityDescriptor(Record):
     """A product side paired with a sum side and its interpretations, the
     catalog entries that count it.
 
@@ -115,8 +114,7 @@ class IdentityDescriptor:
     aliases: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     """Result of one check; mismatches carry the smallest offending exponent
     (or weight) and both exact values."""
 
@@ -129,7 +127,8 @@ class VerificationReport:
     lhs: int | None = None
     rhs: int | None = None
     note: str = ""
-    elapsed: float = field(default=0.0, compare=False)
+    elapsed: float = 0.0
+    _uncompared = frozenset({"elapsed"})
 
     @property
     def passed(self) -> bool:
@@ -171,8 +170,7 @@ class VerificationReport:
         return f"error: {self.note}"
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(Record):
     """What a failed check found: the smallest offending exponent (or weight)
     and both exact values, or, with ``error``, why it could not run.  A check
     function returns None when it passes."""
@@ -361,13 +359,13 @@ def _table(headers: list[str], rows: list[list[str]]) -> list[str]:
     ]
 
 
-@dataclass(frozen=True)
-class SuiteSummary:
+class SuiteSummary(Record):
     """The reports of one run, in plan order, and the build time of each
     shared input it made."""
 
     reports: tuple[VerificationReport, ...]
-    build_times: tuple[float, ...] = field(default=(), compare=False)
+    build_times: tuple[float, ...] = ()
+    _uncompared = frozenset({"build_times"})
 
     @property
     def passed(self) -> bool:
@@ -419,15 +417,15 @@ _GLAISHER_NAME = re.compile(r"glaisher-(\d+)")
 _ALPHA_TERMS = 10
 
 
-@dataclass(frozen=True)
-class _Input:
+class _Input(Record):
     """A shared input of planned checks, named by ``key``.  ``run_suite``
     makes it as ``build(*values)``, ``values`` being those of the inputs it
     ``needs``; planning builds nothing."""
 
     key: tuple
-    build: Callable = field(compare=False, repr=False)
-    needs: tuple["_Input", ...] = field(default=(), compare=False, repr=False)
+    build: Callable
+    needs: tuple["_Input", ...] = ()
+    _uncompared = _unshown = frozenset({"build", "needs"})
 
 
 def _product_input(rc: ResidueClass, order: int) -> _Input:
@@ -476,8 +474,7 @@ def _counts_input(profile: ProfileFamily, max_weight: int) -> _Input:
     return _Input(key, lambda: profile_chain_counts(profile, max_weight))
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(Record):
     """One planned check: the row its report fills, ``call``, a
     ``functools.partial`` of a check function that returns a ``Finding`` or
     None for a pass, and ``inputs``, the shared inputs whose values ``call``
@@ -487,8 +484,9 @@ class Check:
     mode: str
     subject: str
     bound: int
-    call: partial = field(compare=False, repr=False)
-    inputs: tuple[_Input, ...] = field(default=(), compare=False, repr=False)
+    call: partial
+    inputs: tuple[_Input, ...] = ()
+    _uncompared = _unshown = frozenset({"call", "inputs"})
 
 
 def _catalog_identities(catalog: Catalog) -> list[IdentityDescriptor]:

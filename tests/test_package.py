@@ -1,8 +1,11 @@
 """The public surface: ``qident`` exports exactly its modules' ``__all__``,
-and its source keeps to the oldest Python it declares."""
+its source keeps to the oldest Python it declares, and importing it loads
+neither ``dataclasses`` nor ``inspect``."""
 
 import ast
 import inspect
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -118,3 +121,18 @@ def test_sources_parse_as_python_3_10():
     assert {path.stem for path in sources} >= {m.__name__[len("qident."):] for m in MODULES}
     for path in sources:
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
+def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
+    # Generating dataclass methods and importing ``inspect`` for them were
+    # about 40% of the set-up that every ``qident`` command pays.
+    src = Path(qident.__file__).resolve().parents[1]
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); "
+        "import qident.cli, qident.profiles; qident.profiles.default_catalog(); "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    run = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert run.stdout.split() == ["[]"]
