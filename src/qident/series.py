@@ -28,14 +28,16 @@ same for every M and B zero above (order-1)//M, so one nest of A
 q^n (-q;q)_{n-1}, so that sum is ``euler_distinct_sum``.
 
 ``product_side`` multiplies one 1/(1-q^k) per allowed part size.  Private
-routes build the same series from Glaisher's product identity: the parts
-not divisible by d are E(q^d)/E(q), E the Euler product (1-q)(1-q^2)...
-(``_euler``), which ``_product_side_by_dilation`` builds as the all-parts
-series 1/E times the few nonzero terms of E(q^d).  A class of modulus m
-allows only parts not divisible by d, d the least divisor of m from 2 up
-that divides no allowed residue (m itself always does), and
-``_product_side_by_complement`` builds it from that series, times (1-q^k)
-per size the class does not allow.
+routes build it as 1/E, E the Euler product (1-q)(1-q^2)... (``_euler``),
+times the class's numerator, the product of (1-q^k) over the sizes it does
+not allow: for Rogers-Ramanujan type classes a theta-type series with few
+nonzero terms, which ``_numerator`` builds at one pass per term.  The parts
+not divisible by d have numerator E(q^d) (``_product_side_by_dilation``).
+Where another class's numerator is dense, as for Schur's +-1 mod 6,
+``_product_side_by_numerator`` gives up on it within a few terms and builds
+the parts not divisible by d, d the least divisor of the modulus from 2 up
+that divides no allowed residue, times (1-q^k) per size they allow and the
+class does not.
 
 The n-th term polynomial of the divide-by-M family has degree
 (M-1)n(n+1)/2, so ``alpha_closed_form`` works on no more coefficients than
@@ -43,9 +45,9 @@ that and pads with zeros; ``_alpha_from_sum`` stops where its product ends,
 read from its input's last nonzero coefficient, not from that degree.
 """
 
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Container, Iterable, Iterator, Sequence
 from itertools import accumulate, compress, count, repeat
-from math import lcm
+from math import isqrt, lcm
 from operator import add, floordiv, mul, sub
 
 from ._record import Record
@@ -179,18 +181,22 @@ def _one_minus_tail(c: list[int], p: int, residues: Iterable[int]) -> None:
     c[2 * h :] = map(add, c[2 * h :], map(floordiv, d, repeat(2)))
 
 
-def _times_dilated(c: list[int], b: Sequence[int], d: int) -> list[int]:
+def _add_times(out: list[int], c: Sequence[int], e: int, x: int) -> None:
+    """Add x q^e ``c`` into ``out`` in place: one pass, no multiply for +-1."""
+    if x in (1, -1):
+        out[e:] = map(add if x == 1 else sub, out[e:], c[: len(out) - e])
+    else:
+        out[e:] = map(add, out[e:], map(mul, c[: len(out) - e], repeat(x)))
+
+
+def _times_dilated(c: Sequence[int], b: Sequence[int], d: int) -> list[int]:
     """``c`` times b(q^d) below len(c), d >= 1: one shifted pass of ``c`` per
     nonzero coefficient of ``b`` that lands below len(c), zeros skipped.
     Exact for any ``b``; a sparse one is cheap."""
-    n = len(c)
-    out = [0] * n
-    for j, x in enumerate(b[: (n - 1) // d + 1]):
-        e = j * d
-        if x in (1, -1):
-            out[e:] = map(add if x == 1 else sub, out[e:], c[: n - e])
-        elif x:
-            out[e:] = map(add, out[e:], map(mul, c[: n - e], repeat(x)))
+    out = [0] * len(c)
+    for j, x in enumerate(b[: (len(c) - 1) // d + 1]):
+        if x:
+            _add_times(out, c, j * d, x)
     return out
 
 
@@ -276,15 +282,40 @@ def product_side(rc: ResidueClass, order: int) -> TruncatedSeries:
     return TruncatedSeries(tuple(c))
 
 
+def _numerator(
+    order: int, p: int, excluded: Container[int], removed: Container[int]
+) -> list[int] | None:
+    """The product of (1 - q^k) over the sizes 0 < k < ``order`` whose residue
+    mod ``p`` is in ``excluded``, from its logarithmic derivative: with s_j
+    the sum of those sizes that divide j, n c_n = -(s_1 c_{n-1} + ... + s_n c_0).
+    Each nonzero c_i adds c_i s, shifted by i, into those sums once: one pass
+    per nonzero term.  An inexact quotient raises ArithmeticError.  It gives
+    up with None at the first n where c has more nonzero terms at q^1..q^n
+    than there are sizes up to n with residue in ``removed``."""
+    w = [k if k % p in excluded else 0 for k in range(order)]
+    s, r = [0] * order, isqrt(order - 1)  # no size and its cofactor both exceed r
+    for m in range(1, r + 1):  # each size m <= r, then m times each size above r
+        s[m::m] = map(add, s[m::m], repeat(w[m]))
+        s[m * (r + 1) :: m] = map(add, s[m * (r + 1) :: m], w[r + 1 : (order - 1) // m + 1])
+    c, t, spare = [1] + [0] * (order - 1), s[:], 0  # t_n: s_n c_0 + ..., c_i found so far
+    for n in range(1, order):
+        x, inexact = divmod(-t[n], n)
+        if inexact:
+            raise ArithmeticError(f"inexact numerator coefficient at q^{n}")
+        if x:
+            c[n] = x
+            _add_times(t, s, n, x)  # s_0 = 0
+        spare += (n % p in removed) - (x != 0)
+        if spare < 0:
+            return None
+    return c
+
+
 def _euler(order: int) -> TruncatedSeries:
-    """(1-q)(1-q^2)...(1-q^{order-1}), the Euler product E below ``order``;
-    ``_reciprocal`` of it is the all-parts series.  The factors with
-    3k >= order are one ``_one_minus_tail`` pass."""
-    c = list(series_one(order).coefficients)
-    for k in range(1, (order + 2) // 3):
-        _one_minus(c, k)
-    _one_minus_tail(c, 1, (0,))
-    return TruncatedSeries(tuple(c))
+    """(1-q)(1-q^2)...(1-q^{order-1}), the Euler product E below ``order``:
+    the numerator with every size removed, so it never gives up.
+    ``_reciprocal`` of it is the all-parts series."""
+    return TruncatedSeries(tuple(_numerator(order, 1, (0,), (0,))))
 
 
 def _product_side_by_dilation(
@@ -296,9 +327,8 @@ def _product_side_by_dilation(
     series times E(q^d), exact below the order."""
     if len(rc.residues) != rc.modulus - 1:
         raise ValueError(f"{rc.label()} is not the class of every nonzero residue")
-    return TruncatedSeries(
-        tuple(_times_dilated(list(all_parts.coefficients), euler.coefficients, rc.modulus))
-    )
+    c = _times_dilated(all_parts.coefficients, euler.coefficients, rc.modulus)
+    return TruncatedSeries(tuple(c))
 
 
 def _product_side_by_complement(
@@ -318,6 +348,21 @@ def _product_side_by_complement(
             _one_minus(c, k)
     _one_minus_tail(c, p, removed)
     return TruncatedSeries(tuple(c))
+
+
+def _product_side_by_numerator(
+    rc: ResidueClass, all_parts: TruncatedSeries, euler: TruncatedSeries, base: ResidueClass
+) -> TruncatedSeries:
+    """``product_side(rc, order)``: the all-parts series at that order times
+    the numerator of ``rc``, or where ``_numerator`` gives up, by complement
+    of ``base`` = ``ResidueClass.nonzero(d)``, d dividing no residue of ``rc``."""
+    p = lcm(rc.modulus, base.modulus)
+    excluded = {r for r in range(p) if not rc.allows(r)}
+    numerator = _numerator(all_parts.order, p, excluded, {r for r in excluded if base.allows(r)})
+    if numerator is None:
+        series = _product_side_by_dilation(base, all_parts, euler)
+        return _product_side_by_complement(rc, series, base)
+    return TruncatedSeries(tuple(_times_dilated(all_parts.coefficients, numerator, 1)))
 
 
 _MAX_TERMS = 10_000

@@ -73,8 +73,8 @@ from .series import (
     _euler,
     _glaisher_sum,
     _glaisher_tails,
-    _product_side_by_complement,
     _product_side_by_dilation,
+    _product_side_by_numerator,
     _reciprocal,
     alpha_closed_form,
     sum_side_glaisher,
@@ -429,24 +429,26 @@ class _Input(Record):
 
 
 def _product_input(rc: ResidueClass, order: int) -> _Input:
-    """The product side of ``rc`` below ``order``: that of the parts not
-    divisible by d, d the least divisor of the modulus from 2 up that
-    divides no allowed residue (the modulus always does), built as the
-    all-parts series, 1/E, times E(q^d), E the Euler product; and unless
-    ``rc`` is that class, ``rc`` built from it by complement."""
+    """The product side of ``rc`` below ``order``, from the all-parts series,
+    1/E, and E, the Euler product.  The parts not divisible by d, d the least
+    divisor of the modulus from 2 up that divides no allowed residue (the
+    modulus always does), are the all-parts series times E(q^d).  Any other
+    class is the all-parts series times its numerator, the product of
+    (1-q^k) over the sizes it does not allow, which for theta-type classes
+    has few nonzero terms.  Where the numerator has more nonzero terms at
+    q^1..q^n, for some n, than there are sizes up to n that the parts not
+    divisible by d allow and ``rc`` does not, ``rc`` is built from that class
+    by complement instead (``_product_side_by_numerator``)."""
     m = rc.modulus
     d = next(d for d in range(2, m + 1) if not m % d and rc.residues.isdisjoint(range(d, m, d)))
     base = ResidueClass.nonzero(d)
     euler = _Input(("euler", order), partial(_euler, order))
     all_parts = _Input(("all parts", order), _reciprocal, (euler,))
-    nonzero = _Input(
-        ("product", base, order), partial(_product_side_by_dilation, base), (all_parts, euler)
-    )
     if rc == base:
-        return nonzero
-    return _Input(
-        ("product", rc, order), partial(_product_side_by_complement, rc, base=base), (nonzero,)
-    )
+        build = partial(_product_side_by_dilation, base)
+    else:
+        build = partial(_product_side_by_numerator, rc, base=base)
+    return _Input(("product", rc, order), build, (all_parts, euler))
 
 
 def _profile_sum_input(profile: ProfileFamily, order: int) -> _Input:

@@ -11,7 +11,9 @@ factors or in the Euler route of the product sides not the ``alpha`` rows
 either.  No one series kernel reaches every row with a series side, so the
 faults in the series kernels are also planted together, and must then reach
 all of them.  A fault that no row reports, or that leaks across, shows that a
-fast path has lost its check or that the two oracles share code.
+fast path has lost its check or that the two oracles share code.  The tail
+pass, which no shipped product side takes, is faulted on a class whose
+numerator is dense, the one kind that takes it.
 """
 
 import sys
@@ -21,9 +23,17 @@ import pytest
 import qident.bijections as bijections
 import qident.partitions as partitions
 import qident.series as series
+import qident.verify as verify_module
 from qident.partitions import Partition
 from qident.profiles import default_catalog
-from qident.series import TruncatedSeries, _geometric
+from qident.series import (
+    ResidueClass,
+    TruncatedSeries,
+    _euler,
+    _geometric,
+    _reciprocal,
+    product_side,
+)
 from qident.verify import plan_checks, run_suite
 
 ORDER, WEIGHT = 30, 13
@@ -154,8 +164,8 @@ def starts_one_size_late(tail):
 
 
 def leaves_out_first_tail_size(euler):
-    """The Euler product leaves out its factor (1-q^k) of the least tail
-    size, k = ceil(order/3): E times 1/(1-q^k)."""
+    """The Euler product leaves out its factor (1-q^k) for k = ceil(order/3),
+    the least size of a tail pass: E times 1/(1-q^k)."""
 
     def fake(order):
         c = list(euler(order).coefficients)
@@ -171,6 +181,21 @@ def drops_top_shift(alpha_from_sum):
     """The recurrence multiplies by q^n + ... + q^{(M-2)n}, without its top
     shift (M-1)n."""
     return lambda modulus, n, lower_sum, order: alpha_from_sum(modulus - 1, n, lower_sum, order)
+
+
+def drops_top_numerator_term(numerator):
+    """The numerator kernel leaves out the highest nonzero term of the
+    product it builds, E's among them, unless it gives up on it."""
+
+    def fake(order, p, excluded, removed):
+        c = numerator(order, p, excluded, removed)
+        if c is not None:
+            top = max(j for j, x in enumerate(c) if x)
+            if top:
+                c[top] = 0
+        return c
+
+    return fake
 
 
 def drops_top_term(reciprocal):
@@ -257,43 +282,16 @@ BEYOND_GEOMETRIC = {
     (name, "combinatorial", name) for name in ("subbarao-agarwal-1-5", "subbarao-agarwal-1-6")
 } | {("glaisher-2", "analytic", "")}
 
-# The series rows a fault in the (1-q^k) kernel misses: those of the odd
-# parts, built from E alone, and those of the example family, which has no
-# product side and whose sum sides take no (1-q^k).  The kernel takes only
-# E's factors with 3k < order, and their product has coefficient 0 at the
-# top exponent of both orders, 13 and 29, the value the fault keeps; the
-# factors from order/3 up are the tail pass's.  The divide-by-2 sum, in
-# distinct-parts form, and the triangular sum take no (1-q^k) either.
-BEYOND_ONE_MINUS = {
-    ("euler", "analytic", ""),
-    ("glaisher-2", "analytic", ""),
-    ("glaisher-2", "forms", ""),
-    ("euler", "combinatorial", "euler-layers"),
-    ("euler", "combinatorial", "euler-staircase"),
-    ("euler-interpretations", "equinumerosity", ""),
-    ("subbarao-agarwal-1-6", "analytic", ""),
-    ("subbarao-agarwal-1-6", "combinatorial", "subbarao-agarwal-1-6"),
-    ("example-family-interpretations", "equinumerosity", ""),
-} | {
-    ("example-family", "combinatorial", name)
-    for name in ("example-alternating", "example-atmost-parts", "example-exact-parts")
-}
-
-
-# The product rows a fault in the tail pass misses.  Leaving out size
-# h = ceil(order/3) makes E into E/(1-q^h) below the order, so 1/E and every
-# class of parts not divisible by d >= 3 gain (1-q^h); a complement of such a
-# class that takes h itself then gains 1/(1-q^h), and the two cancel.  The
-# class 1,4,6,7,9,10,12,15 mod 16 takes 5 at the counting bound 13 (order
-# 14), and the class 2,3,4,5,11,12,13,14 mod 16 takes 10 at order 30; the
-# Euler fault below reaches them all.
-BEYOND_TAIL = {
-    ("hirschhorn-3", "combinatorial", "hirschhorn-3"),
-    ("subbarao-2-4", "combinatorial", "subbarao-2-4"),
-    ("hirschhorn-3+subbarao-2-4", "equinumerosity", ""),
-    ("subbarao-agarwal-1-5", "combinatorial", "subbarao-agarwal-1-5"),
-    ("hirschhorn-4", "analytic", ""),
-    ("subbarao-2-3", "analytic", ""),
+# The series rows a fault in the (1-q^k) kernel misses.  E and the class
+# numerators take no (1-q^k), and at both orders every shipped class other
+# than the parts not divisible by d is built from its numerator, not as a
+# complement, so a row sees the fault only through its sum side: the
+# divide-by-M sums for M >= 3 take (1-q^{(n-1)M}) and the alpha closed form
+# (1-q^{jM}).  No catalog profile sum drops its slot count at these bounds,
+# the one case in which a profile sum takes (1-q^k), and the divide-by-2 and
+# triangular sums take none.
+BEYOND_ONE_MINUS = SERIES_ROWS - glaisher_rows("alpha") - {
+    (f"glaisher-{m}", "analytic", "") for m in MODULI if m > 2
 }
 
 
@@ -379,8 +377,8 @@ FAULTS = {
         SERIES_ROWS - BEYOND_GEOMETRIC,
         {"bijection", "conjugate"},
     ),
-    # E, every complement build, the divide-by-M sum sides for M >= 3 and the
-    # alpha closed form multiply through the (1-q^k) kernel
+    # the divide-by-M sum sides for M >= 3 and the alpha closed form multiply
+    # through the (1-q^k) kernel; no shipped product side does
     "one-minus kernel keeps its last coefficient": (
         series, ("_one_minus",), keeps_last_coefficient,
         SERIES_ROWS - BEYOND_ONE_MINUS,
@@ -393,14 +391,15 @@ FAULTS = {
         {("glaisher-2", "analytic", ""), ("glaisher-2", "forms", "")},
         {"alpha", "combinatorial", "equinumerosity", "bijection", "conjugate"},
     ),
-    # E and every complement build take their factors (1-q^k) with
-    # 3k >= order in one tail pass
-    "tail pass starts one size late": (
-        series, ("_one_minus_tail",), starts_one_size_late,
-        PRODUCT_ROWS - BEYOND_TAIL,
+    # E and every class numerator are built here; every product side is
+    # built from 1/E, and the E(q^d) or numerator it is multiplied by
+    # cancels no factor of E
+    "numerator drops its top term": (
+        series, ("_numerator",), drops_top_numerator_term,
+        PRODUCT_ROWS,
         {"bijection", "conjugate", "alpha"},
     ),
-    # every product side is built from 1/E, and E(q^d) or a complement
+    # every product side is built from 1/E, and E(q^d) or a numerator
     # cancels no factor of E
     "Euler product leaves out its first tail size": (
         series, ("_euler",), leaves_out_first_tail_size,
@@ -435,7 +434,7 @@ SERIES_KERNEL_FAULTS = (
     "geometric kernel skips its last block",
     "one-minus kernel keeps its last coefficient",
     DISTINCT_PARTS_FAULT,
-    "tail pass starts one size late",
+    "numerator drops its top term",
     "reciprocal ignores the top term of E",
     "dilation skips the top term of E(q^d)",
 )
@@ -480,3 +479,30 @@ def test_distinct_parts_fault_reaches_the_divide_by_2_rows_alone(monkeypatch):
     module, names, make_fake, expected, _ = FAULTS[DISTINCT_PARTS_FAULT]
     patch_everywhere(monkeypatch, module, names, make_fake)
     assert mismatched_rows(run_suite(None, ORDER, WEIGHT)) == expected
+
+
+def test_every_shipped_class_takes_its_numerator_at_the_gate_orders(monkeypatch):
+    """At the orders 14 and 30 no product side is built as a complement, so
+    no row takes the tail pass, nor the (1-q^k) kernel through a product."""
+
+    def must_not_run(original):
+        def fake(*args):
+            raise AssertionError("a product side was built as a complement")
+
+        return fake
+
+    patch_everywhere(monkeypatch, series, ("_product_side_by_complement",), must_not_run)
+    assert run_suite(None, ORDER, WEIGHT).passed
+
+
+@pytest.mark.parametrize("order", (WEIGHT + 1, ORDER))
+def test_tail_pass_fault_reaches_a_dense_class(monkeypatch, order):
+    """Only a class whose numerator is dense takes the tail pass: Schur's
+    +-1 mod 6 is the odd parts times (1-q^k) for k = 3 mod 6, and a pass
+    that leaves out the first such k from ceil(order/3) up leaves the
+    product side's factor 1/(1-q^k) in."""
+    rc = ResidueClass(6, frozenset({1, 5}))
+    patch_everywhere(monkeypatch, series, ("_one_minus_tail",), starts_one_size_late)
+    shared = verify_module._product_input(rc, order)
+    euler = _euler(order)
+    assert shared.build(_reciprocal(euler), euler) != product_side(rc, order)

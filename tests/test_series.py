@@ -10,6 +10,8 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+import qident.series as series_module
+from qident.profiles import default_catalog
 from qident.series import (
     ResidueClass,
     SumTerminationError,
@@ -19,6 +21,7 @@ from qident.series import (
     _geometric,
     _glaisher_sum,
     _glaisher_tails,
+    _numerator,
     _one_minus,
     _one_minus_tail,
     _one_plus,
@@ -35,6 +38,7 @@ from qident.series import (
     sum_side_glaisher,
     sum_side_standard,
 )
+from qident.verify import _product_input
 
 from oracles import (
     alpha_term,
@@ -247,6 +251,27 @@ residue_classes = st.integers(2, 20).flatmap(
 )
 
 
+# the shipped classes that are not the parts not divisible by some d
+SHIPPED = sorted(
+    {rc for e in default_catalog().entries() if (rc := e.product) and len(rc.residues) < rc.modulus - 1},
+    key=ResidueClass.label,
+)
+# classes with dense numerators, each with the order from which it is built as
+# a complement: the first n at which its numerator has more nonzero terms at
+# q^1..q^n than there are sizes up to n that the complement takes, plus one;
+# 2,3,9,10 mod 12 has a sparse numerator, but not sparse enough
+DENSE = {
+    ResidueClass(6, frozenset({1, 5})): 3,
+    ResidueClass(8, frozenset({1, 4, 7})): 9,
+    ResidueClass(7, frozenset({1, 6})): 8,
+    ResidueClass(3, frozenset({1})): 4,
+    ResidueClass(12, frozenset({1, 11})): 3,
+    ResidueClass(12, frozenset({5, 7})): 3,
+    ResidueClass(12, frozenset({2, 3, 9, 10})): 5,
+}
+NONZERO = [ResidueClass.nonzero(d) for d in range(2, 11)]
+
+
 class TestComplementBuild:
     @given(rc=residue_classes, order=st.integers(1, 120))
     @example(rc=RR2, order=1)
@@ -284,6 +309,13 @@ class TestComplementBuild:
             assume(all(base.allows(k) for k in range(1, order) if rc.allows(k)))
         built = _product_side_by_complement(rc, product_side(base, order), base)
         assert built == product_side(rc, order)
+
+    @pytest.mark.parametrize("order", (16, 150))
+    def test_dense_classes_from_the_base_their_route_falls_back_to(self, order):
+        for rc in DENSE:
+            base = _product_input(rc, order).build.keywords["base"]
+            built = _product_side_by_complement(rc, product_side(base, order), base)
+            assert built == product_side(rc, order), rc
 
 
 class TestEulerRoute:
@@ -343,6 +375,124 @@ class TestEulerRoute:
     def test_dilation_needs_every_nonzero_residue(self):
         with pytest.raises(ValueError, match="not the class of every nonzero residue"):
             _product_side_by_dilation(RR2, _reciprocal(_euler(10)), _euler(10))
+
+
+def numerator_factors(rc: ResidueClass | None, order: int) -> list[int]:
+    """The product of (1-q^k) over the sizes below ``order`` that ``rc``
+    does not allow, every size for None, one factor at a time."""
+    c = [1] + [0] * (order - 1)
+    for k in range(1, order):
+        if rc is None or not rc.allows(k):
+            _one_minus(c, k)
+    return c
+
+
+def full_numerator(rc: ResidueClass | None, order: int) -> list[int] | None:
+    """``_numerator`` for ``rc``, or for E, never giving up: every size
+    counts as one the complement would take."""
+    if rc is None:
+        return _numerator(order, 1, (0,), (0,))
+    m = rc.modulus
+    return _numerator(order, m, {r for r in range(m) if not rc.allows(r)}, range(m))
+
+
+def routed(rc: ResidueClass, order: int) -> TruncatedSeries:
+    """The product side as a run builds it: the planned input's build, from
+    the all-parts series and E, the two inputs every product side reads."""
+    euler = _euler(order)
+    return _product_input(rc, order).build(_reciprocal(euler), euler)
+
+
+@pytest.fixture
+def complements(monkeypatch):
+    """The (class, order) of every product side built as a complement."""
+    found = []
+    complement = series_module._product_side_by_complement
+
+    def recording(rc, series, base):
+        found.append((rc, series.order))
+        return complement(rc, series, base)
+
+    monkeypatch.setattr(series_module, "_product_side_by_complement", recording)
+    return found
+
+
+class TestNumeratorRoute:
+    """A class other than the parts not divisible by d is the all-parts
+    series times its numerator, built from the numerator's logarithmic
+    derivative, unless the numerator is dense."""
+
+    def test_numerator_is_the_product_of_its_factors_at_every_order(self):
+        """To 150 for E and the shipped classes; a dense numerator takes a
+        pass per coefficient, so those are checked at every order to 60 and
+        at 150."""
+        for rc in (None, *SHIPPED, *DENSE):
+            expected = numerator_factors(rc, 150)
+            for order in (*range(1, 61 if rc in DENSE else 150), 150):
+                assert full_numerator(rc, order) == expected[:order], (rc, order)
+
+    def test_numerator_is_the_product_of_its_factors_at_order_1000(self):
+        """E, the shipped classes and 2,3,9,10 mod 12, which gives up though
+        sparse; a run never builds a dense numerator this far."""
+        for rc in (None, *SHIPPED, ResidueClass(12, frozenset({2, 3, 9, 10}))):
+            assert full_numerator(rc, 1000) == numerator_factors(rc, 1000), rc
+
+    def test_route_equals_the_direct_product_at_every_order(self):
+        classes = (*NONZERO, *SHIPPED, *DENSE)
+        expected = {rc: product_side(rc, 150).coefficients for rc in classes}
+        for order in range(1, 151):
+            euler = _euler(order)
+            all_parts = _reciprocal(euler)
+            for rc in classes:
+                built = _product_input(rc, order).build(all_parts, euler)
+                assert built.coefficients == expected[rc][:order], (rc, order)
+
+    def test_route_equals_the_direct_product_at_order_1000(self):
+        euler = _euler(1000)
+        all_parts = _reciprocal(euler)
+        for rc in (*NONZERO, *SHIPPED, *DENSE):
+            built = _product_input(rc, 1000).build(all_parts, euler)
+            assert built == product_side(rc, 1000), rc
+
+    @given(
+        rc=st.integers(2, 24).flatmap(
+            lambda m: st.sets(st.integers(1, m - 1), min_size=1).map(
+                lambda residues: ResidueClass(m, frozenset(residues))
+            )
+        ),
+        order=st.integers(1, 200),
+    )
+    @example(rc=ResidueClass(24, frozenset({1, 5, 7, 11, 13, 17, 19, 23})), order=200)
+    @example(rc=ResidueClass(23, frozenset({1})), order=200)
+    def test_any_class_equals_the_direct_product_by_either_route(self, rc, order):
+        assert routed(rc, order) == product_side(rc, order)
+
+    def test_shipped_classes_take_their_numerators_to_order_1000(self, complements):
+        """Whether ``_numerator`` gives up at q^n depends on q^1..q^n alone,
+        so a class built from its numerator at order 1000 is built so at
+        every order below it."""
+        assert len(SHIPPED) == 7
+        for rc in SHIPPED:
+            for order in (*range(1, 40), 1000):
+                routed(rc, order)
+        assert complements == []
+
+    def test_dense_classes_give_up_before_q16(self, complements):
+        for rc, start in DENSE.items():
+            for order in range(1, 17):
+                routed(rc, order)
+            assert [o for c, o in complements if c == rc] == list(range(start, 17)), rc
+        assert max(DENSE.values()) < 16
+
+    def test_an_inexact_quotient_raises(self, monkeypatch):
+        """A fault in the running sums shows as an error, not a wrong series:
+        each pass lands one exponent late."""
+        add_times = series_module._add_times
+        monkeypatch.setattr(
+            series_module, "_add_times", lambda out, c, e, x: add_times(out, c, e + 1, x)
+        )
+        with pytest.raises(ArithmeticError, match="inexact numerator coefficient"):
+            _euler(30)
 
 
 class TestSumSideStandard:

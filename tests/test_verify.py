@@ -22,6 +22,7 @@ from qident.profiles import (
 from qident.series import (
     ResidueClass,
     _euler,
+    _numerator,
     product_side,
     sum_side_glaisher,
     sum_side_standard,
@@ -425,8 +426,8 @@ SHARED_BUILDS = (
     (series_module, "product_side", lambda rc, order: ("product", rc, order)),
     (
         verify_module,
-        "_product_side_by_complement",
-        lambda rc, base_series: ("product", rc, base_series.order),
+        "_product_side_by_numerator",
+        lambda rc, all_parts, euler: ("product", rc, all_parts.order),
     ),
     (
         verify_module,
@@ -474,14 +475,15 @@ class TestRunScopedSeries:
         The divide-by-M identities have no interpretations to count, so their
         sides are needed only at the analytic order, and the sums for
         M = 3..7 run on from one shared tail.  At both orders the Euler
-        product, the all-parts series and the parts not divisible by 2, 5, 8
-        and 10, the bases of the catalog classes, are built too."""
+        product and the all-parts series are built too, and every product
+        side is built from those two alone: the catalog classes that are not
+        the parts not divisible by some d take their numerators, so no such
+        class is built as a base of another."""
         catalog = {e.product for e in default_catalog().entries()} - {None}
         moduli = range(2, 8)
         orders = (self.ORDER, self.WEIGHT + 1)
-        bases = {ResidueClass.nonzero(d) for d in (2, 5, 8, 10)}
         return (
-            {("product", rc, order) for rc in catalog | bases for order in orders}
+            {("product", rc, order) for rc in catalog for order in orders}
             | {("product", ResidueClass.nonzero(m), self.ORDER) for m in moduli}
             | {(name, order) for name in ("all parts", "euler") for order in orders}
             | {("glaisher", m, self.ORDER) for m in moduli}
@@ -507,9 +509,9 @@ class TestRunScopedSeries:
         the build of the first input built from it, and dropped after its
         last: it is alive through the last row that reads it, and until the
         row before which the last input built from it is built.  Bases are
-        followed to any depth; the plan has chains of three, from the Euler
-        product through the all-parts series and the parts not divisible by
-        d to a product side built from those."""
+        followed to any depth; the plan has chains of two, from the Euler
+        product through the all-parts series to a product side, which reads
+        the Euler product as well."""
         alive = {}
 
         class Counts(list):
@@ -576,7 +578,7 @@ class TestRunScopedSeries:
         def depth(key):
             return max((1 + depth(k) for k in built_from.get(key, ())), default=0)
 
-        assert max(map(depth, built_from)) == 3
+        assert max(map(depth, built_from)) == 2
         keys = readers.keys() | built_from.keys()
         assert len(live_at_rows) == len(plan)
         for row, live in enumerate(live_at_rows):
@@ -615,9 +617,9 @@ def built(shared, values=None):
 
 
 def base_of(shared):
-    """The parts-not-divisible-by-d class a product input is built from."""
-    need = shared.needs[0]
-    return need.key[1] if need.key[0] == "product" else shared.key[1]
+    """The parts-not-divisible-by-d class a product input is built from, or
+    falls back to when its numerator is dense."""
+    return shared.build.keywords.get("base", shared.key[1])
 
 
 residue_classes = st.integers(2, 30).flatmap(
@@ -632,9 +634,10 @@ MOD_20 = ResidueClass(20, frozenset({2, 3, 4, 5, 6, 7, 13, 14, 15, 16, 17, 18}))
 
 
 class TestProductSideBases:
-    """Every product side is built from the parts not divisible by d, d the
-    least divisor of its modulus from 2 up that divides no allowed residue,
-    and those from the all-parts series and the Euler product."""
+    """Every product side is built from the all-parts series and the Euler
+    product, by way of the parts not divisible by d, d the least divisor of
+    its modulus from 2 up that divides no allowed residue, if that class is
+    not itself the product side and its numerator is dense."""
 
     @pytest.mark.parametrize("order", (31, 61, 200))
     def test_every_product_side_equals_the_direct_product(self, order):
@@ -669,22 +672,23 @@ class TestProductSideBases:
 
     def test_build_work_is_at_most_four_fifths_of_the_old_rule(self):
         """Coefficient updates of the planned product builds at (1000, 8),
-        counted from the plan and the nonzero terms of the Euler product E,
+        counted from the plan and the nonzero terms of the numerators,
         against the rule they replace: a class that allows more than half
         the sizes below the order is built from the all-parts series, any
         other directly.  ``1/(1-q^k)`` costs ``order`` updates when
         k*k <= order and ``order - k`` otherwise, and ``(1-q^k)`` costs
-        ``order - k``; so E costs ``order - k`` per factor, 1/E ``order - e``
-        per exponent e >= 1 of a nonzero term of E, and the all-parts series
-        times E(q^d) ``order - e`` per exponent e of a nonzero term of
-        E(q^d)."""
+        ``order - k``.  A numerator N, the product of (1-q^k) over the sizes
+        k a class does not allow, costs ``(order - 1) // k`` per such k for
+        its divisor sums and ``order - e`` per exponent e >= 1 of a nonzero
+        term of N; the Euler product E is the numerator with every size.
+        1/E costs ``order - e`` per such exponent of E, the all-parts series
+        times E(q^d) ``order - e`` per exponent e of a nonzero term of E(q^d),
+        and times N ``order - e`` per exponent e of a nonzero term of N."""
 
         def allowed(key, k):
             return key[0] == "all parts" or key[1].allows(k)
 
         def direct(key, order):
-            if key[0] == "euler":
-                return sum(order - k for k in range(1, order))
             return sum(order if k * k <= order else order - k
                        for k in range(1, order) if allowed(key, k))
 
@@ -692,23 +696,35 @@ class TestProductSideBases:
             return sum(order - k for k in range(1, order)
                        if allowed(base, k) and not allowed(key, k))
 
+        def exponents(c):
+            return [e for e, x in enumerate(c) if x]
+
         def euler_route(key, order):
-            exponents = [e for e, x in enumerate(_euler(order).coefficients) if x]
+            euler = exponents(_euler(order).coefficients)
             if key[0] == "all parts":
-                return sum(order - e for e in exponents[1:])
+                return sum(order - e for e in euler[1:])
             d = key[1].modulus
-            return sum(order - d * e for e in exponents if d * e < order)
+            return sum(order - d * e for e in euler if d * e < order)
+
+        def numerator(sizes, c, order):
+            return sum((order - 1) // k for k in sizes) + sum(order - e for e in exponents(c)[1:])
 
         plan = plan_checks(None, 1000, 8, default_catalog())
         planned = 0
         for key, shared in product_inputs(plan).items():
-            if any(need.key[0] == "euler" for need in shared.needs):
-                planned += euler_route(key, key[-1])
-            elif shared.needs:
-                (base,) = shared.needs
-                planned += complement(key, base.key, key[-1])
+            order = key[-1]
+            if key[0] == "euler":
+                planned += numerator(range(1, order), _euler(order).coefficients, order)
+            elif key[0] == "all parts" or base_of(shared) == key[1]:
+                planned += euler_route(key, order)
             else:
-                planned += direct(key, key[-1])
+                rc, m = key[1], key[1].modulus
+                excluded = {r for r in range(m) if not rc.allows(r)}
+                removed = {r for r in excluded if base_of(shared).allows(r)}
+                n = _numerator(order, m, excluded, removed)
+                assert n is not None, key  # no catalog class has a dense numerator
+                sizes = [k for k in range(1, order) if not rc.allows(k)]
+                planned += numerator(sizes, n, order) + sum(order - e for e in exponents(n))
         read = {s.key for check in plan for s in check.inputs if s.key[0] == "product"}
         old = 0
         for order in {key[2] for key in read}:
@@ -727,10 +743,10 @@ class TestProductSideBases:
 
 class TestSharedWork:
     """Deterministic guards on the work the shared series take: one Euler
-    product per order serves every class of the parts not divisible by d,
-    the factors (1-q^k) from a third of the order up take one pass, one
-    nested sum serves both branches of a profile sum, one tail serves every
-    divide-by-M sum, and the ``forms`` row builds nothing."""
+    product per order serves every product side, a numerator takes one pass
+    per nonzero term, one nested sum serves both branches of a profile sum,
+    one tail serves every divide-by-M sum, and the ``forms`` row builds
+    nothing."""
 
     def test_divide_by_m_sums_share_one_tail(self, monkeypatch):
         """At order 1000 one nest of the tail A down to n = 143 serves
@@ -773,49 +789,65 @@ class TestSharedWork:
         assert forms.call(*values) is None
 
     def test_each_nonzero_class_is_built_from_one_euler_product(self):
-        """At the analytic order 1000 and at the counting bound 9 alike."""
+        """At the analytic order 1000 and at the counting bound 9 alike, and
+        every other class from that and the all-parts series alone: no class
+        of parts not divisible by d is built as a base of another."""
         inputs = product_inputs(plan_checks(None, 1000, 8, default_catalog()))
         assert sorted(key for key in inputs if key[0] == "euler") == [
             ("euler", 9), ("euler", 1000)
         ]
         moduli = {}
         for key, shared in inputs.items():
-            if key[0] == "product" and len(key[1].residues) == key[1].modulus - 1:
+            if key[0] == "product":
                 order = key[2]
                 euler = inputs["euler", order]
                 assert inputs["all parts", order].needs == (euler,)
                 assert shared.needs == (inputs["all parts", order], euler), key
-                moduli.setdefault(order, set()).add(key[1].modulus)
-        assert moduli == {1000: {2, 3, 4, 5, 6, 7, 8, 10}, 9: {2, 5, 8, 10}}
+                if len(key[1].residues) == key[1].modulus - 1:
+                    moduli.setdefault(order, set()).add(key[1].modulus)
+        assert moduli == {1000: {2, 3, 4, 5, 6, 7}, 9: {2}}
 
-    def test_one_minus_passes_stop_below_a_third_of_the_order(self, monkeypatch):
-        """At order 1000, E takes one (1-q^k) pass per k < 334, and each of
-        the seven complement classes one per such k it removes, 783 in all;
-        the sizes from 334 up are one tail pass per build.  Counts repeat
-        exactly, so a return to a pass per factor fails here."""
+    def test_numerator_passes_are_one_per_nonzero_term(self, monkeypatch):
+        """At order 1000, E takes one pass per nonzero term after its
+        constant, at the 50 generalized pentagonal numbers k(3k -+ 1)/2
+        below 1000; each of the seven classes built from its numerator N
+        takes one pass per such term of N, and one per nonzero term of N to
+        multiply the all-parts series, 481 in all; none takes a (1-q^k) pass
+        or a tail pass.  Counts repeat exactly, so a return to a pass per
+        factor (1-q^k), 333 for E and 783 for the seven, fails here."""
         passes = []
-        one_minus = series_module._one_minus
+        add_times = series_module._add_times
 
-        def counted(c, k):
-            passes.append(k)
-            one_minus(c, k)
+        def counted(out, c, e, x):
+            passes.append(e)
+            add_times(out, c, e, x)
 
-        monkeypatch.setattr(series_module, "_one_minus", counted)
+        def must_not_run(*args):
+            raise AssertionError("a (1-q^k) pass ran")
+
+        monkeypatch.setattr(series_module, "_add_times", counted)
+        monkeypatch.setattr(series_module, "_one_minus", must_not_run)
+        monkeypatch.setattr(series_module, "_one_minus_tail", must_not_run)
         inputs = product_inputs(plan_checks(None, 1000, 8, default_catalog()))
         values = {}
-        built(inputs["euler", 1000], values)
-        assert sorted(passes) == list(range(1, 334))
-        complements = [
+        euler = built(inputs["euler", 1000], values)
+        pentagonal = {k * (3 * k + s) // 2 for k in range(1, 27) for s in (-1, 1)}
+        assert sorted(passes) == sorted(e for e in pentagonal if e < 1000)
+        assert len(passes) == 50
+        assert [e for e, x in enumerate(euler.coefficients) if x] == [0, *sorted(passes)]
+        built(inputs["all parts", 1000], values)
+        numerators = [
             shared
             for key, shared in inputs.items()
-            if key[0] == "product" and key[2] == 1000 and shared.needs[0].key[0] == "product"
+            if key[0] == "product" and key[2] == 1000 and base_of(shared) != key[1]
         ]
-        assert len(complements) == 7
-        bases = [built(shared.needs[0], values) for shared in complements]
+        assert len(numerators) == 7
         passes.clear()
-        for shared, base in zip(complements, bases):
-            shared.build(base)
-        assert len(passes) == 783 and max(passes) < 334
+        for shared in numerators:
+            product = shared.build(*(values[need.key] for need in shared.needs))
+            assert product == product_side(shared.key[1], 1000), shared.key
+        assert len(passes) == 481
+
 
     def test_two_branch_profile_sums_pass_fewer_coefficients(self, monkeypatch):
         """Coefficients passed through the slot kernel, one nest for both
