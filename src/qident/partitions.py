@@ -17,6 +17,7 @@ genuine two-route cross-check.
 
 from collections.abc import Iterable, Iterator, Sequence
 from functools import total_ordering
+from itertools import accumulate
 
 from ._record import Record
 from .series import ResidueClass
@@ -261,19 +262,23 @@ def count_chain_by_weight(chain: ChainConstraint, max_weight: int) -> list[int]:
 
     def descend(s: int, prev: int, used: int) -> None:
         lo = min_value[s]
-        hi = max_weight - used - min_tail[s + 1]
-        if s > 0:
-            hi = min(hi, prev - lows[s - 1])
-            if highs[s - 1] is not None:
-                lo = max(lo, prev - highs[s - 1])
+        nxt = s + 1
+        hi = max_weight - used - min_tail[nxt]
+        if s:
+            below = prev - lows[s - 1]
+            if below < hi:
+                hi = below
+            upper = highs[s - 1]
+            if upper is not None and prev - upper > lo:
+                lo = prev - upper
         if s == last:
-            if top is not None:
-                hi = min(hi, top)
+            if top is not None and top < hi:
+                hi = top
             for weight in range(used + lo, used + hi + 1):
                 counts[weight] += 1
             return
         for v in range(lo, hi + 1):
-            descend(s + 1, v, used + v)
+            descend(nxt, v, used + v)
 
     descend(0, 0, 0)
     return counts
@@ -312,10 +317,11 @@ def count_partitions_with_parts(rc: ResidueClass, max_weight: int) -> list[int]:
     0..max_weight.
 
     One depth-first search over every such partition of weight at most
-    ``max_weight``, adding parts from the largest down; each partition is
-    visited once and adds 1 to the count of its weight, and none is built.
-    The partitions that extend a node by copies of the smallest allowed part
-    alone form one run with no other branch, counted in one loop.
+    ``max_weight`` with no copy of the smallest allowed part, adding parts from
+    the largest down; each is visited once and adds 1 at its weight, and none
+    is built.  Every partition is one of these followed by a run of the
+    smallest part, so the count at a weight is the running sum, over the
+    weights below it in steps of the smallest part, of those visits.
     """
     counts = [0] * (max_weight + 1)
     if max_weight < 0:
@@ -325,11 +331,10 @@ def count_partitions_with_parts(rc: ResidueClass, max_weight: int) -> list[int]:
         counts[0] = 1
         return counts
     smallest = allowed[0]
+    starts = [0] * (max_weight + 1)
 
     def grow(used: int, limit: int) -> None:
-        counts[used] += 1
-        for weight in range(used + smallest, max_weight + 1, smallest):
-            counts[weight] += 1
+        starts[used] += 1
         room = max_weight - used
         for i in range(1, limit):
             part = allowed[i]
@@ -338,6 +343,8 @@ def count_partitions_with_parts(rc: ResidueClass, max_weight: int) -> list[int]:
             grow(used + part, i + 1)
 
     grow(0, len(allowed))
+    for residue in range(smallest):
+        counts[residue::smallest] = accumulate(starts[residue::smallest])
     return counts
 
 
@@ -351,18 +358,35 @@ def _repetition_bounded_walk(
     append a run of a smaller part value, at most ``modulus - 1`` copies,
     largest value first and largest count first.  Each partition is visited
     once, so every weight's partitions come in lexicographically decreasing
-    order, interleaved with those of the other weights.
+    order, interleaved with those of the other weights.  The runs of each
+    part value, with their weights, are built once per call, and each stack
+    entry is the pair the walk yields: the largest part a child may append is
+    one less than the node's last part.
     """
     if modulus < 2:
         raise ValueError("modulus must be at least 2")
-    cap = modulus - 1
-    # children go on the stack smallest first, so the largest comes off first
-    stack = [((), 0, max_weight)] if max_weight >= 0 else []
+    if max_weight < 0:
+        return
+    # runs[part][c - 1] is (c * part, c copies of part), for as many copies
+    # as fit under the bound
+    runs = [()] + [
+        tuple((part * count, (part,) * count)
+              for count in range(1, min(modulus - 1, max_weight // part) + 1))
+        for part in range(1, max_weight + 1)
+    ]
+    yield 0, ()
+    # children go on the stack smallest first, so the largest comes off first;
+    # the root's are the runs themselves
+    stack = [run for by_count in runs for run in by_count]
+    push, pop = stack.append, stack.pop
     while stack:
-        parts, weight, largest = stack.pop()
-        yield weight, parts
+        node = pop()
+        yield node
+        weight, parts = node
         room = max_weight - weight
-        for part in range(1, min(largest, room) + 1):
-            for count in range(1, min(cap, room // part) + 1):
-                stack.append((parts + (part,) * count, weight + part * count, part - 1))
-
+        largest = parts[-1]
+        if largest > room:
+            largest = room + 1
+        for part in range(1, largest):
+            for w, run in runs[part][: room // part]:
+                push((weight + w, parts + run))

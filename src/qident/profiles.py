@@ -8,7 +8,7 @@ catalog so the shipped interpretations are auditable and users can add their
 own without touching code.
 """
 
-import ast
+import _ast
 import json
 from collections.abc import Iterable
 from functools import lru_cache
@@ -61,31 +61,31 @@ def parity(m: int) -> int:
 
 
 _ALLOWED_NODES = (
-    ast.Expression,
-    ast.BinOp,
-    ast.UnaryOp,
-    ast.BoolOp,
-    ast.Compare,
-    ast.Call,
-    ast.Name,
-    ast.Load,
-    ast.Constant,
-    ast.Add,
-    ast.Sub,
-    ast.Mult,
-    ast.FloorDiv,
-    ast.Mod,
-    ast.Pow,
-    ast.USub,
-    ast.UAdd,
-    ast.And,
-    ast.Or,
-    ast.Lt,
-    ast.LtE,
-    ast.Gt,
-    ast.GtE,
-    ast.Eq,
-    ast.NotEq,
+    _ast.Expression,
+    _ast.BinOp,
+    _ast.UnaryOp,
+    _ast.BoolOp,
+    _ast.Compare,
+    _ast.Call,
+    _ast.Name,
+    _ast.Load,
+    _ast.Constant,
+    _ast.Add,
+    _ast.Sub,
+    _ast.Mult,
+    _ast.FloorDiv,
+    _ast.Mod,
+    _ast.Pow,
+    _ast.USub,
+    _ast.UAdd,
+    _ast.And,
+    _ast.Or,
+    _ast.Lt,
+    _ast.LtE,
+    _ast.Gt,
+    _ast.GtE,
+    _ast.Eq,
+    _ast.NotEq,
 )
 _ALLOWED_NAMES = frozenset({"n", "s", "parity"})
 
@@ -108,49 +108,72 @@ def _bounded_pow(base: int, exponent: int, expr: str) -> int:
     return base**exponent
 
 
-class _BoundPowers(ast.NodeTransformer):
-    """Rewrite ``a ** b`` into ``_bounded_pow(a, b, rule)``."""
+def _children(node: _ast.AST) -> Iterable[_ast.AST]:
+    """The nodes directly below ``node``, in the order of its fields."""
+    for name in node._fields:
+        field = getattr(node, name, None)
+        if isinstance(field, _ast.AST):
+            yield field
+        elif isinstance(field, list):
+            yield from (item for item in field if isinstance(item, _ast.AST))
 
-    def __init__(self, expr: str):
-        self.expr = expr
 
-    def visit_BinOp(self, node: ast.BinOp) -> ast.AST:
-        self.generic_visit(node)
-        if not isinstance(node.op, ast.Pow):
-            return node
-        call = ast.Call(
-            func=ast.Name("_bounded_pow", ast.Load()),
-            args=[node.left, node.right, ast.Constant(self.expr)],
-            keywords=[],
-        )
-        return ast.copy_location(call, node)
+def _bound_powers(node: _ast.AST, expr: str) -> _ast.AST:
+    """Rewrite every ``a ** b`` below and at ``node`` into
+    ``_bounded_pow(a, b, rule)``, each new node at the location of the
+    power it replaces."""
+    for name in node._fields:
+        field = getattr(node, name, None)
+        if isinstance(field, _ast.AST):
+            setattr(node, name, _bound_powers(field, expr))
+        elif isinstance(field, list):
+            field[:] = [
+                _bound_powers(item, expr) if isinstance(item, _ast.AST) else item
+                for item in field
+            ]
+    if not (isinstance(node, _ast.BinOp) and isinstance(node.op, _ast.Pow)):
+        return node
+    where = {
+        name: getattr(node, name)
+        for name in ("lineno", "col_offset", "end_lineno", "end_col_offset")
+    }
+    return _ast.Call(
+        func=_ast.Name("_bounded_pow", _ast.Load(), **where),
+        args=[node.left, node.right, _ast.Constant(expr, **where)],
+        keywords=[],
+        **where,
+    )
 
 
 @lru_cache(maxsize=None)
 def _compiled_rule(expr: str):
     """Validate a rule against the whitelist and compile it once, with every
-    ``**`` bounded by ``_bounded_pow``."""
+    ``**`` bounded by ``_bounded_pow``.  The tree comes from ``compile``
+    itself and is checked breadth first, in the order of ``ast.walk``, so
+    that the first disallowed node is the one reported, with no import of
+    ``ast``; a rule with no power is compiled from its text."""
     try:
-        tree = ast.parse(expr, mode="eval")
+        tree = compile(expr, "<unknown>", "eval", _ast.PyCF_ONLY_AST)
     except SyntaxError as exc:
         raise ValueError(f"invalid rule {expr!r}: {exc.msg}") from None
-    for node in ast.walk(tree):
+    todo = [tree]
+    for node in todo:  # breadth first: the list grows while it is read
+        todo.extend(_children(node))
         if not isinstance(node, _ALLOWED_NODES):
             raise ValueError(
                 f"rule {expr!r} uses disallowed syntax: {type(node).__name__}"
             )
-        if isinstance(node, ast.Name) and node.id not in _ALLOWED_NAMES:
+        if isinstance(node, _ast.Name) and node.id not in _ALLOWED_NAMES:
             raise ValueError(f"rule {expr!r} references unknown name {node.id!r}")
-        if isinstance(node, ast.Call):
-            if not (isinstance(node.func, ast.Name) and node.func.id == "parity"):
+        if isinstance(node, _ast.Call):
+            if not (isinstance(node.func, _ast.Name) and node.func.id == "parity"):
                 raise ValueError(f"rule {expr!r} may only call parity()")
             if node.keywords or len(node.args) != 1:
                 raise ValueError(f"rule {expr!r}: parity() takes one argument")
-        if isinstance(node, ast.Constant) and not isinstance(node.value, int):
+        if isinstance(node, _ast.Constant) and not isinstance(node.value, int):
             raise ValueError(f"rule {expr!r} uses a non-integer constant")
-    if "**" in expr:
-        tree = ast.fix_missing_locations(_BoundPowers(expr).visit(tree))
-    return compile(tree, f"<rule {expr!r}>", "eval")
+    source = _bound_powers(tree, expr) if "**" in expr else expr
+    return compile(source, f"<rule {expr!r}>", "eval")
 
 
 def evaluate_rule(expr: str, **variables: int):

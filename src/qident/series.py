@@ -291,13 +291,15 @@ def _numerator(
     Each nonzero c_i adds c_i s, shifted by i, into those sums once: one pass
     per nonzero term.  An inexact quotient raises ArithmeticError.  It gives
     up with None at the first n where c has more nonzero terms at q^1..q^n
-    than there are sizes up to n with residue in ``removed``."""
+    than one plus the sizes up to n with residue in ``removed``: the one
+    term of slack lets a sparse numerator with a term before the first
+    removed size through."""
     w = [k if k % p in excluded else 0 for k in range(order)]
     s, r = [0] * order, isqrt(order - 1)  # no size and its cofactor both exceed r
     for m in range(1, r + 1):  # each size m <= r, then m times each size above r
         s[m::m] = map(add, s[m::m], repeat(w[m]))
         s[m * (r + 1) :: m] = map(add, s[m * (r + 1) :: m], w[r + 1 : (order - 1) // m + 1])
-    c, t, spare = [1] + [0] * (order - 1), s[:], 0  # t_n: s_n c_0 + ..., c_i found so far
+    c, t, spare = [1] + [0] * (order - 1), s[:], 1  # t_n: s_n c_0 + ..., c_i found so far
     for n in range(1, order):
         x, inexact = divmod(-t[n], n)
         if inexact:

@@ -42,7 +42,7 @@ import time
 from collections import Counter
 from collections.abc import Callable, Sequence
 from functools import partial
-from operator import add, ge, sub
+from operator import add, sub
 
 from ._record import Record
 from .bijections import (
@@ -285,7 +285,7 @@ def glaisher_bijection_report(modulus: int, max_weight: int) -> Finding | None:
         return (
             sum(parts) == weight
             and allowed.issuperset(parts)
-            and all(map(ge, parts, parts[1:]))
+            and list(parts) == sorted(parts, reverse=True)
         )
 
     return _finding(certify_bijection(

@@ -1,5 +1,6 @@
 """Partition values, chains, and the enumeration oracles."""
 
+from functools import lru_cache
 from itertools import product as cartesian
 
 import pytest
@@ -31,6 +32,13 @@ from oracles import (
 
 RR2 = ResidueClass(5, frozenset({2, 3}))
 ODD = ResidueClass(2, frozenset({1}))
+
+
+@lru_cache(maxsize=None)
+def all_partitions(weight: int) -> list[Partition]:
+    """``enumerate_partitions(weight)``, listed once per weight for the
+    property tests that filter it."""
+    return enumerate_partitions(weight)
 
 
 def lower_gaps(lowers, terminal: int) -> ChainConstraint:
@@ -290,6 +298,44 @@ class TestOneSearchCounts:
 
     @pytest.mark.parametrize(
         "rc",
+        [
+            ResidueClass(7, frozenset({2, 3, 6})),
+            ResidueClass(8, frozenset({3, 4, 7})),
+            ResidueClass(9, frozenset({4, 6, 7})),
+            ResidueClass(11, frozenset({5, 8, 9})),
+        ],
+        ids=lambda rc: f"{sorted(rc.residues)}mod{rc.modulus}",
+    )
+    def test_running_sums_by_residue_of_the_smallest_part(self, rc):
+        # smallest allowed parts 2 to 5: every weight's count is a running
+        # sum over the weights below it in steps of that part, one sum per
+        # residue, none of which may leak into another
+        assert count_partitions_with_parts(rc, 40) == [
+            len(enumerate_partitions_with_parts(rc, w)) for w in range(41)
+        ]
+
+    @pytest.mark.parametrize(
+        "gaps, terminal",
+        [
+            (((0, 2), (1, 3), (0, 1)), (1, 4)),
+            (((2, 3), (0, 0)), (0, 2)),
+            (((1, 4),), (3, 3)),
+            (((0, 1), (0, 1), (0, 1), (0, 1)), (0, 1)),
+            (((3, 5), (2, 2), (1, 6)), (0, 0)),
+        ],
+    )
+    def test_chain_counts_with_upper_bounds_match_enumeration(self, gaps, terminal):
+        # every gap and the terminal bounded above, so a slot's range is cut
+        # from both sides by the slot before it
+        chain = ChainConstraint(
+            tuple(GapBound(lo, hi) for lo, hi in gaps), GapBound(*terminal)
+        )
+        assert count_chain_by_weight(chain, 30) == [
+            len(enumerate_chain(chain, w)) for w in range(31)
+        ]
+
+    @pytest.mark.parametrize(
+        "rc",
         [RR2] + [ResidueClass(m, frozenset({m - 1})) for m in range(3, 9)],
         ids=lambda rc: f"{sorted(rc.residues)}mod{rc.modulus}",
     )
@@ -371,13 +417,30 @@ class TestPredicates:
                 if repetition_bounded(p, modulus)
             ], (modulus, weight)
 
+    @given(st.integers(-1, 18), st.integers(2, 9))
+    def test_walk_at_any_bound_lists_each_weight_as_filtering_does(
+        self, max_weight, modulus
+    ):
+        by_weight = {w: [] for w in range(max_weight + 1)}
+        for weight, parts in _repetition_bounded_walk(max_weight, modulus):
+            by_weight[weight].append(parts)
+        for weight, walked in by_weight.items():
+            assert walked == [
+                p.parts for p in all_partitions(weight) if repetition_bounded(p, modulus)
+            ], (modulus, weight)
+
     @pytest.mark.parametrize(
         "generator",
         (
             partitions_repetition_bounded,
             lambda w, m: enumerate_partitions_with_parts(ResidueClass.nonzero(m), w),
+            lambda w, m: [Partition(parts) for _, parts in _repetition_bounded_walk(w, m)],
         ),
-        ids=("partitions_repetition_bounded", "enumerate_partitions_with_parts"),
+        ids=(
+            "partitions_repetition_bounded",
+            "enumerate_partitions_with_parts",
+            "_repetition_bounded_walk",
+        ),
     )
     def test_generators_validate_modulus_before_weight(self, generator):
         for weight in (-1, 0, 5):

@@ -280,6 +280,21 @@ class TestGlaisherFamily:
         assert (finding.exponent, finding.lhs, finding.rhs) == (3, 2, 2)
         assert finding.note == "image of [2,1] fails the target predicate: [1,2]"
 
+    def test_bijection_failure_on_image_out_of_order_at_its_end(self, monkeypatch):
+        divide = verify_module._glaisher_divide
+
+        def last_two_swapped(parts, modulus):
+            image = divide(parts, modulus)
+            return image[:-2] + image[:-3:-1] if len(image) > 2 else image
+
+        monkeypatch.setattr(verify_module, "_glaisher_divide", last_two_swapped)
+        finding = glaisher_bijection_report(3, 12)
+        # weight 5: the images of [5], [4,1], [3,2] and [3,1,1] end in equal
+        # parts or have two; (2,1,2) starts with its largest part and is out
+        # of order only in its last pair
+        assert (finding.exponent, finding.lhs, finding.rhs) == (5, 5, 5)
+        assert finding.note == "image of [2,2,1] fails the target predicate: [2,1,2]"
+
     def test_bijection_failure_on_count_names_both_counts(self, monkeypatch):
         count = verify_module.count_partitions_with_parts
 
