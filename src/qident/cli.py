@@ -2,7 +2,9 @@
 bijections, inspect the catalog, and dump series coefficients.
 
 Exit codes: 0 success, 1 verification mismatch, 2 bad flags (argparse),
-3 unknown name, 4 domain violation.
+3 unknown name, 4 domain violation.  A reader that closes stdout early ends
+the output, not the run: ``verify`` still exits with its verdict's code, any
+other command with 0, and no traceback is printed.
 """
 
 import argparse
@@ -77,6 +79,14 @@ def _resolve_catalog(args: argparse.Namespace) -> Catalog:
     return default_catalog()
 
 
+def _discard_stdout() -> None:
+    """Point stdout at the null device once its reader has closed it, so the
+    flush at exit has nothing to fail on."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     catalog = _resolve_catalog(args)
     names = args.names or ["all"]
@@ -89,11 +99,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print("error: --modulus applies only to 'verify glaisher'", file=sys.stderr)
         return EXIT_USAGE
     summary = run_suite(names, args.order, args.max_weight, catalog)
-    if args.format == "machine":
-        for line in summary.machine_lines():
-            print(line)
-    else:
-        print(summary.render_table())
+    try:
+        if args.format == "machine":
+            for line in summary.machine_lines():
+                print(line)
+        else:
+            print(summary.render_table())
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _discard_stdout()
     if summary.has_mismatch:
         return EXIT_MISMATCH
     if summary.has_error:
@@ -303,7 +317,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        _discard_stdout()
+        return EXIT_OK
     except UnknownNameError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN_NAME

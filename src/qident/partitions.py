@@ -249,7 +249,9 @@ def count_chain_by_weight(chain: ChainConstraint, max_weight: int) -> list[int]:
 
     One depth-first search over every vector of weight at most
     ``max_weight``; each vector is visited once and adds 1 to the count of its
-    weight, and none is built.
+    weight, and none is built.  The search keeps its own stack of frames, each
+    a slot, the range of values it takes below one prefix and that prefix's
+    weight, so a chain of any number of slots counts without recursion.
     """
     counts = [0] * (max_weight + 1)
     if max_weight < 0:
@@ -257,30 +259,33 @@ def count_chain_by_weight(chain: ChainConstraint, max_weight: int) -> list[int]:
     last = chain.slots - 1
     lows = [g.lower for g in chain.gaps]
     highs = [g.upper for g in chain.gaps]
-    top = chain.terminal.upper
+    top = max_weight if chain.terminal.upper is None else chain.terminal.upper
     min_value, min_tail = _chain_minima(chain)
-
-    def descend(s: int, prev: int, used: int) -> None:
-        lo = min_value[s]
+    hi = max_weight - min_tail[1]
+    if not last:  # one slot: each value is a vector of its own weight
+        for weight in range(min_value[0], min(hi, top) + 1):
+            counts[weight] += 1
+        return counts
+    stack = [(0, min_value[0], hi, 0)]
+    while stack:
+        s, lo, hi, used = stack.pop()
         nxt = s + 1
-        hi = max_weight - used - min_tail[nxt]
-        if s:
-            below = prev - lows[s - 1]
-            if below < hi:
-                hi = below
-            upper = highs[s - 1]
-            if upper is not None and prev - upper > lo:
-                lo = prev - upper
-        if s == last:
-            if top is not None and top < hi:
-                hi = top
-            for weight in range(used + lo, used + hi + 1):
-                counts[weight] += 1
-            return
-        for v in range(lo, hi + 1):
-            descend(nxt, v, used + v)
-
-    descend(0, 0, 0)
+        gap, upper = lows[s], highs[s]
+        floor, room = min_value[nxt], max_weight - min_tail[nxt + 1]
+        leaf = nxt == last
+        for v in range(lo, hi + 1):  # the range of slot nxt below each value v
+            w = used + v
+            next_lo = floor if upper is None or v - upper <= floor else v - upper
+            next_hi = v - gap
+            if room - w < next_hi:
+                next_hi = room - w
+            if leaf:
+                if top < next_hi:
+                    next_hi = top
+                for weight in range(w + next_lo, w + next_hi + 1):
+                    counts[weight] += 1
+            elif next_lo <= next_hi:
+                stack.append((nxt, next_lo, next_hi, w))
     return counts
 
 

@@ -13,10 +13,7 @@ Every multiplication by one factor runs in place on a list of coefficients
 through a kernel, ``_geometric`` for 1/(1-q^k), ``_one_minus`` for (1-q^k) or
 ``_one_plus`` for (1+q^k), and every shifted addition is one slice assignment
 such as ``total[n:] = map(add, total[n:], run)``: a few C-level slice
-operations per factor, not a Python statement per coefficient.  Another,
-``_one_minus_tail``, takes every (1-q^k) with 3k >= len(c) in a set of
-residues in a few prefix-sum passes: below the truncation their product is
-1 - e1 + e2, e1 and e2 the first two elementary symmetric sums of their q^k.
+operations per factor, not a Python statement per coefficient.
 
 ``sum_side_standard`` (through ``_sum_terms``), ``sum_side_glaisher`` and
 ``euler_distinct_sum`` nest their sums from the last term down (Horner form),
@@ -27,17 +24,14 @@ same for every M and B zero above (order-1)//M, so one nest of A
 (``_glaisher_tails``) serves every M >= 3.  At M = 2 each term is
 q^n (-q;q)_{n-1}, so that sum is ``euler_distinct_sum``.
 
-``product_side`` multiplies one 1/(1-q^k) per allowed part size.  Private
-routes build it as 1/E, E the Euler product (1-q)(1-q^2)... (``_euler``),
-times the class's numerator, the product of (1-q^k) over the sizes it does
-not allow: for Rogers-Ramanujan type classes a theta-type series with few
-nonzero terms, which ``_numerator`` builds at one pass per term.  The parts
-not divisible by d have numerator E(q^d) (``_product_side_by_dilation``).
-Where another class's numerator is dense, as for Schur's +-1 mod 6,
-``_product_side_by_numerator`` gives up on it within a few terms and builds
-the parts not divisible by d, d the least divisor of the modulus from 2 up
-that divides no allowed residue, times (1-q^k) per size they allow and the
-class does not.
+``product_side`` multiplies one 1/(1-q^k) per allowed part size.
+``_product_side`` builds it as 1/E, E the Euler product (1-q)(1-q^2)...
+(``_euler``), times the class's numerator, the product of (1-q^k) over the
+sizes it does not allow: E(q^d) for the parts not divisible by d, and for
+Rogers-Ramanujan type classes a theta-type series with few nonzero terms,
+which ``_numerator`` builds at one pass per term.  Where a class's numerator
+is dense, as for Schur's +-1 mod 6, ``_numerator`` gives up on it within a
+few terms and the class is the direct product.
 
 The n-th term polynomial of the divide-by-M family has degree
 (M-1)n(n+1)/2, so ``alpha_closed_form`` works on no more coefficients than
@@ -47,8 +41,8 @@ read from its input's last nonzero coefficient, not from that degree.
 
 from collections.abc import Callable, Container, Iterable, Iterator, Sequence
 from itertools import accumulate, compress, count, repeat
-from math import isqrt, lcm
-from operator import add, floordiv, mul, sub
+from math import isqrt
+from operator import add, mul, sub
 
 from ._record import Record
 
@@ -146,39 +140,6 @@ def _one_minus(c: list[int], k: int) -> None:
 def _one_plus(c: list[int], k: int) -> None:
     """Multiply the coefficients ``c`` by (1 + q^k) in place, k >= 1."""
     c[k:] = map(add, c[k:], c[:-k])
-
-
-def _one_minus_tail(c: list[int], p: int, residues: Iterable[int]) -> None:
-    """Multiply ``c`` in place by (1 - q^k) for every k in K, the sizes from
-    h = ceil(n/3) to n - 1, n = len(c), whose residue mod ``p`` is in
-    ``residues``.  Any three of these multiply to an exponent of at least
-    3h >= n, so below n their product is 1 - e1 + e2, with e1 the sum of
-    their q^k and e2 = (e1^2 - P2)/2, P2 the sum of their q^{2k}.  With
-    X = c e1, the new ``c`` is c - X + (X e1 - c P2)/2, the halving exact.
-    Each product by e1 or P2 is a running sum along each stride mod ``p``
-    (``2p`` for P2) of the coefficients it can reach, then one slice addition
-    per residue."""
-    n = len(c)
-    h = (n + 2) // 3
-    firsts = [h + (r - h) % p for r in residues]  # the least size from h up with residue r
-
-    def strided(a: list[int], stride: int) -> list[int]:
-        for r in range(min(stride, len(a))):
-            a[r::stride] = accumulate(a[r::stride])
-        return a
-
-    s = strided(c[: n - h], p)  # X_i is the sum of s[i - f] over the firsts f <= i
-    s2 = strided(c[: max(0, n - 2 * h)], 2 * p)  # (c P2)_i: of s2[i - 2f]
-    x = [0] * (n - h)  # X below n - h, all that X e1 reads
-    for f in firsts:
-        x[f:] = map(add, x[f:], s)
-        c[f:] = map(sub, c[f:], s)
-    strided(x, p)
-    d = [0] * max(0, n - 2 * h)  # X e1 - c P2 from exponent 2h up; x is 0 below h
-    for f in firsts:
-        d[f - h :] = map(add, d[f - h :], x[h:])
-        d[2 * (f - h) :] = map(sub, d[2 * (f - h) :], s2)
-    c[2 * h :] = map(add, c[2 * h :], map(floordiv, d, repeat(2)))
 
 
 def _add_times(out: list[int], c: Sequence[int], e: int, x: int) -> None:
@@ -320,50 +281,25 @@ def _euler(order: int) -> TruncatedSeries:
     return TruncatedSeries(tuple(_numerator(order, 1, (0,), (0,))))
 
 
-def _product_side_by_dilation(
+def _product_side(
     rc: ResidueClass, all_parts: TruncatedSeries, euler: TruncatedSeries
 ) -> TruncatedSeries:
-    """``product_side(rc, order)`` for ``rc`` = ``ResidueClass.nonzero(d)``
-    from the all-parts series and the Euler product E at that order: the
-    product over d not dividing k of 1/(1-q^k) is E(q^d)/E(q), the all-parts
-    series times E(q^d), exact below the order."""
-    if len(rc.residues) != rc.modulus - 1:
-        raise ValueError(f"{rc.label()} is not the class of every nonzero residue")
-    c = _times_dilated(all_parts.coefficients, euler.coefficients, rc.modulus)
-    return TruncatedSeries(tuple(c))
-
-
-def _product_side_by_complement(
-    rc: ResidueClass, series: TruncatedSeries, base: ResidueClass
-) -> TruncatedSeries:
-    """``product_side(rc, series.order)`` from ``series``, the product side of
-    ``base`` at that order, when ``base`` allows every part size below the
-    order that ``rc`` allows: ``series`` times (1 - q^k) for every size k
-    that ``base`` allows and ``rc`` does not, which cancels its factor
-    1/(1 - q^k) exactly below the order; those with 3k >= order in one
-    ``_one_minus_tail`` pass, by their residues mod the two moduli's lcm."""
-    p = lcm(rc.modulus, base.modulus)
-    removed = {r for r in range(p) if base.allows(r) and not rc.allows(r)}
-    c = list(series.coefficients)
-    for k in range(1, (len(c) + 2) // 3):
-        if k % p in removed:
-            _one_minus(c, k)
-    _one_minus_tail(c, p, removed)
-    return TruncatedSeries(tuple(c))
-
-
-def _product_side_by_numerator(
-    rc: ResidueClass, all_parts: TruncatedSeries, euler: TruncatedSeries, base: ResidueClass
-) -> TruncatedSeries:
-    """``product_side(rc, order)``: the all-parts series at that order times
-    the numerator of ``rc``, or where ``_numerator`` gives up, by complement
-    of ``base`` = ``ResidueClass.nonzero(d)``, d dividing no residue of ``rc``."""
-    p = lcm(rc.modulus, base.modulus)
-    excluded = {r for r in range(p) if not rc.allows(r)}
-    numerator = _numerator(all_parts.order, p, excluded, {r for r in excluded if base.allows(r)})
+    """``product_side(rc, order)`` from the all-parts series 1/E and the
+    Euler product E at that order.  The parts not divisible by m, every
+    nonzero residue mod m, are E(q^m)/E(q), the all-parts series times
+    E(q^m).  Any other class is the all-parts series times its numerator,
+    or, where ``_numerator`` gives up on a dense one, the direct product.
+    The give-up rule counts the sizes that the class does not allow and the
+    parts not divisible by d do, d the least divisor of m from 2 up that
+    divides no allowed residue."""
+    m, order = rc.modulus, all_parts.order
+    if len(rc.residues) == m - 1:
+        return TruncatedSeries(tuple(_times_dilated(all_parts.coefficients, euler.coefficients, m)))
+    d = next(d for d in range(2, m + 1) if not m % d and rc.residues.isdisjoint(range(d, m, d)))
+    excluded = {r for r in range(m) if r not in rc.residues}
+    numerator = _numerator(order, m, excluded, {r for r in excluded if r % d})
     if numerator is None:
-        series = _product_side_by_dilation(base, all_parts, euler)
-        return _product_side_by_complement(rc, series, base)
+        return product_side(rc, order)
     return TruncatedSeries(tuple(_times_dilated(all_parts.coefficients, numerator, 1)))
 
 

@@ -27,13 +27,13 @@ Many identities share a product side, and many interpretations share their
 term rules, so each row also declares the shared inputs it reads: product
 sides, divide-by-M sum sides and their shared tail, profile sum sides (keyed
 by the term rules of their branches) and profiles' chain counts at a weight
-bound.  A product side of modulus m is built, by Glaisher's product identity,
-from the parts not divisible by d, d the least divisor of m from 2 up that
-divides no allowed residue: those are the all-parts series 1/E times E(q^d),
-E the Euler product, each an input of its own.  ``run_suite`` builds each
-input once, as its own timed step, just before its first reader (a row, or an
-input built from it), hands it to every reader and drops it after the last; a
-check function is handed the values it compares and builds none of them.
+bound.  Every product side is built from the all-parts series 1/E and E,
+the Euler product, each an input of its own: the parts not divisible by m
+are 1/E times E(q^m), and any other class 1/E times its numerator
+(``_product_side``).  ``run_suite`` builds each input once, as its own timed
+step, just before its first reader (a row, or an input built from it), hands
+it to every reader and drops it after the last; a check function is handed
+the values it compares and builds none of them.
 """
 
 import json
@@ -73,8 +73,7 @@ from .series import (
     _euler,
     _glaisher_sum,
     _glaisher_tails,
-    _product_side_by_dilation,
-    _product_side_by_numerator,
+    _product_side,
     _reciprocal,
     alpha_closed_form,
     sum_side_glaisher,
@@ -429,26 +428,12 @@ class _Input(Record):
 
 
 def _product_input(rc: ResidueClass, order: int) -> _Input:
-    """The product side of ``rc`` below ``order``, from the all-parts series,
-    1/E, and E, the Euler product.  The parts not divisible by d, d the least
-    divisor of the modulus from 2 up that divides no allowed residue (the
-    modulus always does), are the all-parts series times E(q^d).  Any other
-    class is the all-parts series times its numerator, the product of
-    (1-q^k) over the sizes it does not allow, which for theta-type classes
-    has few nonzero terms.  Where the numerator has more nonzero terms at
-    q^1..q^n, for some n, than there are sizes up to n that the parts not
-    divisible by d allow and ``rc`` does not, ``rc`` is built from that class
-    by complement instead (``_product_side_by_numerator``)."""
-    m = rc.modulus
-    d = next(d for d in range(2, m + 1) if not m % d and rc.residues.isdisjoint(range(d, m, d)))
-    base = ResidueClass.nonzero(d)
+    """The product side of ``rc`` below ``order``, built by ``_product_side``
+    from two inputs of their own: E, the Euler product, and the all-parts
+    series 1/E."""
     euler = _Input(("euler", order), partial(_euler, order))
     all_parts = _Input(("all parts", order), _reciprocal, (euler,))
-    if rc == base:
-        build = partial(_product_side_by_dilation, base)
-    else:
-        build = partial(_product_side_by_numerator, rc, base=base)
-    return _Input(("product", rc, order), build, (all_parts, euler))
+    return _Input(("product", rc, order), partial(_product_side, rc), (all_parts, euler))
 
 
 def _profile_sum_input(profile: ProfileFamily, order: int) -> _Input:

@@ -8,6 +8,7 @@ schoolbook ``multiply``, where the package multiplies in place with
 recurse on the remaining weight, where the package counts without building.
 ``partitions_repetition_bounded`` alone reads the package's bounded-repetition
 walk, one weight of it, for tests of what is built on that walk.
+``offset_rows`` lists every offset row of a term from those same partitions.
 ``glaisher_merge`` is the package's merge as it was before it learned to
 return its fixed points unchanged: it rebuilds every image, and
 ``glaisher_divide`` rewrites one divisible part at a time.  ``alpha_term``
@@ -94,6 +95,17 @@ def enumerate_partitions(weight, max_part=None):
     in lexicographically decreasing order."""
     largest = weight if max_part is None else max_part
     return [Partition(p) for p in _parts(weight, largest, lambda part: True)]
+
+
+def offset_rows(total, slots):
+    """Every row of ``slots`` nonnegative, weakly decreasing entries summing
+    to ``total``: each partition of ``total`` into at most ``slots`` parts,
+    padded with zeros, in lexicographically decreasing order."""
+    return [
+        parts + (0,) * (slots - len(parts))
+        for parts in _parts(total, total, lambda part: True)
+        if len(parts) <= slots
+    ]
 
 
 def enumerate_partitions_with_parts(rc, weight):

@@ -1,11 +1,15 @@
 """Command-line behaviour: outputs, formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import qident
 from qident.cli import (
     EXIT_DOMAIN,
     EXIT_MISMATCH,
@@ -482,6 +486,74 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "catalog", "--format", "machine")
         assert code == EXIT_OK
         assert out == text
+
+    def test_chain_of_thousands_of_slots_counts_without_recursion(self, capsys, tmp_path):
+        """Term n has 1000 n slots, offsets n then zeros: far deeper than
+        the interpreter's recursion limit, so the chain search must keep its
+        own stack."""
+        entry = {
+            "name": "wide",
+            "source": "",
+            "branches": [{
+                "parity": "all",
+                "n_min": 0,
+                "slots": "1000 * n",
+                "min_weight": "n",
+                "offsets": [
+                    {"when": "s == 1", "value": "n"},
+                    {"when": "otherwise", "value": "0"},
+                ],
+            }],
+        }
+        path = tmp_path / "catalog.json"
+        path.write_text(json.dumps({"entries": [entry]}), encoding="utf-8")
+        code, out, err = run(
+            capsys, "--catalog", str(path), "verify", "wide",
+            "--order", "10", "--max-weight", "8", "--format", "machine",
+        )
+        assert (code, err) == (EXIT_OK, "")
+        assert json.loads(out) == {
+            "bound": 8, "identity": "wide", "mode": "combinatorial",
+            "outcome": "pass", "subject": "wide",
+        }
+
+
+class TestClosedStdout:
+    """A reader that has closed stdout before the output is written ends the
+    output, not the run: no traceback, and the exit code of the verdict."""
+
+    @staticmethod
+    def run_closed(*argv):
+        read, write = os.pipe()
+        os.close(read)
+        src = str(Path(qident.__file__).resolve().parents[1])
+        try:
+            return subprocess.run(
+                [sys.executable, "-m", "qident.cli", *argv],
+                stdout=write,
+                stderr=subprocess.PIPE,
+                text=True,
+                env={**os.environ, "PYTHONPATH": src},
+            )
+        finally:
+            os.close(write)
+
+    @pytest.mark.parametrize("fmt", ["machine", "text"])
+    def test_passing_run_exits_0(self, fmt):
+        run = self.run_closed("verify", "all", "--max-weight", "8", "--format", fmt)
+        assert (run.returncode, run.stderr) == (EXIT_OK, "")
+
+    def test_mismatch_still_exits_1(self, tmp_path):
+        path = tmp_path / "catalog.json"
+        path.write_text(custom_fields(residues=[2, 4]), encoding="utf-8")
+        run = self.run_closed(
+            "--catalog", str(path), "verify", "custom", "--order", "12", "--max-weight", "8"
+        )
+        assert (run.returncode, run.stderr) == (EXIT_MISMATCH, "")
+
+    def test_other_commands_exit_0(self):
+        run = self.run_closed("catalog")
+        assert (run.returncode, run.stderr) == (EXIT_OK, "")
 
 
 class TestSumSideErrors:

@@ -11,9 +11,9 @@ factors or in the Euler route of the product sides not the ``alpha`` rows
 either.  No one series kernel reaches every row with a series side, so the
 faults in the series kernels are also planted together, and must then reach
 all of them.  A fault that no row reports, or that leaks across, shows that a
-fast path has lost its check or that the two oracles share code.  The tail
-pass, which no shipped product side takes, is faulted on a class whose
-numerator is dense, the one kind that takes it.
+fast path has lost its check or that the two oracles share code.  The
+direct product, which only a class with a dense numerator takes, must not
+run at the gate's bounds, so no product row rests on it.
 """
 
 import sys
@@ -23,17 +23,9 @@ import pytest
 import qident.bijections as bijections
 import qident.partitions as partitions
 import qident.series as series
-import qident.verify as verify_module
 from qident.partitions import Partition
 from qident.profiles import default_catalog
-from qident.series import (
-    ResidueClass,
-    TruncatedSeries,
-    _euler,
-    _geometric,
-    _reciprocal,
-    product_side,
-)
+from qident.series import TruncatedSeries, _geometric
 from qident.verify import plan_checks, run_suite
 
 ORDER, WEIGHT = 30, 13
@@ -149,23 +141,9 @@ def keeps_last_coefficient(kernel):
     return fake
 
 
-def starts_one_size_late(tail):
-    """The tail pass leaves out the first size it should take, the least k
-    from ceil(len(c)/3) up with its residue: the pass, then 1/(1-q^k)."""
-
-    def fake(c, p, residues):
-        n = len(c)
-        tail(c, p, residues)
-        first = next((k for k in range(-(-n // 3), n) if k % p in residues), n)
-        if first < n:
-            _geometric(c, first)
-
-    return fake
-
-
 def leaves_out_first_tail_size(euler):
-    """The Euler product leaves out its factor (1-q^k) for k = ceil(order/3),
-    the least size of a tail pass: E times 1/(1-q^k)."""
+    """The Euler product leaves out its factor (1-q^k) for k = ceil(order/3):
+    E times 1/(1-q^k)."""
 
     def fake(order):
         c = list(euler(order).coefficients)
@@ -284,8 +262,8 @@ BEYOND_GEOMETRIC = {
 
 # The series rows a fault in the (1-q^k) kernel misses.  E and the class
 # numerators take no (1-q^k), and at both orders every shipped class other
-# than the parts not divisible by d is built from its numerator, not as a
-# complement, so a row sees the fault only through its sum side: the
+# than the parts not divisible by d is built from its numerator, not as the
+# direct product, so a row sees the fault only through its sum side: the
 # divide-by-M sums for M >= 3 take (1-q^{(n-1)M}) and the alpha closed form
 # (1-q^{jM}).  No catalog profile sum drops its slot count at these bounds,
 # the one case in which a profile sum takes (1-q^k), and the divide-by-2 and
@@ -482,27 +460,15 @@ def test_distinct_parts_fault_reaches_the_divide_by_2_rows_alone(monkeypatch):
 
 
 def test_every_shipped_class_takes_its_numerator_at_the_gate_orders(monkeypatch):
-    """At the orders 14 and 30 no product side is built as a complement, so
-    no row takes the tail pass, nor the (1-q^k) kernel through a product."""
+    """At the orders 14 and 30 no product side is the direct product, so no
+    row takes the (1-q^k) kernel, nor 1/(1-q^k) per size, through a
+    product."""
 
     def must_not_run(original):
         def fake(*args):
-            raise AssertionError("a product side was built as a complement")
+            raise AssertionError("a product side was built as the direct product")
 
         return fake
 
-    patch_everywhere(monkeypatch, series, ("_product_side_by_complement",), must_not_run)
+    patch_everywhere(monkeypatch, series, ("product_side",), must_not_run)
     assert run_suite(None, ORDER, WEIGHT).passed
-
-
-@pytest.mark.parametrize("order", (WEIGHT + 1, ORDER))
-def test_tail_pass_fault_reaches_a_dense_class(monkeypatch, order):
-    """Only a class whose numerator is dense takes the tail pass: Schur's
-    +-1 mod 6 is the odd parts times (1-q^k) for k = 3 mod 6, and a pass
-    that leaves out the first such k from ceil(order/3) up leaves the
-    product side's factor 1/(1-q^k) in."""
-    rc = ResidueClass(6, frozenset({1, 5}))
-    patch_everywhere(monkeypatch, series, ("_one_minus_tail",), starts_one_size_late)
-    shared = verify_module._product_input(rc, order)
-    euler = _euler(order)
-    assert shared.build(_reciprocal(euler), euler) != product_side(rc, order)

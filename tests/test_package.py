@@ -17,9 +17,10 @@ MODULES = (series, partitions, profiles, bijections, verify)
 
 # Names that only renamed another public call, had no caller outside the
 # tests, made up the run-scoped memo that the plan's declared inputs
-# replaced, or made up the cost model that planned product-side routes
-# before every product side followed one rule; each must stay gone from the
-# package, its module and the class that held it.
+# replaced, made up the cost model that planned product-side routes before
+# every product side followed one rule, or built product sides before that
+# rule was one function; each must stay gone from the package, its module
+# and the class that held it.
 REMOVED = (
     (partitions, "satisfies_chain"),
     (partitions, "partitions_no_part_divisible"),
@@ -55,6 +56,10 @@ REMOVED = (
         "_nonzero_terms", "_pentagonal", "_product_bases", "_product_routes", "_all_parts",
     )),
     (verify, "_product_inputs"),
+    *((series, name) for name in (
+        "_product_side_by_dilation", "_product_side_by_numerator",
+        "_product_side_by_complement", "_one_minus_tail",
+    )),
 )
 
 # Parameters that only a test ever set, or that routed product sides through
@@ -138,3 +143,26 @@ def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
         [sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True
     )
     assert run.stdout.split() == ["[]"]
+
+
+def test_every_private_definition_has_a_caller_in_the_package():
+    """A module-level function or class whose name starts with an underscore
+    is named somewhere in ``src/qident`` other than its own definition; one
+    that only tests call belongs in the tests or nowhere."""
+    sources = sorted((Path(__file__).resolve().parents[1] / "src" / "qident").glob("*.py"))
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sources}
+    defined = {
+        (stem, node.name)
+        for stem, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+    }
+    used = set()  # an import alone is no caller
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    orphaned = sorted(f"{stem}.{name}" for stem, name in defined if name not in used)
+    assert orphaned == [], orphaned

@@ -1,13 +1,14 @@
 """Profile rules, the shipped catalog, and chain/series agreement."""
 
 import json
+from itertools import count
 from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qident.partitions import GapBound
+from qident.partitions import GapBound, count_chain_by_weight
 from qident.profiles import (
     PiecewiseCase,
     ProfileBranch,
@@ -20,11 +21,12 @@ from qident.profiles import (
     profile_chain_counts,
     profile_series,
     profile_to_chain,
+    _offsets_chain,
     validate_profile,
 )
-from qident.series import product_side, sum_side_standard
+from qident.series import _sum_terms, product_side, sum_side_standard
 
-from oracles import pochhammer_inverse, shift
+from oracles import offset_rows, pochhammer_inverse, shift
 
 CATALOG_PATH = Path(__file__).resolve().parents[1] / "src" / "qident" / "catalog.json"
 
@@ -242,6 +244,71 @@ class TestValidateProfile:
         report = validate_profile(bad, 1)
         assert "n=0" in report.failures[0] or "n=1" in report.failures[0]
         assert "s=1" in report.failures[0]
+
+
+class TestEveryOffsetRow:
+    """The paper's main claim at small sizes: for a term q^S/(q)_u, every
+    offset row that is nonnegative, weakly decreasing and sums to S gives a
+    chain whose vectors the term counts, not only the rows the catalog
+    ships."""
+
+    W = 24
+
+    @staticmethod
+    def terms(max_weight):
+        """(n, S(n), u(n)) of every shipped term rule, by its slot rule,
+        weight rule and first index, at each n with S(n) <= max_weight and
+        u(n) >= 1."""
+        rules = {
+            (b.slots, b.min_weight, b.n_min)
+            for e in default_catalog().entries()
+            for b in e.profile.branches
+        }
+        assert len(rules) == 14
+        for slots, min_weight, n_min in sorted(rules):
+            for n in count(n_min):
+                total = evaluate_rule(min_weight, n=n)
+                if total > max_weight:
+                    break
+                if (u := evaluate_rule(slots, n=n)) >= 1:
+                    yield n, total, u
+
+    def test_every_row_counts_its_term(self):
+        rows = 0
+        for n, total, u in self.terms(self.W):
+            expected = list(_sum_terms([(total, u)], self.W + 1).coefficients)
+            for row in offset_rows(total, u):
+                chain = _offsets_chain("row", n, row)
+                assert count_chain_by_weight(chain, self.W) == expected, (n, row)
+                rows += 1
+        assert rows == 5999
+
+    @pytest.mark.parametrize("change", [1, -1])
+    def test_row_off_its_weight_is_rejected_naming_the_index(self, change):
+        """The first entry one more or one less, a row still nonnegative and
+        weakly decreasing, fails ``validate_profile`` at its index."""
+        for n, total, u in self.terms(8):
+            for row in offset_rows(total, u):
+                if row[0] + change < 0 or u > 1 and row[0] + change < row[1]:
+                    continue
+                cases = [(f"s == {s}", str(v)) for s, v in enumerate(row[1:], start=2)]
+                cases = [("s == 1", str(row[0] + change)), *cases, ("otherwise", "0")]
+                found = validate_profile(family("row", str(u), str(total), cases, n_min=n), n)
+                assert found.failures == (
+                    f"row[all] n={n}: offsets sum to {total + change}, "
+                    f"declared weight is {total}",
+                ), row
+
+    def test_increasing_or_negative_row_is_rejected_naming_the_index(self):
+        for n, total, u in self.terms(8):
+            for row in offset_rows(total, u):
+                if u > 1 and row[0] > row[1]:
+                    swapped = (row[1], row[0], *row[2:])
+                    with pytest.raises(ValueError, match=rf"\(index={n}, s=1 -> 2\)"):
+                        _offsets_chain("row", n, swapped)
+                negative = (*row[:-1], -1)
+                with pytest.raises(ValueError, match=rf"offset -1 at \(index={n}, s={u}\)"):
+                    _offsets_chain("row", n, negative)
 
 
 class TestProfileSeries:

@@ -7,7 +7,7 @@ from itertools import accumulate
 from math import isqrt
 
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import qident.series as series_module
@@ -23,11 +23,9 @@ from qident.series import (
     _glaisher_tails,
     _numerator,
     _one_minus,
-    _one_minus_tail,
     _one_plus,
     _pochhammer_inverse_from,
-    _product_side_by_complement,
-    _product_side_by_dilation,
+    _product_side,
     _reciprocal,
     _times_dilated,
     alpha_closed_form,
@@ -244,22 +242,16 @@ class TestProductSide:
             ResidueClass(modulus, residues)
 
 
-residue_classes = st.integers(2, 20).flatmap(
-    lambda m: st.sets(st.integers(1, m - 1), min_size=1).map(
-        lambda residues: ResidueClass(m, frozenset(residues))
-    )
-)
-
-
 # the shipped classes that are not the parts not divisible by some d
 SHIPPED = sorted(
     {rc for e in default_catalog().entries() if (rc := e.product) and len(rc.residues) < rc.modulus - 1},
     key=ResidueClass.label,
 )
-# classes with dense numerators, each with the order from which it is built as
-# a complement: the first n at which its numerator has more nonzero terms at
-# q^1..q^n than one plus the sizes up to n that the complement takes, plus
-# one.  With no term of slack they gave up from orders 3, 9, 8, 4, 3 and 3
+# classes with dense numerators, each with the order from which it is built
+# as the direct product: the first n at which its numerator has more nonzero
+# terms at q^1..q^n than one plus the sizes up to n that the parts not
+# divisible by d allow and the class does not, plus one.  With no term of
+# slack they gave up from orders 3, 9, 8, 4, 3 and 3
 DENSE = {
     ResidueClass(6, frozenset({1, 5})): 5,
     ResidueClass(8, frozenset({1, 4, 7})): 10,
@@ -269,62 +261,19 @@ DENSE = {
     ResidueClass(12, frozenset({5, 7})): 7,
 }
 # a sparse numerator (32 nonzero terms below q^1000) whose terms at q^1 and
-# q^4 come before the sizes the complement takes: with no slack it gave up
-# from order 5, and its fallback took 8.3 ms at order 1000 against 3.65 ms
-# by the numerator
+# q^4 come before the first size the give-up rule counts: with no slack it
+# gave up from order 5
 EARLY_TERMS = ResidueClass(12, frozenset({2, 3, 9, 10}))
 NONZERO = [ResidueClass.nonzero(d) for d in range(2, 11)]
-
-
-class TestComplementBuild:
-    @given(rc=residue_classes, order=st.integers(1, 120))
-    @example(rc=RR2, order=1)
-    @example(rc=ODD, order=2)
-    @example(rc=ResidueClass(20, frozenset({7})), order=120)
-    @example(rc=ResidueClass.nonzero(20), order=120)
-    @example(rc=ResidueClass(13, frozenset(range(2, 13))), order=97)
-    def test_equals_direct_product(self, rc, order):
-        """From the all-parts series 1/E, the product side of the parts not
-        divisible by any M >= order."""
-        every = ResidueClass.nonzero(max(order, 2))
-        built = _product_side_by_complement(rc, _reciprocal(_euler(order)), every)
-        assert built == product_side(rc, order)
-
-    @pytest.mark.parametrize("order", (1, 2, 3, 50))
-    def test_all_parts_is_the_full_pochhammer_inverse(self, order):
-        assert _reciprocal(_euler(order)) == pochhammer_inverse(order - 1, order)
-
-    @given(data=st.data(), base=residue_classes, order=st.integers(1, 120))
-    @example(data=None, base=ResidueClass.nonzero(10), order=120)
-    def test_equals_direct_product_from_a_covering_class(self, data, base, order):
-        """From the product side of a class that allows every size ``rc``
-        allows below the order: ``rc`` lies inside ``base`` everywhere (its
-        residues mod a multiple of the base's modulus reduce into the base's
-        residues) or only below the order (a small-modulus class)."""
-        if data is None:
-            rc = ResidueClass(20, frozenset({1, 3, 7, 9, 11, 13, 17, 19}))
-        elif data.draw(st.booleans()):
-            modulus = base.modulus * data.draw(st.integers(1, 4))
-            lifted = [r for r in range(1, modulus) if r % base.modulus in base.residues]
-            residues = data.draw(st.sets(st.sampled_from(lifted), min_size=1))
-            rc = ResidueClass(modulus, frozenset(residues))
-        else:
-            rc = data.draw(residue_classes)
-            assume(all(base.allows(k) for k in range(1, order) if rc.allows(k)))
-        built = _product_side_by_complement(rc, product_side(base, order), base)
-        assert built == product_side(rc, order)
-
-    @pytest.mark.parametrize("order", (16, 150))
-    def test_dense_classes_from_the_base_their_route_falls_back_to(self, order):
-        for rc in (*DENSE, EARLY_TERMS):
-            base = _product_input(rc, order).build.keywords["base"]
-            built = _product_side_by_complement(rc, product_side(base, order), base)
-            assert built == product_side(rc, order), rc
 
 
 class TestEulerRoute:
     """The Euler product E = (1-q)(1-q^2)..., the all-parts series as 1/E, and
     the parts not divisible by d as the all-parts series times E(q^d)."""
+
+    @pytest.mark.parametrize("order", (1, 2, 3, 50))
+    def test_all_parts_is_the_full_pochhammer_inverse(self, order):
+        assert _reciprocal(_euler(order)) == pochhammer_inverse(order - 1, order)
 
     def test_every_route_equals_the_direct_product_at_every_order(self):
         """d = 2..12 at every order 1..200: d >= n and n = 1 included.  A
@@ -336,7 +285,7 @@ class TestEulerRoute:
             all_parts = _reciprocal(euler)
             assert all_parts.coefficients == every.coefficients[:n], n
             for d, expected in direct.items():
-                built = _product_side_by_dilation(ResidueClass.nonzero(d), all_parts, euler)
+                built = _product_side(ResidueClass.nonzero(d), all_parts, euler)
                 assert built.coefficients == expected.coefficients[:n], (d, n)
 
     def test_every_route_equals_the_direct_product_at_order_1000(self):
@@ -346,7 +295,7 @@ class TestEulerRoute:
         assert all_parts == product_side(ResidueClass.nonzero(1000), 1000)
         for d in range(2, 13):
             rc = ResidueClass.nonzero(d)
-            assert _product_side_by_dilation(rc, all_parts, euler) == product_side(rc, 1000)
+            assert _product_side(rc, all_parts, euler) == product_side(rc, 1000)
 
     @pytest.mark.parametrize("order", (1, 2, 3, 4, 5, 30, 31, 61))
     def test_euler_product_is_the_product_of_its_factors(self, order):
@@ -376,10 +325,6 @@ class TestEulerRoute:
         expected = multiply(c_series, dilate(b_series, d, len(c)))
         assert _times_dilated(c, b, d) == expected.to_list()
 
-    def test_dilation_needs_every_nonzero_residue(self):
-        with pytest.raises(ValueError, match="not the class of every nonzero residue"):
-            _product_side_by_dilation(RR2, _reciprocal(_euler(10)), _euler(10))
-
 
 def numerator_factors(rc: ResidueClass | None, order: int) -> list[int]:
     """The product of (1-q^k) over the sizes below ``order`` that ``rc``
@@ -393,11 +338,25 @@ def numerator_factors(rc: ResidueClass | None, order: int) -> list[int]:
 
 def full_numerator(rc: ResidueClass | None, order: int) -> list[int] | None:
     """``_numerator`` for ``rc``, or for E, never giving up: every size
-    counts as one the complement would take."""
+    counts as removed."""
     if rc is None:
         return _numerator(order, 1, (0,), (0,))
     m = rc.modulus
     return _numerator(order, m, {r for r in range(m) if not rc.allows(r)}, range(m))
+
+
+@cache
+def all_parts_reference(order: int) -> TruncatedSeries:
+    """1/E by long division, E one factor (1-q^k) at a time."""
+    return reciprocal(TruncatedSeries(tuple(numerator_factors(None, order))))
+
+
+def reference_product(rc: ResidueClass, order: int) -> TruncatedSeries:
+    """The product side of ``rc`` built in the tests alone: its numerator
+    one factor (1-q^k) at a time, times 1/E term by term.  The route of a
+    dense class is ``product_side`` itself, so this is what checks it."""
+    numerator = TruncatedSeries(tuple(numerator_factors(rc, order)))
+    return multiply(numerator, all_parts_reference(order))
 
 
 def routed(rc: ResidueClass, order: int) -> TruncatedSeries:
@@ -408,23 +367,29 @@ def routed(rc: ResidueClass, order: int) -> TruncatedSeries:
 
 
 @pytest.fixture
-def complements(monkeypatch):
-    """The (class, order) of every product side built as a complement."""
+def directs(monkeypatch):
+    """The (class, order) of every product side that ``_product_side``
+    builds as the direct product."""
     found = []
-    complement = series_module._product_side_by_complement
+    direct = series_module.product_side
 
-    def recording(rc, series, base):
-        found.append((rc, series.order))
-        return complement(rc, series, base)
+    def recording(rc, order):
+        found.append((rc, order))
+        return direct(rc, order)
 
-    monkeypatch.setattr(series_module, "_product_side_by_complement", recording)
+    monkeypatch.setattr(series_module, "product_side", recording)
     return found
+
+
+# the orders at which every class pinned below keeps its route
+ROUTE_ORDERS = (*range(1, 41), 60, 1000)
 
 
 class TestNumeratorRoute:
     """A class other than the parts not divisible by d is the all-parts
     series times its numerator, built from the numerator's logarithmic
-    derivative, unless the numerator is dense."""
+    derivative, unless the numerator is dense; then it is the direct
+    product."""
 
     def test_numerator_is_the_product_of_its_factors_at_every_order(self):
         """To 150 for E and the shipped classes; a dense numerator takes a
@@ -442,21 +407,26 @@ class TestNumeratorRoute:
             assert full_numerator(rc, 1000) == numerator_factors(rc, 1000), rc
 
     def test_route_equals_the_direct_product_at_every_order(self):
-        classes = (*NONZERO, *SHIPPED, EARLY_TERMS, *DENSE)
-        expected = {rc: product_side(rc, 150).coefficients for rc in classes}
+        """The dense classes and 2,3,9,10 mod 12 against the test-side
+        reference, the others against ``product_side``; a product side
+        truncated lower is the prefix of the one at 150."""
+        checked = (EARLY_TERMS, *DENSE)
+        expected = {rc: reference_product(rc, 150).coefficients for rc in checked}
+        expected |= {rc: product_side(rc, 150).coefficients for rc in (*NONZERO, *SHIPPED)}
         for order in range(1, 151):
             euler = _euler(order)
             all_parts = _reciprocal(euler)
-            for rc in classes:
+            for rc, coefficients in expected.items():
                 built = _product_input(rc, order).build(all_parts, euler)
-                assert built.coefficients == expected[rc][:order], (rc, order)
+                assert built.coefficients == coefficients[:order], (rc, order)
 
     def test_route_equals_the_direct_product_at_order_1000(self):
         euler = _euler(1000)
         all_parts = _reciprocal(euler)
         for rc in (*NONZERO, *SHIPPED, EARLY_TERMS, *DENSE):
             built = _product_input(rc, 1000).build(all_parts, euler)
-            assert built == product_side(rc, 1000), rc
+            checked = rc in (EARLY_TERMS, *DENSE)
+            assert built == (reference_product if checked else product_side)(rc, 1000), rc
 
     @given(
         rc=st.integers(2, 24).flatmap(
@@ -471,29 +441,45 @@ class TestNumeratorRoute:
     def test_any_class_equals_the_direct_product_by_either_route(self, rc, order):
         assert routed(rc, order) == product_side(rc, order)
 
-    def test_shipped_classes_take_their_numerators_to_order_1000(self, complements):
+    def test_shipped_classes_take_their_numerators_to_order_1000(self, directs):
         """Whether ``_numerator`` gives up at q^n depends on q^1..q^n alone,
         so a class built from its numerator at order 1000 is built so at
         every order below it."""
         assert len(SHIPPED) == 7
         for rc in SHIPPED:
-            for order in (*range(1, 40), 1000):
+            for order in ROUTE_ORDERS:
                 routed(rc, order)
-        assert complements == []
+        assert directs == []
 
-    def test_a_sparse_numerator_with_early_terms_is_never_given_up(self, complements):
+    def test_a_sparse_numerator_with_early_terms_is_never_given_up(self, directs):
         """2,3,9,10 mod 12 has nonzero terms at q^1 and q^4, before the
-        first size its complement takes; one term of slack carries it past
-        them, and no later prefix gives up."""
-        for order in (*range(1, 40), 1000):
+        first size the give-up rule counts; one term of slack carries it
+        past them, and no later prefix gives up."""
+        for order in ROUTE_ORDERS:
             routed(EARLY_TERMS, order)
-        assert complements == []
+        assert directs == []
 
-    def test_dense_classes_give_up_before_q16(self, complements):
+    def test_nonzero_classes_take_e_of_q_d_at_every_order(self, monkeypatch):
+        """The parts not divisible by d, d = 2..10, build no numerator and no
+        direct product; E is built before the watch starts."""
+
+        def must_not_run(*args):
+            raise AssertionError("the parts not divisible by d left E(q^d)")
+
+        for order in ROUTE_ORDERS:
+            euler = _euler(order)
+            all_parts = _reciprocal(euler)
+            with monkeypatch.context() as patched:
+                patched.setattr(series_module, "_numerator", must_not_run)
+                patched.setattr(series_module, "product_side", must_not_run)
+                for rc in NONZERO:
+                    _product_input(rc, order).build(all_parts, euler)
+
+    def test_dense_classes_give_up_before_q16(self, directs):
         for rc, start in DENSE.items():
             for order in range(1, 17):
                 routed(rc, order)
-            assert [o for c, o in complements if c == rc] == list(range(start, 17)), rc
+            assert [o for c, o in directs if c == rc] == list(range(start, 17)), rc
         assert max(DENSE.values()) < 16
 
     def test_an_inexact_quotient_raises(self, monkeypatch):
@@ -762,33 +748,6 @@ class TestKernels:
         assert kernel_applied(_one_plus, series, k) == multiply(
             series, TruncatedSeries(tuple(one_plus))
         )
-
-    @given(
-        c=st.lists(st.integers(-(10**9), 10**9), max_size=120),
-        period_and_residues=st.integers(1, 25).flatmap(
-            lambda p: st.tuples(st.just(p), st.sets(st.integers(0, p - 1)))
-        ),
-    )
-    @example(c=[3], period_and_residues=(1, {0}))
-    @example(c=[3, -1], period_and_residues=(1, {0}))
-    @example(c=[3, -1, 4], period_and_residues=(2, {0, 1}))
-    @example(c=[0, 2, -5, 0, 1], period_and_residues=(25, {3}))
-    # pairs of tail sizes 3 + 4 and 3 + 5 land below the length, and 2*3 and
-    # 2*4 too
-    @example(c=[5, -1, 2, 0, 7, -3, 1, 4, -2], period_and_residues=(1, {0}))
-    # of the sizes 19, 26 and 33 no pair lands below 40, but 2*19 does
-    @example(c=list(range(1, 41)), period_and_residues=(7, {5}))
-    def test_tail_pass_is_one_one_minus_per_tail_size(self, c, period_and_residues):
-        """Every (1-q^k) with 3k >= len(c) and k mod p in the residues, at
-        once; every length mod 3, and periods beyond it."""
-        p, residues = period_and_residues
-        n = len(c)
-        expected = list(c)
-        for k in range(-(-n // 3), n):
-            if k % p in residues:
-                _one_minus(expected, k)
-        _one_minus_tail(c, p, residues)
-        assert c == expected
 
     @given(
         order=st.integers(1, 40),

@@ -441,12 +441,7 @@ SHARED_BUILDS = (
     (series_module, "product_side", lambda rc, order: ("product", rc, order)),
     (
         verify_module,
-        "_product_side_by_numerator",
-        lambda rc, all_parts, euler: ("product", rc, all_parts.order),
-    ),
-    (
-        verify_module,
-        "_product_side_by_dilation",
+        "_product_side",
         lambda rc, all_parts, euler: ("product", rc, all_parts.order),
     ),
     (verify_module, "_reciprocal", lambda euler: ("all parts", euler.order)),
@@ -631,10 +626,26 @@ def built(shared, values=None):
     return values[shared.key]
 
 
-def base_of(shared):
-    """The parts-not-divisible-by-d class a product input is built from, or
-    falls back to when its numerator is dense."""
-    return shared.build.keywords.get("base", shared.key[1])
+def removed_residues(rc, order):
+    """The residues mod its modulus that the build of ``rc`` at ``order``
+    hands ``_numerator`` as removed, those the parts not divisible by d
+    allow and ``rc`` does not, or None if it builds no numerator."""
+    euler = _euler(order)  # E's own numerator is built before the watch
+    all_parts = series_module._reciprocal(euler)
+    calls = []
+    numerator = series_module._numerator
+
+    def recording(order, p, excluded, removed):
+        calls.append({r for r in range(p) if r in removed})
+        return numerator(order, p, excluded, removed)
+
+    series_module._numerator = recording
+    try:
+        verify_module._product_input(rc, order).build(all_parts, euler)
+    finally:
+        series_module._numerator = numerator
+    assert len(calls) <= 1, calls
+    return calls[0] if calls else None
 
 
 residue_classes = st.integers(2, 30).flatmap(
@@ -650,9 +661,10 @@ MOD_20 = ResidueClass(20, frozenset({2, 3, 4, 5, 6, 7, 13, 14, 15, 16, 17, 18}))
 
 class TestProductSideBases:
     """Every product side is built from the all-parts series and the Euler
-    product, by way of the parts not divisible by d, d the least divisor of
-    its modulus from 2 up that divides no allowed residue, if that class is
-    not itself the product side and its numerator is dense."""
+    product.  The parts not divisible by d, d the least divisor of its
+    modulus from 2 up that divides no allowed residue, are the class itself,
+    built by dilation, or the class whose sizes the numerator's give-up rule
+    counts."""
 
     @pytest.mark.parametrize("order", (31, 61, 200))
     def test_every_product_side_equals_the_direct_product(self, order):
@@ -669,12 +681,17 @@ class TestProductSideBases:
     @example(rc=MOD_20, order=150)
     @example(rc=ResidueClass.nonzero(30), order=2)
     def test_rule_builds_the_product_side_from_a_covering_base(self, rc, order):
+        """The sizes the give-up rule counts and those ``rc`` allows are
+        together the parts not divisible by some d dividing the modulus."""
         shared = verify_module._product_input(rc, order)
         assert built(shared) == product_side(rc, order)
-        base = base_of(shared)
-        assert len(base.residues) == base.modulus - 1
-        period = rc.modulus * base.modulus
-        assert all(base.allows(k) for k in range(1, period) if rc.allows(k))
+        removed, m = removed_residues(rc, order), rc.modulus
+        if removed is None:
+            assert len(rc.residues) == m - 1
+        else:
+            base = removed | rc.residues
+            divisors = [d for d in range(2, m + 1) if not m % d]
+            assert any(base == {r for r in range(1, m) if r % d} for d in divisors)
 
     @pytest.mark.parametrize(
         "rc, d",
@@ -683,7 +700,11 @@ class TestProductSideBases:
         ids=["1-mod-20", "rr2", "shipped-mod-20", "nonzero-6"],
     )
     def test_base_is_the_least_divisor_dividing_no_residue(self, rc, d):
-        assert base_of(verify_module._product_input(rc, 50)) == ResidueClass.nonzero(d)
+        removed = removed_residues(rc, 50)
+        if rc == ResidueClass.nonzero(d):
+            assert removed is None
+        else:
+            assert removed == {r for r in range(rc.modulus) if not rc.allows(r) and r % d}
 
     def test_build_work_is_at_most_four_fifths_of_the_old_rule(self):
         """Coefficient updates of the planned product builds at (1000, 8),
@@ -730,13 +751,12 @@ class TestProductSideBases:
             order = key[-1]
             if key[0] == "euler":
                 planned += numerator(range(1, order), _euler(order).coefficients, order)
-            elif key[0] == "all parts" or base_of(shared) == key[1]:
+            elif key[0] == "all parts" or len(key[1].residues) == key[1].modulus - 1:
                 planned += euler_route(key, order)
             else:
                 rc, m = key[1], key[1].modulus
                 excluded = {r for r in range(m) if not rc.allows(r)}
-                removed = {r for r in excluded if base_of(shared).allows(r)}
-                n = _numerator(order, m, excluded, removed)
+                n = _numerator(order, m, excluded, removed_residues(rc, order))
                 assert n is not None, key  # no catalog class has a dense numerator
                 sizes = [k for k in range(1, order) if not rc.allows(k)]
                 planned += numerator(sizes, n, order) + sum(order - e for e in exponents(n))
@@ -828,7 +848,7 @@ class TestSharedWork:
         below 1000; each of the seven classes built from its numerator N
         takes one pass per such term of N, and one per nonzero term of N to
         multiply the all-parts series, 481 in all; none takes a (1-q^k) pass
-        or a tail pass.  Counts repeat exactly, so a return to a pass per
+        or the direct product.  Counts repeat exactly, so a return to a pass per
         factor (1-q^k), 333 for E and 783 for the seven, fails here."""
         passes = []
         add_times = series_module._add_times
@@ -838,11 +858,11 @@ class TestSharedWork:
             add_times(out, c, e, x)
 
         def must_not_run(*args):
-            raise AssertionError("a (1-q^k) pass ran")
+            raise AssertionError("a (1-q^k) pass or the direct product ran")
 
         monkeypatch.setattr(series_module, "_add_times", counted)
         monkeypatch.setattr(series_module, "_one_minus", must_not_run)
-        monkeypatch.setattr(series_module, "_one_minus_tail", must_not_run)
+        monkeypatch.setattr(series_module, "product_side", must_not_run)
         inputs = product_inputs(plan_checks(None, 1000, 8, default_catalog()))
         values = {}
         euler = built(inputs["euler", 1000], values)
@@ -854,7 +874,8 @@ class TestSharedWork:
         numerators = [
             shared
             for key, shared in inputs.items()
-            if key[0] == "product" and key[2] == 1000 and base_of(shared) != key[1]
+            if key[0] == "product" and key[2] == 1000
+            and len(key[1].residues) < key[1].modulus - 1
         ]
         assert len(numerators) == 7
         passes.clear()
