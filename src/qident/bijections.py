@@ -186,7 +186,8 @@ def _glaisher_divide(parts: tuple[int, ...], modulus: int) -> tuple[int, ...]:
     r*M^k with r not divisible by M becomes M^k copies of r.  Parts that are
     already a fixed point, weakly decreasing with no part divisible by M,
     come back as the very tuple passed in; parts out of order come back
-    sorted.  ``modulus`` must be at least 2."""
+    sorted.  A part 0, divisible by every power of M, raises ``ValueError``.
+    ``modulus`` must be at least 2."""
     out: list[int] = []
     fixed = True
     above = parts[0] if parts else 0
@@ -198,6 +199,8 @@ def _glaisher_divide(parts: tuple[int, ...], modulus: int) -> tuple[int, ...]:
             out.append(part)
             continue
         fixed = False
+        if not part:
+            raise ValueError(f"part 0 has no fixed point under division by {modulus}")
         copies = 1
         while part % modulus == 0:
             part //= modulus
@@ -239,51 +242,74 @@ def glaisher_inverse_steps(p: Partition, modulus: int) -> list[Partition]:
         steps.append(current)
 
 
+def _merge_root(value: int, count: int, modulus: int) -> tuple[int, int]:
+    """A run of ``count`` copies of r*M^k, r not divisible by M, as its root r
+    and the count*M^k copies of r it stands for."""
+    if not value:
+        raise ValueError(f"part 0 has no fixed point under merging by {modulus}")
+    while value % modulus == 0:
+        value //= modulus
+        count *= modulus
+    return value, count
+
+
 def _glaisher_merge(parts: tuple[int, ...], modulus: int) -> tuple[int, ...]:
     """The fixed point of the merge-M-copies contraction in one pass.
 
-    One run-length scan of the parts: a run of c copies of r*M^k (r not
-    divisible by M) adds c*M^k to the total of r, and each total, written in
-    base M, gives the number of copies of r, r*M, r*M^2, and so on.  On parts
-    with no part divisible by M, the totals are the run lengths themselves.
+    One scan of the parts counts each run of equal parts while the value
+    repeats and takes the run in when the value changes, the last run after
+    the scan: a run of c copies of r*M^k (r not divisible by M) adds c*M^k to
+    the total of r.  Each total, written in base M, gives the number of
+    copies of r, r*M, r*M^2, and so on; a total below M, as most are, is the
+    number of copies of r itself.  On parts with no part divisible by M, the
+    totals are the run lengths themselves.
 
     The same scan tests whether the parts are already a fixed point: weakly
     decreasing, so that its runs are contiguous with strictly decreasing
     values, with no part divisible by M and no run of M or more copies.  Such
     parts come back as the very tuple passed in, with no expansion, sort or
     new tuple.  Parts out of order never take that exit, so they merge as
-    any other.  ``modulus`` must be at least 2.
+    any other.  A part 0, divisible by every power of M, raises
+    ``ValueError``.  ``modulus`` must be at least 2.
     """
+    if not parts:
+        return parts
     totals: dict[int, int] = {}
     fixed = True
-    n = len(parts)
-    i = 0
-    above = parts[0] + 1 if parts else 0
-    while i < n:
-        root = parts[i]
-        j = i + 1
-        while j < n and parts[j] == root:
-            j += 1
-        count = j - i
-        i = j
-        if root % modulus:
-            if count >= modulus or root >= above:
+    value = parts[0]
+    above = value + 1
+    count = 0
+    for part in parts:
+        if part == value:
+            count += 1
+            continue
+        if value % modulus:
+            if count >= modulus or value >= above:
                 fixed = False
-            above = root
+            above = value
         else:
             fixed = False
-            while root % modulus == 0:
-                root //= modulus
-                count *= modulus
-        totals[root] = totals.get(root, 0) + count
+            value, count = _merge_root(value, count, modulus)
+        totals[value] = totals.get(value, 0) + count
+        value = part
+        count = 1
+    if value % modulus:
+        if count >= modulus or value >= above:
+            fixed = False
+    else:
+        fixed = False
+        value, count = _merge_root(value, count, modulus)
     if fixed:
         return parts
+    totals[value] = totals.get(value, 0) + count
     out: list[int] = []
     for value, total in totals.items():
-        while total:
+        while total >= modulus:
             total, copies = divmod(total, modulus)
-            out += [value] * copies
+            if copies:
+                out += [value] * copies
             value *= modulus
+        out += [value] * total
     out.sort(reverse=True)
     return tuple(out)
 

@@ -202,7 +202,9 @@ def enumerate_chain(chain: ChainConstraint, weight: int) -> list[tuple[int, ...]
     and summing to ``weight``, in lexicographically decreasing order.
 
     Depth-first over slots from the largest down, pruning on the remaining
-    weight against the minimal and maximal sums still achievable.
+    weight against the minimal and maximal sums still achievable.  The search
+    keeps its own stack of prefixes, so a chain of any number of slots is
+    listed without recursion.
     """
     if weight < 0:
         return []
@@ -212,7 +214,9 @@ def enumerate_chain(chain: ChainConstraint, weight: int) -> list[tuple[int, ...]
     min_value, min_tail = _chain_minima(chain)
     out: list[tuple[int, ...]] = []
 
-    def descend(s: int, prev: int, remaining: int, prefix: tuple[int, ...]) -> None:
+    stack = [(0, 0, weight, ())]
+    while stack:
+        s, prev, remaining, prefix = stack.pop()
         lo = min_value[s]
         hi = remaining - min_tail[s + 1]
         if s > 0:
@@ -223,7 +227,8 @@ def enumerate_chain(chain: ChainConstraint, weight: int) -> list[tuple[int, ...]
             v = remaining
             if lo <= v <= hi and chain.terminal.admits(v):
                 out.append(prefix + (v,))
-            return
+            continue
+        children = []
         for v in range(hi, lo - 1, -1):
             rest = remaining - v
             top = v
@@ -238,9 +243,10 @@ def enumerate_chain(chain: ChainConstraint, weight: int) -> list[tuple[int, ...]
             # both failure modes worsen monotonically as v decreases
             if not feasible or rest > capacity:
                 break
-            descend(s + 1, v, rest, prefix + (v,))
-
-    descend(0, 0, weight, ())
+            children.append((s + 1, v, rest, prefix + (v,)))
+        # the largest value on top, so vectors come out in decreasing order
+        children.reverse()
+        stack += children
     return out
 
 

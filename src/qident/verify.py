@@ -281,11 +281,16 @@ def glaisher_bijection_report(modulus: int, max_weight: int) -> Finding | None:
     allowed = frozenset(k for k in range(1, max_weight + 1) if k % modulus)
 
     def in_target(weight: int, parts: tuple[int, ...]) -> bool:
-        return (
-            sum(parts) == weight
-            and allowed.issuperset(parts)
-            and list(parts) == sorted(parts, reverse=True)
-        )
+        if sum(parts) != weight:
+            return False
+        # weakly decreasing: no part above the one before it, the first
+        # compared with the weight
+        above = weight
+        for part in parts:
+            if part > above or part not in allowed:
+                return False
+            above = part
+        return True
 
     return _finding(certify_bijection(
         _repetition_bounded_walk(max_weight, modulus),

@@ -8,7 +8,9 @@ schoolbook ``multiply``, where the package multiplies in place with
 recurse on the remaining weight, where the package counts without building.
 ``partitions_repetition_bounded`` alone reads the package's bounded-repetition
 walk, one weight of it, for tests of what is built on that walk.
-``offset_rows`` lists every offset row of a term from those same partitions.
+``offset_rows`` lists every offset row of a term from those same partitions,
+and ``chain_vectors`` lists a chain's vectors by recursion on the slots with
+no pruning, where the package keeps its own stack and prunes on the weight.
 ``glaisher_merge`` is the package's merge as it was before it learned to
 return its fixed points unchanged: it rebuilds every image, and
 ``glaisher_divide`` rewrites one divisible part at a time.  ``alpha_term``
@@ -106,6 +108,28 @@ def offset_rows(total, slots):
         for parts in _parts(total, total, lambda part: True)
         if len(parts) <= slots
     ]
+
+
+def chain_vectors(chain, weight):
+    """Every vector of ``chain.slots`` entries summing to ``weight`` whose
+    adjacent differences and last entry lie within the chain's bounds, in
+    lexicographically decreasing order: each entry runs from the remaining
+    weight down to 0, by recursion on the slots, with no pruning."""
+    def within(bound, difference):
+        return bound.lower <= difference and (bound.upper is None or difference <= bound.upper)
+
+    def grow(prefix, remaining):
+        s = len(prefix)
+        if s == chain.slots:
+            return [prefix] if remaining == 0 and within(chain.terminal, prefix[-1]) else []
+        return [
+            vector
+            for value in range(remaining, -1, -1)
+            if not s or within(chain.gaps[s - 1], prefix[-1] - value)
+            for vector in grow(prefix + (value,), remaining - value)
+        ]
+
+    return grow((), weight)
 
 
 def enumerate_partitions_with_parts(rc, weight):

@@ -1,9 +1,15 @@
 """The three explicit maps and their exhaustive certification."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import qident
 from qident.bijections import (
     BijectionRecord,
     _glaisher_divide,
@@ -348,6 +354,19 @@ class TestGlaisherMerge:
                 if no_part_divisible(p, modulus):
                     assert _glaisher_merge(p.parts, modulus) is p.parts
 
+    @given(merge_inputs())
+    def test_comes_back_as_given_exactly_on_fixed_points(self, case):
+        """Sorted or not: the very tuple comes back when the parts are weakly
+        decreasing with no part divisible by M and no M copies of a part,
+        and a new tuple otherwise."""
+        parts, modulus = case
+        fixed = (
+            list(parts) == sorted(parts, reverse=True)
+            and all(part % modulus for part in parts)
+            and all(parts.count(part) < modulus for part in parts)
+        )
+        assert (_glaisher_merge(parts, modulus) is parts) == fixed
+
 
 class TestGlaisherDivide:
     """The divide map returns a fixed point unchanged; on every tuple, sorted
@@ -375,6 +394,41 @@ class TestGlaisherDivide:
                     assert _glaisher_divide(p.parts, modulus) == glaisher_divide(
                         p.parts, modulus
                     )
+
+
+class TestZeroPart:
+    """0 is divisible by every power of M, so a map that divided or merged
+    it as any other divisible part would never stop.  Each call runs in a
+    process of its own under a timeout, so that a map that loops fails the
+    test instead of hanging it."""
+
+    @pytest.mark.parametrize(
+        "call",
+        ["_glaisher_divide((0,), m)", "_glaisher_divide((3, 1, 0), m)",
+         "_glaisher_merge((0,), m)", "_glaisher_merge((1, 0), m)",
+         "_glaisher_merge((0, 0, 1), m)"],
+    )
+    def test_raises_value_error_naming_the_part(self, call):
+        script = (
+            "from qident.bijections import _glaisher_divide, _glaisher_merge\n"
+            "for m in range(2, 8):\n"
+            "    try:\n"
+            f"        {call}\n"
+            "    except ValueError as error:\n"
+            "        print(error)\n"
+        )
+        src = str(Path(qident.__file__).resolve().parents[1])
+        run = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=30,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert (run.returncode, run.stderr) == (0, "")
+        lines = run.stdout.splitlines()
+        assert len(lines) == 6
+        assert all(line.startswith("part 0 has no fixed point") for line in lines)
 
 
 rr2_partitions = st.lists(

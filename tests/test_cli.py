@@ -487,26 +487,27 @@ class TestVerifyCommand:
         assert code == EXIT_OK
         assert out == text
 
+    WIDE = {
+        "name": "wide",
+        "source": "",
+        "branches": [{
+            "parity": "all",
+            "n_min": 0,
+            "slots": "1000 * n",
+            "min_weight": "n",
+            "offsets": [
+                {"when": "s == 1", "value": "n"},
+                {"when": "otherwise", "value": "0"},
+            ],
+        }],
+    }
+
     def test_chain_of_thousands_of_slots_counts_without_recursion(self, capsys, tmp_path):
         """Term n has 1000 n slots, offsets n then zeros: far deeper than
         the interpreter's recursion limit, so the chain search must keep its
         own stack."""
-        entry = {
-            "name": "wide",
-            "source": "",
-            "branches": [{
-                "parity": "all",
-                "n_min": 0,
-                "slots": "1000 * n",
-                "min_weight": "n",
-                "offsets": [
-                    {"when": "s == 1", "value": "n"},
-                    {"when": "otherwise", "value": "0"},
-                ],
-            }],
-        }
         path = tmp_path / "catalog.json"
-        path.write_text(json.dumps({"entries": [entry]}), encoding="utf-8")
+        path.write_text(json.dumps({"entries": [self.WIDE]}), encoding="utf-8")
         code, out, err = run(
             capsys, "--catalog", str(path), "verify", "wide",
             "--order", "10", "--max-weight", "8", "--format", "machine",
@@ -516,6 +517,17 @@ class TestVerifyCommand:
             "bound": 8, "identity": "wide", "mode": "combinatorial",
             "outcome": "pass", "subject": "wide",
         }
+
+    def test_chain_of_thousands_of_slots_enumerates_without_recursion(self, capsys, tmp_path):
+        """2,000 slots at n = 2: the one vector of weight 2 is the offsets
+        (2, 0, ..., 0), listed without recursion as the partition [2]."""
+        path = tmp_path / "catalog.json"
+        path.write_text(json.dumps({"entries": [self.WIDE]}), encoding="utf-8")
+        code, out, err = run(
+            capsys, "--catalog", str(path), "enumerate", "wide", "--n", "2", "--weight", "2",
+        )
+        assert (code, err) == (EXIT_OK, "")
+        assert out == "[2]\n"
 
 
 class TestClosedStdout:

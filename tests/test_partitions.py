@@ -20,9 +20,11 @@ from qident.partitions import (
     enumerate_chain,
     parse_partition,
 )
+from qident.profiles import default_catalog, profile_to_chain
 from qident.series import ResidueClass
 
 from oracles import (
+    chain_vectors,
     enumerate_partitions,
     enumerate_partitions_with_parts,
     no_part_divisible,
@@ -231,6 +233,25 @@ class TestEnumerateChain:
                     reverse=True,
                 )
                 assert enumerate_chain(chain, weight) == brute, (chain, weight)
+
+    def test_shipped_chains_list_as_the_recursive_reference(self):
+        """Every shipped family at every index with at most 8 slots, at
+        every weight to 14: the same vectors in the same order."""
+        chains = 0
+        for entry in default_catalog().entries():
+            for index in range(1, 9):
+                try:
+                    chain = profile_to_chain(entry.profile, index)
+                except ValueError:  # below the family's first index, or no slots
+                    continue
+                if chain.slots > 8:
+                    break
+                chains += 1
+                for weight in range(15):
+                    assert enumerate_chain(chain, weight) == chain_vectors(chain, weight), (
+                        entry.name, index, weight,
+                    )
+        assert chains == 154
 
 
 gap_bounds = st.integers(0, 3).flatmap(

@@ -7,7 +7,7 @@ from functools import partial
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qident.series as series_module
@@ -44,7 +44,7 @@ from qident.verify import (
     verify_equinumerosity,
 )
 
-from oracles import enumerate_partitions, repetition_bounded
+from oracles import enumerate_partitions, offset_rows, repetition_bounded
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
@@ -197,6 +197,58 @@ class TestEquinumerosity:
             verify_equinumerosity(members, product_side(members[0].product, 11), counts)
 
 
+TWO_BRANCH = tuple(e.name for e in default_catalog().entries() if len(e.profile.branches) == 2)
+SWAP_WEIGHT = 16
+
+
+@st.composite
+def swapped_rows(draw):
+    """A shipped two-branch family, one of its branches, a branch index n at
+    which the term q^S(n)/(q)_u(n) has a slot and S(n) <= SWAP_WEIGHT, and
+    one of the term's offset rows, any of those ``offset_rows`` lists."""
+    name = draw(st.sampled_from(TWO_BRANCH))
+    branch = draw(st.sampled_from(entry(name).profile.branches))
+    n = draw(st.sampled_from([
+        n for n in range(branch.n_min, SWAP_WEIGHT + 1)
+        if branch.slot_count(n) and branch.declared_weight(n) <= SWAP_WEIGHT
+    ]))
+    row = draw(st.sampled_from(offset_rows(branch.declared_weight(n), branch.slot_count(n))))
+    return name, branch, n, row
+
+
+class TestOffsetSwapThroughACatalog:
+    """The paper's main claim through the path a user takes: a catalog entry
+    whose offsets at one index are any valid row, and the shipped offsets
+    at every other, counts as the shipped family does."""
+
+    @settings(max_examples=12)
+    @given(swapped_rows())
+    def test_swapped_row_passes_its_rows(self, case):
+        name, branch, n, row = case
+        (shipped,) = [
+            e for e in json.loads(dump_catalog(default_catalog()))["entries"]
+            if e["name"] == name
+        ]
+        shipped.update(aliases=[], identity="swap")
+        swapped = json.loads(json.dumps({**shipped, "name": "swapped"}))
+        (target,) = [b for b in swapped["branches"] if b["parity"] == branch.parity_label]
+        target["offsets"][:0] = [
+            {"when": f"n == {n} and s == {s}", "value": str(v)}
+            for s, v in enumerate(row, start=1)
+        ]
+        catalog = loads_catalog(json.dumps({"entries": [shipped, swapped]}))
+        profile = catalog.lookup("swapped").profile
+        index = branch.family_index(n)
+        assert profile.offsets_at(index) == row
+        for other in range(index + 1, index + 3):
+            assert profile.offsets_at(other) == entry(name).profile.offsets_at(other)
+        summary = run_suite(["swap"], SWAP_WEIGHT + 1, SWAP_WEIGHT, catalog)
+        rows = {(r.mode, r.subject): r for r in summary.reports}
+        assert rows[("combinatorial", "swapped")].outcome == "pass"
+        (group,) = [r for r in summary.reports if r.mode == "equinumerosity"]
+        assert (group.identity, group.outcome) == ("swap-interpretations", "pass")
+
+
 class TestGlaisherFamily:
     def test_family_runs_clean(self):
         summary = run_suite(["glaisher-2", "glaisher-3"], 40, 12)
@@ -294,6 +346,50 @@ class TestGlaisherFamily:
         # of order only in its last pair
         assert (finding.exponent, finding.lhs, finding.rhs) == (5, 5, 5)
         assert finding.note == "image of [2,2,1] fails the target predicate: [2,1,2]"
+
+    def test_bijection_failure_on_image_keeping_a_divisible_part(self, monkeypatch):
+        # identity maps: every image is its own source, ordered, of the
+        # weight, and round-trips; [3] keeps its part divisible by 3
+        monkeypatch.setattr(verify_module, "_glaisher_divide", lambda parts, modulus: parts)
+        monkeypatch.setattr(verify_module, "_glaisher_merge", lambda parts, modulus: parts)
+        finding = glaisher_bijection_report(3, 12)
+        assert (finding.exponent, finding.lhs, finding.rhs) == (3, 2, 2)
+        assert finding.note == "image of [3] fails the target predicate: [3]"
+
+    def test_bijection_failure_on_image_out_of_order_at_its_start(self, monkeypatch):
+        divide = verify_module._glaisher_divide
+
+        def first_two_swapped(parts, modulus):
+            image = divide(parts, modulus)
+            if len(image) > 2 and image[0] != image[1]:
+                return (image[1], image[0], *image[2:])
+            return image
+
+        monkeypatch.setattr(verify_module, "_glaisher_divide", first_two_swapped)
+        finding = glaisher_bijection_report(3, 12)
+        # weight 4: (2,1,1) is the first image of three parts that do not
+        # start equal; (1,2,1) is out of order only in its first pair
+        assert (finding.exponent, finding.lhs, finding.rhs) == (4, 4, 4)
+        assert finding.note == "image of [2,1,1] fails the target predicate: [1,2,1]"
+
+    def test_bijection_failure_on_image_with_a_zero_part(self, monkeypatch):
+        divide = verify_module._glaisher_divide
+        merge = verify_module._glaisher_merge
+        # a trailing 0 keeps the weight and the order, and the merge drops
+        # it before merging, so only the part sizes fail, at weight 0
+        monkeypatch.setattr(
+            verify_module,
+            "_glaisher_divide",
+            lambda parts, modulus: divide(parts, modulus) + (0,),
+        )
+        monkeypatch.setattr(
+            verify_module,
+            "_glaisher_merge",
+            lambda parts, modulus: merge(parts[:-1] if parts[-1:] == (0,) else parts, modulus),
+        )
+        finding = glaisher_bijection_report(3, 12)
+        assert (finding.exponent, finding.lhs, finding.rhs) == (0, 1, 1)
+        assert finding.note == "image of [] fails the target predicate: [0]"
 
     def test_bijection_failure_on_count_names_both_counts(self, monkeypatch):
         count = verify_module.count_partitions_with_parts
