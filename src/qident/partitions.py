@@ -212,6 +212,15 @@ def enumerate_chain(chain: ChainConstraint, weight: int) -> list[tuple[int, ...]
     lows = [g.lower for g in chain.gaps]
     highs = [g.upper for g in chain.gaps]
     min_value, min_tail = _chain_minima(chain)
+    # Below a value v at slot s, slot t > s is at most v - (drop[t] - drop[s]),
+    # drop[t] being the sum of the lower gaps before slot t.  That is at least
+    # min_value[t] = min_value[s] - (drop[t] - drop[s]) whenever v is at least
+    # min_value[s], as every candidate is, and the later slots hold at most
+    # the sum of those tops, (m-1-s)(v + drop[s]) - later_drops[s+1] with
+    # later_drops[t] the sum of drop[t:].
+    drop = list(accumulate(lows, initial=0))
+    later_drops = [0, *accumulate(reversed(drop))]
+    later_drops.reverse()
     out: list[tuple[int, ...]] = []
 
     stack = [(0, 0, weight, ())]
@@ -228,25 +237,11 @@ def enumerate_chain(chain: ChainConstraint, weight: int) -> list[tuple[int, ...]
             if lo <= v <= hi and chain.terminal.admits(v):
                 out.append(prefix + (v,))
             continue
-        children = []
-        for v in range(hi, lo - 1, -1):
-            rest = remaining - v
-            top = v
-            capacity = 0
-            feasible = True
-            for t in range(s + 1, m):
-                top -= lows[t - 1]
-                if top < min_value[t]:
-                    feasible = False
-                    break
-                capacity += top
-            # both failure modes worsen monotonically as v decreases
-            if not feasible or rest > capacity:
-                break
-            children.append((s + 1, v, rest, prefix + (v,)))
+        # the least v whose later slots can hold the rest, remaining - v
+        k = m - 1 - s
+        lo = max(lo, -((k * drop[s] - later_drops[s + 1] - remaining) // (k + 1)))
         # the largest value on top, so vectors come out in decreasing order
-        children.reverse()
-        stack += children
+        stack += [(s + 1, v, remaining - v, prefix + (v,)) for v in range(lo, hi + 1)]
     return out
 
 

@@ -34,6 +34,14 @@ are 1/E times E(q^m), and any other class 1/E times its numerator
 step, just before its first reader (a row, or an input built from it), hands
 it to every reader and drops it after the last; a check function is handed
 the values it compares and builds none of them.
+
+The rows that read no shared input, the divide-by-M ``bijection``,
+``conjugate`` and ``alpha`` rows and any ``lookup`` row, need nothing the run
+builds.  Where a second CPU is free, ``run_suite`` forks one helper before
+building anything, and the helper takes such rows from a queue shared
+through a pipe while the parent runs the rows that read inputs and then takes
+from the queue too.  The reports, the machine lines and any exception are
+those of a run in one process, and no helper outlives the run.
 """
 
 import json
@@ -42,6 +50,7 @@ import time
 from collections import Counter
 from collections.abc import Callable, Sequence
 from functools import partial
+from itertools import chain
 from operator import add, sub
 
 from ._record import Record
@@ -637,6 +646,18 @@ def plan_checks(
     return tuple(sorted(checks, key=lambda c: (c.identity, c.mode, c.subject)))
 
 
+def _outcome(check: Check, values: list) -> tuple:
+    """Time one check on its input values: the fields its report takes from
+    the finding, (outcome, exponent, lhs, rhs, note, elapsed)."""
+    started = time.perf_counter()
+    finding = check.call(*values)
+    elapsed = time.perf_counter() - started
+    if finding is None:
+        return "pass", None, None, None, "", elapsed
+    outcome = "error" if finding.error else "mismatch"
+    return outcome, finding.exponent, finding.lhs, finding.rhs, finding.note, elapsed
+
+
 def run_suite(
     names: list[str] | None = None,
     order: int = 60,
@@ -648,7 +669,16 @@ def run_suite(
     nothing), one report per check in plan order.  Unknown names become
     error rows rather than aborting the rest of the suite.  Each shared input
     is built once, timed apart from the rows, just before its first reader
-    (a row, or a product side built from it) and dropped after its last."""
+    (a row, or a product side built from it) and dropped after its last.
+
+    The rows that read no shared input go into the queue of a ``Helper``,
+    in plan order.  This process runs the rows that read inputs, in plan
+    order, and then takes from the queue too.  An exception leaves the run
+    as in one process, from the first row in plan order that raises: a row
+    that raised in the helper runs again here, and so does every row of a
+    helper that exited with a code other than 0.  The helper is reaped
+    before the run returns or raises, after ``SIGKILL`` if this process
+    leaves early, as on ``KeyboardInterrupt``."""
     if catalog is None:
         catalog = default_catalog()
     plan = plan_checks(names, order, max_weight, catalog)
@@ -677,21 +707,38 @@ def run_suite(
             if not readers[shared]:
                 del live[shared]
 
-    def run(check: Check) -> VerificationReport:
-        """Time one check on its inputs; fill its row from plan and finding."""
-        values = [fetch(shared) for shared in check.inputs]
-        started = time.perf_counter()
-        finding = check.call(*values)
-        elapsed = time.perf_counter() - started
-        release(check.inputs)
-        if finding is None:
-            outcome, finding = "pass", Finding("")
-        else:
-            outcome = "error" if finding.error else "mismatch"
-        return VerificationReport(
-            check.identity, check.mode, check.bound, outcome, check.subject,
-            finding.exponent, finding.lhs, finding.rhs, finding.note, elapsed,
+    reports: list[VerificationReport | None] = [None] * len(plan)
+
+    def fill(i: int, outcome: str, *found) -> None:
+        check = plan[i]
+        reports[i] = VerificationReport(
+            check.identity, check.mode, check.bound, outcome, check.subject, *found
         )
 
-    reports = tuple(map(run, plan))
-    return SuiteSummary(reports, tuple(build_times))
+    def run(i: int) -> None:
+        check = plan[i]
+        fill(i, *_outcome(check, [fetch(shared) for shared in check.inputs]))
+        release(check.inputs)
+
+    # imported here, so that the commands that verify nothing never compile it
+    from ._helper import Helper
+
+    free = [i for i, check in enumerate(plan) if not check.inputs]
+    raised = None  # (row, exception): no row runs here after it
+    with Helper(free, lambda i: (i, *_outcome(plan[i], []))) as helper:
+        for i in chain((i for i, check in enumerate(plan) if check.inputs), helper):
+            if raised is None:
+                try:
+                    run(i)
+                except Exception as exc:
+                    raised = (i, exc)
+        for found in helper.results():
+            fill(*found)
+    # rows before any that raised here and reported by no process: a row that
+    # raised in the helper, or one left after a row raised here
+    for i in range(raised[0] if raised else len(plan)):
+        if reports[i] is None:
+            run(i)
+    if raised:
+        raise raised[1]
+    return SuiteSummary(tuple(reports), tuple(build_times))

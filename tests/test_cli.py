@@ -534,14 +534,27 @@ class TestClosedStdout:
     """A reader that has closed stdout before the output is written ends the
     output, not the run: no traceback, and the exit code of the verdict."""
 
+    # ``main`` on the arguments, then exit 99 if this process has a child
+    # left, running or unreaped, and with main's code otherwise
+    LEAVES_NO_CHILD = """
+import os, sys
+from qident.cli import main
+code = main(sys.argv[1:])
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    sys.exit(code)
+sys.exit(99)
+"""
+
     @staticmethod
-    def run_closed(*argv):
+    def run_closed(*argv, program=("-m", "qident.cli")):
         read, write = os.pipe()
         os.close(read)
         src = str(Path(qident.__file__).resolve().parents[1])
         try:
             return subprocess.run(
-                [sys.executable, "-m", "qident.cli", *argv],
+                [sys.executable, *program, *argv],
                 stdout=write,
                 stderr=subprocess.PIPE,
                 text=True,
@@ -562,6 +575,12 @@ class TestClosedStdout:
             "--catalog", str(path), "verify", "custom", "--order", "12", "--max-weight", "8"
         )
         assert (run.returncode, run.stderr) == (EXIT_MISMATCH, "")
+
+    def test_no_helper_outlives_the_run(self):
+        run = self.run_closed(
+            "verify", "all", "--max-weight", "8", program=("-c", self.LEAVES_NO_CHILD)
+        )
+        assert (run.returncode, run.stderr) == (EXIT_OK, "")
 
     def test_other_commands_exit_0(self):
         run = self.run_closed("catalog")

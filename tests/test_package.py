@@ -1,6 +1,6 @@
 """The public surface: ``qident`` exports exactly its modules' ``__all__``,
 its source keeps to the oldest Python it declares, and importing it loads
-neither ``dataclasses`` nor ``inspect``."""
+neither ``dataclasses`` nor ``inspect``, nor any module for running processes."""
 
 import ast
 import inspect
@@ -128,21 +128,35 @@ def test_sources_parse_as_python_3_10():
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
 
 
+def loaded_by_set_up(*names):
+    """Those of ``names`` loaded once a fresh interpreter has imported
+    ``qident.cli`` and loaded the shipped catalog."""
+    src = Path(qident.__file__).resolve().parents[1]
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); "
+        "import qident.cli, qident.profiles; qident.profiles.default_catalog(); "
+        f"print(sorted({set(names)!r} & set(sys.modules)))"
+    )
+    run = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True
+    )
+    return ast.literal_eval(run.stdout)
+
+
 def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
     # Generating dataclass methods and importing ``inspect`` for them were
     # about 40% of the set-up that every ``qident`` command pays.  Checking
     # the catalog's rules through ``ast`` cost most of another sixth, so the
     # loaded catalog must not have imported it either.
-    src = Path(qident.__file__).resolve().parents[1]
-    code = (
-        f"import sys; sys.path.insert(0, {str(src)!r}); "
-        "import qident.cli, qident.profiles; qident.profiles.default_catalog(); "
-        "print(sorted({'dataclasses', 'inspect', 'ast'} & set(sys.modules)))"
-    )
-    run = subprocess.run(
-        [sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True
-    )
-    assert run.stdout.split() == ["[]"]
+    assert loaded_by_set_up("dataclasses", "inspect", "ast") == []
+
+
+def test_importing_the_package_loads_no_process_machinery():
+    # ``verify`` forks its helper and talks to it through pipes and
+    # ``marshal``, all loaded before the package is; a pool or a pickled
+    # channel would add its modules to the set-up every command pays.
+    names = ("multiprocessing", "concurrent", "pickle", "subprocess")
+    assert loaded_by_set_up(*names) == []
 
 
 def test_every_private_definition_has_a_caller_in_the_package():

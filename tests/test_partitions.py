@@ -262,6 +262,17 @@ gap_bounds = st.integers(0, 3).flatmap(
 chains = st.builds(
     ChainConstraint, st.lists(gap_bounds, max_size=3).map(tuple), gap_bounds
 )
+# lower gaps of 0 next to large ones, each with or without an upper bound
+irregular_gap_bounds = st.sampled_from((0, 0, 1, 4, 7)).flatmap(
+    lambda lower: st.builds(
+        GapBound, st.just(lower), st.none() | st.integers(lower, lower + 4)
+    )
+)
+irregular_chains = st.builds(
+    ChainConstraint,
+    st.lists(irregular_gap_bounds, min_size=1, max_size=4).map(tuple),
+    irregular_gap_bounds,
+)
 residue_classes = st.integers(2, 8).flatmap(
     lambda modulus: st.builds(
         ResidueClass,
@@ -280,6 +291,13 @@ class TestChainProperties:
                 by_weight[sum(v)].append(v)
         for weight, vectors in by_weight.items():
             assert enumerate_chain(chain, weight) == sorted(vectors, reverse=True)
+
+    @given(irregular_chains, st.integers(0, 16))
+    def test_irregular_chains_list_as_the_recursive_reference(self, chain, weight):
+        """Zero lower gaps next to large ones, upper bounds or none: the
+        feasibility bound of each slot admits the very values the unpruned
+        recursion keeps, in the same order."""
+        assert enumerate_chain(chain, weight) == chain_vectors(chain, weight)
 
     @given(chains, st.integers(-1, 25))
     def test_counts_match_enumeration(self, chain, max_weight):

@@ -1,10 +1,12 @@
 """Verification pipelines and the suite driver."""
 
 import json
+import os
 import weakref
 from collections import Counter
 from functools import partial
 from pathlib import Path
+from select import select
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 import qident.series as series_module
 import qident.verify as verify_module
+from qident.cli import EXIT_DOMAIN, main
 from qident.profiles import (
     default_catalog,
     dump_catalog,
@@ -45,6 +48,7 @@ from qident.verify import (
 )
 
 from oracles import enumerate_partitions, offset_rows, repetition_bounded
+from test_mutants import FAULTS, patch_everywhere
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
@@ -617,7 +621,9 @@ class TestRunScopedSeries:
         row before which the last input built from it is built.  Bases are
         followed to any depth; the plan has chains of two, from the Euler
         product through the all-parts series to a product side, which reads
-        the Euler product as well."""
+        the Euler product as well.  The rows that read no input may run in
+        a helper process, whose records this one never sees, so the
+        assertion covers the rows that read inputs, which this process runs."""
         alive = {}
 
         class Counts(list):
@@ -648,18 +654,19 @@ class TestRunScopedSeries:
             lambda profile, weight: ("chain counts", profile.name, weight),
             Counts,
         )
-        live_at_rows = []
+        live_at_rows = {}
 
-        def recording(check, *values):
-            live_at_rows.append({key for key, ref in alive.items() if ref() is not None})
+        def recording(row, check, *values):
+            live_at_rows[row] = {key for key, ref in alive.items() if ref() is not None}
             return check.call(*values)
 
         monkeypatch.setattr(
             verify_module,
             "plan_checks",
             lambda *args: tuple(
-                Check(c.identity, c.mode, c.subject, c.bound, partial(recording, c), c.inputs)
-                for c in plan_checks(*args)
+                Check(c.identity, c.mode, c.subject, c.bound, partial(recording, row, c),
+                      c.inputs)
+                for row, c in enumerate(plan_checks(*args))
             ),
         )
         assert run_suite(None, self.ORDER, self.WEIGHT).passed
@@ -686,9 +693,10 @@ class TestRunScopedSeries:
 
         assert max(map(depth, built_from)) == 2
         keys = readers.keys() | built_from.keys()
-        assert len(live_at_rows) == len(plan)
-        for row, live in enumerate(live_at_rows):
-            assert live == {
+        with_inputs = [row for row, check in enumerate(plan) if check.inputs]
+        assert live_at_rows.keys() >= set(with_inputs)
+        for row in with_inputs:
+            assert live_at_rows[row] == {
                 key
                 for key in keys
                 if first_use(key) <= row
@@ -1185,6 +1193,181 @@ class TestSuite:
             "hirschhorn-4+subbarao-2-3": ("hirschhorn-4", "subbarao-2-3"),
         }
 
+
+def see_cpus(monkeypatch, count):
+    """Let ``run_suite`` see ``count`` CPUs, whatever the host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def assert_no_child_left():
+    """This process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def merge_raises_at(monkeypatch, modulus):
+    merge = verify_module._glaisher_merge
+
+    def fake(parts, m):
+        if m == modulus:
+            raise ValueError(f"merge fails at M = {m}")
+        return merge(parts, m)
+
+    monkeypatch.setattr(verify_module, "_glaisher_merge", fake)
+
+
+class TestHelperProcess:
+    """Where a second CPU is free, ``run_suite`` forks one helper that runs
+    the rows reading no shared input; with one CPU, or without ``os.fork``,
+    it runs them itself.  Either way the reports are the same, an exception
+    leaves from the first row in plan order that raises it, and no process is
+    left once the run is over."""
+
+    ORDER, WEIGHT = 30, 13
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The pids of the helpers that ``run_suite`` forks."""
+        made = []
+        fork = os.fork
+
+        def counted():
+            pid = fork()
+            if pid:
+                made.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted)
+        return made
+
+    def settle(self, monkeypatch, forks, cpus):
+        """The reports of one run on ``cpus`` CPUs, or the type and message of
+        the exception it raised; either way no process is left, and a helper
+        was forked exactly when there were two CPUs."""
+        see_cpus(monkeypatch, cpus)
+        forks.clear()
+        try:
+            result = run_suite(None, self.ORDER, self.WEIGHT).reports
+        except Exception as exc:
+            result = (type(exc), str(exc))
+        assert_no_child_left()
+        assert len(forks) == (cpus > 1)
+        return result
+
+    def test_reports_are_the_same_with_the_helper_and_without(self, monkeypatch, forks):
+        two = self.settle(monkeypatch, forks, 2)
+        one = self.settle(monkeypatch, forks, 1)
+        # reports compare every field but ``elapsed``
+        assert two == one
+        assert all(r.passed for r in two)
+        assert len(two) == len(plan_checks(None, self.ORDER, self.WEIGHT, default_catalog()))
+
+    def test_a_helper_finding_crosses_the_pipe_intact(self, monkeypatch, forks):
+        """This process's first row with inputs waits until the helper has
+        run a ``bijection`` row, so the helper certifies at least one of the
+        failing rows, which this process then does not run."""
+        module, names, make_fake, _, _ = FAULTS["divide gives ascending images"]
+        patch_everywhere(monkeypatch, module, names, make_fake)
+        one = self.settle(monkeypatch, forks, 1)
+        here, (certified, done) = os.getpid(), os.pipe()
+        outcome, ran_here = verify_module._outcome, []
+
+        def held(check, values):
+            if os.getpid() != here:
+                result = outcome(check, values)
+                if check.mode == "bijection":
+                    os.write(done, b".")
+                return result
+            if check.inputs and not ran_here and select([certified], [], [], 60)[0]:
+                os.read(certified, 1)
+            ran_here.append((check.identity, check.mode))
+            return outcome(check, values)
+
+        monkeypatch.setattr(verify_module, "_outcome", held)
+        try:
+            two = self.settle(monkeypatch, forks, 2)
+        finally:
+            os.close(certified)
+            os.close(done)
+        assert two == one
+        failing = {(r.identity, r.mode) for r in two if not r.passed}
+        assert failing == {(f"glaisher-{m}", "bijection") for m in range(2, 8)}
+        assert failing - set(ran_here)
+        assert all(r.note.startswith("image of ") for r in two if not r.passed)
+
+    def test_more_free_rows_than_tickets_run_once_each(self, monkeypatch, forks):
+        """3,000 unknown names make 3,000 ``lookup`` rows, more than a pipe
+        of one page holds as 2-byte tickets, so tickets carry two rows."""
+        names = [f"unknown-{k}" for k in range(3000)]
+        see_cpus(monkeypatch, 2)
+        reports = run_suite(names, 10, 5).reports
+        assert len(forks) == 1
+        assert_no_child_left()
+        assert [(r.identity, r.mode, r.outcome) for r in reports] == [
+            (name, "lookup", "error") for name in sorted(names)
+        ]
+
+    def test_without_fork_the_run_is_one_process(self, monkeypatch, forks):
+        one = self.settle(monkeypatch, forks, 1)
+        see_cpus(monkeypatch, 2)
+        monkeypatch.delattr(os, "fork")
+        assert run_suite(None, self.ORDER, self.WEIGHT).reports == one
+        assert_no_child_left()
+
+    def test_a_row_that_raises_in_the_helper_raises_here(self, monkeypatch, forks):
+        merge_raises_at(monkeypatch, 5)
+        two = self.settle(monkeypatch, forks, 2)
+        assert two == self.settle(monkeypatch, forks, 1) == (ValueError, "merge fails at M = 5")
+
+    @pytest.mark.parametrize("cpus", [2, 1])
+    def test_a_row_that_raises_in_the_helper_exits_4(self, monkeypatch, capsys, cpus):
+        merge_raises_at(monkeypatch, 5)
+        see_cpus(monkeypatch, cpus)
+        assert main(["verify", "all", "--max-weight", "8"]) == EXIT_DOMAIN
+        assert capsys.readouterr() == ("", "error: merge fails at M = 5\n")
+        assert_no_child_left()
+
+    def test_a_build_that_raises_here_propagates(self, monkeypatch, forks):
+        def no_euler(order):
+            raise ValueError("no Euler product")
+
+        monkeypatch.setattr(verify_module, "_euler", no_euler)
+        two = self.settle(monkeypatch, forks, 2)
+        assert two == self.settle(monkeypatch, forks, 1) == (ValueError, "no Euler product")
+
+    @pytest.mark.parametrize(
+        "modulus, first",
+        [(3, (ArithmeticError, "sum fails at M = 3")), (7, (ValueError, "merge fails at M = 5"))],
+        ids=["earlier-row-here", "earlier-row-in-the-helper"],
+    )
+    def test_the_first_row_in_plan_order_that_raises_wins(
+        self, monkeypatch, forks, modulus, first
+    ):
+        """The ``glaisher-5`` bijection row raises, and the ``glaisher-M``
+        analytic row, which this process runs, raises too: M = 3 comes before
+        it in plan order, M = 7 after it."""
+        merge_raises_at(monkeypatch, 5)
+        glaisher_sum = verify_module._glaisher_sum
+
+        def fake(m, order, tails):
+            if m == modulus:
+                raise ArithmeticError(f"sum fails at M = {m}")
+            return glaisher_sum(m, order, tails)
+
+        monkeypatch.setattr(verify_module, "_glaisher_sum", fake)
+        two = self.settle(monkeypatch, forks, 2)
+        assert two == self.settle(monkeypatch, forks, 1) == first
+
+    def test_an_interrupt_here_kills_and_reaps_the_helper(self, monkeypatch, forks):
+        def interrupted(order):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(verify_module, "_euler", interrupted)
+        see_cpus(monkeypatch, 2)
+        with pytest.raises(KeyboardInterrupt):
+            run_suite(None, self.ORDER, self.WEIGHT)
+        assert len(forks) == 1
+        assert_no_child_left()
 
 class TestPlan:
     def test_full_plan_matches_reference_without_running(self, monkeypatch):
