@@ -4,7 +4,10 @@ Three maps live here: swapping the offsets of two interpretations that share a
 term family (a pure shift on the underlying base vector), the two-step map
 from congruence-restricted partitions onto the classical gap-2 chains of the
 second Rogers-Ramanujan identity, and the divide-by-M / merge-M-copies pair
-behind Euler-Glaisher equinumerosity.
+behind Euler-Glaisher equinumerosity.  The pair, ``glaisher_forward`` and
+``glaisher_inverse``, maps bare part tuples and is the very pair ``verify``
+certifies; the ``*_steps`` functions list the intermediate rewritings of
+``Partition`` objects for display.
 """
 
 from collections import Counter, defaultdict
@@ -181,13 +184,18 @@ def glaisher_forward_steps(p: Partition, modulus: int) -> list[Partition]:
     return steps
 
 
-def _glaisher_divide(parts: tuple[int, ...], modulus: int) -> tuple[int, ...]:
+def glaisher_forward(parts: tuple[int, ...], modulus: int) -> tuple[int, ...]:
     """The fixed point of the divide-by-M expansion in one pass: each part
-    r*M^k with r not divisible by M becomes M^k copies of r.  Parts that are
-    already a fixed point, weakly decreasing with no part divisible by M,
-    come back as the very tuple passed in; parts out of order come back
-    sorted.  A part 0, divisible by every power of M, raises ``ValueError``.
-    ``modulus`` must be at least 2."""
+    r*M^k with r not divisible by M becomes M^k copies of r.  Preserves the
+    weight and lands in the no-part-divisible-by-M set; the parts of the last
+    of ``glaisher_forward_steps``, computed without the intermediate steps.
+
+    Parts that are already a fixed point, weakly decreasing with no part
+    divisible by M, come back as the very tuple passed in; parts out of order
+    come back sorted.  A part 0, divisible by every power of M, raises
+    ``ValueError``, and so does a modulus below 2."""
+    if modulus < 2:
+        raise ValueError("modulus must be at least 2")
     out: list[int] = []
     fixed = True
     above = parts[0] if parts else 0
@@ -210,15 +218,6 @@ def _glaisher_divide(parts: tuple[int, ...], modulus: int) -> tuple[int, ...]:
         return parts
     out.sort(reverse=True)
     return tuple(out)
-
-
-def glaisher_forward(p: Partition, modulus: int) -> Partition:
-    """Fixed point of the divide-by-M expansion; preserves weight and lands in
-    the no-part-divisible-by-M set.  Equal to the last of
-    ``glaisher_forward_steps``, computed without the intermediate steps."""
-    if modulus < 2:
-        raise ValueError("modulus must be at least 2")
-    return Partition._ordered(_glaisher_divide(p.parts, modulus))
 
 
 def glaisher_inverse_steps(p: Partition, modulus: int) -> list[Partition]:
@@ -253,8 +252,11 @@ def _merge_root(value: int, count: int, modulus: int) -> tuple[int, int]:
     return value, count
 
 
-def _glaisher_merge(parts: tuple[int, ...], modulus: int) -> tuple[int, ...]:
-    """The fixed point of the merge-M-copies contraction in one pass.
+def glaisher_inverse(parts: tuple[int, ...], modulus: int) -> tuple[int, ...]:
+    """The fixed point of the merge-M-copies contraction in one pass; inverts
+    ``glaisher_forward`` on parts with no part divisible by M.  The parts of
+    the last of ``glaisher_inverse_steps``, computed without the
+    intermediate steps.
 
     One scan of the parts counts each run of equal parts while the value
     repeats and takes the run in when the value changes, the last run after
@@ -270,8 +272,10 @@ def _glaisher_merge(parts: tuple[int, ...], modulus: int) -> tuple[int, ...]:
     parts come back as the very tuple passed in, with no expansion, sort or
     new tuple.  Parts out of order never take that exit, so they merge as
     any other.  A part 0, divisible by every power of M, raises
-    ``ValueError``.  ``modulus`` must be at least 2.
+    ``ValueError``, and so does a modulus below 2.
     """
+    if modulus < 2:
+        raise ValueError("modulus must be at least 2")
     if not parts:
         return parts
     totals: dict[int, int] = {}
@@ -314,21 +318,12 @@ def _glaisher_merge(parts: tuple[int, ...], modulus: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def glaisher_inverse(p: Partition, modulus: int) -> Partition:
-    """Fixed point of the merge-M-copies contraction; inverts the forward map
-    on partitions with no part divisible by M.  Equal to the last of
-    ``glaisher_inverse_steps``, computed without the intermediate steps."""
-    if modulus < 2:
-        raise ValueError("modulus must be at least 2")
-    return Partition._ordered(_glaisher_merge(p.parts, modulus))
-
-
 class CertificationReport(Record):
     """Outcome of certifying a map: with a failure, the lowest failing weight
     and both sizes at it; without one, both sizes over every weight."""
 
     domain_size: int
-    target_size: int | None
+    target_size: int
     failure: str | None
     weight: int | None = None
 
@@ -342,7 +337,7 @@ def certify_bijection(
     forward: Callable[[Any], Any],
     inverse: Callable[[Any], Any],
     target_check: Callable[[int, Any], bool],
-    target_sizes: Sequence[int] | None = None,
+    target_sizes: Sequence[int],
 ) -> CertificationReport:
     """Certify that ``forward`` maps the domain's elements of each weight
     bijectively onto the target's elements of that weight, a target known
@@ -356,9 +351,8 @@ def certify_bijection(
     ``inverse`` undoes it on every element, so it is injective; every image
     passes ``target_check(w, y)``, so it lands in the target at weight w; and
     there are ``target_sizes[w]`` elements of weight w (0 past the end of
-    ``target_sizes``).  Without ``target_sizes`` the certificate stops at an
-    injection into the target.  No image or target is stored, so the sizes
-    must come from an independent count.
+    ``target_sizes``).  No image or target is stored, so the sizes must come
+    from an independent count.
 
     For each weight the certifier keeps only the previous element, the count
     and the first failure; after that failure the weight's elements are only
@@ -393,17 +387,11 @@ def certify_bijection(
             )
         elif not target_check(w, y):
             failures[w] = f"image of {render(x)} fails the target predicate: {render(y)}"
-    sizes = None
-    if target_sizes is not None:
-        sizes = defaultdict(int, enumerate(target_sizes))
-        for w in (counts.keys() | sizes.keys()) - failures.keys():
-            if counts[w] != sizes[w]:
-                failures[w] = f"domain has {counts[w]} elements, target has {sizes[w]}"
+    sizes = defaultdict(int, enumerate(target_sizes))
+    for w in (counts.keys() | sizes.keys()) - failures.keys():
+        if counts[w] != sizes[w]:
+            failures[w] = f"domain has {counts[w]} elements, target has {sizes[w]}"
     if failures:
         w = min(failures)
-        return CertificationReport(
-            counts[w], None if sizes is None else sizes[w], failures[w], w
-        )
-    return CertificationReport(
-        sum(counts.values()), None if sizes is None else sum(sizes.values()), None
-    )
+        return CertificationReport(counts[w], sizes[w], failures[w], w)
+    return CertificationReport(sum(counts.values()), sum(sizes.values()), None)

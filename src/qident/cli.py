@@ -15,7 +15,9 @@ from collections.abc import Sequence
 
 from .bijections import (
     _rr2_shift,
+    glaisher_forward,
     glaisher_forward_steps,
+    glaisher_inverse,
     glaisher_inverse_steps,
     profile_bijection,
     rr2_inverse,
@@ -134,12 +136,14 @@ def cmd_bijection(args: argparse.Namespace) -> int:
         if args.modulus is None:
             print("error: glaisher maps require --modulus", file=sys.stderr)
             return EXIT_USAGE
-        stepper = (
-            glaisher_forward_steps if args.map == "glaisher" else glaisher_inverse_steps
+        stepper, image = (
+            (glaisher_forward_steps, glaisher_forward)
+            if args.map == "glaisher"
+            else (glaisher_inverse_steps, glaisher_inverse)
         )
         steps = stepper(p, args.modulus)
         record["steps"] = [list(s.parts) for s in steps[1:-1]]
-        output = steps[-1].parts
+        output = image(p.parts, args.modulus)
         lines += [f"step:   {step}" for step in steps[1:-1]]
     elif args.map == "rr2":
         c = rr2_step_c(p)

@@ -5,9 +5,9 @@ Every search generates its constrained set directly, depth first, visiting
 only members rather than listing all partitions and filtering them.
 ``enumerate_chain`` lists the chain vectors of one weight.  The counting
 functions visit every member up to a weight bound once and add 1 to its
-weight's count without building it.  The bounded-repetition walk yields each
-partition as a bare part tuple with its weight, for callers that need no
-``Partition`` objects.
+weight's count without building it.  ``repetition_bounded_walk`` yields each
+partition as a bare part tuple with its weight, the domain on which ``verify``
+certifies ``conjugate`` and the divide-by-M maps, all on bare part tuples.
 
 Everything in this module counts by explicit construction.  None of it touches
 the series algebra (the only import from ``series`` is the ResidueClass data
@@ -33,6 +33,7 @@ __all__ = [
     "count_chain_by_weight",
     "count_bounded_gap_vectors",
     "count_partitions_with_parts",
+    "repetition_bounded_walk",
 ]
 
 
@@ -104,11 +105,14 @@ def parse_partition(text: str) -> Partition:
     return Partition(parts)
 
 
-def _conjugate_parts(parts: tuple[int, ...]) -> tuple[int, ...]:
-    """Conjugate of positive, weakly decreasing parts in one scan from the
-    smallest part up: the columns from the previous part's value + 1 to this
-    part's value each hold one cell per part not smaller than it.  A part
-    equal to the previous one adds no column, only lowers the height."""
+def conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """Transpose of the Young diagram of positive, weakly decreasing parts;
+    an involution preserving weight.
+
+    One scan from the smallest part up: the columns from the previous part's
+    value + 1 to this part's value each hold one cell per part not smaller
+    than it.  A part equal to the previous one adds no column, only lowers
+    the height."""
     out: list[int] = []
     height = len(parts)
     previous = 0
@@ -118,11 +122,6 @@ def _conjugate_parts(parts: tuple[int, ...]) -> tuple[int, ...]:
             previous = part
         height -= 1
     return tuple(out)
-
-
-def conjugate(p: Partition) -> Partition:
-    """Transpose of the Young diagram; an involution preserving weight."""
-    return Partition._ordered(_conjugate_parts(p.parts))
 
 
 class GapBound(Record):
@@ -354,7 +353,7 @@ def count_partitions_with_parts(rc: ResidueClass, max_weight: int) -> list[int]:
     return counts
 
 
-def _repetition_bounded_walk(
+def repetition_bounded_walk(
     max_weight: int, modulus: int
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
     """Every partition of weight at most ``max_weight`` in which each part

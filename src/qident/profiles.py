@@ -19,7 +19,6 @@ from ._record import Record
 from .partitions import ChainConstraint, GapBound, count_chain_by_weight
 from .series import (
     ResidueClass,
-    SumTerminationError,
     TruncatedSeries,
     _standard_terms,
     _sum_terms,
@@ -44,8 +43,6 @@ __all__ = [
     "profile_chain_counts",
     "validate_profile",
 ]
-
-_SCAN_LIMIT = 10_000
 
 
 class UnknownNameError(KeyError):
@@ -529,38 +526,21 @@ def profile_series(family: ProfileFamily, order: int) -> TruncatedSeries:
 def profile_chain_counts(family: ProfileFamily, max_weight: int) -> list[int]:
     """Counts, for every weight 0..max_weight, of chain vectors over all branch
     terms of the family.  This is the enumeration route: it never touches the
-    series algebra."""
+    series algebra, though each branch's terms are scanned and checked by the
+    scan ``profile_series`` reads, up to exponent ``max_weight``."""
     counts = [0] * (max_weight + 1)
     for branch in family.branches:
-        n = branch.n_min
-        previous = None
-        scanned = 0
-        while True:
-            if scanned > _SCAN_LIMIT:
-                raise SumTerminationError(
-                    f"profile {family.name}: weights stayed below {max_weight} "
-                    f"for more than {_SCAN_LIMIT} terms"
-                )
-            w = branch.declared_weight(n)
-            if previous is not None and w < previous:
-                raise ValueError(
-                    f"profile {family.name}: declared weights decrease at n={n}"
-                )
-            if w > max_weight:
-                break
-            previous = w
-            u = branch.slot_count(n)
+        terms = _standard_terms(
+            branch.declared_weight, branch.slot_count, max_weight + 1, branch.n_min
+        )
+        for n, (w, u) in enumerate(terms, start=branch.n_min):
             if u == 0:
                 counts[w] += 1
-            else:
-                chain = _offsets_chain(
-                    family.name, branch.family_index(n), branch.offsets_at(n)
-                )
-                term_counts = count_chain_by_weight(chain, max_weight)
-                for weight in range(w, max_weight + 1):
-                    counts[weight] += term_counts[weight]
-            n += 1
-            scanned += 1
+                continue
+            chain = _offsets_chain(family.name, branch.family_index(n), branch.offsets_at(n))
+            term_counts = count_chain_by_weight(chain, max_weight)
+            for weight in range(w, max_weight + 1):
+                counts[weight] += term_counts[weight]
     return counts
 
 

@@ -7,10 +7,11 @@ one sum side counted against each other and against the product side).  The
 divide-by-M family additionally gets its bijection certified, its conjugate
 chain characterization checked, and its term recurrence compared with the
 closed form.  The bijection and the conjugate characterization are each
-certified by one ``certify_bijection`` pass over one walk that visits every
-bounded-repetition partition up to the weight bound once, as bare part
-tuples, against a target known only by its membership test and its size at
-each weight, an enumeration count, never a listed set or a series.  The
+certified by one ``certify_bijection`` pass over ``repetition_bounded_walk``,
+every bounded-repetition partition up to the weight bound once as a bare part
+tuple, mapped by the public ``glaisher_forward`` and ``glaisher_inverse`` or by
+``conjugate``, against a target known only by its membership test and its size
+at each weight, an enumeration count, never a listed set or a series.  The
 conjugate target is counted by one search over its vectors of every length.
 
 What gets checked is derived from the catalog alone: ``plan_checks`` turns
@@ -56,15 +57,15 @@ from operator import add, sub
 from ._record import Record
 from .bijections import (
     CertificationReport,
-    _glaisher_divide,
-    _glaisher_merge,
     certify_bijection,
+    glaisher_forward,
+    glaisher_inverse,
 )
 from .partitions import (
-    _conjugate_parts,
-    _repetition_bounded_walk,
+    conjugate,
     count_bounded_gap_vectors,
     count_partitions_with_parts,
+    repetition_bounded_walk,
 )
 from .profiles import (
     Catalog,
@@ -302,9 +303,9 @@ def glaisher_bijection_report(modulus: int, max_weight: int) -> Finding | None:
         return True
 
     return _finding(certify_bijection(
-        _repetition_bounded_walk(max_weight, modulus),
-        lambda parts: _glaisher_divide(parts, modulus),
-        lambda parts: _glaisher_merge(parts, modulus),
+        repetition_bounded_walk(max_weight, modulus),
+        lambda parts: glaisher_forward(parts, modulus),
+        lambda parts: glaisher_inverse(parts, modulus),
         in_target,
         target_sizes,
     ))
@@ -334,9 +335,9 @@ def glaisher_conjugate_report(modulus: int, max_weight: int) -> Finding | None:
         )
 
     return _finding(certify_bijection(
-        ((w, parts) for w, parts in _repetition_bounded_walk(max_weight, modulus) if w),
-        _conjugate_parts,
-        _conjugate_parts,
+        ((w, parts) for w, parts in repetition_bounded_walk(max_weight, modulus) if w),
+        conjugate,
+        conjugate,
         in_target,
         target_sizes,
     ))

@@ -21,7 +21,7 @@ nonzero terms alone, and ``dilate`` spreads a series to q^d for the
 schoolbook ``multiply``.
 """
 
-from qident.partitions import Partition, _repetition_bounded_walk
+from qident.partitions import Partition, repetition_bounded_walk
 from qident.series import TruncatedSeries, series_one
 
 
@@ -154,7 +154,7 @@ def partitions_repetition_bounded(weight, modulus):
     members of that weight on the bounded-repetition walk."""
     return [
         Partition(parts)
-        for w, parts in _repetition_bounded_walk(weight, modulus)
+        for w, parts in repetition_bounded_walk(weight, modulus)
         if w == weight
     ]
 

@@ -150,16 +150,16 @@ def test_criterion_6_glaisher_bijection_certified():
         for weight in range(26):
             domain = partitions_repetition_bounded(weight, modulus)
             target = {
-                p
+                p.parts
                 for p in enumerate_partitions_with_parts(
                     ResidueClass.nonzero(modulus), weight
                 )
             }
             image = set()
             for p in domain:
-                mapped = glaisher_forward(p, modulus)
-                ok = ok and no_part_divisible(mapped, modulus)
-                ok = ok and glaisher_inverse(mapped, modulus) == p
+                mapped = glaisher_forward(p.parts, modulus)
+                ok = ok and no_part_divisible(Partition(mapped), modulus)
+                ok = ok and glaisher_inverse(mapped, modulus) == p.parts
                 ok = ok and mapped not in image
                 image.add(mapped)
             ok = ok and image == target
@@ -248,7 +248,7 @@ def test_criterion_9_conjugate_chain_characterization():
     for modulus in (2, 3, 4):
         for weight in range(1, 21):
             conjugates = {
-                conjugate(p).parts
+                conjugate(p.parts)
                 for p in partitions_repetition_bounded(weight, modulus)
             }
             chain_vectors = set()

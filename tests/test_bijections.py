@@ -12,8 +12,6 @@ from hypothesis import strategies as st
 import qident
 from qident.bijections import (
     BijectionRecord,
-    _glaisher_divide,
-    _glaisher_merge,
     certify_bijection,
     glaisher_forward,
     glaisher_forward_steps,
@@ -215,14 +213,14 @@ class TestGlaisherMaps:
         ]
 
     def test_modulus_three_example(self):
-        image = glaisher_forward(Partition.of([9, 2]), 3)
-        assert image.parts == (2,) + (1,) * 9
-        assert image.weight == 11
-        assert glaisher_inverse(image, 3) == Partition.of([9, 2])
+        image = glaisher_forward((9, 2), 3)
+        assert image == (2,) + (1,) * 9
+        assert sum(image) == 11
+        assert glaisher_inverse(image, 3) == (9, 2)
 
     def test_forward_confluence_one_part_at_a_time(self):
         # rewriting a single divisible part per step reaches the same fixed point
-        def one_at_a_time(p: Partition, modulus: int) -> Partition:
+        def one_at_a_time(p: Partition, modulus: int) -> tuple[int, ...]:
             parts = list(p.parts)
             while True:
                 for i, part in enumerate(parts):
@@ -231,12 +229,12 @@ class TestGlaisherMaps:
                         parts.sort(reverse=True)
                         break
                 else:
-                    return Partition(tuple(parts))
+                    return Partition(tuple(parts)).parts
 
         for modulus in (2, 3):
             for weight in range(1, 16):
                 for p in partitions_repetition_bounded(weight, modulus):
-                    assert glaisher_forward(p, modulus) == one_at_a_time(p, modulus)
+                    assert glaisher_forward(p.parts, modulus) == one_at_a_time(p, modulus)
 
     @pytest.mark.parametrize("modulus", (2, 3, 4, 5))
     def test_weight_preserved_and_images_valid(self, modulus):
@@ -261,11 +259,17 @@ class TestGlaisherMaps:
                 assert all(
                     back.parts.count(v) < modulus for v in set(back.parts)
                 )
-                assert glaisher_forward(back, modulus) == p
+                assert glaisher_forward(back.parts, modulus) == p.parts
 
     def test_modulus_validation(self):
-        with pytest.raises(ValueError):
-            glaisher_forward(Partition.of([2]), 1)
+        # every part is divisible by 1, and -2 divides as 2 does, so a map
+        # that took such a modulus would divide or merge without end; 0
+        # divides nothing
+        for call in (
+            "glaisher_forward((2,), m)", "glaisher_forward((4, 2, 1), m)",
+            "glaisher_inverse((3, 3), m)", "glaisher_inverse((2, 1), m)",
+        ):
+            assert errors_of(call, (1, 0, -2)) == ["modulus must be at least 2"] * 3, call
 
 
 random_partitions = st.lists(st.integers(1, 40), max_size=14).map(
@@ -283,13 +287,17 @@ def assert_valid_partition(p: Partition) -> None:
 class TestGlaisherProperties:
     @given(random_partitions, moduli)
     def test_one_pass_maps_equal_last_step(self, p, modulus):
-        assert glaisher_forward(p, modulus) == glaisher_forward_steps(p, modulus)[-1]
-        assert glaisher_inverse(p, modulus) == glaisher_inverse_steps(p, modulus)[-1]
+        """The maps that ``verify`` certifies give the image that ``qident
+        bijection`` prints; the steps only supply the lines before it."""
+        forward_steps = glaisher_forward_steps(p, modulus)
+        inverse_steps = glaisher_inverse_steps(p, modulus)
+        assert glaisher_forward(p.parts, modulus) == forward_steps[-1].parts
+        assert glaisher_inverse(p.parts, modulus) == inverse_steps[-1].parts
 
     @given(random_partitions, moduli)
     def test_round_trips(self, p, modulus):
-        forward = glaisher_forward(p, modulus)
-        inverse = glaisher_inverse(p, modulus)
+        forward = Partition(glaisher_forward(p.parts, modulus))
+        inverse = Partition(glaisher_inverse(p.parts, modulus))
         for image in (forward, inverse):
             assert image.weight == p.weight
             assert_valid_partition(image)
@@ -297,8 +305,8 @@ class TestGlaisherProperties:
         assert repetition_bounded(inverse, modulus)
         # both maps keep, for every root r not divisible by M, the total
         # sum of M^k over the parts r*M^k, which fixes each image
-        assert glaisher_forward(inverse, modulus) == forward
-        assert glaisher_inverse(forward, modulus) == inverse
+        assert glaisher_forward(inverse.parts, modulus) == forward.parts
+        assert glaisher_inverse(forward.parts, modulus) == inverse.parts
         if repetition_bounded(p, modulus):
             assert inverse == p
         if no_part_divisible(p, modulus):
@@ -339,20 +347,20 @@ class TestGlaisherMerge:
     @given(merge_inputs())
     def test_equals_the_rebuilding_merge(self, case):
         parts, modulus = case
-        assert _glaisher_merge(parts, modulus) == glaisher_merge(parts, modulus)
+        assert glaisher_inverse(parts, modulus) == glaisher_merge(parts, modulus)
 
     @pytest.mark.parametrize("modulus", MODULI)
     def test_pinned_cases(self, modulus):
-        assert _glaisher_merge((1, 2), modulus) == (2, 1)
-        assert _glaisher_merge((1,) * modulus, modulus) == (modulus,)
-        assert _glaisher_merge((1,) * (modulus - 1), modulus) == (1,) * (modulus - 1)
+        assert glaisher_inverse((1, 2), modulus) == (2, 1)
+        assert glaisher_inverse((1,) * modulus, modulus) == (modulus,)
+        assert glaisher_inverse((1,) * (modulus - 1), modulus) == (1,) * (modulus - 1)
 
     @pytest.mark.parametrize("modulus", MODULI)
     def test_fixed_points_come_back_as_given(self, modulus):
         for weight in range(13):
             for p in partitions_repetition_bounded(weight, modulus):
                 if no_part_divisible(p, modulus):
-                    assert _glaisher_merge(p.parts, modulus) is p.parts
+                    assert glaisher_inverse(p.parts, modulus) is p.parts
 
     @given(merge_inputs())
     def test_comes_back_as_given_exactly_on_fixed_points(self, case):
@@ -365,7 +373,7 @@ class TestGlaisherMerge:
             and all(part % modulus for part in parts)
             and all(parts.count(part) < modulus for part in parts)
         )
-        assert (_glaisher_merge(parts, modulus) is parts) == fixed
+        assert (glaisher_inverse(parts, modulus) is parts) == fixed
 
 
 class TestGlaisherDivide:
@@ -375,58 +383,63 @@ class TestGlaisherDivide:
     @given(merge_inputs())
     def test_equals_the_rewriting_divide(self, case):
         parts, modulus = case
-        assert _glaisher_divide(parts, modulus) == glaisher_divide(parts, modulus)
+        assert glaisher_forward(parts, modulus) == glaisher_divide(parts, modulus)
 
     @pytest.mark.parametrize("modulus", MODULI)
     def test_pinned_cases(self, modulus):
-        assert _glaisher_divide((1, 2 * modulus + 1), modulus) == (2 * modulus + 1, 1)
-        assert _glaisher_divide((modulus,), modulus) == (1,) * modulus
-        assert _glaisher_divide((1, modulus), modulus) == (1,) * (modulus + 1)
-        assert _glaisher_divide((), modulus) == ()
+        assert glaisher_forward((1, 2 * modulus + 1), modulus) == (2 * modulus + 1, 1)
+        assert glaisher_forward((modulus,), modulus) == (1,) * modulus
+        assert glaisher_forward((1, modulus), modulus) == (1,) * (modulus + 1)
+        assert glaisher_forward((), modulus) == ()
 
     @pytest.mark.parametrize("modulus", MODULI)
     def test_fixed_points_come_back_as_given(self, modulus):
         for weight in range(13):
             for p in partitions_repetition_bounded(weight, modulus):
                 if no_part_divisible(p, modulus):
-                    assert _glaisher_divide(p.parts, modulus) is p.parts
+                    assert glaisher_forward(p.parts, modulus) is p.parts
                 else:
-                    assert _glaisher_divide(p.parts, modulus) == glaisher_divide(
+                    assert glaisher_forward(p.parts, modulus) == glaisher_divide(
                         p.parts, modulus
                     )
 
 
+def errors_of(call, moduli):
+    """The ``ValueError`` messages of ``call`` at each modulus ``m`` of
+    ``moduli``, run in a process of its own under a timeout, so that a map
+    that loops fails the test instead of hanging it."""
+    script = (
+        "from qident.bijections import glaisher_forward, glaisher_inverse\n"
+        f"for m in {tuple(moduli)!r}:\n"
+        "    try:\n"
+        f"        {call}\n"
+        "    except ValueError as error:\n"
+        "        print(error)\n"
+    )
+    src = str(Path(qident.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (run.returncode, run.stderr) == (0, "")
+    return run.stdout.splitlines()
+
+
 class TestZeroPart:
     """0 is divisible by every power of M, so a map that divided or merged
-    it as any other divisible part would never stop.  Each call runs in a
-    process of its own under a timeout, so that a map that loops fails the
-    test instead of hanging it."""
+    it as any other divisible part would never stop."""
 
     @pytest.mark.parametrize(
         "call",
-        ["_glaisher_divide((0,), m)", "_glaisher_divide((3, 1, 0), m)",
-         "_glaisher_merge((0,), m)", "_glaisher_merge((1, 0), m)",
-         "_glaisher_merge((0, 0, 1), m)"],
+        ["glaisher_forward((0,), m)", "glaisher_forward((3, 1, 0), m)",
+         "glaisher_inverse((0,), m)", "glaisher_inverse((1, 0), m)",
+         "glaisher_inverse((0, 0, 1), m)"],
     )
     def test_raises_value_error_naming_the_part(self, call):
-        script = (
-            "from qident.bijections import _glaisher_divide, _glaisher_merge\n"
-            "for m in range(2, 8):\n"
-            "    try:\n"
-            f"        {call}\n"
-            "    except ValueError as error:\n"
-            "        print(error)\n"
-        )
-        src = str(Path(qident.__file__).resolve().parents[1])
-        run = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            timeout=30,
-            env={**os.environ, "PYTHONPATH": src},
-        )
-        assert (run.returncode, run.stderr) == (0, "")
-        lines = run.stdout.splitlines()
+        lines = errors_of(call, range(2, 8))
         assert len(lines) == 6
         assert all(line.startswith("part 0 has no fixed point") for line in lines)
 
@@ -454,10 +467,10 @@ class TestCertify:
         domain = partitions_repetition_bounded(10, 2)
         target = enumerate_partitions_with_parts(ResidueClass.nonzero(2), 10)
         report = certify_bijection(
-            one_class(domain),
-            lambda p: glaisher_forward(p, 2),
-            lambda p: glaisher_inverse(p, 2),
-            lambda k, p: no_part_divisible(p, 2),
+            one_class(p.parts for p in domain),
+            lambda parts: glaisher_forward(parts, 2),
+            lambda parts: glaisher_inverse(parts, 2),
+            lambda k, parts: no_part_divisible(Partition(parts), 2),
             target_sizes=[len(target)],
         )
         assert report.ok
@@ -470,14 +483,14 @@ class TestCertify:
         def once():
             for p in domain:
                 pulled.append(p)
-                yield 0, p
+                yield 0, p.parts
 
         def certify(items):
             return certify_bijection(
                 items,
-                lambda p: glaisher_forward(p, 3),
-                lambda p: glaisher_inverse(p, 3),
-                lambda k, p: no_part_divisible(p, 3),
+                lambda parts: glaisher_forward(parts, 3),
+                lambda parts: glaisher_inverse(parts, 3),
+                lambda k, parts: no_part_divisible(Partition(parts), 3),
                 target_sizes=[
                     len(enumerate_partitions_with_parts(ResidueClass.nonzero(3), 12))
                 ],
@@ -485,30 +498,30 @@ class TestCertify:
 
         stream = once()
         streamed = certify(stream)
-        assert streamed == certify(one_class(domain))
+        assert streamed == certify(one_class(p.parts for p in domain))
         assert streamed.ok and streamed.domain_size == len(domain)
         assert pulled == domain
         assert next(stream, None) is None
 
     def test_failure_still_counts_whole_domain(self):
         listed = certify_bijection(
-            one_class([4, 3, 2, 1]), lambda x: 0, lambda y: y, lambda k, y: True
+            one_class([4, 3, 2, 1]), lambda x: 0, lambda y: y, lambda k, y: True, [4]
         )
         streamed = certify_bijection(
-            iter(one_class([4, 3, 2, 1])), lambda x: 0, lambda y: y, lambda k, y: True
+            iter(one_class([4, 3, 2, 1])), lambda x: 0, lambda y: y, lambda k, y: True, [4]
         )
         assert not streamed.ok
         assert streamed == listed
         assert streamed.domain_size == 4
 
     def test_empty_domain_passes_vacuously(self):
-        report = certify_bijection([], lambda x: x, lambda x: x, lambda k, x: True)
+        report = certify_bijection([], lambda x: x, lambda x: x, lambda k, x: True, [])
         assert report.ok
-        assert report.domain_size == 0
+        assert report.domain_size == report.target_size == 0
 
     def test_detects_non_injective(self):
         report = certify_bijection(
-            one_class([2, 1]), lambda x: 0, lambda y: 1, lambda k, y: True
+            one_class([2, 1]), lambda x: 0, lambda y: 1, lambda k, y: True, [2]
         )
         assert not report.ok
         assert "round trip" in report.failure or "injective" in report.failure
@@ -539,7 +552,7 @@ class TestCertify:
 
     def test_ascending_domain_fails(self):
         report = certify_bijection(
-            one_class([1, 2]), lambda x: x, lambda y: y, lambda k, y: True
+            one_class([1, 2]), lambda x: x, lambda y: y, lambda k, y: True, [2]
         )
         assert report.failure == "domain is not strictly decreasing: 2 after 1"
 
@@ -549,8 +562,8 @@ class TestCertify:
         domain = partitions_repetition_bounded(6, 2)
         report = certify_bijection(
             one_class(domain),
-            lambda p: Partition(glaisher_forward(p, 2).parts + (1,)),
-            lambda q: glaisher_inverse(Partition(q.parts[:-1]), 2),
+            lambda p: Partition(glaisher_forward(p.parts, 2) + (1,)),
+            lambda q: Partition(glaisher_inverse(q.parts[:-1], 2)),
             lambda k, q: q.weight == 6 and no_part_divisible(q, 2),
             target_sizes=[
                 len(enumerate_partitions_with_parts(ResidueClass.nonzero(2), 6))
@@ -561,6 +574,6 @@ class TestCertify:
 
     def test_part_tuples_are_named_in_bracketed_form(self):
         report = certify_bijection(
-            one_class([(2,), (1, 1)]), lambda x: x[:1], lambda y: y, lambda k, y: True
+            one_class([(2,), (1, 1)]), lambda x: x[:1], lambda y: y, lambda k, y: True, [2]
         )
         assert report.failure == "inverse round trip failed for [1,1]: got [1] via [1]"

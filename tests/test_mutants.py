@@ -23,7 +23,6 @@ import pytest
 import qident.bijections as bijections
 import qident.partitions as partitions
 import qident.series as series
-from qident.partitions import Partition
 from qident.profiles import default_catalog
 from qident.series import TruncatedSeries, _geometric
 from qident.verify import plan_checks, run_suite
@@ -208,15 +207,8 @@ SHAPE, WRONG_CONJUGATE = (3, 1), (2, 2)
 
 
 def wrong_on_one_shape(conjugate):
-    """Same weight, wrong shape; works on bare part tuples and on
-    ``Partition`` objects alike."""
-
-    def fake(p):
-        if isinstance(p, tuple):
-            return WRONG_CONJUGATE if p == SHAPE else conjugate(p)
-        return Partition(WRONG_CONJUGATE) if p.parts == SHAPE else conjugate(p)
-
-    return fake
+    """Same weight, wrong shape."""
+    return lambda parts: WRONG_CONJUGATE if parts == SHAPE else conjugate(parts)
 
 
 def glaisher_rows(*modes):
@@ -288,27 +280,27 @@ DISTINCT_PARTS_FAULT = "distinct-parts step drops its last coefficient"
 # mismatch, modes whose rows must all keep passing)
 FAULTS = {
     "divide gives ascending images": (
-        bijections, ("_glaisher_divide",), ascending_image,
+        bijections, ("glaisher_forward",), ascending_image,
         glaisher_rows("bijection"), SERIES_ROUTE,
     ),
     "divide drops a part": (
-        bijections, ("_glaisher_divide",), drops_a_part,
+        bijections, ("glaisher_forward",), drops_a_part,
         glaisher_rows("bijection"), SERIES_ROUTE,
     ),
     "merge uses a wrong power": (
-        bijections, ("_glaisher_merge",), wrong_power,
+        bijections, ("glaisher_inverse",), wrong_power,
         glaisher_rows("bijection"), SERIES_ROUTE,
     ),
     "merge exit ignores runs of M copies": (
-        bijections, ("_glaisher_merge",), exit_ignores_runs,
+        bijections, ("glaisher_inverse",), exit_ignores_runs,
         glaisher_rows("bijection"), SERIES_ROUTE,
     ),
     "bounded-repetition domain repeats a partition": (
-        partitions, ("_repetition_bounded_walk",), repeats_a_partition,
+        partitions, ("repetition_bounded_walk",), repeats_a_partition,
         glaisher_rows("bijection", "conjugate"), SERIES_ROUTE,
     ),
     "bounded-repetition domain allows M copies": (
-        partitions, ("_repetition_bounded_walk",), allows_m_copies,
+        partitions, ("repetition_bounded_walk",), allows_m_copies,
         glaisher_rows("bijection", "conjugate"), SERIES_ROUTE,
     ),
     "part-set count off by one at weight 9": (
@@ -330,10 +322,8 @@ FAULTS = {
         glaisher_rows("conjugate"),
         {"analytic", "alpha", "forms", "combinatorial", "equinumerosity", "bijection"},
     ),
-    # the public function and the tuple helper it wraps both compute
-    # conjugates; the fault goes into each that exists
     "conjugate wrong on one shape": (
-        partitions, ("conjugate", "_conjugate_parts"), wrong_on_one_shape,
+        partitions, ("conjugate",), wrong_on_one_shape,
         glaisher_rows("conjugate"), SERIES_ROUTE,
     ),
     # every catalog sum side takes its slot factors 1/(1-q^j) here; the

@@ -18,9 +18,11 @@ MODULES = (series, partitions, profiles, bijections, verify)
 # Names that only renamed another public call, had no caller outside the
 # tests, made up the run-scoped memo that the plan's declared inputs
 # replaced, made up the cost model that planned product-side routes before
-# every product side followed one rule, or built product sides before that
-# rule was one function; each must stay gone from the package, its module
-# and the class that held it.
+# every product side followed one rule, built product sides before that
+# rule was one function, or were the private tuple twins of a public
+# partition map or the scan limit that the shared sum-side scan replaced;
+# each must stay gone from the package, its module and the class that held
+# it.
 REMOVED = (
     (partitions, "satisfies_chain"),
     (partitions, "partitions_no_part_divisible"),
@@ -56,6 +58,11 @@ REMOVED = (
         "_nonzero_terms", "_pentagonal", "_product_bases", "_product_routes", "_all_parts",
     )),
     (verify, "_product_inputs"),
+    (bijections, "_glaisher_divide"),
+    (bijections, "_glaisher_merge"),
+    (partitions, "_conjugate_parts"),
+    (partitions, "_repetition_bounded_walk"),
+    (profiles, "_SCAN_LIMIT"),
     *((series, name) for name in (
         "_product_side_by_dilation", "_product_side_by_numerator",
         "_product_side_by_complement", "_one_minus_tail",
@@ -118,6 +125,21 @@ def test_every_public_definition_is_listed(module):
         and obj.__module__ == module.__name__
     }
     assert defined <= set(module.__all__), sorted(defined - set(module.__all__))
+
+
+def test_verify_imports_only_public_names_of_the_maps():
+    """``verify`` certifies the maps and the domain that users import, so it
+    takes no private name from the modules that define them."""
+    path = Path(verify.__file__)
+    imported = [
+        alias.name
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        and node.module in ("partitions", "bijections")
+        for alias in node.names
+    ]
+    assert imported
+    assert [name for name in imported if name.startswith("_")] == []
 
 
 def test_sources_parse_as_python_3_10():

@@ -11,7 +11,7 @@ from qident.partitions import (
     ChainConstraint,
     GapBound,
     Partition,
-    _repetition_bounded_walk,
+    repetition_bounded_walk,
     chain_violation,
     conjugate,
     count_bounded_gap_vectors,
@@ -94,19 +94,19 @@ class TestPartition:
 
 class TestConjugate:
     def test_empty(self):
-        assert conjugate(Partition(())) == Partition(())
+        assert conjugate(()) == ()
 
     def test_hand_example(self):
-        assert conjugate(Partition.of([3, 1])).parts == (2, 1, 1)
+        assert conjugate((3, 1)) == (2, 1, 1)
 
     def test_involution_and_weight_preserved(self):
         for weight in range(26):
             for p in enumerate_partitions(weight):
-                q = conjugate(p)
+                q = Partition(conjugate(p.parts))
                 assert_valid(p)
                 assert_valid(q)
                 assert q.weight == p.weight
-                assert conjugate(q) == p
+                assert conjugate(q.parts) == p.parts
 
 
 class TestChains:
@@ -447,7 +447,7 @@ class TestPredicates:
         # one walk over every weight up to 16 gives, weight by weight, what
         # filtering all partitions of that weight gives, in the same order
         by_weight = {w: [] for w in range(17)}
-        for weight, parts in _repetition_bounded_walk(16, modulus):
+        for weight, parts in repetition_bounded_walk(16, modulus):
             by_weight[weight].append(parts)
         for weight, walked in by_weight.items():
             assert walked == [
@@ -461,7 +461,7 @@ class TestPredicates:
         self, max_weight, modulus
     ):
         by_weight = {w: [] for w in range(max_weight + 1)}
-        for weight, parts in _repetition_bounded_walk(max_weight, modulus):
+        for weight, parts in repetition_bounded_walk(max_weight, modulus):
             by_weight[weight].append(parts)
         for weight, walked in by_weight.items():
             assert walked == [
@@ -473,12 +473,12 @@ class TestPredicates:
         (
             partitions_repetition_bounded,
             lambda w, m: enumerate_partitions_with_parts(ResidueClass.nonzero(m), w),
-            lambda w, m: [Partition(parts) for _, parts in _repetition_bounded_walk(w, m)],
+            lambda w, m: [Partition(parts) for _, parts in repetition_bounded_walk(w, m)],
         ),
         ids=(
             "partitions_repetition_bounded",
             "enumerate_partitions_with_parts",
-            "_repetition_bounded_walk",
+            "repetition_bounded_walk",
         ),
     )
     def test_generators_validate_modulus_before_weight(self, generator):

@@ -386,6 +386,16 @@ class TestProfileSeries:
             series = profile_series(entry.profile, 31)
             assert counts == series.to_list(), entry.name
 
+    def test_negative_exponent_fails_on_both_routes(self):
+        # n = 0 has exponent -1; counted, its term would land in the last
+        # weight's count as counts[-1]
+        profile = family("neg", "0", "n - 1", ())
+        message = "negative exponent or slot count at n=0"
+        with pytest.raises(ValueError, match=message):
+            profile_chain_counts(profile, 6)
+        with pytest.raises(ValueError, match=message):
+            profile_series(profile, 7)
+
     def test_counts_match_product_for_backed_entries(self):
         for entry in default_catalog().entries():
             if entry.product is None:

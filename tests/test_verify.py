@@ -308,13 +308,13 @@ class TestGlaisherFamily:
         assert row.passed and row.bound == 0
 
     def test_bijection_failure_names_partitions(self, monkeypatch):
-        divide = verify_module._glaisher_divide
+        divide = verify_module.glaisher_forward
 
         def drop_last_part(parts, modulus):
             image = divide(parts, modulus)
             return image[:-1] if len(image) > 1 else image
 
-        monkeypatch.setattr(verify_module, "_glaisher_divide", drop_last_part)
+        monkeypatch.setattr(verify_module, "glaisher_forward", drop_last_part)
         finding = glaisher_bijection_report(3, 12)
         # weight 2: [2] and [1,1] on both sides
         assert (finding.exponent, finding.lhs, finding.rhs) == (2, 2, 2)
@@ -324,12 +324,12 @@ class TestGlaisherFamily:
         assert_row_carries(row, finding)
 
     def test_bijection_failure_reports_image_against_target(self, monkeypatch):
-        divide = verify_module._glaisher_divide
+        divide = verify_module.glaisher_forward
 
         def ascending(parts, modulus):
             return divide(parts, modulus)[::-1]
 
-        monkeypatch.setattr(verify_module, "_glaisher_divide", ascending)
+        monkeypatch.setattr(verify_module, "glaisher_forward", ascending)
         finding = glaisher_bijection_report(3, 12)
         # weight 3: [3] and [2,1] map onto [1,1,1] and the unsorted (1, 2),
         # which round-trips but is not a member of the target
@@ -337,13 +337,13 @@ class TestGlaisherFamily:
         assert finding.note == "image of [2,1] fails the target predicate: [1,2]"
 
     def test_bijection_failure_on_image_out_of_order_at_its_end(self, monkeypatch):
-        divide = verify_module._glaisher_divide
+        divide = verify_module.glaisher_forward
 
         def last_two_swapped(parts, modulus):
             image = divide(parts, modulus)
             return image[:-2] + image[:-3:-1] if len(image) > 2 else image
 
-        monkeypatch.setattr(verify_module, "_glaisher_divide", last_two_swapped)
+        monkeypatch.setattr(verify_module, "glaisher_forward", last_two_swapped)
         finding = glaisher_bijection_report(3, 12)
         # weight 5: the images of [5], [4,1], [3,2] and [3,1,1] end in equal
         # parts or have two; (2,1,2) starts with its largest part and is out
@@ -354,14 +354,14 @@ class TestGlaisherFamily:
     def test_bijection_failure_on_image_keeping_a_divisible_part(self, monkeypatch):
         # identity maps: every image is its own source, ordered, of the
         # weight, and round-trips; [3] keeps its part divisible by 3
-        monkeypatch.setattr(verify_module, "_glaisher_divide", lambda parts, modulus: parts)
-        monkeypatch.setattr(verify_module, "_glaisher_merge", lambda parts, modulus: parts)
+        monkeypatch.setattr(verify_module, "glaisher_forward", lambda parts, modulus: parts)
+        monkeypatch.setattr(verify_module, "glaisher_inverse", lambda parts, modulus: parts)
         finding = glaisher_bijection_report(3, 12)
         assert (finding.exponent, finding.lhs, finding.rhs) == (3, 2, 2)
         assert finding.note == "image of [3] fails the target predicate: [3]"
 
     def test_bijection_failure_on_image_out_of_order_at_its_start(self, monkeypatch):
-        divide = verify_module._glaisher_divide
+        divide = verify_module.glaisher_forward
 
         def first_two_swapped(parts, modulus):
             image = divide(parts, modulus)
@@ -369,7 +369,7 @@ class TestGlaisherFamily:
                 return (image[1], image[0], *image[2:])
             return image
 
-        monkeypatch.setattr(verify_module, "_glaisher_divide", first_two_swapped)
+        monkeypatch.setattr(verify_module, "glaisher_forward", first_two_swapped)
         finding = glaisher_bijection_report(3, 12)
         # weight 4: (2,1,1) is the first image of three parts that do not
         # start equal; (1,2,1) is out of order only in its first pair
@@ -377,18 +377,18 @@ class TestGlaisherFamily:
         assert finding.note == "image of [2,1,1] fails the target predicate: [1,2,1]"
 
     def test_bijection_failure_on_image_with_a_zero_part(self, monkeypatch):
-        divide = verify_module._glaisher_divide
-        merge = verify_module._glaisher_merge
+        divide = verify_module.glaisher_forward
+        merge = verify_module.glaisher_inverse
         # a trailing 0 keeps the weight and the order, and the merge drops
         # it before merging, so only the part sizes fail, at weight 0
         monkeypatch.setattr(
             verify_module,
-            "_glaisher_divide",
+            "glaisher_forward",
             lambda parts, modulus: divide(parts, modulus) + (0,),
         )
         monkeypatch.setattr(
             verify_module,
-            "_glaisher_merge",
+            "glaisher_inverse",
             lambda parts, modulus: merge(parts[:-1] if parts[-1:] == (0,) else parts, modulus),
         )
         finding = glaisher_bijection_report(3, 12)
@@ -414,7 +414,7 @@ class TestGlaisherFamily:
         assert_row_carries(suite_row("glaisher-3", "bijection", 20, 12), finding)
 
     def test_bijection_failure_on_repeated_domain_element(self, monkeypatch):
-        walk = verify_module._repetition_bounded_walk
+        walk = verify_module.repetition_bounded_walk
 
         def first_twice(max_weight, modulus):
             # weight 5 lists its first partition twice and loses its last
@@ -424,24 +424,24 @@ class TestGlaisherFamily:
             found.insert(fives[0], found[fives[0]])
             return found
 
-        monkeypatch.setattr(verify_module, "_repetition_bounded_walk", first_twice)
+        monkeypatch.setattr(verify_module, "repetition_bounded_walk", first_twice)
         finding = glaisher_bijection_report(3, 12)
         assert (finding.exponent, finding.lhs, finding.rhs) == (5, 5, 5)
         assert finding.note == "domain is not strictly decreasing: [5] after [5]"
 
     def test_bijection_failure_on_weight_changing_map(self, monkeypatch):
-        divide = verify_module._glaisher_divide
-        merge = verify_module._glaisher_merge
+        divide = verify_module.glaisher_forward
+        merge = verify_module.glaisher_inverse
         # one extra part 1 on the way out, dropped on the way back: the round
         # trip, the part sizes, the order and the count all still hold
         monkeypatch.setattr(
             verify_module,
-            "_glaisher_divide",
+            "glaisher_forward",
             lambda parts, modulus: divide(parts, modulus) + (1,),
         )
         monkeypatch.setattr(
             verify_module,
-            "_glaisher_merge",
+            "glaisher_inverse",
             lambda parts, modulus: merge(parts[:-1], modulus),
         )
         finding = glaisher_bijection_report(3, 12)
@@ -449,12 +449,12 @@ class TestGlaisherFamily:
         assert finding.note == "image of [] fails the target predicate: [1]"
 
     def test_conjugate_failure_names_the_weight(self, monkeypatch):
-        conjugate = verify_module._conjugate_parts
+        conjugate = verify_module.conjugate
 
         def wrong_on_three_one(parts):
             return (2, 2) if parts == (3, 1) else conjugate(parts)
 
-        monkeypatch.setattr(verify_module, "_conjugate_parts", wrong_on_three_one)
+        monkeypatch.setattr(verify_module, "conjugate", wrong_on_three_one)
         finding = glaisher_conjugate_report(3, 12)
         # weight 4: [4], [3,1], [2,2], [2,1,1] against as many chain vectors
         assert (finding.exponent, finding.lhs, finding.rhs) == (4, 4, 4)
@@ -483,13 +483,13 @@ class TestOneWalkBookkeeping:
 
     @staticmethod
     def ascending_at_eleven(monkeypatch):
-        divide = verify_module._glaisher_divide
+        divide = verify_module.glaisher_forward
 
         def fake(parts, modulus):
             image = divide(parts, modulus)
             return image[::-1] if sum(parts) == 11 else image
 
-        monkeypatch.setattr(verify_module, "_glaisher_divide", fake)
+        monkeypatch.setattr(verify_module, "glaisher_forward", fake)
 
     @staticmethod
     def bounded(weight, modulus):
@@ -521,14 +521,14 @@ class TestOneWalkBookkeeping:
         assert finding.note == "image of [10,1] fails the target predicate: [1,10]"
 
     def test_conjugate_skips_weight_zero(self, monkeypatch):
-        conjugate = verify_module._conjugate_parts
+        conjugate = verify_module.conjugate
         seen = []
 
         def recording(parts):
             seen.append(parts)
             return conjugate(parts)
 
-        monkeypatch.setattr(verify_module, "_conjugate_parts", recording)
+        monkeypatch.setattr(verify_module, "conjugate", recording)
         assert glaisher_conjugate_report(3, 8) is None
         assert () not in seen
         # every other partition of weight 1..8 is conjugated there and back
@@ -1206,14 +1206,14 @@ def assert_no_child_left():
 
 
 def merge_raises_at(monkeypatch, modulus):
-    merge = verify_module._glaisher_merge
+    merge = verify_module.glaisher_inverse
 
     def fake(parts, m):
         if m == modulus:
             raise ValueError(f"merge fails at M = {m}")
         return merge(parts, m)
 
-    monkeypatch.setattr(verify_module, "_glaisher_merge", fake)
+    monkeypatch.setattr(verify_module, "glaisher_inverse", fake)
 
 
 class TestHelperProcess:
