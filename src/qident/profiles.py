@@ -335,8 +335,16 @@ def _known_keys(data: dict, known: frozenset[str], what: str) -> None:
         raise ValueError(f"unknown {what} {unknown[0]!r}")
 
 
+def _strings(data: dict, *keys: str) -> None:
+    """Reject a value of ``data`` under one of ``keys`` that is not a string."""
+    for key in keys:
+        if not isinstance(data.get(key, ""), str):
+            raise ValueError(f"{key} must be a string")
+
+
 def _branch_from_json(data: dict) -> ProfileBranch:
     _known_keys(data, _BRANCH_KEYS, "branch key")
+    _strings(data, "slots", "min_weight")
     label = data["parity"]
     if label not in ("all", "even", "odd"):
         raise ValueError(f"invalid branch parity {label!r}")
@@ -345,8 +353,11 @@ def _branch_from_json(data: dict) -> ProfileBranch:
         raise ValueError("n_min must be an integer")
     if n_min < 0:
         raise ValueError("n_min must be nonnegative")
+    if not _list_of(data["offsets"], dict):
+        raise ValueError("offsets must be a list of objects")
     for case in data["offsets"]:
         _known_keys(case, _CASE_KEYS, "offset case key")
+        _strings(case, "when", "value")
     cases = tuple(PiecewiseCase(c["when"], c["value"]) for c in data["offsets"])
     if not cases or cases[-1].when != "otherwise":
         raise ValueError("the last offset case must be 'otherwise'")
@@ -370,11 +381,13 @@ def _list_of(values, kind: type) -> bool:
 
 
 def _entry_from_json(data: dict) -> CatalogEntry:
+    if not isinstance(data, dict):
+        raise ValueError("entries must be JSON objects")
+    if not _list_of(data["branches"], dict):
+        raise ValueError("branches must be a list of objects")
     branches = tuple(_branch_from_json(b) for b in data["branches"])
     _known_keys(data, _ENTRY_KEYS, "key")
-    for key in ("name", "source"):
-        if not isinstance(data.get(key, ""), str):
-            raise ValueError(f"{key} must be a string")
+    _strings(data, "name", "source")
     if not _list_of(data.get("aliases", []), str):
         raise ValueError("aliases must be a list of strings")
     if len(branches) == 1:
@@ -395,6 +408,8 @@ def _entry_from_json(data: dict) -> CatalogEntry:
         if not _list_of(data["residues"], int):
             raise ValueError("residues must be a list of integers")
         product = ResidueClass(data["modulus"], frozenset(data["residues"]))
+    elif data.get("residues") is not None:
+        raise ValueError("residues must be null without a modulus")
     return CatalogEntry(
         profile=ProfileFamily(data["name"], branches),
         product=product,

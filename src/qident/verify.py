@@ -16,13 +16,16 @@ conjugate target is counted by one search over its vectors of every length.
 
 What gets checked is derived from the catalog alone: ``plan_checks`` turns
 names into a tuple of ``Check`` rows without running anything, and
-``run_suite`` runs that plan.  The planner is the one place where names are
-looked up: each row binds the catalog entries it checks, so a check function
-takes entries or values, never a name or a catalog.  A check function
-returns a ``Finding`` for a failure and None for a pass; it knows nothing of
-the row it fills.  ``run_suite`` times each check and builds its
-``VerificationReport`` from the planned row (identity, mode, subject, bound)
-and the finding.
+``run_suite`` runs that plan.  A catalog identity, a label and its member
+entries, gets a combinatorial row per member and, when its first member has
+a product side, an analytic row; a divide-by-M identity, fixed by its
+modulus M, gets analytic, bijection, conjugate, alpha and (at M = 2) forms
+rows.  The planner is the one place where names are looked up: each row
+binds the catalog entries it checks, so a check function takes entries or
+values, never a name or a catalog.  A check function returns a ``Finding``
+for a failure and None for a pass; it knows nothing of the row it fills.
+``run_suite`` times each check and builds its ``VerificationReport`` from
+the planned row (identity, mode, subject, bound) and the finding.
 
 Many identities share a product side, and many interpretations share their
 term rules, so each row also declares the shared inputs it reads: product
@@ -90,7 +93,6 @@ from .series import (
 )
 
 __all__ = [
-    "IdentityDescriptor",
     "VerificationReport",
     "Finding",
     "SuiteSummary",
@@ -106,21 +108,6 @@ __all__ = [
     "plan_checks",
     "run_suite",
 ]
-
-
-class IdentityDescriptor(Record):
-    """A product side paired with a sum side and its interpretations, the
-    catalog entries that count it.
-
-    The sum side is either the divide-by-M form selected by
-    ``glaisher_modulus`` or the term family of the first interpretation.
-    """
-
-    name: str
-    product: ResidueClass | None
-    glaisher_modulus: int | None = None
-    interpretations: tuple[CatalogEntry, ...] = ()
-    aliases: tuple[str, ...] = ()
 
 
 class VerificationReport(Record):
@@ -458,18 +445,6 @@ def _profile_sum_input(profile: ProfileFamily, order: int) -> _Input:
     return _Input(("profile sum", rules, order), lambda: profile_series(profile, order))
 
 
-def _sum_input(d: IdentityDescriptor, order: int, moduli: tuple[int, ...]) -> _Input:
-    """The divide-by-M sum side (M >= 3 from the ``moduli`` tail) or the first interpretation's."""
-    if (m := d.glaisher_modulus) == 2:
-        return _Input(("glaisher", m, order), partial(sum_side_glaisher, m, order))
-    if m is not None:
-        tail = _Input(("glaisher tail", moduli, order), partial(_glaisher_tails, moduli, order))
-        return _Input(("glaisher", m, order), partial(_glaisher_sum, m, order), (tail,))
-    if not d.interpretations:
-        raise ValueError(f"identity {d.name} has no sum side")
-    return _profile_sum_input(d.interpretations[0].profile, order)
-
-
 def _counts_input(profile: ProfileFamily, max_weight: int) -> _Input:
     # a profile's name is unique within the one catalog a plan is made from
     key = ("chain counts", profile.name, max_weight)
@@ -489,24 +464,6 @@ class Check(Record):
     call: partial
     inputs: tuple[_Input, ...] = ()
     _uncompared = _unshown = frozenset({"call", "inputs"})
-
-
-def _catalog_identities(catalog: Catalog) -> list[IdentityDescriptor]:
-    """One descriptor per identity label, in catalog order, whose
-    interpretations are its members.  The first member supplies the sum side
-    and the product side; the aliases are those of every member."""
-    members: dict[str, list[CatalogEntry]] = {}
-    for entry in catalog.entries():
-        members.setdefault(entry.identity or entry.name, []).append(entry)
-    return [
-        IdentityDescriptor(
-            name=label,
-            product=group[0].product,
-            interpretations=tuple(group),
-            aliases=tuple(a for e in group for a in e.aliases),
-        )
-        for label, group in members.items()
-    ]
 
 
 def _term_family_groups(catalog: Catalog) -> list[tuple[str, tuple[CatalogEntry, ...]]]:
@@ -538,13 +495,6 @@ def _term_family_groups(catalog: Catalog) -> list[tuple[str, tuple[CatalogEntry,
     ]
 
 
-def _glaisher_identity(modulus: int) -> IdentityDescriptor:
-    # ResidueClass rejects a modulus below 2 with ValueError
-    return IdentityDescriptor(
-        f"glaisher-{modulus}", ResidueClass.nonzero(modulus), glaisher_modulus=modulus
-    )
-
-
 def _check(
     identity: str, mode: str, bound: int, fn, /, *args, subject: str = "",
     inputs: tuple[_Input, ...] = (), **kwargs
@@ -552,35 +502,50 @@ def _check(
     return Check(identity, mode, subject, bound, partial(fn, *args, **kwargs), inputs)
 
 
-def _identity_checks(d: IdentityDescriptor, order: int, max_weight: int,
-                     moduli: tuple[int, ...]) -> list[Check]:
-    """The analytic check, one combinatorial check per interpretation, and for
-    a divide-by-M identity the one divide-by-M battery; a descriptor without
-    a sum side raises ValueError."""
-    check = partial(_check, d.name)
-    sides = (_sum_input(d, max_weight + 1, moduli),)
-    if d.product is not None and d.interpretations:
-        sides += (_product_input(d.product, max_weight + 1),)
+def _identity_checks(label: str, members: Sequence[CatalogEntry], order: int,
+                     max_weight: int) -> list[Check]:
+    """One combinatorial check per member and, when the first member has a
+    product side, the analytic check; the first member supplies both sides."""
+    check, first = partial(_check, label), members[0]
+    sides = (_profile_sum_input(first.profile, max_weight + 1),)
+    if first.product is not None:
+        sides += (_product_input(first.product, max_weight + 1),)
     checks = [
         check("combinatorial", max_weight, verify_combinatorial, subject=entry.name,
               inputs=(_counts_input(entry.profile, max_weight), *sides))
-        for entry in d.interpretations
+        for entry in members
     ]
-    if d.product is not None:
-        analytic = (_product_input(d.product, order), _sum_input(d, order, moduli))
+    if first.product is not None:
+        analytic = (_product_input(first.product, order), _profile_sum_input(first.profile, order))
         checks.append(check("analytic", order, verify_analytic, inputs=analytic))
-    modulus = d.glaisher_modulus
-    if modulus is not None:
-        capped = min(max_weight, CONJUGATE_MAX_WEIGHT)
-        checks += [
-            check("bijection", max_weight, glaisher_bijection_report, modulus, max_weight),
-            check("conjugate", capped, glaisher_conjugate_report, modulus, capped),
-            check("alpha", order, glaisher_alpha_report, modulus, _ALPHA_TERMS, order),
-        ]
-        if modulus == 2:  # the analytic sides, and the triangular sum as euler's profile sum
-            branch = ProfileBranch("all", 0, "n", "(n*n + n) // 2", ())
-            forms = (*analytic, _profile_sum_input(ProfileFamily("triangular", (branch,)), order))
-            checks.append(check("forms", order, euler_forms_report, inputs=forms))
+    return checks
+
+
+def _glaisher_checks(modulus: int, order: int, max_weight: int,
+                     moduli: tuple[int, ...]) -> list[Check]:
+    """The divide-by-M checks of one modulus; at M >= 3 the sum side runs on
+    from the tail that the planned ``moduli`` share."""
+    check = partial(_check, f"glaisher-{modulus}")
+    # ResidueClass rejects a modulus below 2 with ValueError
+    product = _product_input(ResidueClass.nonzero(modulus), order)
+    if modulus == 2:
+        sum_side = _Input(("glaisher", 2, order), partial(sum_side_glaisher, 2, order))
+    else:
+        tail = _Input(("glaisher tail", moduli, order), partial(_glaisher_tails, moduli, order))
+        build = partial(_glaisher_sum, modulus, order)
+        sum_side = _Input(("glaisher", modulus, order), build, (tail,))
+    capped = min(max_weight, CONJUGATE_MAX_WEIGHT)
+    checks = [
+        check("analytic", order, verify_analytic, inputs=(product, sum_side)),
+        check("bijection", max_weight, glaisher_bijection_report, modulus, max_weight),
+        check("conjugate", capped, glaisher_conjugate_report, modulus, capped),
+        check("alpha", order, glaisher_alpha_report, modulus, _ALPHA_TERMS, order),
+    ]
+    if modulus == 2:  # the analytic sides, and the triangular sum as euler's profile sum
+        branch = ProfileBranch("all", 0, "n", "(n*n + n) // 2", ())
+        triangular = _profile_sum_input(ProfileFamily("triangular", (branch,)), order)
+        forms = (product, sum_side, triangular)
+        checks.append(check("forms", order, euler_forms_report, inputs=forms))
     return checks
 
 
@@ -599,46 +564,51 @@ def plan_checks(
     checks, so nothing is looked up by name after planning, and declares the
     shared inputs it reads.
 
+    The catalog's entries are grouped by identity label, in catalog order.
     None or "all" selects every catalog identity, ``glaisher-<M>`` for
     M = 2..7, and every equinumerosity group.  Otherwise a name is an identity
-    name or alias, ``glaisher-<M>`` for any M >= 2 (a smaller M raises
-    ValueError), or a group name; an identity also brings the groups made only
-    of its interpretations.  Unknown names become ``lookup`` error rows.
+    label or every member's name and aliases, ``glaisher-<M>`` for any M >= 2
+    (a smaller M raises ValueError), or a group name; an identity also brings
+    the groups made only of its members.  Unknown names become ``lookup``
+    error rows.
     """
-    identities = _catalog_identities(catalog)
+    identities: dict[str, list[CatalogEntry]] = {}
+    for entry in catalog.entries():
+        identities.setdefault(entry.identity or entry.name, []).append(entry)
     groups = _term_family_groups(catalog)
     unknown: list[str] = []
     if names is None or "all" in names:
-        selected = identities + [_glaisher_identity(m) for m in _GLAISHER_MODULI]
-        selected_groups = groups
+        labels, moduli, selected_groups = list(identities), list(_GLAISHER_MODULI), groups
     else:
-        by_key: dict[str, IdentityDescriptor] = {}
-        for d in identities:
-            for key in (d.name, *d.aliases):
-                by_key.setdefault(key, d)
-        selected, selected_groups = [], []
+        # Catalog rejects a name, alias or label that would key two identities
+        by_key = {
+            key: label
+            for label, members in identities.items()
+            for entry in members
+            for key in (label, entry.name, *entry.aliases)
+        }
+        labels, moduli, selected_groups = [], [], []
         for raw in names:
-            descriptor = by_key.get(raw)
-            if descriptor is None and (match := _GLAISHER_NAME.fullmatch(raw)):
-                descriptor = _glaisher_identity(int(match[1]))
-            if descriptor is not None:
-                selected.append(descriptor)
-                interpretations = set(descriptor.interpretations)
-                selected_groups += [g for g in groups if set(g[1]) <= interpretations]
+            if (label := by_key.get(raw)) is not None:
+                labels.append(label)
+                selected_groups += [g for g in groups if set(g[1]) <= set(identities[label])]
+            elif match := _GLAISHER_NAME.fullmatch(raw):
+                moduli.append(int(match[1]))
             elif picked := [g for g in groups if g[0] == raw]:
                 selected_groups += picked
             else:
                 unknown.append(raw)
-        selected = list({d.name: d for d in selected}.values())
-        selected_groups = list(dict.fromkeys(selected_groups))
 
-    moduli = tuple(sorted(m for d in selected if (m := d.glaisher_modulus or 0) > 2))
-    checks = [c for d in selected for c in _identity_checks(d, order, max_weight, moduli)]
+    tail = tuple(sorted({m for m in moduli if m > 2}))
+    checks = [c for label in dict.fromkeys(labels)
+              for c in _identity_checks(label, identities[label], order, max_weight)]
+    checks += [c for m in dict.fromkeys(moduli)
+               for c in _glaisher_checks(m, order, max_weight, tail)]
     checks += [
         _check(name, "equinumerosity", max_weight, verify_equinumerosity, members,
                inputs=(_group_series_input(members, max_weight + 1),
                        *(_counts_input(e.profile, max_weight) for e in members)))
-        for name, members in selected_groups
+        for name, members in dict.fromkeys(selected_groups)
     ]
     checks += [
         _check(raw, "lookup", 0, Finding, "unknown identity", error=True)

@@ -698,6 +698,34 @@ class TestMalformedCatalog:
                 custom_entry(offsets=[{"when": "otherwise", "value": "1", "vaule": "2"}]),
                 "catalog entry 'custom': unknown offset case key 'vaule'",
             ),
+            (
+                custom_fields(modulus=None),
+                "catalog entry 'custom': residues must be null without a modulus",
+            ),
+            (custom_entry(slots=3), "catalog entry 'custom': slots must be a string"),
+            (
+                custom_entry(
+                    offsets=[{"when": 1, "value": "0"}, {"when": "otherwise", "value": "0"}]
+                ),
+                "catalog entry 'custom': when must be a string",
+            ),
+            (
+                custom_entry(offsets=[{"when": "otherwise", "value": 0}]),
+                "catalog entry 'custom': value must be a string",
+            ),
+            (
+                custom_entry(min_weight=["n"]),
+                "catalog entry 'custom': min_weight must be a string",
+            ),
+            (
+                custom_fields(branches={"a": 1}),
+                "catalog entry 'custom': branches must be a list of objects",
+            ),
+            (
+                custom_entry(offsets="otherwise"),
+                "catalog entry 'custom': offsets must be a list of objects",
+            ),
+            (json.dumps({"entries": [5]}), "catalog entry #1: entries must be JSON objects"),
         ],
         ids=[
             "no-entries", "list", "no-min-weight", "no-file", "zero-division",
@@ -705,7 +733,8 @@ class TestMalformedCatalog:
             "string-aliases", "string-residues", "float-residue", "float-n-min",
             "string-n-min", "bool-n-min", "float-modulus", "string-modulus",
             "unknown-entry-key", "unknown-identity-key", "unknown-branch-key",
-            "unknown-case-key",
+            "unknown-case-key", "residues-without-modulus", "int-slots", "int-when",
+            "int-value", "list-min-weight", "object-branches", "string-offsets", "int-entry",
         ],
     )
     def test_is_a_domain_error_on_one_line(

@@ -20,7 +20,8 @@ MODULES = (series, partitions, profiles, bijections, verify)
 # replaced, made up the cost model that planned product-side routes before
 # every product side followed one rule, built product sides before that
 # rule was one function, or were the private tuple twins of a public
-# partition map or the scan limit that the shared sum-side scan replaced;
+# partition map or the scan limit that the shared sum-side scan replaced,
+# or planned a catalog identity and a divide-by-M one through one record;
 # each must stay gone from the package, its module and the class that held
 # it.
 REMOVED = (
@@ -67,6 +68,9 @@ REMOVED = (
         "_product_side_by_dilation", "_product_side_by_numerator",
         "_product_side_by_complement", "_one_minus_tail",
     )),
+    *((verify, name) for name in (
+        "IdentityDescriptor", "_catalog_identities", "_glaisher_identity", "_sum_input",
+    )),
 )
 
 # Parameters that only a test ever set, or that routed product sides through
@@ -82,7 +86,6 @@ REMOVED_PARAMETERS = (
     (verify.run_suite, "alpha_terms"),
     (bijections.rr2_step_c, "n"),
     (bijections.rr2_inverse, "n"),
-    (verify.IdentityDescriptor, "sum_profile"),
     (verify._identity_checks, "product"),
     (verify._group_series_input, "product"),
 )

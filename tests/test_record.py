@@ -22,7 +22,6 @@ from qident.series import ResidueClass, TruncatedSeries
 from qident.verify import (
     Check,
     Finding,
-    IdentityDescriptor,
     SuiteSummary,
     VerificationReport,
     _Input,
@@ -46,7 +45,6 @@ SAMPLES = (
     ENTRY,
     BijectionRecord((2, 1), (3,), 1, 3, 3),
     CertificationReport(3, 3, None),
-    IdentityDescriptor("rr2", ENTRY.product, interpretations=(ENTRY,)),
     REPORT,
     Finding("coefficients differ", exponent=4, lhs=1, rhs=2),
     SuiteSummary((REPORT,), (0.5,)),
@@ -76,7 +74,7 @@ def subclasses(cls: type) -> set[type]:
 def test_every_value_type_is_a_record_with_a_sample():
     shipped = {c for c in subclasses(Record) if c.__module__.startswith("qident.")}
     assert shipped == {type(s) for s in SAMPLES}
-    assert len(shipped) == 18
+    assert len(shipped) == 17
 
 
 @pytest.mark.parametrize("record", SAMPLES, ids=lambda r: type(r).__name__)

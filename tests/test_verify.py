@@ -33,7 +33,6 @@ from qident.series import (
 from qident.verify import (
     Check,
     Finding,
-    IdentityDescriptor,
     SuiteSummary,
     VerificationReport,
     euler_forms_report,
@@ -137,11 +136,6 @@ class TestAnalytic:
     def test_missing_product_plans_no_analytic_row(self):
         plan = plan_checks(["example-family"], 10, 5, default_catalog())
         assert plan and "analytic" not in {c.mode for c in plan}
-
-    def test_missing_sum_side_is_error(self):
-        bare = IdentityDescriptor(name="bare", product=ResidueClass(5, frozenset({2, 3})))
-        with pytest.raises(ValueError, match="has no sum side"):
-            verify_module._identity_checks(bare, 10, 5, ())
 
 
 class TestCombinatorial:
@@ -1404,14 +1398,37 @@ class TestPlan:
         identities = {c.identity for c in plan if c.mode != "equinumerosity"}
         groups = {c.identity for c in plan if c.mode == "equinumerosity"}
         aliases = [f"appendix-{letter}" for letter in "abcdefghijklmn"]
-        assert len(identities) == 22 and len(groups) == 8
-        for name in sorted(identities | groups) + aliases:
+        entry_names = [e.name for e in default_catalog().entries()]
+        assert len(identities) == 22 and len(groups) == 8 and len(entry_names) == 22
+        for name in sorted(identities | groups) + aliases + entry_names:
             checks = plan_checks([name], 10, 5, default_catalog())
             assert checks and all(c.mode != "lookup" for c in checks), name
         assert {c.identity for c in plan_checks(["appendix-a"], 10, 5, default_catalog())} == {
             "euler",
             "euler-interpretations",
         }
+
+    def test_each_name_plans_rows_of_the_whole_plan(self):
+        """Whatever one name selects is planned as ``all`` plans it: the same
+        row, reading inputs of the same keys."""
+        catalog = default_catalog()
+
+        def rows(names):
+            plan = plan_checks(names, 10, 5, catalog)
+            keys = [tuple(shared.key for shared in c.inputs) for c in plan]
+            return [(*row, key) for row, key in zip(plan_rows(plan), keys)]
+
+        everything = rows(None)
+        names = {"glaisher-2", "glaisher-3", "glaisher-4", "glaisher-5", "glaisher-6",
+                 "glaisher-7"}
+        names |= {row[0] for row in everything if row[1] == "equinumerosity"}
+        for e in catalog.entries():
+            names |= {e.identity or e.name, e.name, *e.aliases}
+        # six moduli, eight groups, three shared labels, 22 entries, 14 aliases
+        assert len(names) == 6 + 8 + 3 + 22 + 14
+        for name in sorted(names):
+            selected = rows([name])
+            assert selected and set(selected) <= set(everything), name
 
     def test_unknown_names_are_planned_error_rows(self):
         plan = plan_checks(["nope", "rr2", "nope"], 10, 5, default_catalog())
