@@ -15,7 +15,7 @@ from collections.abc import Callable, Iterable, Sequence
 from typing import Any
 
 from ._record import Record
-from .partitions import ChainConstraint, GapBound, Partition, _bracketed, chain_violation
+from .partitions import ChainConstraint, Partition, _bracketed, chain_violation
 from .profiles import ProfileFamily, profile_to_chain
 
 __all__ = [
@@ -136,7 +136,7 @@ def rr2_inverse(b: Sequence[int]) -> Partition:
     v = tuple(b)
     n = len(v)
     if n:
-        chain = ChainConstraint((GapBound(2),) * (n - 1), GapBound(2))
+        chain = ChainConstraint((2,) * (n - 1), 2)
         violation = chain_violation(v, chain)
         if violation is not None:
             raise ValueError(f"input violates the gap-2 chain: {violation}")

@@ -24,7 +24,6 @@ from .series import ResidueClass
 
 __all__ = [
     "Partition",
-    "GapBound",
     "ChainConstraint",
     "parse_partition",
     "conjugate",
@@ -124,34 +123,19 @@ def conjugate(parts: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-class GapBound(Record):
-    """Bounds r <= a - b <= s on one adjacent difference; no upper if ``upper``
-    is None."""
-
-    lower: int
-    upper: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.lower < 0:
-            raise ValueError("gap lower bound must be nonnegative")
-        if self.upper is not None and self.upper < self.lower:
-            raise ValueError(f"gap upper bound {self.upper} below lower {self.lower}")
-
-    def admits(self, difference: int) -> bool:
-        if difference < self.lower:
-            return False
-        return self.upper is None or difference <= self.upper
-
-
 class ChainConstraint(Record):
-    """Per-slot difference bounds a_1 >= a_2 >= ... >= a_m >= 0.
+    """Per-slot lower bounds on the differences of a_1 >= a_2 >= ... >= a_m >= 0.
 
-    ``gaps[s]`` constrains a_{s+1} - a_{s+2}; ``terminal`` constrains the last
-    entry a_m itself (its difference from 0).
+    ``gaps[s]`` is the least value of a_{s+1} - a_{s+2}; ``terminal`` is the
+    least value of the last entry a_m itself (its difference from 0).
     """
 
-    gaps: tuple[GapBound, ...]
-    terminal: GapBound
+    gaps: tuple[int, ...]
+    terminal: int
+
+    def __post_init__(self) -> None:
+        if min(self.gaps, default=0) < 0 or self.terminal < 0:
+            raise ValueError("gap lower bound must be nonnegative")
 
     @property
     def slots(self) -> int:
@@ -165,20 +149,16 @@ def chain_violation(vector: Sequence[int], chain: ChainConstraint) -> str | None
         raise ValueError(
             f"vector length {len(vector)} does not match {chain.slots} slots"
         )
-    for s, bound in enumerate(chain.gaps):
+    for s, lower in enumerate(chain.gaps):
         d = vector[s] - vector[s + 1]
-        if not bound.admits(d):
+        if d < lower:
             return (
                 f"difference {d} between slots {s + 1} and {s + 2} violates "
-                f"[{bound.lower}, {'inf' if bound.upper is None else bound.upper}]"
+                f"[{lower}, inf]"
             )
     last = vector[-1]
-    if not chain.terminal.admits(last):
-        return (
-            f"terminal value {last} violates "
-            f"[{chain.terminal.lower}, "
-            f"{'inf' if chain.terminal.upper is None else chain.terminal.upper}]"
-        )
+    if last < chain.terminal:
+        return f"terminal value {last} violates [{chain.terminal}, inf]"
     return None
 
 
@@ -187,9 +167,9 @@ def _chain_minima(chain: ChainConstraint) -> tuple[list[int], list[int]]:
     terminal, and the smallest sum of the slots from each position on."""
     m = chain.slots
     min_value = [0] * m
-    min_value[m - 1] = chain.terminal.lower
+    min_value[m - 1] = chain.terminal
     for s in range(m - 2, -1, -1):
-        min_value[s] = min_value[s + 1] + chain.gaps[s].lower
+        min_value[s] = min_value[s + 1] + chain.gaps[s]
     min_tail = [0] * (m + 1)
     for s in range(m - 1, -1, -1):
         min_tail[s] = min_tail[s + 1] + min_value[s]
@@ -208,8 +188,7 @@ def enumerate_chain(chain: ChainConstraint, weight: int) -> list[tuple[int, ...]
     if weight < 0:
         return []
     m = chain.slots
-    lows = [g.lower for g in chain.gaps]
-    highs = [g.upper for g in chain.gaps]
+    lows = chain.gaps
     min_value, min_tail = _chain_minima(chain)
     # Below a value v at slot s, slot t > s is at most v - (drop[t] - drop[s]),
     # drop[t] being the sum of the lower gaps before slot t.  That is at least
@@ -229,12 +208,9 @@ def enumerate_chain(chain: ChainConstraint, weight: int) -> list[tuple[int, ...]
         hi = remaining - min_tail[s + 1]
         if s > 0:
             hi = min(hi, prev - lows[s - 1])
-            if highs[s - 1] is not None:
-                lo = max(lo, prev - highs[s - 1])
         if s == m - 1:
-            v = remaining
-            if lo <= v <= hi and chain.terminal.admits(v):
-                out.append(prefix + (v,))
+            if lo <= remaining <= hi:
+                out.append(prefix + (remaining,))
             continue
         # the least v whose later slots can hold the rest, remaining - v
         k = m - 1 - s
@@ -257,31 +233,25 @@ def count_chain_by_weight(chain: ChainConstraint, max_weight: int) -> list[int]:
     if max_weight < 0:
         return counts
     last = chain.slots - 1
-    lows = [g.lower for g in chain.gaps]
-    highs = [g.upper for g in chain.gaps]
-    top = max_weight if chain.terminal.upper is None else chain.terminal.upper
     min_value, min_tail = _chain_minima(chain)
     hi = max_weight - min_tail[1]
     if not last:  # one slot: each value is a vector of its own weight
-        for weight in range(min_value[0], min(hi, top) + 1):
+        for weight in range(min_value[0], hi + 1):
             counts[weight] += 1
         return counts
     stack = [(0, min_value[0], hi, 0)]
     while stack:
         s, lo, hi, used = stack.pop()
         nxt = s + 1
-        gap, upper = lows[s], highs[s]
-        floor, room = min_value[nxt], max_weight - min_tail[nxt + 1]
+        gap = chain.gaps[s]
+        next_lo, room = min_value[nxt], max_weight - min_tail[nxt + 1]
         leaf = nxt == last
         for v in range(lo, hi + 1):  # the range of slot nxt below each value v
             w = used + v
-            next_lo = floor if upper is None or v - upper <= floor else v - upper
             next_hi = v - gap
             if room - w < next_hi:
                 next_hi = room - w
             if leaf:
-                if top < next_hi:
-                    next_hi = top
                 for weight in range(w + next_lo, w + next_hi + 1):
                     counts[weight] += 1
             elif next_lo <= next_hi:
@@ -298,8 +268,7 @@ def count_bounded_gap_vectors(modulus: int, max_weight: int) -> list[int]:
     node is a vector, and its children put one more entry in front of it, the
     current first entry plus d for d in [0, M-1].  Every node is a vector of
     its own length, so each adds 1 to the count of its weight, and none is
-    built.  The counts equal those of ``count_chain_by_weight`` on the
-    uniform chain of each slot count, summed over the slot counts.
+    built.
     """
     if modulus < 2:
         raise ValueError("modulus must be at least 2")

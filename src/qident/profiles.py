@@ -13,12 +13,14 @@ import json
 from collections.abc import Iterable
 from functools import lru_cache
 from importlib import resources
+from operator import sub
 from pathlib import Path
 
 from ._record import Record
-from .partitions import ChainConstraint, GapBound, count_chain_by_weight
+from .partitions import ChainConstraint, count_chain_by_weight
 from .series import (
     ResidueClass,
+    SumTerminationError,
     TruncatedSeries,
     _standard_terms,
     _sum_terms,
@@ -367,8 +369,9 @@ def _branch_from_json(data: dict) -> ProfileBranch:
         _compiled_rule(case.when)
     for case in cases:
         _compiled_rule(case.value)
-    _compiled_rule(data["slots"])
-    _compiled_rule(data["min_weight"])
+    for key in ("slots", "min_weight"):  # rules in the branch index n alone
+        if "s" in _compiled_rule(data[key]).co_names:
+            raise ValueError(f"{key} rule {data[key]!r} names s, as only offset rules may")
     return ProfileBranch(label, n_min, data["slots"], data["min_weight"], cases)
 
 
@@ -388,6 +391,8 @@ def _entry_from_json(data: dict) -> CatalogEntry:
     branches = tuple(_branch_from_json(b) for b in data["branches"])
     _known_keys(data, _ENTRY_KEYS, "key")
     _strings(data, "name", "source")
+    if not data["name"]:
+        raise ValueError("name must be a nonempty string")
     if not _list_of(data.get("aliases", []), str):
         raise ValueError("aliases must be a list of strings")
     if len(branches) == 1:
@@ -407,6 +412,8 @@ def _entry_from_json(data: dict) -> CatalogEntry:
             raise ValueError("modulus must be an integer")
         if not _list_of(data["residues"], int):
             raise ValueError("residues must be a list of integers")
+        if len(set(data["residues"])) < len(data["residues"]):
+            raise ValueError("residues must not repeat a value")
         product = ResidueClass(data["modulus"], frozenset(data["residues"]))
     elif data.get("residues") is not None:
         raise ValueError("residues must be null without a modulus")
@@ -423,7 +430,7 @@ def loads_catalog(text: str) -> Catalog:
     """Parse a catalog.  A payload that is not an object with an ``entries``
     list raises ValueError; so does an entry with a missing or unknown key, a
     value of the wrong type or an invalid field, and the error names the
-    entry (by position when it has no string name)."""
+    entry (by position when it has no nonempty string name)."""
     payload = json.loads(text)
     if not isinstance(payload, dict) or not isinstance(payload.get("entries"), list):
         raise ValueError("a catalog must be a JSON object with an 'entries' list")
@@ -433,7 +440,7 @@ def loads_catalog(text: str) -> Catalog:
             entries.append(_entry_from_json(data))
         except (KeyError, TypeError, ValueError) as exc:
             name = data.get("name") if isinstance(data, dict) else None
-            label = repr(name) if isinstance(name, str) else f"#{position}"
+            label = repr(name) if isinstance(name, str) and name else f"#{position}"
             problem = f"missing key {exc}" if isinstance(exc, KeyError) else exc
             raise ValueError(f"catalog entry {label}: {problem}") from None
     return Catalog(entries)
@@ -505,10 +512,7 @@ def _offsets_chain(name: str, index: int, offsets: tuple[int, ...]) -> ChainCons
                 f"profile {name}: offsets increase at (index={index}, "
                 f"s={s + 1} -> {s + 2})"
             )
-    gaps = tuple(
-        GapBound(offsets[s] - offsets[s + 1]) for s in range(len(offsets) - 1)
-    )
-    return ChainConstraint(gaps, GapBound(offsets[-1]))
+    return ChainConstraint(tuple(map(sub, offsets, offsets[1:])), offsets[-1])
 
 
 def profile_to_chain(family: ProfileFamily, index: int) -> ChainConstraint:
@@ -538,24 +542,55 @@ def profile_series(family: ProfileFamily, order: int) -> TruncatedSeries:
     )
 
 
+# Terms a branch's scan may list with exponents within the bound before it
+# gives up: the limit ``sum_side_standard`` sets on the series route.
+_MAX_TERMS = 10_000
+
+
+def _chain_terms(branch: ProfileBranch, max_weight: int) -> list[tuple[int, int, int]]:
+    """(n, S(n), u(n)) of every term of ``branch`` whose exponent S(n) is at
+    most ``max_weight``, read from its rules up to the first that is not.
+    The exponents must be nonnegative and nondecreasing, and a scan that
+    stays within the bound for more than 10,000 terms raises
+    SumTerminationError.  This is the enumeration route's own scan, sharing
+    no code with the one ``profile_series`` reads."""
+    terms = []
+    previous = 0
+    for n in range(branch.n_min, branch.n_min + _MAX_TERMS + 1):
+        w, u = branch.declared_weight(n), branch.slot_count(n)
+        if w < 0:
+            raise ValueError(f"negative exponent at n={n}")
+        if w < previous:
+            raise ValueError(
+                f"term exponents must be nondecreasing: value {w} at n={n} "
+                f"after {previous}"
+            )
+        if w > max_weight:
+            return terms
+        previous = w
+        terms.append((n, w, u))
+    raise SumTerminationError(
+        f"exponent stayed at most {max_weight} for more than {_MAX_TERMS} "
+        f"terms (last n={n})"
+    )
+
+
 def profile_chain_counts(family: ProfileFamily, max_weight: int) -> list[int]:
     """Counts, for every weight 0..max_weight, of chain vectors over all branch
     terms of the family.  This is the enumeration route: it never touches the
-    series algebra, though each branch's terms are scanned and checked by the
-    scan ``profile_series`` reads, up to exponent ``max_weight``."""
+    series algebra.  Every branch's terms are scanned by ``_chain_terms``
+    before any chain is counted, so a scan that fails does so before the
+    counting work."""
+    terms = [(b, term) for b in family.branches for term in _chain_terms(b, max_weight)]
     counts = [0] * (max_weight + 1)
-    for branch in family.branches:
-        terms = _standard_terms(
-            branch.declared_weight, branch.slot_count, max_weight + 1, branch.n_min
-        )
-        for n, (w, u) in enumerate(terms, start=branch.n_min):
-            if u == 0:
-                counts[w] += 1
-                continue
-            chain = _offsets_chain(family.name, branch.family_index(n), branch.offsets_at(n))
-            term_counts = count_chain_by_weight(chain, max_weight)
-            for weight in range(w, max_weight + 1):
-                counts[weight] += term_counts[weight]
+    for branch, (n, w, u) in terms:
+        if u == 0:
+            counts[w] += 1
+            continue
+        chain = _offsets_chain(family.name, branch.family_index(n), branch.offsets_at(n))
+        term_counts = count_chain_by_weight(chain, max_weight)
+        for weight in range(w, max_weight + 1):
+            counts[weight] += term_counts[weight]
     return counts
 
 

@@ -56,7 +56,6 @@ __all__ = [
     "sum_side_glaisher",
     "euler_distinct_sum",
     "alpha_closed_form",
-    "alpha_recurrence",
 ]
 
 
@@ -500,31 +499,3 @@ def _alpha_from_sum(modulus: int, n: int, lower_sum: Sequence[int], order: int) 
         e = j * n
         out[e : e + top] = map(add, out[e : e + top], lower_sum)
     return out
-
-
-def alpha_recurrence(
-    modulus: int,
-    n: int,
-    lower: Iterable[TruncatedSeries],
-    order: int,
-) -> TruncatedSeries:
-    """The n-th term from the recurrence
-
-        alpha_n = (q^n + q^{2n} + ... + q^{(M-1)n}) * (alpha_0 + ... + alpha_{n-1}),
-
-    given all lower terms at order >= ``order``.
-    """
-    if modulus < 2:
-        raise ValueError("modulus must be at least 2")
-    if n < 1:
-        raise ValueError("recurrence needs a positive term index")
-    terms = list(lower)
-    if len(terms) != n:
-        raise ValueError(f"expected {n} lower terms, got {len(terms)}")
-    acc = [0] * order
-    for t in terms:
-        if t.order < order:
-            raise ValueError("all lower terms must be supplied at the target order")
-        acc = list(map(add, acc, t.coefficients))
-    term = _alpha_from_sum(modulus, n, acc, order)
-    return TruncatedSeries((*term, *(0,) * (order - len(term))))

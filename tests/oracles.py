@@ -9,8 +9,9 @@ recurse on the remaining weight, where the package counts without building.
 ``partitions_repetition_bounded`` alone reads the package's bounded-repetition
 walk, one weight of it, for tests of what is built on that walk.
 ``offset_rows`` lists every offset row of a term from those same partitions,
-and ``chain_vectors`` lists a chain's vectors by recursion on the slots with
-no pruning, where the package keeps its own stack and prunes on the weight.
+and ``chain_vectors`` lists the vectors of given gap bounds, lower and upper,
+by recursion on the slots with no pruning, where the package keeps its own
+stack and prunes on the weight.
 ``glaisher_merge`` is the package's merge as it was before it learned to
 return its fixed points unchanged: it rebuilds every image, and
 ``glaisher_divide`` rewrites one divisible part at a time.  ``alpha_term``
@@ -110,22 +111,27 @@ def offset_rows(total, slots):
     ]
 
 
-def chain_vectors(chain, weight):
-    """Every vector of ``chain.slots`` entries summing to ``weight`` whose
-    adjacent differences and last entry lie within the chain's bounds, in
-    lexicographically decreasing order: each entry runs from the remaining
-    weight down to 0, by recursion on the slots, with no pruning."""
+def chain_vectors(gaps, terminal, weight):
+    """Every vector of ``len(gaps) + 1`` entries summing to ``weight`` whose
+    adjacent differences lie within ``gaps`` and whose last entry lies within
+    ``terminal``, each bound a ``(lower, upper)`` pair with ``upper`` None for
+    none, in lexicographically decreasing order: each entry runs from the
+    remaining weight down to 0, by recursion on the slots, with no pruning.
+    The package's chains have lower bounds alone; the upper ones are for
+    sets such as the bounded-gap vectors, which the package counts by a
+    search of their own."""
     def within(bound, difference):
-        return bound.lower <= difference and (bound.upper is None or difference <= bound.upper)
+        lower, upper = bound
+        return lower <= difference and (upper is None or difference <= upper)
 
     def grow(prefix, remaining):
         s = len(prefix)
-        if s == chain.slots:
-            return [prefix] if remaining == 0 and within(chain.terminal, prefix[-1]) else []
+        if s == len(gaps) + 1:
+            return [prefix] if remaining == 0 and within(terminal, prefix[-1]) else []
         return [
             vector
             for value in range(remaining, -1, -1)
-            if not s or within(chain.gaps[s - 1], prefix[-1] - value)
+            if not s or within(gaps[s - 1], prefix[-1] - value)
             for vector in grow(prefix + (value,), remaining - value)
         ]
 

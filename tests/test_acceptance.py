@@ -3,6 +3,7 @@
 Run with ``pytest -s tests/test_acceptance.py`` to see one line per criterion.
 """
 
+import sys
 import time
 
 from qident.bijections import (
@@ -18,25 +19,27 @@ from qident.bijections import (
 from qident.cli import main as cli_main
 from qident.partitions import (
     ChainConstraint,
-    GapBound,
     Partition,
     chain_violation,
     conjugate,
-    enumerate_chain,
 )
-from qident.profiles import default_catalog, profile_chain_counts, validate_profile
+from qident.profiles import (
+    default_catalog,
+    profile_chain_counts,
+    profile_series,
+    validate_profile,
+)
 from qident.series import (
     ResidueClass,
-    alpha_closed_form,
-    alpha_recurrence,
     euler_distinct_sum,
     product_side,
-    series_one,
     sum_side_glaisher,
     sum_side_standard,
 )
+from qident.verify import glaisher_alpha_report
 
 from oracles import (
+    chain_vectors,
     enumerate_partitions_with_parts,
     no_part_divisible,
     partitions_repetition_bounded,
@@ -192,15 +195,10 @@ def test_criterion_6_glaisher_bijection_certified():
 
 
 def test_criterion_7_alpha_recurrence_vs_closed_form():
+    # the report carries the recurrence's terms forward and compares each
+    # with the closed form
     started = time.perf_counter()
-    ok = True
-    for modulus in range(2, 7):
-        terms = [series_one(100)]
-        for n in range(1, 26):
-            recurred = alpha_recurrence(modulus, n, terms, 100)
-            closed = alpha_closed_form(modulus, n, 100)
-            ok = ok and recurred == closed
-            terms.append(recurred)
+    ok = all(glaisher_alpha_report(modulus, 25, 100) is None for modulus in range(2, 7))
     report(
         7,
         "term recurrence equals closed form for M=2..6, n<=25, order 100",
@@ -219,7 +217,7 @@ def test_criterion_8_rr2_bijection_certified_to_30():
             image = rr2_forward(p)
             ok = ok and len(image) == n
             if n:
-                chain = ChainConstraint((GapBound(2),) * (n - 1), GapBound(2))
+                chain = ChainConstraint((2,) * (n - 1), 2)
                 ok = ok and chain_violation(image, chain) is None
             ok = ok and rr2_inverse(image) == p
             ok = ok and weight_relation_check(rr2_record(p))
@@ -251,13 +249,12 @@ def test_criterion_9_conjugate_chain_characterization():
                 conjugate(p.parts)
                 for p in partitions_repetition_bounded(weight, modulus)
             }
-            chain_vectors = set()
+            bounded_gap_vectors = set()
             for slots in range(1, weight + 1):
-                chain = ChainConstraint(
-                    (GapBound(0, modulus - 1),) * (slots - 1), GapBound(1, modulus - 1)
+                bounded_gap_vectors.update(
+                    chain_vectors(((0, modulus - 1),) * (slots - 1), (1, modulus - 1), weight)
                 )
-                chain_vectors.update(enumerate_chain(chain, weight))
-            ok = ok and conjugates == chain_vectors
+            ok = ok and conjugates == bounded_gap_vectors
             if not ok:
                 break
         if not ok:
@@ -269,6 +266,22 @@ def test_criterion_9_conjugate_chain_characterization():
         time.perf_counter() - started,
     )
     assert ok
+
+
+def files_run(call, *args):
+    """The source files of every Python function that ``call(*args)`` runs."""
+    files = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            files.add(frame.f_code.co_filename)
+
+    sys.setprofile(record)
+    try:
+        call(*args)
+    finally:
+        sys.setprofile(None)
+    return files
 
 
 def test_criterion_10_pipeline_independence():
@@ -290,6 +303,16 @@ def test_criterion_10_pipeline_independence():
             ok = ok and (node.module is None or "partitions" not in node.module)
         if isinstance(node, ast.Import):
             ok = ok and all("partitions" not in alias.name for alias in node.names)
+    # imports alone miss a route that calls into the other's module: the
+    # chain counts must run no code of the series module, and the profile
+    # sums none of the partitions module
+    for entry in default_catalog().entries():
+        ok = ok and series_module.__file__ not in files_run(
+            profile_chain_counts, entry.profile, 30
+        )
+        ok = ok and partitions_module.__file__ not in files_run(
+            profile_series, entry.profile, 31
+        )
     report(
         10,
         "series and enumeration pipelines share no counting code",

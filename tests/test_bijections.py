@@ -26,7 +26,6 @@ from qident.bijections import (
 )
 from qident.partitions import (
     ChainConstraint,
-    GapBound,
     Partition,
     chain_violation,
     enumerate_chain,
@@ -163,10 +162,7 @@ class TestRR2Map:
             for p in enumerate_partitions_with_parts(RR2, weight):
                 n = len(p)
                 c = rr2_step_c(p)
-                chain = ChainConstraint(
-                    (GapBound(n * n),) + (GapBound(0),) * (n - 2) if n > 1 else (),
-                    GapBound(1),
-                )
+                chain = ChainConstraint((n * n,) + (0,) * (n - 2) if n > 1 else (), 1)
                 assert chain_violation(c, chain) is None, (p, c)
 
     def test_certified_to_weight_30(self):
@@ -176,7 +172,7 @@ class TestRR2Map:
                 image = rr2_forward(p)
                 assert len(image) == n
                 if n:
-                    chain = ChainConstraint((GapBound(2),) * (n - 1), GapBound(2))
+                    chain = ChainConstraint((2,) * (n - 1), 2)
                     assert chain_violation(image, chain) is None
                 assert rr2_inverse(image) == p
                 assert weight_relation_check(rr2_record(p))

@@ -726,6 +726,19 @@ class TestMalformedCatalog:
                 "catalog entry 'custom': offsets must be a list of objects",
             ),
             (json.dumps({"entries": [5]}), "catalog entry #1: entries must be JSON objects"),
+            (
+                custom_entry(slots="n + s"),
+                "catalog entry 'custom': slots rule 'n + s' names s, as only offset rules may",
+            ),
+            (
+                custom_entry(min_weight="n*n + parity(s)"),
+                "catalog entry 'custom': min_weight rule 'n*n + parity(s)' names s",
+            ),
+            (
+                custom_fields(residues=[2, 2, 3]),
+                "catalog entry 'custom': residues must not repeat a value",
+            ),
+            (custom_fields(name=""), "catalog entry #1: name must be a nonempty string"),
         ],
         ids=[
             "no-entries", "list", "no-min-weight", "no-file", "zero-division",
@@ -735,6 +748,7 @@ class TestMalformedCatalog:
             "unknown-entry-key", "unknown-identity-key", "unknown-branch-key",
             "unknown-case-key", "residues-without-modulus", "int-slots", "int-when",
             "int-value", "list-min-weight", "object-branches", "string-offsets", "int-entry",
+            "s-in-slots", "s-in-min-weight", "repeated-residue", "empty-name",
         ],
     )
     def test_is_a_domain_error_on_one_line(

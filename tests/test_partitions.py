@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from qident.partitions import (
     ChainConstraint,
-    GapBound,
     Partition,
     repetition_bounded_walk,
     chain_violation,
@@ -43,10 +42,10 @@ def all_partitions(weight: int) -> list[Partition]:
     return enumerate_partitions(weight)
 
 
-def lower_gaps(lowers, terminal: int) -> ChainConstraint:
-    """The chain with lower bounds ``lowers`` on its gaps and ``terminal`` on
-    its last entry, and no upper bounds."""
-    return ChainConstraint(tuple(GapBound(g) for g in lowers), GapBound(terminal))
+def listed(chain: ChainConstraint, weight: int) -> list[tuple[int, ...]]:
+    """The vectors of ``chain`` at ``weight`` as the recursive reference lists
+    them, its lower bounds given with no upper ones."""
+    return chain_vectors([(g, None) for g in chain.gaps], (chain.terminal, None), weight)
 
 
 def assert_valid(p: Partition) -> None:
@@ -111,37 +110,30 @@ class TestConjugate:
 
 class TestChains:
     def test_satisfies_worked_examples(self):
-        chain = lower_gaps((1, 0, 1, 0, 1), 1)
+        chain = ChainConstraint((1, 0, 1, 0, 1), 1)
         assert chain_violation((7, 3, 3, 2, 2, 1), chain) is None
-        steep = lower_gaps((9, 0, 0, 0, 0), 1)
+        steep = ChainConstraint((9, 0, 0, 0, 0), 1)
         assert chain_violation((13, 1, 1, 1, 1, 1), steep) is None
 
     def test_gap_violation(self):
-        chain = lower_gaps((1,), 0)
+        chain = ChainConstraint((1,), 0)
         assert chain_violation((2, 2), chain) is not None
         assert "slots 1 and 2" in chain_violation((2, 2), chain)
 
     def test_length_mismatch_is_error(self):
-        chain = lower_gaps((1,), 0)
+        chain = ChainConstraint((1,), 0)
         with pytest.raises(ValueError):
             chain_violation((1, 1, 1), chain)
 
     def test_gap_bound_validation(self):
-        with pytest.raises(ValueError):
-            GapBound(-1)
-        with pytest.raises(ValueError):
-            GapBound(3, 2)
-
-    def test_bounded_gap(self):
-        bound = GapBound(1, 3)
-        assert not bound.admits(0)
-        assert bound.admits(1) and bound.admits(3)
-        assert not bound.admits(4)
+        for gaps, terminal in (((-1,), 0), ((2, -1), 0), ((), -1)):
+            with pytest.raises(ValueError, match="gap lower bound must be nonnegative"):
+                ChainConstraint(gaps, terminal)
 
 
 class TestEnumerateChain:
     def test_alternating_example_weight_18(self):
-        chain = lower_gaps((1, 0, 1, 0, 1), 1)
+        chain = ChainConstraint((1, 0, 1, 0, 1), 1)
         assert enumerate_chain(chain, 18) == [
             (7, 3, 3, 2, 2, 1),
             (6, 4, 3, 2, 2, 1),
@@ -149,7 +141,7 @@ class TestEnumerateChain:
         ]
 
     def test_steep_atmost_example_weight_18(self):
-        chain = lower_gaps((15, 0, 0, 0, 0), 0)
+        chain = ChainConstraint((15, 0, 0, 0, 0), 0)
         assert enumerate_chain(chain, 18) == [
             (18, 0, 0, 0, 0, 0),
             (17, 1, 0, 0, 0, 0),
@@ -157,13 +149,13 @@ class TestEnumerateChain:
         ]
 
     def test_weight_zero(self):
-        lax = lower_gaps((0, 0), 0)
+        lax = ChainConstraint((0, 0), 0)
         assert enumerate_chain(lax, 0) == [(0, 0, 0)]
-        strict = lower_gaps((0, 0), 1)
+        strict = ChainConstraint((0, 0), 1)
         assert enumerate_chain(strict, 0) == []
 
     def test_results_satisfy_chain_and_weight(self):
-        chain = lower_gaps((2, 2, 0), 2)
+        chain = ChainConstraint((2, 2, 0), 2)
         for weight in range(30):
             seen = set()
             for vector in enumerate_chain(chain, weight):
@@ -173,54 +165,30 @@ class TestEnumerateChain:
                 seen.add(vector)
 
     def test_lexicographically_decreasing_order(self):
-        chain = lower_gaps((0, 0, 0), 0)
+        chain = ChainConstraint((0, 0, 0), 0)
         vectors = enumerate_chain(chain, 9)
         assert vectors == sorted(vectors, reverse=True)
 
-    def test_bounded_chain_glaisher_example(self):
-        # differences in [0,1], last entry exactly 1: weight 3 leaves (2,1)
-        chain = ChainConstraint((GapBound(0, 1),), GapBound(1, 1))
-        assert enumerate_chain(chain, 3) == [(2, 1)]
-
-    def test_bounded_chain_matches_filter_oracle(self):
-        chain = ChainConstraint((GapBound(0, 2),) * 2, GapBound(1, 2))
-        for weight in range(20):
-            brute = [
-                (a, b, c)
-                for a in range(weight + 1)
-                for b in range(weight + 1)
-                for c in range(weight + 1)
-                if a + b + c == weight
-                and 0 <= a - b <= 2
-                and 0 <= b - c <= 2
-                and 1 <= c <= 2
-            ]
-            assert enumerate_chain(chain, weight) == sorted(brute, reverse=True)
-
     def test_single_slot_counts(self):
-        chain = ChainConstraint((), GapBound(1))
+        chain = ChainConstraint((), 1)
         assert count_chain_by_weight(chain, 5) == [0, 1, 1, 1, 1, 1]
 
     def test_alternating_chain_count_at_18(self):
-        chain = lower_gaps((1, 0, 1, 0, 1), 1)
+        chain = ChainConstraint((1, 0, 1, 0, 1), 1)
         assert count_chain_by_weight(chain, 18)[18] == 3
 
     def test_matches_brute_force_over_mixed_bound_chains(self):
         # differential oracle: filter the full vector space directly
-        chains = []
-        for gaps, terminal in [
-            (((0, None), (2, 3)), (1, None)),
-            (((1, 1), (0, 2)), (0, 0)),
-            (((3, None), (0, None)), (2, 4)),
-            (((0, 1), (1, 2), (0, 0)), (1, 2)),
-            (((2, 2),), (0, None)),
-        ]:
-            chains.append(
-                ChainConstraint(
-                    tuple(GapBound(lo, hi) for lo, hi in gaps),
-                    GapBound(*terminal),
-                )
-            )
+        chains = [
+            ChainConstraint(gaps, terminal)
+            for gaps, terminal in [
+                ((0, 2), 1),
+                ((1, 0), 0),
+                ((3, 0), 2),
+                ((0, 1, 0), 1),
+                ((2,), 0),
+            ]
+        ]
         for chain in chains:
             m = chain.slots
             for weight in range(11):
@@ -248,26 +216,18 @@ class TestEnumerateChain:
                     break
                 chains += 1
                 for weight in range(15):
-                    assert enumerate_chain(chain, weight) == chain_vectors(chain, weight), (
+                    assert enumerate_chain(chain, weight) == listed(chain, weight), (
                         entry.name, index, weight,
                     )
         assert chains == 154
 
 
-gap_bounds = st.integers(0, 3).flatmap(
-    lambda lower: st.builds(
-        GapBound, st.just(lower), st.none() | st.integers(lower, lower + 3)
-    )
-)
+gap_bounds = st.integers(0, 3)
 chains = st.builds(
     ChainConstraint, st.lists(gap_bounds, max_size=3).map(tuple), gap_bounds
 )
-# lower gaps of 0 next to large ones, each with or without an upper bound
-irregular_gap_bounds = st.sampled_from((0, 0, 1, 4, 7)).flatmap(
-    lambda lower: st.builds(
-        GapBound, st.just(lower), st.none() | st.integers(lower, lower + 4)
-    )
-)
+# lower gaps of 0 next to large ones
+irregular_gap_bounds = st.sampled_from((0, 0, 1, 4, 7))
 irregular_chains = st.builds(
     ChainConstraint,
     st.lists(irregular_gap_bounds, min_size=1, max_size=4).map(tuple),
@@ -294,10 +254,10 @@ class TestChainProperties:
 
     @given(irregular_chains, st.integers(0, 16))
     def test_irregular_chains_list_as_the_recursive_reference(self, chain, weight):
-        """Zero lower gaps next to large ones, upper bounds or none: the
+        """Zero lower gaps next to large ones: the
         feasibility bound of each slot admits the very values the unpruned
         recursion keeps, in the same order."""
-        assert enumerate_chain(chain, weight) == chain_vectors(chain, weight)
+        assert enumerate_chain(chain, weight) == listed(chain, weight)
 
     @given(chains, st.integers(-1, 25))
     def test_counts_match_enumeration(self, chain, max_weight):
@@ -315,15 +275,20 @@ class TestChainProperties:
 class TestOneSearchCounts:
     @pytest.mark.parametrize("modulus", range(2, 8))
     def test_bounded_gap_vectors_match_per_slot_chain_counts(self, modulus):
-        # one search over every length against one chain search per slot count
-        gap, last = GapBound(0, modulus - 1), GapBound(1, modulus - 1)
+        # one search over every length against the partitions of each weight
+        # whose adjacent differences and smallest part are at most M - 1: a
+        # nonempty vector with gaps in [0, M-1] and last entry in [1, M-1]
+        # is such a partition
+        def bounded(parts):
+            return bool(parts) and all(
+                a - b < modulus for a, b in zip(parts, (*parts[1:], 0))
+            )
+
+        expected = [
+            sum(bounded(p.parts) for p in all_partitions(weight)) for weight in range(26)
+        ]
         for max_weight in range(26):
-            per_slot = [0] * (max_weight + 1)
-            for slots in range(1, max_weight + 1):
-                chain = ChainConstraint((gap,) * (slots - 1), last)
-                for weight, count in enumerate(count_chain_by_weight(chain, max_weight)):
-                    per_slot[weight] += count
-            assert count_bounded_gap_vectors(modulus, max_weight) == per_slot, max_weight
+            assert count_bounded_gap_vectors(modulus, max_weight) == expected[: max_weight + 1]
 
     def test_bounded_gap_vector_edges(self):
         assert count_bounded_gap_vectors(2, -1) == []
@@ -351,26 +316,6 @@ class TestOneSearchCounts:
         # residue, none of which may leak into another
         assert count_partitions_with_parts(rc, 40) == [
             len(enumerate_partitions_with_parts(rc, w)) for w in range(41)
-        ]
-
-    @pytest.mark.parametrize(
-        "gaps, terminal",
-        [
-            (((0, 2), (1, 3), (0, 1)), (1, 4)),
-            (((2, 3), (0, 0)), (0, 2)),
-            (((1, 4),), (3, 3)),
-            (((0, 1), (0, 1), (0, 1), (0, 1)), (0, 1)),
-            (((3, 5), (2, 2), (1, 6)), (0, 0)),
-        ],
-    )
-    def test_chain_counts_with_upper_bounds_match_enumeration(self, gaps, terminal):
-        # every gap and the terminal bounded above, so a slot's range is cut
-        # from both sides by the slot before it
-        chain = ChainConstraint(
-            tuple(GapBound(lo, hi) for lo, hi in gaps), GapBound(*terminal)
-        )
-        assert count_chain_by_weight(chain, 30) == [
-            len(enumerate_chain(chain, w)) for w in range(31)
         ]
 
     @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qident.partitions import GapBound, count_chain_by_weight
+from qident.partitions import count_chain_by_weight
 from qident.profiles import (
     PiecewiseCase,
     ProfileBranch,
@@ -197,18 +197,15 @@ class TestShippedCatalog:
 class TestProfileToChain:
     def test_gap_two_family(self):
         chain = profile_to_chain(default_catalog().lookup("P2").profile, 3)
-        assert chain.gaps == (GapBound(2), GapBound(2))
-        assert chain.terminal == GapBound(2)
+        assert (chain.gaps, chain.terminal) == ((2, 2), 2)
 
     def test_steep_family(self):
         chain = profile_to_chain(default_catalog().lookup("P4").profile, 3)
-        assert chain.gaps == (GapBound(12), GapBound(0))
-        assert chain.terminal == GapBound(0)
+        assert (chain.gaps, chain.terminal) == ((12, 0), 0)
 
     def test_constant_family(self):
         chain = profile_to_chain(default_catalog().lookup("P5").profile, 3)
-        assert chain.gaps == (GapBound(0), GapBound(0))
-        assert chain.terminal == GapBound(4)
+        assert (chain.gaps, chain.terminal) == ((0, 0), 4)
 
     def test_two_branch_indexing_by_part_count(self):
         profile = default_catalog().lookup("capparelli-1-6").profile
@@ -390,7 +387,7 @@ class TestProfileSeries:
         # n = 0 has exponent -1; counted, its term would land in the last
         # weight's count as counts[-1]
         profile = family("neg", "0", "n - 1", ())
-        message = "negative exponent or slot count at n=0"
+        message = "negative exponent.* at n=0"
         with pytest.raises(ValueError, match=message):
             profile_chain_counts(profile, 6)
         with pytest.raises(ValueError, match=message):

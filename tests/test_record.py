@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from qident._record import Record
 from qident.bijections import BijectionRecord, CertificationReport
-from qident.partitions import ChainConstraint, GapBound, Partition
+from qident.partitions import ChainConstraint, Partition
 from qident.profiles import (
     CatalogEntry,
     PiecewiseCase,
@@ -36,8 +36,7 @@ SAMPLES = (
     TruncatedSeries((1, 1, 2)),
     ResidueClass(5, frozenset({1, 4})),
     Partition((3, 1)),
-    GapBound(2),
-    ChainConstraint((GapBound(2),), GapBound(1)),
+    ChainConstraint((2,), 1),
     PiecewiseCase("otherwise", "0"),
     ENTRY.profile.branches[0],
     ENTRY.profile,
@@ -74,7 +73,7 @@ def subclasses(cls: type) -> set[type]:
 def test_every_value_type_is_a_record_with_a_sample():
     shipped = {c for c in subclasses(Record) if c.__module__.startswith("qident.")}
     assert shipped == {type(s) for s in SAMPLES}
-    assert len(shipped) == 17
+    assert len(shipped) == 16
 
 
 @pytest.mark.parametrize("record", SAMPLES, ids=lambda r: type(r).__name__)
@@ -126,7 +125,7 @@ def test_a_missing_field_or_an_unknown_or_repeated_keyword_is_refused():
         lambda: Finding(exponent=3),
         lambda: Finding("note", bogus=1),
         lambda: Finding("note", note="again"),
-        lambda: GapBound(1, 2, 3),
+        lambda: ChainConstraint((2,), 1, 0),
         lambda: VerificationReport("rr2", "analytic"),
         lambda: Partition((3, 1), weight=4),
     ):
@@ -135,7 +134,6 @@ def test_a_missing_field_or_an_unknown_or_repeated_keyword_is_refused():
 
 
 def test_defaults_apply_positionally_and_by_keyword():
-    assert GapBound(2).upper is None
     assert Finding("note") == Finding("note", None, None, None, False)
     assert Finding(lhs=1, note="note") == Finding("note", None, 1)
     entry = CatalogEntry(ENTRY.profile, ENTRY.product, "source")
@@ -160,7 +158,7 @@ def test_signature_lists_the_fields_and_their_defaults():
 
 def test_repr_shows_what_the_dataclass_repr_showed():
     assert repr(Partition((3, 1))) == "Partition(parts=(3, 1))"
-    assert repr(GapBound(2)) == "GapBound(lower=2, upper=None)"
+    assert repr(ChainConstraint((2,), 1)) == "ChainConstraint(gaps=(2,), terminal=1)"
     assert repr(REPORT) == (
         "VerificationReport(identity='rr2', mode='analytic', bound=30, outcome='pass', "
         "subject='', exponent=None, lhs=None, rhs=None, note='', elapsed=0.25)"
@@ -190,7 +188,7 @@ def test_no_other_record_orders():
     with pytest.raises(TypeError):
         rc < ResidueClass(5, frozenset({2, 3}))
     with pytest.raises(TypeError):
-        sorted([GapBound(1), GapBound(0)])
+        sorted([ChainConstraint((), 1), ChainConstraint((), 0)])
 
 
 residue_classes = st.integers(2, 7).flatmap(

@@ -5,6 +5,7 @@ import time
 from functools import cache
 from itertools import accumulate
 from math import isqrt
+from operator import add
 
 import pytest
 from hypothesis import example, given
@@ -29,7 +30,6 @@ from qident.series import (
     _reciprocal,
     _times_dilated,
     alpha_closed_form,
-    alpha_recurrence,
     euler_distinct_sum,
     product_side,
     series_one,
@@ -618,16 +618,17 @@ class TestAlpha:
         assert alpha_closed_form(2, 1, 5).to_list() == [0, 1, 0, 0, 0]
 
     def test_recurrence_first_term_is_geometric_block(self):
-        first = alpha_recurrence(5, 1, [series_one(10)], 10)
-        assert first.to_list() == [0, 1, 1, 1, 1, 0, 0, 0, 0, 0]
+        assert _alpha_from_sum(5, 1, [1], 10) == [0, 1, 1, 1, 1]
 
     @pytest.mark.parametrize("modulus", range(2, 7))
     def test_recurrence_equals_closed_form(self, modulus):
-        terms = [series_one(100)]
+        # the lower sum listed over the whole order, trailing zeros and all
+        lower_sum = [1] + [0] * 99
         for n in range(1, 26):
-            recurred = alpha_recurrence(modulus, n, terms, 100)
+            term = _alpha_from_sum(modulus, n, lower_sum, 100)
+            recurred = TruncatedSeries((*term, *(0,) * (100 - len(term))))
             assert recurred == alpha_closed_form(modulus, n, 100), (modulus, n)
-            terms.append(recurred)
+            lower_sum = list(map(add, lower_sum, recurred.coefficients))
 
     @pytest.mark.parametrize("modulus", (2, 3, 4))
     def test_one_plus_alpha_sum_is_glaisher_sum(self, modulus):
@@ -670,10 +671,6 @@ class TestAlpha:
                 term = _alpha_from_sum(modulus, n, given_sum, order)
                 assert len(term) == min(order, bound)
                 assert TruncatedSeries((*term, *(0,) * (order - len(term)))) == expected
-
-    def test_recurrence_requires_all_lower_terms(self):
-        with pytest.raises(ValueError):
-            alpha_recurrence(3, 2, [series_one(10)], 10)
 
 
 int_series = st.lists(st.integers(-(10**9), 10**9), min_size=3, max_size=80).map(
