@@ -86,11 +86,14 @@ _ALLOWED_NODES = (
     _ast.Eq,
     _ast.NotEq,
 )
-_ALLOWED_NAMES = frozenset({"n", "s", "parity"})
+_VARIABLES = frozenset({"n", "s"})
+_ALLOWED_NAMES = _VARIABLES | {"parity"}
 
 # Largest exponent of ``**`` in a rule, and largest result of it in bits, so
-# that no rule (``2**2**n``, or nested powers) can demand unbounded work.
+# that no rule (``2**2**n``, or nested powers) can demand unbounded work; and
+# the longest rule, past which compiling one can exhaust the parser's stack.
 _MAX_EXPONENT = 64
+_MAX_RULE_LENGTH = 256
 _MAX_POWER_BITS = 4096
 
 
@@ -151,6 +154,8 @@ def _compiled_rule(expr: str):
     itself and is checked breadth first, in the order of ``ast.walk``, so
     that the first disallowed node is the one reported, with no import of
     ``ast``; a rule with no power is compiled from its text."""
+    if len(expr) > _MAX_RULE_LENGTH:
+        raise ValueError(f"a rule of {len(expr)} characters is longer than {_MAX_RULE_LENGTH}")
     try:
         tree = compile(expr, "<unknown>", "eval", _ast.PyCF_ONLY_AST)
     except SyntaxError as exc:
@@ -159,9 +164,7 @@ def _compiled_rule(expr: str):
     for node in todo:  # breadth first: the list grows while it is read
         todo.extend(_children(node))
         if not isinstance(node, _ALLOWED_NODES):
-            raise ValueError(
-                f"rule {expr!r} uses disallowed syntax: {type(node).__name__}"
-            )
+            raise ValueError(f"rule {expr!r} uses disallowed syntax: {type(node).__name__}")
         if isinstance(node, _ast.Name) and node.id not in _ALLOWED_NAMES:
             raise ValueError(f"rule {expr!r} references unknown name {node.id!r}")
         if isinstance(node, _ast.Call):
@@ -177,14 +180,16 @@ def _compiled_rule(expr: str):
 
 def evaluate_rule(expr: str, **variables: int):
     """Evaluate a whitelisted integer rule with the given variable bindings.
-    An exponent outside 0..64, a power above 4096 bits, or a division by
-    zero raises ValueError."""
+    An exponent outside 0..64, a power above 4096 bits, a division by zero
+    or a variable left unbound raises ValueError."""
     env = {"parity": parity, "_bounded_pow": _bounded_pow, **variables}
     try:
         return eval(_compiled_rule(expr), {"__builtins__": {}}, env)
     except ZeroDivisionError:
         bindings = ", ".join(f"{k}={v}" for k, v in variables.items())
         raise ValueError(f"rule {expr!r} divides by zero at {bindings}") from None
+    except NameError as exc:
+        raise ValueError(f"rule {expr!r} names {exc.name}, which is not bound") from None
 
 
 class PiecewiseCase(Record):
@@ -244,22 +249,16 @@ class ProfileFamily(Record):
         n = (index+1)/2.
         """
         if len(self.branches) == 1:
-            branch = self.branches[0]
-            if index < branch.n_min:
-                raise ValueError(
-                    f"index {index} below the domain of profile {self.name}"
-                )
-            return branch, index
-        label = "even" if index % 2 == 0 else "odd"
-        for branch in self.branches:
-            if branch.parity_label == label:
-                n = index // 2 if label == "even" else (index + 1) // 2
-                if n < branch.n_min:
-                    raise ValueError(
-                        f"index {index} below the domain of profile {self.name}"
-                    )
-                return branch, n
-        raise ValueError(f"profile {self.name} has no branch for index {index}")
+            branch, n = self.branches[0], index
+        else:
+            label = "odd" if index % 2 else "even"
+            matching = [b for b in self.branches if b.parity_label == label]
+            if not matching:
+                raise ValueError(f"profile {self.name} has no branch for index {index}")
+            branch, n = matching[0], (index + 1) // 2
+        if n < branch.n_min:
+            raise ValueError(f"index {index} below the domain of profile {self.name}")
+        return branch, n
 
     def offsets_at(self, index: int) -> tuple[int, ...]:
         branch, n = self.resolve(index)
@@ -322,79 +321,90 @@ class Catalog:
             raise UnknownNameError(f"unknown catalog entry {name!r}") from None
 
 
-# the keys of each JSON object of a catalog, as ``dump_catalog`` writes them
-_ENTRY_KEYS = frozenset(
-    {"name", "aliases", "identity", "source", "modulus", "residues", "branches"}
+# One table per JSON object of a catalog: its keys in the order ``dump_catalog``
+# writes them, each with the JSON type of its value and, for a key that may be
+# absent, the default it then reads as.  A type is ``str``, ``int``, ``(type,)``
+# for a list of one type, or a rule: the frozenset of the names it may use.  A
+# key whose default is None or _UNSET may also be null, read as None; the
+# dumper writes a None value as null, but leaves an _UNSET key out.
+_UNSET = object()
+_CASE = (("when", str), ("value", frozenset({"n", "s"})))
+_BRANCH = (
+    ("parity", str),
+    ("n_min", int),
+    ("slots", frozenset({"n"})),
+    ("min_weight", frozenset({"n"})),
+    ("offsets", (dict,)),
 )
-_BRANCH_KEYS = frozenset({"parity", "n_min", "slots", "min_weight", "offsets"})
-_CASE_KEYS = frozenset({"when", "value"})
+_ENTRY = (
+    ("name", str),
+    ("aliases", (str,), []),
+    ("identity", str, _UNSET),
+    ("source", str, ""),
+    ("modulus", int, None),
+    ("residues", (int,), None),
+    ("branches", (dict,)),
+)
+_ENTRIES = "entries"  # the one key of a catalog's top-level object
+_TYPE_NAMES = {str: "a string", int: "an integer", (str,): "a list of strings",
+               (int,): "a list of integers", (dict,): "a list of objects"}
 
 
-def _known_keys(data: dict, known: frozenset[str], what: str) -> None:
-    """Reject a key of ``data`` outside ``known``: a misspelt key would
-    otherwise be ignored, and its field would silently keep its default."""
-    if unknown := sorted(set(data) - known):
+def _is(value, json_type) -> bool:
+    """Whether ``value``, as ``json`` parsed it, is of ``json_type``: a bool is no int."""
+    if isinstance(json_type, tuple):
+        return type(value) is list and all(type(v) is json_type[0] for v in value)
+    return type(value) is json_type
+
+
+def _fields(data: dict, table: tuple, what: str) -> list:
+    """The values of ``data`` in ``table`` order, an absent key read as its
+    default.  A key outside the table (a misspelt key would otherwise be
+    ignored), a value of the wrong type and a rule naming a variable its key
+    does not take raise ValueError, and a missing key KeyError."""
+    if unknown := sorted(set(data) - {key for key, *_ in table}):
         raise ValueError(f"unknown {what} {unknown[0]!r}")
-
-
-def _strings(data: dict, *keys: str) -> None:
-    """Reject a value of ``data`` under one of ``keys`` that is not a string."""
-    for key in keys:
-        if not isinstance(data.get(key, ""), str):
-            raise ValueError(f"{key} must be a string")
+    values = []
+    for key, kind, *default in table:
+        value = data.get(key, *default) if default else data[key]
+        json_type = str if isinstance(kind, frozenset) else kind
+        if value is _UNSET or value is None and default in ([None], [_UNSET]):
+            value = None
+        elif not _is(value, json_type):
+            raise ValueError(f"{key} must be {_TYPE_NAMES[json_type]}")
+        elif kind is not json_type:  # a rule, in the names ``kind`` holds
+            if unbound := _VARIABLES.intersection(_compiled_rule(value).co_names) - kind:
+                raise ValueError(
+                    f"{key} rule {value!r} names {min(unbound)}, as only offset rules may"
+                )
+        values.append(value)
+    return values
 
 
 def _branch_from_json(data: dict) -> ProfileBranch:
-    _known_keys(data, _BRANCH_KEYS, "branch key")
-    _strings(data, "slots", "min_weight")
-    label = data["parity"]
+    label, n_min, slots, min_weight, offsets = _fields(data, _BRANCH, "branch key")
     if label not in ("all", "even", "odd"):
         raise ValueError(f"invalid branch parity {label!r}")
-    n_min = data["n_min"]
-    if not _list_of([n_min], int):
-        raise ValueError("n_min must be an integer")
     if n_min < 0:
         raise ValueError("n_min must be nonnegative")
-    if not _list_of(data["offsets"], dict):
-        raise ValueError("offsets must be a list of objects")
-    for case in data["offsets"]:
-        _known_keys(case, _CASE_KEYS, "offset case key")
-        _strings(case, "when", "value")
-    cases = tuple(PiecewiseCase(c["when"], c["value"]) for c in data["offsets"])
+    cases = tuple(PiecewiseCase(*_fields(c, _CASE, "offset case key")) for c in offsets)
     if not cases or cases[-1].when != "otherwise":
         raise ValueError("the last offset case must be 'otherwise'")
     for case in cases[:-1]:
         if case.when == "otherwise":
             raise ValueError("'otherwise' is only allowed as the final case")
         _compiled_rule(case.when)
-    for case in cases:
-        _compiled_rule(case.value)
-    for key in ("slots", "min_weight"):  # rules in the branch index n alone
-        if "s" in _compiled_rule(data[key]).co_names:
-            raise ValueError(f"{key} rule {data[key]!r} names s, as only offset rules may")
-    return ProfileBranch(label, n_min, data["slots"], data["min_weight"], cases)
-
-
-def _list_of(values, kind: type) -> bool:
-    """Whether ``values`` is a JSON array of ``kind`` values, a bool counting
-    as no int."""
-    return isinstance(values, list) and all(
-        isinstance(v, kind) and not isinstance(v, bool) for v in values
-    )
+    return ProfileBranch(label, n_min, slots, min_weight, cases)
 
 
 def _entry_from_json(data: dict) -> CatalogEntry:
     if not isinstance(data, dict):
         raise ValueError("entries must be JSON objects")
-    if not _list_of(data["branches"], dict):
-        raise ValueError("branches must be a list of objects")
-    branches = tuple(_branch_from_json(b) for b in data["branches"])
-    _known_keys(data, _ENTRY_KEYS, "key")
-    _strings(data, "name", "source")
-    if not data["name"]:
-        raise ValueError("name must be a nonempty string")
-    if not _list_of(data.get("aliases", []), str):
-        raise ValueError("aliases must be a list of strings")
+    name, aliases, identity, source, modulus, residues, branches = _fields(data, _ENTRY, "key")
+    for key, value in (("name", name), ("identity", identity)):
+        if value == "":
+            raise ValueError(f"{key} must be a nonempty string")
+    branches = tuple(map(_branch_from_json, branches))
     if len(branches) == 1:
         if branches[0].parity_label != "all":
             raise ValueError("a single branch must have parity 'all'")
@@ -403,27 +413,13 @@ def _entry_from_json(data: dict) -> CatalogEntry:
             raise ValueError("two branches must be one 'even' and one 'odd'")
     else:
         raise ValueError("a profile has one or two branches")
-    identity = data.get("identity")
-    if identity is not None and not (isinstance(identity, str) and identity):
-        raise ValueError("identity must be a nonempty string")
-    product = None
-    if data.get("modulus") is not None:
-        if not _list_of([data["modulus"]], int):
-            raise ValueError("modulus must be an integer")
-        if not _list_of(data["residues"], int):
-            raise ValueError("residues must be a list of integers")
-        if len(set(data["residues"])) < len(data["residues"]):
-            raise ValueError("residues must not repeat a value")
-        product = ResidueClass(data["modulus"], frozenset(data["residues"]))
-    elif data.get("residues") is not None:
-        raise ValueError("residues must be null without a modulus")
-    return CatalogEntry(
-        profile=ProfileFamily(data["name"], branches),
-        product=product,
-        source=data.get("source", ""),
-        aliases=tuple(data.get("aliases", ())),
-        identity=identity,
-    )
+    if (modulus is None) != (residues is None):
+        given = "null without" if modulus is None else "given with"
+        raise ValueError(f"residues must be {given} a modulus")
+    if residues is not None and len(set(residues)) < len(residues):
+        raise ValueError("residues must not repeat a value")
+    product = None if modulus is None else ResidueClass(modulus, frozenset(residues))
+    return CatalogEntry(ProfileFamily(name, branches), product, source, tuple(aliases), identity)
 
 
 def loads_catalog(text: str) -> Catalog:
@@ -432,10 +428,10 @@ def loads_catalog(text: str) -> Catalog:
     value of the wrong type or an invalid field, and the error names the
     entry (by position when it has no nonempty string name)."""
     payload = json.loads(text)
-    if not isinstance(payload, dict) or not isinstance(payload.get("entries"), list):
+    if not isinstance(payload, dict) or not isinstance(payload.get(_ENTRIES), list):
         raise ValueError("a catalog must be a JSON object with an 'entries' list")
     entries = []
-    for position, data in enumerate(payload["entries"], start=1):
+    for position, data in enumerate(payload[_ENTRIES], start=1):
         try:
             entries.append(_entry_from_json(data))
         except (KeyError, TypeError, ValueError) as exc:
@@ -457,37 +453,26 @@ def load_catalog(path: str | Path) -> Catalog:
     return loads_catalog(text)
 
 
+def _json(table: tuple, *values) -> dict:
+    """``values`` under ``table``'s keys, less an _UNSET key holding None."""
+    return {row[0]: v for row, v in zip(table, values) if v is not None or _UNSET not in row}
+
+
 def dump_catalog(catalog: Catalog) -> str:
-    """Canonical JSON rendering; loading and re-dumping a shipped file is
-    byte-identical."""
+    """Canonical JSON rendering, each object's keys in its table's order;
+    loading and re-dumping a shipped file is byte-identical."""
     entries = []
     for entry in catalog.entries():
-        identity = {"identity": entry.identity} if entry.identity is not None else {}
-        entries.append(
-            {
-                "name": entry.name,
-                "aliases": list(entry.aliases),
-                **identity,
-                "source": entry.source,
-                "modulus": entry.product.modulus if entry.product else None,
-                "residues": (
-                    list(entry.product.sorted_residues()) if entry.product else None
-                ),
-                "branches": [
-                    {
-                        "parity": b.parity_label,
-                        "n_min": b.n_min,
-                        "slots": b.slots,
-                        "min_weight": b.min_weight,
-                        "offsets": [
-                            {"when": c.when, "value": c.value} for c in b.offsets
-                        ],
-                    }
-                    for b in entry.profile.branches
-                ],
-            }
-        )
-    return json.dumps({"entries": entries}, indent=2) + "\n"
+        rc = entry.product
+        product = (rc.modulus, list(rc.sorted_residues())) if rc else (None, None)
+        branches = [
+            _json(_BRANCH, b.parity_label, b.n_min, b.slots, b.min_weight,
+                  [_json(_CASE, c.when, c.value) for c in b.offsets])
+            for b in entry.profile.branches
+        ]
+        values = entry.name, list(entry.aliases), entry.identity, entry.source, *product
+        entries.append(_json(_ENTRY, *values, branches))
+    return json.dumps({_ENTRIES: entries}, indent=2) + "\n"
 
 
 @lru_cache(maxsize=1)

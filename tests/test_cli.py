@@ -739,6 +739,26 @@ class TestMalformedCatalog:
                 "catalog entry 'custom': residues must not repeat a value",
             ),
             (custom_fields(name=""), "catalog entry #1: name must be a nonempty string"),
+            (
+                custom_entry(slots="n" + "+0" * 100000),
+                "catalog entry 'custom': a rule of 200001 characters is longer than 256",
+            ),
+            (
+                custom_entry(slots="-" * 100000 + "n"),
+                "catalog entry 'custom': a rule of 100001 characters is longer than 256",
+            ),
+            (custom_fields(modulus=True), "catalog entry 'custom': modulus must be an integer"),
+            (
+                custom_fields(residues=[True, 3]),
+                "catalog entry 'custom': residues must be a list of integers",
+            ),
+            (custom_fields(identity=5), "catalog entry 'custom': identity must be a string"),
+            (custom_entry(parity=5), "catalog entry 'custom': parity must be a string"),
+            (
+                custom_fields(aliases=None),
+                "catalog entry 'custom': aliases must be a list of strings",
+            ),
+            (custom_fields(source=None), "catalog entry 'custom': source must be a string"),
         ],
         ids=[
             "no-entries", "list", "no-min-weight", "no-file", "zero-division",
@@ -749,6 +769,8 @@ class TestMalformedCatalog:
             "unknown-case-key", "residues-without-modulus", "int-slots", "int-when",
             "int-value", "list-min-weight", "object-branches", "string-offsets", "int-entry",
             "s-in-slots", "s-in-min-weight", "repeated-residue", "empty-name",
+            "long-sum-rule", "long-minus-rule", "bool-modulus", "bool-residue",
+            "int-identity", "int-parity", "null-aliases", "null-source",
         ],
     )
     def test_is_a_domain_error_on_one_line(

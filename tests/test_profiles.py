@@ -75,6 +75,11 @@ class TestRules:
         with pytest.raises(ValueError, match="divides by zero at n=3, s=2"):
             evaluate_rule("n % (s - 2)", n=3, s=2)
 
+    def test_unbound_variable_names_the_rule_and_the_name(self):
+        with pytest.raises(ValueError) as raised:
+            evaluate_rule("n+s", n=1)
+        assert str(raised.value) == "rule 'n+s' names s, which is not bound"
+
 
     def test_powers_within_bounds(self):
         assert evaluate_rule("2**n", n=64) == 2**64
@@ -427,6 +432,28 @@ class TestProfileSeries:
 
 
 class TestCatalogFormat:
+    def test_absent_keys_read_as_their_defaults_and_dump_in_table_order(self):
+        branch = {
+            "parity": "all",
+            "n_min": 0,
+            "slots": "n",
+            "min_weight": "n*n",
+            "offsets": [{"when": "otherwise", "value": "2*(n - s) + 1"}],
+        }
+        catalog = loads_catalog(json.dumps({"entries": [{"branches": [branch], "name": "x"}]}))
+        entry = catalog.lookup("x")
+        assert (entry.aliases, entry.identity, entry.source, entry.product) == ((), None, "", None)
+        (dumped,) = json.loads(dump_catalog(catalog))["entries"]
+        assert list(dumped.items()) == [
+            ("name", "x"),
+            ("aliases", []),
+            ("source", ""),
+            ("modulus", None),
+            ("residues", None),
+            ("branches", [branch]),
+        ]
+        assert list(dumped["branches"][0]) == list(branch)
+
     def test_loader_rejects_duplicate_names(self):
         text = CATALOG_PATH.read_text(encoding="utf-8")
         payload = json.loads(text)
