@@ -323,10 +323,10 @@ class Catalog:
 
 # One table per JSON object of a catalog: its keys in the order ``dump_catalog``
 # writes them, each with the JSON type of its value and, for a key that may be
-# absent, the default it then reads as.  A type is ``str``, ``int``, ``(type,)``
-# for a list of one type, or a rule: the frozenset of the names it may use.  A
-# key whose default is None or _UNSET may also be null, read as None; the
-# dumper writes a None value as null, but leaves an _UNSET key out.
+# absent, the default it then reads as.  A type is ``str``, ``int``, ``list``,
+# ``(type,)`` for a list of one type, or a rule: the frozenset of the names it
+# may use.  A key whose default is None or _UNSET may also be null, read as
+# None; the dumper writes a None value as null, but leaves an _UNSET key out.
 _UNSET = object()
 _CASE = (("when", str), ("value", frozenset({"n", "s"})))
 _BRANCH = (
@@ -345,7 +345,8 @@ _ENTRY = (
     ("residues", (int,), None),
     ("branches", (dict,)),
 )
-_ENTRIES = "entries"  # the one key of a catalog's top-level object
+_ENTRIES = "entries"
+_CATALOG = ((_ENTRIES, list),)  # the top-level object; each entry is checked on its own
 _TYPE_NAMES = {str: "a string", int: "an integer", (str,): "a list of strings",
                (int,): "a list of integers", (dict,): "a list of objects"}
 
@@ -424,14 +425,15 @@ def _entry_from_json(data: dict) -> CatalogEntry:
 
 def loads_catalog(text: str) -> Catalog:
     """Parse a catalog.  A payload that is not an object with an ``entries``
-    list raises ValueError; so does an entry with a missing or unknown key, a
-    value of the wrong type or an invalid field, and the error names the
-    entry (by position when it has no nonempty string name)."""
+    list and nothing else raises ValueError; so does an entry with a missing
+    or unknown key, a value of the wrong type or an invalid field, and the
+    error names the entry (by position when it has no nonempty string name)."""
     payload = json.loads(text)
     if not isinstance(payload, dict) or not isinstance(payload.get(_ENTRIES), list):
         raise ValueError("a catalog must be a JSON object with an 'entries' list")
+    (items,) = _fields(payload, _CATALOG, "top-level key")
     entries = []
-    for position, data in enumerate(payload[_ENTRIES], start=1):
+    for position, data in enumerate(items, start=1):
         try:
             entries.append(_entry_from_json(data))
         except (KeyError, TypeError, ValueError) as exc:
@@ -472,7 +474,7 @@ def dump_catalog(catalog: Catalog) -> str:
         ]
         values = entry.name, list(entry.aliases), entry.identity, entry.source, *product
         entries.append(_json(_ENTRY, *values, branches))
-    return json.dumps({_ENTRIES: entries}, indent=2) + "\n"
+    return json.dumps(_json(_CATALOG, entries), indent=2) + "\n"
 
 
 @lru_cache(maxsize=1)

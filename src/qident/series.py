@@ -39,7 +39,7 @@ that and pads with zeros; ``_alpha_from_sum`` stops where its product ends,
 read from its input's last nonzero coefficient, not from that degree.
 """
 
-from collections.abc import Callable, Container, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import accumulate, compress, count, repeat
 from math import isqrt
 from operator import add, mul, sub
@@ -242,19 +242,18 @@ def product_side(rc: ResidueClass, order: int) -> TruncatedSeries:
     return TruncatedSeries(tuple(c))
 
 
-def _numerator(
-    order: int, p: int, excluded: Container[int], removed: Container[int]
-) -> list[int] | None:
-    """The product of (1 - q^k) over the sizes 0 < k < ``order`` whose residue
-    mod ``p`` is in ``excluded``, from its logarithmic derivative: with s_j
-    the sum of those sizes that divide j, n c_n = -(s_1 c_{n-1} + ... + s_n c_0).
-    Each nonzero c_i adds c_i s, shifted by i, into those sums once: one pass
-    per nonzero term.  An inexact quotient raises ArithmeticError.  It gives
-    up with None at the first n where c has more nonzero terms at q^1..q^n
-    than one plus the sizes up to n with residue in ``removed``: the one
-    term of slack lets a sparse numerator with a term before the first
-    removed size through."""
-    w = [k if k % p in excluded else 0 for k in range(order)]
+def _numerator(excluded: Sequence[bool], removed: Sequence[bool]) -> list[int] | None:
+    """The product of (1 - q^k) over the sizes 0 < k < order with
+    ``excluded[k]``, order the length of both lists, from its logarithmic
+    derivative: with s_j the sum of those sizes that divide j,
+    n c_n = -(s_1 c_{n-1} + ... + s_n c_0).  Each nonzero c_i adds c_i s,
+    shifted by i, into those sums once: one pass per nonzero term.  An inexact
+    quotient raises ArithmeticError.  It gives up with None at the first n
+    where c has more nonzero terms at q^1..q^n than one plus the sizes
+    0 < k <= n with ``removed[k]``: the one term of slack lets a sparse
+    numerator with a term before the first removed size through."""
+    order = len(excluded)
+    w = list(map(mul, count(), excluded))
     s, r = [0] * order, isqrt(order - 1)  # no size and its cofactor both exceed r
     for m in range(1, r + 1):  # each size m <= r, then m times each size above r
         s[m::m] = map(add, s[m::m], repeat(w[m]))
@@ -267,7 +266,7 @@ def _numerator(
         if x:
             c[n] = x
             _add_times(t, s, n, x)  # s_0 = 0
-        spare += (n % p in removed) - (x != 0)
+        spare += removed[n] - (x != 0)
         if spare < 0:
             return None
     return c
@@ -277,7 +276,8 @@ def _euler(order: int) -> TruncatedSeries:
     """(1-q)(1-q^2)...(1-q^{order-1}), the Euler product E below ``order``:
     the numerator with every size removed, so it never gives up.
     ``_reciprocal`` of it is the all-parts series."""
-    return TruncatedSeries(tuple(_numerator(order, 1, (0,), (0,))))
+    every = [True] * order
+    return TruncatedSeries(tuple(_numerator(every, every)))
 
 
 def _product_side(
@@ -288,15 +288,18 @@ def _product_side(
     nonzero residue mod m, are E(q^m)/E(q), the all-parts series times
     E(q^m).  Any other class is the all-parts series times its numerator,
     or, where ``_numerator`` gives up on a dense one, the direct product.
-    The give-up rule counts the sizes that the class does not allow and the
-    parts not divisible by d do, d the least divisor of m from 2 up that
-    divides no allowed residue."""
+    The give-up rule counts the sizes below the order that the class does
+    not allow and the parts not divisible by d do, d the least divisor of m
+    from 2 up that divides no allowed residue.  Below the order a d at or
+    above it removes every size the class does not allow, so the search
+    stops at the order: no step is sized by m, and a modulus of any size
+    costs work set by the order and the residues."""
     m, order = rc.modulus, all_parts.order
     if len(rc.residues) == m - 1:
         return TruncatedSeries(tuple(_times_dilated(all_parts.coefficients, euler.coefficients, m)))
-    d = next(d for d in range(2, m + 1) if not m % d and rc.residues.isdisjoint(range(d, m, d)))
-    excluded = {r for r in range(m) if r not in rc.residues}
-    numerator = _numerator(order, m, excluded, {r for r in excluded if r % d})
+    d = next((d for d in range(2, order) if not m % d and all(r % d for r in rc.residues)), order)
+    excluded = [k % m not in rc.residues for k in range(order)]
+    numerator = _numerator(excluded, [x and k % d != 0 for k, x in enumerate(excluded)])
     if numerator is None:
         return product_side(rc, order)
     return TruncatedSeries(tuple(_times_dilated(all_parts.coefficients, numerator, 1)))
@@ -478,10 +481,8 @@ def alpha_closed_form(modulus: int, n: int, order: int) -> TruncatedSeries:
         return series_one(order)
     length = min(order, (modulus - 1) * n * (n + 1) // 2 + 1)
     coeffs = [0] * length
-    for j in range(1, modulus):
-        e = j * n
-        if e < length:
-            coeffs[e] = 1
+    for e in range(n, min(length, modulus * n), n):
+        coeffs[e] = 1
     for j in range(1, n):
         _one_minus(coeffs, j * modulus)
         _geometric(coeffs, j)
@@ -495,7 +496,6 @@ def _alpha_from_sum(modulus: int, n: int, lower_sum: Sequence[int], order: int) 
     the sum's last nonzero one, the term lists min(order, L + (M-1)n)."""
     top = max(compress(range(1, len(lower_sum) + 1), lower_sum), default=0)
     out = [0] * min(order, top + (modulus - 1) * n)
-    for j in range(1, modulus):
-        e = j * n
+    for e in range(n, min(len(out), modulus * n), n):
         out[e : e + top] = map(add, out[e : e + top], lower_sum)
     return out

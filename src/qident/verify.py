@@ -311,7 +311,7 @@ def glaisher_conjugate_report(modulus: int, max_weight: int) -> Finding | None:
     partitions.
     """
     target_sizes = count_bounded_gap_vectors(modulus, max_weight)
-    gaps = frozenset(range(modulus))
+    gaps = frozenset(range(min(modulus, max_weight + 1)))  # no target gap exceeds its weight
 
     def in_target(weight: int, vector: tuple[int, ...]) -> bool:
         return (

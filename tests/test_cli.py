@@ -759,6 +759,10 @@ class TestMalformedCatalog:
                 "catalog entry 'custom': aliases must be a list of strings",
             ),
             (custom_fields(source=None), "catalog entry 'custom': source must be a string"),
+            (
+                json.dumps({**json.loads(custom_entry()), "extra": 1}),
+                "unknown top-level key 'extra'",
+            ),
         ],
         ids=[
             "no-entries", "list", "no-min-weight", "no-file", "zero-division",
@@ -771,6 +775,7 @@ class TestMalformedCatalog:
             "s-in-slots", "s-in-min-weight", "repeated-residue", "empty-name",
             "long-sum-rule", "long-minus-rule", "bool-modulus", "bool-residue",
             "int-identity", "int-parity", "null-aliases", "null-source",
+            "unknown-top-level-key",
         ],
     )
     def test_is_a_domain_error_on_one_line(
@@ -783,3 +788,46 @@ class TestMalformedCatalog:
         assert (code, out) == (EXIT_DOMAIN, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
+
+
+class TestAnyModulusCostsWorkSetByTheOrder:
+    """A product side's work is set by the order and the residues listed, and
+    a divide-by-M term's by its exponents below the order.  So a modulus of
+    any size runs in bounded time, with no traceback and the exit code of a
+    verdict, and every modulus at or above the order prints what the least
+    one prints: P2's sum side against the parts 1 mod M, and alpha_2."""
+
+    @pytest.mark.parametrize(
+        "moduli, argv",
+        [
+            (
+                (20, 10**6, 10**30),
+                ("--catalog", "{catalog}", "verify", "all", "--order", "20",
+                 "--max-weight", "8", "--format", "machine"),
+            ),
+            (
+                (20, 10**12),
+                ("series", "alpha", "--modulus", "{modulus}", "--n", "2", "--order", "20"),
+            ),
+        ],
+        ids=["verify-all", "series-alpha"],
+    )
+    def test_prints_what_the_least_modulus_prints(self, tmp_path, moduli, argv):
+        src = str(Path(qident.__file__).resolve().parents[1])
+        outputs = set()
+        for modulus in moduli:
+            catalog = tmp_path / f"{modulus}.json"
+            catalog.write_text(custom_fields(modulus=modulus, residues=[1]), encoding="utf-8")
+            run = subprocess.run(
+                [sys.executable, "-m", "qident.cli",
+                 *(a.format(catalog=catalog, modulus=modulus) for a in argv)],
+                capture_output=True,
+                text=True,
+                timeout=10,
+                env={**os.environ, "PYTHONPATH": src},
+            )
+            assert "Traceback" not in run.stderr, modulus
+            assert run.returncode in (EXIT_OK, EXIT_MISMATCH), (modulus, run.stderr)
+            assert run.stdout, modulus
+            outputs.add(run.stdout)
+        assert len(outputs) == 1

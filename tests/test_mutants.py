@@ -169,8 +169,8 @@ def drops_top_numerator_term(numerator):
     """The numerator kernel leaves out the highest nonzero term of the
     product it builds, E's among them, unless it gives up on it."""
 
-    def fake(order, p, excluded, removed):
-        c = numerator(order, p, excluded, removed)
+    def fake(excluded, removed):
+        c = numerator(excluded, removed)
         if c is not None:
             top = max(j for j, x in enumerate(c) if x)
             if top:

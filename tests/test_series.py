@@ -339,10 +339,10 @@ def numerator_factors(rc: ResidueClass | None, order: int) -> list[int]:
 def full_numerator(rc: ResidueClass | None, order: int) -> list[int] | None:
     """``_numerator`` for ``rc``, or for E, never giving up: every size
     counts as removed."""
+    every = [True] * order
     if rc is None:
-        return _numerator(order, 1, (0,), (0,))
-    m = rc.modulus
-    return _numerator(order, m, {r for r in range(m) if not rc.allows(r)}, range(m))
+        return _numerator(every, every)
+    return _numerator([not rc.allows(k) for k in range(order)], every)
 
 
 @cache
@@ -440,6 +440,28 @@ class TestNumeratorRoute:
     @example(rc=ResidueClass(23, frozenset({1})), order=200)
     def test_any_class_equals_the_direct_product_by_either_route(self, rc, order):
         assert routed(rc, order) == product_side(rc, order)
+
+    @given(
+        pair=st.integers(1, 120).flatmap(
+            lambda order: st.one_of(
+                st.integers(max(order, 2), 2 * order + 2),
+                st.integers(order + 1, 10**30),
+                st.integers(1, 10**24).map(lambda k: 720720 * k),  # every d <= 16 divides it
+            ).flatmap(
+                lambda m: st.sets(
+                    st.one_of(st.integers(1, min(order, m - 1)), st.integers(1, m - 1)),
+                    min_size=1,
+                    max_size=order + 5,
+                ).map(lambda residues: (ResidueClass(m, frozenset(residues)), order))
+            )
+        ),
+    )
+    def test_a_modulus_at_or_above_the_order_equals_the_direct_product(self, pair):
+        """The search for d stops at the order, so a modulus of any size at
+        or above it costs work set by the order and the residues listed."""
+        rc, order = pair
+        euler = _euler(order)
+        assert _product_side(rc, _reciprocal(euler), euler) == product_side(rc, order)
 
     def test_shipped_classes_take_their_numerators_to_order_1000(self, directs):
         """Whether ``_numerator`` gives up at q^n depends on q^1..q^n alone,

@@ -725,17 +725,18 @@ def built(shared, values=None):
 
 
 def removed_residues(rc, order):
-    """The residues mod its modulus that the build of ``rc`` at ``order``
-    hands ``_numerator`` as removed, those the parts not divisible by d
-    allow and ``rc`` does not, or None if it builds no numerator."""
+    """The residues mod its modulus of the sizes below ``order`` that the
+    build of ``rc`` at that order hands ``_numerator`` as removed, those the
+    parts not divisible by d allow and ``rc`` does not, or None if it builds
+    no numerator."""
     euler = _euler(order)  # E's own numerator is built before the watch
     all_parts = series_module._reciprocal(euler)
     calls = []
     numerator = series_module._numerator
 
-    def recording(order, p, excluded, removed):
-        calls.append({r for r in range(p) if r in removed})
-        return numerator(order, p, excluded, removed)
+    def recording(excluded, removed):
+        calls.append({k % rc.modulus for k, x in enumerate(removed) if x})
+        return numerator(excluded, removed)
 
     series_module._numerator = recording
     try:
@@ -779,17 +780,19 @@ class TestProductSideBases:
     @example(rc=MOD_20, order=150)
     @example(rc=ResidueClass.nonzero(30), order=2)
     def test_rule_builds_the_product_side_from_a_covering_base(self, rc, order):
-        """The sizes the give-up rule counts and those ``rc`` allows are
-        together the parts not divisible by some d dividing the modulus."""
+        """The sizes below the order that the give-up rule counts and those
+        ``rc`` allows are together, mod the modulus, the parts not divisible
+        by some d dividing the modulus."""
         shared = verify_module._product_input(rc, order)
         assert built(shared) == product_side(rc, order)
         removed, m = removed_residues(rc, order), rc.modulus
         if removed is None:
             assert len(rc.residues) == m - 1
         else:
-            base = removed | rc.residues
+            sizes = range(1, order)
+            base = removed | {k % m for k in sizes if rc.allows(k)}
             divisors = [d for d in range(2, m + 1) if not m % d]
-            assert any(base == {r for r in range(1, m) if r % d} for d in divisors)
+            assert any(base == {k % m for k in sizes if k % d} for d in divisors)
 
     @pytest.mark.parametrize(
         "rc, d",
@@ -853,8 +856,9 @@ class TestProductSideBases:
                 planned += euler_route(key, order)
             else:
                 rc, m = key[1], key[1].modulus
-                excluded = {r for r in range(m) if not rc.allows(r)}
-                n = _numerator(order, m, excluded, removed_residues(rc, order))
+                removed = removed_residues(rc, order)
+                n = _numerator([not rc.allows(k) for k in range(order)],
+                               [k % m in removed for k in range(order)])
                 assert n is not None, key  # no catalog class has a dense numerator
                 sizes = [k for k in range(1, order) if not rc.allows(k)]
                 planned += numerator(sizes, n, order) + sum(order - e for e in exponents(n))
